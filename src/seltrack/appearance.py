@@ -1,4 +1,4 @@
-"""Per-track appearance state: decaying EMA of embeddings and cosine costs.
+"""Per-track appearance state: decaying EMA of embeddings, and the cosine cost kernel.
 
 The embedding is a unit vector updated as e <- normalize(a' * e + (1 - a') * f)
 whenever a freshly extracted feature f arrives. While extractions are
@@ -74,42 +74,30 @@ def ema_update(s: EmaState, f) -> EmaState:
 
 
 def cosine_distance(a, b) -> float:
-    """1 - a.b for unit vectors, clipped to [0, 2] against rounding."""
-    return float(min(max(1.0 - float(np.dot(a, b)), 0.0), 2.0))
+    """Cosine distance of two unit vectors; see `cosine_costs`."""
+    return float(cosine_costs(np.atleast_2d(a), [b])[0, 0])
 
 
-def appearance_cost_matrix(
-    tracks: list[EmaState],
-    dets: list[np.ndarray | None],
-    copies: dict[int, int],
-) -> np.ndarray:
-    """Cosine-distance matrix of track embeddings vs detection features.
+def cosine_costs(embeddings, columns) -> np.ndarray:
+    """1 - e.f for stacked unit track embeddings (rows) against detection columns.
 
-    A detection listed in `copies` carries no feature of its own; it behaves
-    as if it carried its candidate track's embedding, which makes its cost
-    to the candidate exactly zero and to every other track the inter-track
-    embedding distance.
+    A column is a unit feature vector, or the row index of the track whose
+    embedding a non-risky detection copies: such a column costs exactly zero
+    to that track and the inter-track embedding distance to every other.
+    Distances are clipped to [0, 2] against rounding.
     """
-    for j, c in copies.items():
-        if not 0 <= j < len(dets):
-            raise ValueError(f"copy entry for unknown detection {j}")
-        if dets[j] is not None:
-            raise ValueError(f"detection {j} has a feature and a copy entry")
-        if not 0 <= c < len(tracks):
-            raise ValueError(f"copy candidate {c} out of range")
-    cost = np.zeros((len(tracks), len(dets)))
-    for j, f in enumerate(dets):
-        if f is not None:
-            for i, t in enumerate(tracks):
-                cost[i, j] = cosine_distance(t.embedding, f)
-        elif j in copies:
-            c = copies[j]
-            for i, t in enumerate(tracks):
-                cost[i, j] = (
-                    0.0
-                    if i == c
-                    else cosine_distance(t.embedding, tracks[c].embedding)
-                )
-        else:
-            raise ValueError(f"detection {j} has neither a feature nor a copy")
+    embeddings = np.asarray(embeddings, dtype=float)
+    vectors, copies = [], {}
+    for k, col in enumerate(columns):
+        if col is None:
+            raise ValueError(f"detection {k} has neither a feature nor a copy")
+        if isinstance(col, (int, np.integer)):
+            if not 0 <= col < len(embeddings):
+                raise ValueError(f"copy candidate {col} out of range")
+            copies[k] = col
+            col = embeddings[col]
+        vectors.append(np.asarray(col, dtype=float))
+    cost = np.clip(1.0 - embeddings @ np.stack(vectors).T, 0.0, 2.0)
+    for k, row in copies.items():
+        cost[row, k] = 0.0
     return cost

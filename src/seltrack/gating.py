@@ -82,13 +82,3 @@ def classify(
         labels.append(RiskLabel.non_risky(c))
     return labels
 
-
-def base_gate_overrides(labels: list[RiskLabel], cfg: GateConfig) -> list[bool]:
-    """Which detections get the saturated appearance cost under base-gate mode.
-
-    Non-risky detections are flagged so the matcher prices them out of the
-    appearance stage entirely; they resolve in the IoU stage instead.
-    """
-    if cfg.mode != MODE_BASE_GATE:
-        raise ValueError("base-gate overrides requested outside base_gate mode")
-    return [not lbl.risky for lbl in labels]

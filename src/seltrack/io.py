@@ -57,36 +57,34 @@ def _parse_row(line_no: int, line: str) -> DetFileRow:
     return DetFileRow(frame, track_id, x, y, w, h, conf)
 
 
-def read_det_rows(path) -> list[DetFileRow]:
-    """All rows of a detection/result/gt-shaped CSV, validated per line."""
-    rows = []
+def _numbered_rows(path):
+    """(line number, validated row) for every non-blank line of a MOT-style CSV."""
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            rows.append(_parse_row(line_no, line))
-    return rows
+            if line.strip():
+                yield line_no, _parse_row(line_no, line)
+
+
+def read_det_rows(path) -> list[DetFileRow]:
+    """All rows of a detection/result/gt-shaped CSV, validated per line."""
+    return [row for _, row in _numbered_rows(path)]
 
 
 def read_detections(path) -> dict[int, list[Detection]]:
     """Detections grouped by frame; per-frame index follows file order."""
     frames: dict[int, list[Detection]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            row = _parse_row(line_no, line)
-            group = frames.setdefault(row.frame, [])
-            try:
-                det = Detection(
-                    frame=row.frame,
-                    index=len(group),
-                    box=BBox(row.x, row.y, row.w, row.h),
-                    confidence=row.conf,
-                )
-            except ValueError as exc:
-                raise ValueError(f"line {line_no}: {exc}") from None
-            group.append(det)
+    for line_no, row in _numbered_rows(path):
+        group = frames.setdefault(row.frame, [])
+        try:
+            det = Detection(
+                frame=row.frame,
+                index=len(group),
+                box=BBox(row.x, row.y, row.w, row.h),
+                confidence=row.conf,
+            )
+        except ValueError as exc:
+            raise ValueError(f"line {line_no}: {exc}") from None
+        group.append(det)
     return dict(sorted(frames.items()))
 
 

@@ -109,10 +109,15 @@ def update(state: KalmanState, measurement: BBox) -> KalmanState:
     return KalmanState(mean, covariance)
 
 
+def degenerate(state: KalmanState) -> bool:
+    """True when the mean's aspect or height is not positive: it has no box."""
+    return bool(state.mean[2] <= 0 or state.mean[3] <= 0)
+
+
 def state_to_box(state: KalmanState) -> BBox:
     """Mean back to a top-left box; degenerate aspect or height is an error."""
     cx, cy, a, h = state.mean[:NDIM]
-    if a <= 0 or h <= 0:
+    if degenerate(state):
         raise ValueError(f"degenerate state: aspect={a}, height={h}")
     w = a * h
     return BBox(cx - w / 2.0, cy - h / 2.0, w, h)

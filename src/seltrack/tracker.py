@@ -9,28 +9,34 @@ embedding), associate, then update motion, appearance, and lifecycle.
 from __future__ import annotations
 
 import copy
-import time
 from dataclasses import dataclass, field
 from typing import Protocol
 
 import numpy as np
 
 from seltrack import appearance, assignment, gating, motion
-from seltrack.appearance import EmaState, cosine_distance
+from seltrack.appearance import EmaState
 from seltrack.assignment import INFEASIBLE
-from seltrack.gating import GateConfig, RiskLabel, SATURATED_COST
+from seltrack.gating import GateConfig, SATURATED_COST
 from seltrack.geometry import BBox, iou
 from seltrack.motion import KalmanState
 
 TENTATIVE = "tentative"
 CONFIRMED = "confirmed"
-DELETED = "deleted"
+DELETED = "deleted"  # never held: a track past max_age is dropped from `tracks`
 
 STRATEGY_CASCADE = "cascade"
 STRATEGY_FUSED = "fused"
 
 EMIT_KALMAN = "kalman"
 EMIT_DETECTION = "detection"
+
+# The feature plan holds one entry per high-confidence detection, saying how
+# it enters appearance matching: the vector fetched for a risky detection
+# (None if the provider had none), the live index of the sole candidate whose
+# embedding a non-risky detection copies, SATURATED to price a non-risky
+# detection out of appearance matching (the base-gate ablation), or None.
+SATURATED = "saturated"
 
 
 @dataclass
@@ -41,15 +47,12 @@ class Detection:
     index: int
     box: BBox
     confidence: float
-    feature: np.ndarray | None = None
 
     def __post_init__(self):
         if self.frame < 1:
             raise ValueError(f"frame must be >= 1, got {self.frame}")
         if not 0.0 <= self.confidence <= 1.0:
             raise ValueError(f"confidence out of range: {self.confidence!r}")
-        if self.feature is not None:
-            self.feature = appearance.feature(self.feature)
 
 
 @dataclass
@@ -101,32 +104,6 @@ class NullFeatureProvider:
         return None
 
 
-class MappingFeatureProvider:
-    """Features from an in-memory {(frame, index): vector} mapping."""
-
-    def __init__(self, records):
-        self._records = dict(records)
-
-    def fetch(self, frame: int, index: int) -> np.ndarray | None:
-        v = self._records.get((frame, index))
-        return None if v is None else appearance.feature(v)
-
-
-class DetectionFeatureProvider:
-    """Serves the features attached to Detection objects."""
-
-    def __init__(self, frames: dict[int, list[Detection]]):
-        self._records = {
-            (d.frame, d.index): d.feature
-            for dets in frames.values()
-            for d in dets
-            if d.feature is not None
-        }
-
-    def fetch(self, frame: int, index: int) -> np.ndarray | None:
-        return self._records.get((frame, index))
-
-
 class CountingProvider:
     """Wraps a provider and counts every fetch — the PDE numerator."""
 
@@ -169,7 +146,6 @@ class RunStats:
     detections: int = 0
     high_detections: int = 0
     frames: int = 0
-    frame_seconds: list[float] = field(default_factory=list)
 
 
 class SelectiveTracker:
@@ -191,8 +167,9 @@ class SelectiveTracker:
 
     # -- lifecycle helpers -------------------------------------------------
 
-    def _live(self) -> list[Track]:
-        return [t for t in self.tracks if t.status != DELETED]
+    def _drop(self, dead) -> None:
+        """Forget the tracks `dead` selects; `_next_id` never hands out their ids again."""
+        self.tracks = [t for t in self.tracks if not dead(t)]
 
     def _spawn(self, det: Detection, feat: np.ndarray | None) -> Track:
         ema = None if feat is None else appearance.init_ema(feat, self.match.ema_alpha)
@@ -236,76 +213,51 @@ class SelectiveTracker:
                     cost[i, j] = 1.0 - o
         return cost
 
-    def _appearance_stage(self, tracks, dets, features, copies, saturated):
+    def _cosine_costs(self, tracks, plan) -> np.ndarray:
+        """Cosine cost of every track (rows) to every plan entry (columns).
+
+        NaN where the track has no embedding or the entry carries neither a
+        fetched vector nor a copy (no feature, or SATURATED).
+        """
+        cost = np.full((len(tracks), len(plan)), np.nan)
+        cols = [j for j, p in enumerate(plan) if p is not None and p is not SATURATED]
+        embedded = [t.ema.embedding for t in tracks if t.ema is not None]
+        if cols and embedded:
+            # a zero row stands in for a missing embedding, so that copy
+            # entries index rows by their live index without a remap
+            blank = np.zeros_like(embedded[0])
+            stacked = np.stack([blank if t.ema is None else t.ema.embedding for t in tracks])
+            cost[:, cols] = appearance.cosine_costs(stacked, [plan[j] for j in cols])
+            cost[[i for i, t in enumerate(tracks) if t.ema is None]] = np.nan
+        return cost
+
+    def _appearance_stage(self, tracks, plan, cosine):
         """Cascade stage 1: appearance-only assignment over confirmed tracks."""
         rows = [i for i, t in enumerate(tracks) if t.status == CONFIRMED and t.ema is not None]
-        cols = [
-            j
-            for j in range(len(dets))
-            if features[j] is not None or j in copies or j in saturated
-        ]
+        cols = [j for j, p in enumerate(plan) if p is not None]
         if not rows or not cols:
-            return [], list(range(len(tracks))), list(range(len(dets)))
-        row_tracks = [tracks[i].ema for i in rows]
-        col_feats = []
-        col_copies = {}
-        for k, j in enumerate(cols):
-            if j in saturated:
-                col_feats.append(None)
-            elif features[j] is not None:
-                col_feats.append(features[j])
-            else:
-                col_feats.append(None)
-                # candidate is an index into the confirmed-track list used by
-                # classify; remap it into this stage's row space
-                col_copies[k] = rows.index(copies[j])
-        cost = np.zeros((len(rows), len(cols)))
-        for k, j in enumerate(cols):
-            if j in saturated:
-                # base-gate semantics: unbounded distance to every track, so
-                # the detection can only resolve in the IoU stage
-                cost[:, k] = INFEASIBLE
-            elif col_feats[k] is not None:
-                for r in range(len(rows)):
-                    cost[r, k] = cosine_distance(row_tracks[r].embedding, col_feats[k])
-            else:
-                c = col_copies[k]
-                for r in range(len(rows)):
-                    cost[r, k] = (
-                        0.0
-                        if r == c
-                        else cosine_distance(
-                            row_tracks[r].embedding, row_tracks[c].embedding
-                        )
-                    )
+            return [], list(range(len(tracks))), list(range(len(plan)))
+        # only SATURATED columns are NaN on embedded rows: base-gate semantics,
+        # unbounded distance to every track, so they resolve in the IoU stage
+        cost = np.nan_to_num(cosine[np.ix_(rows, cols)], nan=INFEASIBLE)
         result = assignment.solve(cost, self.match.appearance_gate)
         matches = [(rows[r], cols[c]) for r, c in result.matches]
         matched_t = {r for r, _ in matches}
         matched_d = {c for _, c in matches}
         unmatched_t = [i for i in range(len(tracks)) if i not in matched_t]
-        unmatched_d = [j for j in range(len(dets)) if j not in matched_d]
+        unmatched_d = [j for j in range(len(plan)) if j not in matched_d]
         return matches, unmatched_t, unmatched_d
 
-    def _fused_stage(self, tracks, dets, features, copies, saturated):
+    def _fused_stage(self, tracks, dets, plan, cosine):
         """Single-stage assignment on weighted appearance plus IoU cost."""
         if not tracks or not dets:
             return [], list(range(len(tracks))), list(range(len(dets)))
         cost = self._iou_costs(tracks, dets)
         w = self.match.fused_weight
-        for i, t in enumerate(tracks):
-            for j in range(len(dets)):
-                if not np.isfinite(cost[i, j]):
-                    continue
-                if j in saturated:
-                    cost[i, j] += w * SATURATED_COST
-                elif features[j] is not None and t.ema is not None:
-                    cost[i, j] += w * cosine_distance(t.ema.embedding, features[j])
-                elif j in copies and t.ema is not None:
-                    c = copies[j]
-                    ref = tracks[c].ema
-                    if ref is not None:
-                        d = 0.0 if i == c else cosine_distance(t.ema.embedding, ref.embedding)
-                        cost[i, j] += w * d
+        saturated = np.array([p is SATURATED for p in plan])
+        extra = np.where(saturated, SATURATED_COST, cosine)
+        priced = np.isfinite(cost) & ~np.isnan(extra)
+        cost[priced] += w * extra[priced]
         gate = w * SATURATED_COST + (1.0 - self.match.iou_gate)
         result = assignment.solve(cost, gate)
         matched_t = {r for r, _ in result.matches}
@@ -354,7 +306,6 @@ class SelectiveTracker:
             self.provider.fetches,
             self.stats.high_detections,
         )
-        started = time.perf_counter()
         try:
             emitted = self._step_inner(frame, detections)
         except Exception:
@@ -370,18 +321,19 @@ class SelectiveTracker:
         self.stats.frames += 1
         self.stats.detections += len(detections)
         self.stats.fetches = self.provider.fetches
-        self.stats.frame_seconds.append(time.perf_counter() - started)
         return emitted
 
     def _step_inner(self, frame, detections):
         m = self.match
 
-        # 1. motion prediction for every live track
-        live = self._live()
-        for t in live:
+        # 1. motion prediction; a track whose predicted aspect or height is
+        #    no longer positive has no box, so it ends here
+        for t in self.tracks:
             t.kalman = motion.predict(t.kalman)
             t.age += 1
             t.time_since_update += 1
+        self._drop(lambda t: motion.degenerate(t.kalman))
+        live = list(self.tracks)
 
         # 2. confidence split; the selective mechanism sees only the high half
         high = [d for d in detections if d.confidence >= m.conf_high]
@@ -389,46 +341,30 @@ class SelectiveTracker:
         self.stats.high_detections += len(high)
 
         # 3. risk classification against confirmed tracks' predicted boxes
-        confirmed_idx = [i for i, t in enumerate(live) if t.status == CONFIRMED]
-        confirmed_boxes = [motion.state_to_box(live[i].kalman) for i in confirmed_idx]
+        confirmed = [i for i, t in enumerate(live) if t.status == CONFIRMED]
+        confirmed_boxes = [motion.state_to_box(live[i].kalman) for i in confirmed]
         labels = gating.classify([d.box for d in high], confirmed_boxes, self.gate)
 
-        # 4. feature acquisition: fetch for risky, copy for non-risky
-        fetched: dict[int, np.ndarray | None] = {}
-        features: list[np.ndarray | None] = [None] * len(high)
-        copies: dict[int, int] = {}
-        saturated: set[int] = set()
-        base_mode = self.gate.mode == gating.MODE_BASE_GATE
-        overrides = (
-            gating.base_gate_overrides(labels, self.gate) if base_mode else None
-        )
-        for j, (det, label) in enumerate(zip(high, labels)):
+        # 4. the feature plan: fetch for risky, copy (or saturate) for non-risky
+        plan: list = []
+        for det, label in zip(high, labels):
             if label.risky:
-                fetched[j] = self.provider.fetch(frame, det.index)
-                features[j] = fetched[j]
-            elif base_mode:
-                if overrides[j]:
-                    saturated.add(j)
+                plan.append(self.provider.fetch(frame, det.index))
+            elif self.gate.mode == gating.MODE_BASE_GATE:
+                plan.append(SATURATED)
             else:
-                cand = live[confirmed_idx[label.candidate]]
-                if cand.ema is not None:
-                    copies[j] = label.candidate
-                # candidate without an embedding: detection stays feature-less
-
-        # remap copy candidates from confirmed-list space into live-track space
-        copies_live = {j: confirmed_idx[c] for j, c in copies.items()}
+                cand = confirmed[label.candidate]
+                # a candidate without an embedding leaves nothing to copy
+                plan.append(cand if live[cand].ema is not None else None)
 
         # 5. association
+        cosine = self._cosine_costs(live, plan)
         if m.strategy == STRATEGY_CASCADE:
-            stage1, left_t, left_d = self._appearance_stage(
-                live, high, features, copies_live, saturated
-            )
+            stage1, left_t, left_d = self._appearance_stage(live, plan, cosine)
             stage2, left_t, left_d = self._iou_stage(live, left_t, high, left_d)
             matches = stage1 + stage2
         else:
-            matches, left_t, left_d = self._fused_stage(
-                live, high, features, copies_live, saturated
-            )
+            matches, left_t, left_d = self._fused_stage(live, high, plan, cosine)
         if m.byte_low and low:
             byte_matches, left_t, _ = self._iou_stage(
                 live, left_t, low, list(range(len(low)))
@@ -436,11 +372,12 @@ class SelectiveTracker:
         else:
             byte_matches = []
 
-        # 6. update matched tracks (byte/copied/feature-less matches decay the EMA)
+        # 6. update matched tracks; only a fetched vector refreshes the EMA,
+        #    byte/copied/feature-less matches decay it
         emitted: list[tuple[int, BBox]] = []
         for i, j in matches:
             track, det = live[i], high[j]
-            self._mark_matched(track, det, fetched.get(j))
+            self._mark_matched(track, det, plan[j] if labels[j].risky else None)
             if track.status == CONFIRMED:
                 emitted.append((track.id, self._emit_box(track, det)))
         for i, j in byte_matches:
@@ -458,18 +395,13 @@ class SelectiveTracker:
         # 7. births for unmatched high-confidence detections (eager feature)
         for j in left_d:
             det = high[j]
-            if j in fetched:
-                feat = fetched[j]
-            else:
-                feat = self.provider.fetch(frame, det.index)
+            feat = plan[j] if labels[j].risky else self.provider.fetch(frame, det.index)
             track = self._spawn(det, feat)
             if track.status == CONFIRMED:
                 emitted.append((track.id, self._emit_box(track, det)))
 
         # deletions after max_age consecutive misses
-        for t in self._live():
-            if t.time_since_update > m.max_age:
-                t.status = DELETED
+        self._drop(lambda t: t.time_since_update > m.max_age)
 
         self.last_frame = frame
         emitted.sort(key=lambda pair: pair[0])

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from seltrack.appearance import (
     EmaState,
-    appearance_cost_matrix,
+    cosine_costs,
     cosine_distance,
     ema_update,
     feature,
@@ -109,33 +109,38 @@ class TestCosineDistance:
 
 class TestAppearanceCostMatrix:
     def test_zero_diagonal_for_matching_features(self):
-        tracks = [init_ema(e1, 0.9), init_ema(e2, 0.9)]
-        cost = appearance_cost_matrix(tracks, [e1, e2], {})
+        cost = cosine_costs(np.stack([e1, e2]), [e1, e2])
         assert cost[0, 0] == 0.0 and cost[1, 1] == 0.0
         assert cost[0, 1] == 1.0 and cost[1, 0] == 1.0
 
     def test_copied_detection_costs_zero_to_candidate(self):
-        tracks = [init_ema(e1, 0.9), init_ema(e2, 0.9)]
-        cost = appearance_cost_matrix(tracks, [None], {0: 1})
+        cost = cosine_costs(np.stack([e1, e2]), [1])
         assert cost[1, 0] == 0.0
 
     def test_off_candidate_is_inter_track_distance(self):
         a = feature([1.0, 1.0, 0.0])
-        tracks = [init_ema(a, 0.9), init_ema(e2, 0.9)]
-        cost = appearance_cost_matrix(tracks, [None], {0: 1})
+        cost = cosine_costs(np.stack([a, e2]), [1])
         assert cost[0, 0] == pytest.approx(cosine_distance(a, e2), abs=1e-12)
 
     def test_featureless_detection_without_copy_is_an_error(self):
         with pytest.raises(ValueError):
-            appearance_cost_matrix([init_ema(e1, 0.9)], [None], {})
-
-    def test_copy_for_featured_detection_is_an_error(self):
-        with pytest.raises(ValueError):
-            appearance_cost_matrix([init_ema(e1, 0.9)], [e1], {0: 0})
+            cosine_costs(np.stack([e1]), [None])
 
     def test_copy_candidate_out_of_range(self):
         with pytest.raises(ValueError):
-            appearance_cost_matrix([init_ema(e1, 0.9)], [None], {0: 3})
+            cosine_costs(np.stack([e1]), [3])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 1000))
+    def test_cells_are_clipped_one_minus_dot(self, seed):
+        rng = np.random.default_rng(seed)
+        tracks = np.stack([feature(rng.normal(size=5)) for _ in range(4)])
+        vectors = [feature(rng.normal(size=5)) for _ in range(3)]
+        cost = cosine_costs(tracks, vectors + [2])
+        for i, t in enumerate(tracks):
+            for k, v in enumerate(vectors + [tracks[2]]):
+                expect = 0.0 if (i, k) == (2, 3) else 1.0 - float(np.dot(t, v))
+                assert cost[i, k] == pytest.approx(min(max(expect, 0.0), 2.0), abs=1e-12)
 
 
 unit_vectors = st.lists(

@@ -6,9 +6,7 @@ from seltrack.geometry import BBox, ars, blended_alpha, iou
 from seltrack.gating import (
     GateConfig,
     MODE_ALWAYS_EXTRACT,
-    MODE_BASE_GATE,
     RiskLabel,
-    base_gate_overrides,
     classify,
 )
 
@@ -128,22 +126,6 @@ class TestClassify:
         t = BBox(5, 0, 10, 10)  # iou exactly 1/3
         cfg = GateConfig(theta_iou=1 / 3, ars_enabled=False)
         assert classify([d], [t], cfg) == [RiskLabel.make_risky()]
-
-
-class TestBaseGateOverrides:
-    def test_non_risky_flagged(self):
-        labels = [RiskLabel.non_risky(0), RiskLabel.make_risky()]
-        cfg = GateConfig(mode=MODE_BASE_GATE)
-        assert base_gate_overrides(labels, cfg) == [True, False]
-
-    def test_all_risky_is_a_noop(self):
-        labels = [RiskLabel.make_risky()] * 3
-        cfg = GateConfig(mode=MODE_BASE_GATE)
-        assert base_gate_overrides(labels, cfg) == [False, False, False]
-
-    def test_wrong_mode_rejected(self):
-        with pytest.raises(ValueError):
-            base_gate_overrides([], GateConfig())
 
 
 class TestOracleEquivalence:

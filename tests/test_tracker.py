@@ -16,7 +16,6 @@ from seltrack.tracker import (
     CONFIRMED,
     Detection,
     EMIT_DETECTION,
-    MappingFeatureProvider,
     MatchConfig,
     NullFeatureProvider,
     STRATEGY_FUSED,
@@ -130,7 +129,7 @@ class TestStep:
         tracker.step(4, [])  # track 1 deleted by now
         tracker.step(5, [det(5, 0, right)])
         ids = [t.id for t in tracker.tracks]
-        assert ids == [1, 2]
+        assert ids == [2]
 
     def test_emitted_box_is_kalman_projection(self):
         tracker = SelectiveTracker(ConstantProvider())
@@ -155,6 +154,30 @@ class TestStep:
         assert tracker.tracks == []
         assert tracker.stats.high_detections == 0
         assert tracker.provider.fetches == 0
+
+
+class TestBoundedState:
+    def test_deleted_tracks_are_pruned(self):
+        # one fresh detection per frame, never near a live track: every frame
+        # births a track and, after max_age misses, one must go away
+        match = MatchConfig()
+        tracker = SelectiveTracker(NullFeatureProvider(), match=match)
+        for f in range(1, 501):
+            i = f % 100
+            box = BBox((i % 10) * 50, (i // 10) * 80, 20, 40)
+            tracker.step(f, [det(f, 0, box)])
+            assert len(tracker.tracks) <= match.max_age + 1
+        assert tracker.tracks[-1].id == 500
+
+    def test_degenerate_prediction_drops_the_track(self):
+        # a receding target: height shrinks 6 px/frame from 70 to 10, then it
+        # vanishes and the coasting prediction's height goes negative
+        tracker = SelectiveTracker(NullFeatureProvider())
+        for f in range(1, 80):
+            dets = [det(f, 0, BBox(100, 100, 20, 70 - 6 * (f - 1)))] if f <= 11 else []
+            tracker.step(f, dets)
+        assert tracker.tracks == []
+        assert tracker.last_frame == 79
 
 
 class TestByteStage:
@@ -205,7 +228,7 @@ class TestCopySemantics:
     def test_copy_from_embeddingless_candidate_degrades_to_iou(self):
         # provider has nothing for the first frame, so the track has no EMA;
         # the later non-risky detection cannot copy and must match by IoU
-        provider = MappingFeatureProvider({})
+        provider = NullFeatureProvider()
         tracker = SelectiveTracker(provider)
         tracker.step(1, [det(1, 0, BBox(100, 100, 20, 40))])
         (track,) = tracker.tracks
@@ -329,7 +352,6 @@ class TestRunSequence:
         assert stats.frames == 5
         assert stats.detections == 5
         assert stats.high_detections == 5
-        assert len(stats.frame_seconds) == 5
 
     def test_min_hits_delays_confirmation_and_emission(self):
         frames = stationary_frames(5)
