@@ -16,19 +16,6 @@ import numpy as np
 UNIT_NORM_ATOL = 1e-6
 
 
-def feature(values) -> np.ndarray:
-    """Normalize raw values into a unit-norm float64 feature vector."""
-    v = np.asarray(values, dtype=float).ravel()
-    if v.size == 0:
-        raise ValueError("empty feature vector")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("feature vector has non-finite entries")
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        raise ValueError("zero-norm feature vector")
-    return v / norm
-
-
 def _check_unit(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if abs(float(np.linalg.norm(v)) - 1.0) > UNIT_NORM_ATOL:

@@ -8,9 +8,11 @@ own threshold. Everything else is risky and pays for a feature extraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from seltrack.geometry import BBox, ars, blended_alpha, iou
+import numpy as np
+
+from seltrack.geometry import BBox, ars, blended_alpha
 
 MODE_SELECTIVE = "selective"
 MODE_BASE_GATE = "base_gate"
@@ -59,26 +61,29 @@ class RiskLabel:
 
 
 def classify(
+    ious: np.ndarray,
     det_boxes: list[BBox],
     confirmed_track_boxes: list[BBox],
     cfg: GateConfig,
 ) -> list[RiskLabel]:
-    """Label each detection against the confirmed tracks' predicted boxes."""
+    """Label each detection against the confirmed tracks' predicted boxes.
+
+    `ious[i, j]` is the IoU of confirmed track i with detection j.
+    """
     if cfg.mode == MODE_ALWAYS_EXTRACT:
         return [RiskLabel.make_risky() for _ in det_boxes]
     labels = []
-    for d in det_boxes:
-        overlaps = [(iou(d, t), i) for i, t in enumerate(confirmed_track_boxes)]
-        above = [(o, i) for o, i in overlaps if o > cfg.theta_iou]
-        if len(above) != 1:
+    above = ious > cfg.theta_iou
+    for j, d in enumerate(det_boxes):
+        candidates = np.flatnonzero(above[:, j])
+        if len(candidates) != 1:
             labels.append(RiskLabel.make_risky())
             continue
-        o, c = above[0]
+        c = int(candidates[0])
         if cfg.ars_enabled:
-            alpha = blended_alpha(o, ars(d, confirmed_track_boxes[c]))
+            alpha = blended_alpha(float(ious[c, j]), ars(d, confirmed_track_boxes[c]))
             if alpha < cfg.theta_alpha:
                 labels.append(RiskLabel.make_risky())
                 continue
         labels.append(RiskLabel.non_risky(c))
     return labels
-

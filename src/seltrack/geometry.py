@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class BBox:
@@ -43,19 +45,30 @@ class BBox:
         return self.x, self.y, self.x + self.w, self.y + self.h
 
 
-def iou(a: BBox, b: BBox) -> float:
-    """Intersection over union in [0, 1]. Touching edges count as disjoint."""
-    ax1, ay1, ax2, ay2 = a.as_xyxy()
-    bx1, by1, bx2, by2 = b.as_xyxy()
-    iw = min(ax2, bx2) - max(ax1, bx1)
-    ih = min(ay2, by2) - max(ay1, by1)
-    if iw <= 0 or ih <= 0:
-        return 0.0
-    inter = iw * ih
+def iou_matrix(a, b) -> np.ndarray:
+    """IoU of every box of `a` (rows) with every box of `b` (columns), in [0, 1].
+
+    Touching edges count as disjoint; disjoint cells are exactly 0.
+    """
+    ca = np.array([box.as_xyxy() for box in a], dtype=float).reshape(-1, 4)
+    cb = np.array([box.as_xyxy() for box in b], dtype=float).reshape(-1, 4)
+    # (row, column, [width, height]) of each pair's overlap, 0 where there is none
+    lo = np.maximum(ca[:, None, :2], cb[None, :, :2])
+    hi = np.minimum(ca[:, None, 2:], cb[None, :, 2:])
+    overlap = np.maximum(hi - lo, 0.0)
+    inter = overlap[..., 0] * overlap[..., 1]
     # areas from the same corner coordinates so iou(a, a) is exactly 1
-    area_a = (ax2 - ax1) * (ay2 - ay1)
-    area_b = (bx2 - bx1) * (by2 - by1)
-    return inter / (area_a + area_b - inter)
+    size_a = ca[:, 2:] - ca[:, :2]
+    size_b = cb[:, 2:] - cb[:, :2]
+    union = (size_a[:, 0] * size_a[:, 1])[:, None] + size_b[:, 0] * size_b[:, 1] - inter
+    # only overlapping cells are divided: the others are exactly 0, also for
+    # two boxes narrower than their coordinates' spacing (zero corner area)
+    return np.divide(inter, union, out=np.zeros_like(inter), where=inter > 0)
+
+
+def iou(a: BBox, b: BBox) -> float:
+    """Intersection over union of one pair; see `iou_matrix`."""
+    return float(iou_matrix([a], [b])[0, 0])
 
 
 def ars(a: BBox, b: BBox) -> float:

@@ -14,7 +14,6 @@ from pathlib import Path
 
 import numpy as np
 
-from seltrack.appearance import feature
 from seltrack.geometry import BBox
 from seltrack.tracker import Detection, TrackOutput
 
@@ -181,14 +180,10 @@ def read_features(path) -> dict[tuple[int, int], np.ndarray]:
 
 
 class FeatureFileProvider:
-    """Feature provider backed by a feature file (or preloaded records)."""
+    """Feature provider backed by a feature file; vectors come as `read_features` returns them."""
 
-    def __init__(self, source):
-        if isinstance(source, (str, Path)):
-            self._records = read_features(source)
-        else:
-            self._records = dict(source)
+    def __init__(self, path):
+        self._records = read_features(path)
 
     def fetch(self, frame: int, index: int) -> np.ndarray | None:
-        v = self._records.get((frame, index))
-        return None if v is None else feature(v)
+        return self._records.get((frame, index))

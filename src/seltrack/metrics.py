@@ -13,9 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from seltrack import assignment
-from seltrack.geometry import BBox, iou
+from seltrack.geometry import BBox, iou_matrix
 from seltrack.tracker import RunStats
 
 Trajectories = dict[int, dict[int, BBox]]
@@ -63,18 +64,31 @@ def pde(stats: RunStats) -> float | None:
     return 100.0 * stats.fetches / stats.high_detections
 
 
-def _overlap_counts(gt: Trajectories, pred: Trajectories, iou_match: float):
-    """Frames of above-threshold co-occurrence for every (gt id, pred id)."""
-    gt_ids = sorted(gt)
-    pred_ids = sorted(pred)
-    counts = np.zeros((len(gt_ids), len(pred_ids)), dtype=int)
-    for gi, g in enumerate(gt_ids):
-        for pj, p in enumerate(pred_ids):
-            shared = gt[g].keys() & pred[p].keys()
-            counts[gi, pj] = sum(
-                1 for f in shared if iou(gt[g][f], pred[p][f]) >= iou_match
-            )
-    return gt_ids, pred_ids, counts
+def _by_frame(trajectories: Trajectories) -> dict[int, tuple[list[int], list[BBox]]]:
+    """Per frame: the positions (in sorted id order) of the ids present, and their boxes."""
+    out: dict[int, tuple[list[int], list[BBox]]] = {}
+    for k, tid in enumerate(sorted(trajectories)):
+        for frame, box in trajectories[tid].items():
+            positions, boxes = out.setdefault(frame, ([], []))
+            positions.append(k)
+            boxes.append(box)
+    return out
+
+
+def _frame_ious(gt: Trajectories, pred: Trajectories):
+    """(gt positions, pred positions, their IoU matrix) for each frame both have, in order."""
+    gt_frames, pred_frames = _by_frame(gt), _by_frame(pred)
+    for frame in sorted(gt_frames.keys() & pred_frames.keys()):
+        (rows, gt_boxes), (cols, pred_boxes) = gt_frames[frame], pred_frames[frame]
+        yield rows, cols, iou_matrix(gt_boxes, pred_boxes)
+
+
+def _overlap_counts(gt: Trajectories, pred: Trajectories, iou_match: float) -> np.ndarray:
+    """Frames of above-threshold co-occurrence for every (gt id, pred id), ids sorted."""
+    counts = np.zeros((len(gt), len(pred)), dtype=int)
+    for rows, cols, ious in _frame_ious(gt, pred):
+        counts[np.ix_(rows, cols)] += ious >= iou_match
+    return counts
 
 
 def idf1(gt: Trajectories, pred: Trajectories, iou_match: float = 0.5) -> EvalReport:
@@ -85,10 +99,10 @@ def idf1(gt: Trajectories, pred: Trajectories, iou_match: float = 0.5) -> EvalRe
         return EvalReport(None, 1.0, 0, 0, 0, 0)
     if n_gt == 0 or n_pred == 0:
         return EvalReport(None, 0.0, 0, 0, n_pred, n_gt)
-    _, _, counts = _overlap_counts(gt, pred, iou_match)
-    # maximize total co-occurrence: minimize its negation, everything feasible
-    result = assignment.solve(-counts.astype(float), gate=0.0)
-    idtp = int(sum(counts[r, c] for r, c in result.matches))
+    counts = _overlap_counts(gt, pred, iou_match)
+    # only the optimal total matters, so no tie-break among optimal mappings
+    rows, cols = linear_sum_assignment(counts, maximize=True)
+    idtp = int(counts[rows, cols].sum())
     idfp = n_pred - idtp
     idfn = n_gt - idtp
     score = 2.0 * idtp / (2.0 * idtp + idfp + idfn)
@@ -97,27 +111,13 @@ def idf1(gt: Trajectories, pred: Trajectories, iou_match: float = 0.5) -> EvalRe
 
 def id_switches(gt: Trajectories, pred: Trajectories, iou_match: float = 0.5) -> int:
     """Frames where a gt identity's matched prediction id changes."""
-    frames = sorted(
-        {f for traj in gt.values() for f in traj}
-        | {f for traj in pred.values() for f in traj}
-    )
     last_match: dict[int, int] = {}
     switches = 0
-    for frame in frames:
-        gt_here = [(g, traj[frame]) for g, traj in sorted(gt.items()) if frame in traj]
-        pred_here = [(p, traj[frame]) for p, traj in sorted(pred.items()) if frame in traj]
-        if not gt_here or not pred_here:
-            continue
-        cost = np.full((len(gt_here), len(pred_here)), np.inf)
-        for i, (_, gb) in enumerate(gt_here):
-            for j, (_, pb) in enumerate(pred_here):
-                o = iou(gb, pb)
-                if o >= iou_match:
-                    cost[i, j] = 1.0 - o
+    for rows, cols, ious in _frame_ious(gt, pred):
+        cost = np.where(ious >= iou_match, 1.0 - ious, np.inf)
         result = assignment.solve(cost, gate=1.0 - iou_match)
         for i, j in result.matches:
-            g = gt_here[i][0]
-            p = pred_here[j][0]
+            g, p = rows[i], cols[j]
             if g in last_match and last_match[g] != p:
                 switches += 1
             last_match[g] = p

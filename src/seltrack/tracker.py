@@ -18,7 +18,7 @@ from seltrack import appearance, assignment, gating, motion
 from seltrack.appearance import EmaState
 from seltrack.assignment import INFEASIBLE
 from seltrack.gating import GateConfig, SATURATED_COST
-from seltrack.geometry import BBox, iou
+from seltrack.geometry import BBox, iou_matrix
 from seltrack.motion import KalmanState
 
 TENTATIVE = "tentative"
@@ -203,15 +203,8 @@ class SelectiveTracker:
 
     # -- matching stages ---------------------------------------------------
 
-    def _iou_costs(self, tracks: list[Track], dets: list[Detection]) -> np.ndarray:
-        cost = np.full((len(tracks), len(dets)), INFEASIBLE)
-        for i, t in enumerate(tracks):
-            tb = motion.state_to_box(t.kalman)
-            for j, d in enumerate(dets):
-                o = iou(tb, d.box)
-                if o >= self.match.iou_gate:
-                    cost[i, j] = 1.0 - o
-        return cost
+    def _iou_costs(self, ious: np.ndarray) -> np.ndarray:
+        return np.where(ious >= self.match.iou_gate, 1.0 - ious, INFEASIBLE)
 
     def _cosine_costs(self, tracks, plan) -> np.ndarray:
         """Cosine cost of every track (rows) to every plan entry (columns).
@@ -248,11 +241,12 @@ class SelectiveTracker:
         unmatched_d = [j for j in range(len(plan)) if j not in matched_d]
         return matches, unmatched_t, unmatched_d
 
-    def _fused_stage(self, tracks, dets, plan, cosine):
+    def _fused_stage(self, ious, plan, cosine):
         """Single-stage assignment on weighted appearance plus IoU cost."""
-        if not tracks or not dets:
-            return [], list(range(len(tracks))), list(range(len(dets)))
-        cost = self._iou_costs(tracks, dets)
+        n_tracks, n_dets = ious.shape
+        if not n_tracks or not n_dets:
+            return [], list(range(n_tracks)), list(range(n_dets))
+        cost = self._iou_costs(ious)
         w = self.match.fused_weight
         saturated = np.array([p is SATURATED for p in plan])
         extra = np.where(saturated, SATURATED_COST, cosine)
@@ -264,17 +258,15 @@ class SelectiveTracker:
         matched_d = {c for _, c in result.matches}
         return (
             result.matches,
-            [i for i in range(len(tracks)) if i not in matched_t],
-            [j for j in range(len(dets)) if j not in matched_d],
+            [i for i in range(n_tracks) if i not in matched_t],
+            [j for j in range(n_dets) if j not in matched_d],
         )
 
-    def _iou_stage(self, tracks, track_idx, dets, det_idx):
+    def _iou_stage(self, ious, track_idx, det_idx):
         """IoU-only assignment over the given track/detection subsets."""
         if not track_idx or not det_idx:
             return [], list(track_idx), list(det_idx)
-        sub_tracks = [tracks[i] for i in track_idx]
-        sub_dets = [dets[j] for j in det_idx]
-        cost = self._iou_costs(sub_tracks, sub_dets)
+        cost = self._iou_costs(ious[np.ix_(track_idx, det_idx)])
         result = assignment.solve(cost, 1.0 - self.match.iou_gate)
         matches = [(track_idx[r], det_idx[c]) for r, c in result.matches]
         matched_t = {r for r, _ in matches}
@@ -340,10 +332,15 @@ class SelectiveTracker:
         low = [d for d in detections if d.confidence < m.conf_high]
         self.stats.high_detections += len(high)
 
-        # 3. risk classification against confirmed tracks' predicted boxes
+        # 3. risk classification against confirmed tracks' predicted boxes;
+        #    every stage below reads its IoUs from the same matrix
+        boxes = [motion.state_to_box(t.kalman) for t in live]
+        high_boxes = [d.box for d in high]
+        high_iou = iou_matrix(boxes, high_boxes)
         confirmed = [i for i, t in enumerate(live) if t.status == CONFIRMED]
-        confirmed_boxes = [motion.state_to_box(live[i].kalman) for i in confirmed]
-        labels = gating.classify([d.box for d in high], confirmed_boxes, self.gate)
+        labels = gating.classify(
+            high_iou[confirmed], high_boxes, [boxes[i] for i in confirmed], self.gate
+        )
 
         # 4. the feature plan: fetch for risky, copy (or saturate) for non-risky
         plan: list = []
@@ -361,14 +358,13 @@ class SelectiveTracker:
         cosine = self._cosine_costs(live, plan)
         if m.strategy == STRATEGY_CASCADE:
             stage1, left_t, left_d = self._appearance_stage(live, plan, cosine)
-            stage2, left_t, left_d = self._iou_stage(live, left_t, high, left_d)
+            stage2, left_t, left_d = self._iou_stage(high_iou, left_t, left_d)
             matches = stage1 + stage2
         else:
-            matches, left_t, left_d = self._fused_stage(live, high, plan, cosine)
+            matches, left_t, left_d = self._fused_stage(high_iou, plan, cosine)
         if m.byte_low and low:
-            byte_matches, left_t, _ = self._iou_stage(
-                live, left_t, low, list(range(len(low)))
-            )
+            low_iou = iou_matrix(boxes, [d.box for d in low])
+            byte_matches, left_t, _ = self._iou_stage(low_iou, left_t, list(range(len(low))))
         else:
             byte_matches = []
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from seltrack import cli, metrics
-from seltrack.appearance import ema_update, feature, init_ema, mark_skipped
+from seltrack.appearance import ema_update, init_ema, mark_skipped
 from seltrack.assignment import solve
 from seltrack.gating import (
     GateConfig,
@@ -22,7 +22,7 @@ from seltrack.gating import (
     RiskLabel,
     classify,
 )
-from seltrack.geometry import BBox, ars, blended_alpha, iou
+from seltrack.geometry import BBox, ars, blended_alpha, iou, iou_matrix
 from seltrack.io import (
     FeatureFileProvider,
     read_det_rows,
@@ -34,6 +34,17 @@ from seltrack.io import (
 )
 from seltrack.synth import PRESETS, generate_to_dir, preset
 from seltrack.tracker import NullFeatureProvider, TrackOutput, run_sequence
+
+
+def classify_boxes(det_boxes, track_boxes, cfg):
+    """`classify` with its IoU matrix built from the boxes."""
+    return classify(iou_matrix(track_boxes, det_boxes), det_boxes, track_boxes, cfg)
+
+
+def normalized(values) -> np.ndarray:
+    """Test vectors scaled to unit norm, the form every embedding arrives in."""
+    v = np.asarray(values, dtype=float).ravel()
+    return v / np.linalg.norm(v)
 
 
 def report(criterion: int, text: str):
@@ -77,14 +88,14 @@ def test_c02_feature_decay_law():
     for _ in range(1000):
         alpha = float(rng.uniform(0.05, 0.99))
         dim = int(rng.integers(2, 9))
-        state = init_ema(feature(rng.normal(size=dim)), alpha)
+        state = init_ema(normalized(rng.normal(size=dim)), alpha)
         for _ in range(int(rng.integers(1, 6))):
             k = int(rng.integers(0, 21))
             for _ in range(k):
                 state = mark_skipped(state)
             # the weight the next update will put on the old average
             assert abs(state.effective_alpha - alpha ** (k + 1)) <= 1e-9
-            state = ema_update(state, feature(rng.normal(size=dim)))
+            state = ema_update(state, normalized(rng.normal(size=dim)))
             assert state.effective_alpha == alpha
             checked += 1
     report(2, f"blend weight == alpha^(k+1) within 1e-9 across {checked} updates")
@@ -106,7 +117,7 @@ def test_c03_ars_iou_floor():
             if iou(a, b) > 0.2:
                 continue
             checked += 1
-            (label,) = classify([a], [b], cfg)
+            (label,) = classify_boxes([a], [b], cfg)
             assert label.risky, (a, b)
     report(3, "100000 low-overlap pairs all classified risky at theta_alpha=0.6")
 
@@ -144,7 +155,7 @@ def test_c04_gating_matches_bruteforce_oracle():
             theta_alpha=float(rng.uniform(0, 1)),
             ars_enabled=bool(rng.integers(0, 2)),
         )
-        assert classify(dets, tracks, cfg) == classify_oracle(dets, tracks, cfg)
+        assert classify_boxes(dets, tracks, cfg) == classify_oracle(dets, tracks, cfg)
     report(4, "classify == candidate-enumeration oracle on 1000 random frames")
 
 

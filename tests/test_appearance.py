@@ -7,33 +7,23 @@ from seltrack.appearance import (
     cosine_costs,
     cosine_distance,
     ema_update,
-    feature,
     init_ema,
     mark_skipped,
 )
 
 
+def normalized(values) -> np.ndarray:
+    """Test vectors scaled to unit norm, the form every embedding arrives in."""
+    v = np.asarray(values, dtype=float).ravel()
+    return v / np.linalg.norm(v)
+
+
 def unit(*values) -> np.ndarray:
-    return feature(np.array(values, dtype=float))
+    return normalized(values)
 
 
 e1 = unit(1, 0, 0)
 e2 = unit(0, 1, 0)
-
-
-class TestFeature:
-    def test_normalizes_on_ingest(self):
-        f = feature([3.0, 4.0])
-        assert np.allclose(f, [0.6, 0.8])
-        assert np.linalg.norm(f) == pytest.approx(1.0, abs=1e-12)
-
-    def test_rejects_zero_vector(self):
-        with pytest.raises(ValueError):
-            feature([0.0, 0.0])
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            feature([1.0, np.nan])
 
 
 class TestInitEma:
@@ -44,7 +34,7 @@ class TestInitEma:
         assert s.frames_since_feature == 0
 
     def test_embedding_stays_unit(self):
-        s = init_ema(feature([2.0, 5.0, 1.0]), 0.5)
+        s = init_ema(normalized([2.0, 5.0, 1.0]), 0.5)
         assert np.linalg.norm(s.embedding) == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1, 1.5])
@@ -118,7 +108,7 @@ class TestAppearanceCostMatrix:
         assert cost[1, 0] == 0.0
 
     def test_off_candidate_is_inter_track_distance(self):
-        a = feature([1.0, 1.0, 0.0])
+        a = normalized([1.0, 1.0, 0.0])
         cost = cosine_costs(np.stack([a, e2]), [1])
         assert cost[0, 0] == pytest.approx(cosine_distance(a, e2), abs=1e-12)
 
@@ -134,8 +124,8 @@ class TestAppearanceCostMatrix:
     @given(st.integers(0, 1000))
     def test_cells_are_clipped_one_minus_dot(self, seed):
         rng = np.random.default_rng(seed)
-        tracks = np.stack([feature(rng.normal(size=5)) for _ in range(4)])
-        vectors = [feature(rng.normal(size=5)) for _ in range(3)]
+        tracks = np.stack([normalized(rng.normal(size=5)) for _ in range(4)])
+        vectors = [normalized(rng.normal(size=5)) for _ in range(3)]
         cost = cosine_costs(tracks, vectors + [2])
         for i, t in enumerate(tracks):
             for k, v in enumerate(vectors + [tracks[2]]):
@@ -160,7 +150,7 @@ class TestDecayLaw:
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 20), st.floats(0.05, 0.95), vector_pairs)
     def test_blend_weight_is_alpha_to_the_k_plus_one(self, k, alpha, pair):
-        e, f = feature(pair[0]), feature(pair[1])
+        e, f = normalized(pair[0]), normalized(pair[1])
         s = init_ema(e, alpha)
         for _ in range(k):
             s = mark_skipped(s)
@@ -182,12 +172,12 @@ class TestDecayLaw:
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 10), unit_vectors, st.floats(0.1, 0.9))
     def test_embedding_unit_norm_after_every_operation(self, k, fv, alpha):
-        s = init_ema(feature(fv), alpha)
+        s = init_ema(normalized(fv), alpha)
         for _ in range(k):
             s = mark_skipped(s)
             assert np.linalg.norm(s.embedding) == pytest.approx(1.0, abs=1e-6)
         try:
-            s = ema_update(s, feature(np.arange(1, s.embedding.size + 1)))
+            s = ema_update(s, normalized(np.arange(1, s.embedding.size + 1)))
         except ValueError:
             return  # exact anti-parallel cancellation is a documented error
         assert np.linalg.norm(s.embedding) == pytest.approx(1.0, abs=1e-6)

@@ -2,13 +2,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seltrack.geometry import BBox, ars, blended_alpha, iou
+from seltrack.geometry import BBox, ars, blended_alpha, iou, iou_matrix
 from seltrack.gating import (
     GateConfig,
     MODE_ALWAYS_EXTRACT,
     RiskLabel,
     classify,
 )
+
+
+def classify_boxes(det_boxes, track_boxes, cfg):
+    """`classify` with its IoU matrix built from the boxes."""
+    return classify(iou_matrix(track_boxes, det_boxes), det_boxes, track_boxes, cfg)
 
 
 def classify_oracle(det_boxes, track_boxes, cfg):
@@ -71,13 +76,13 @@ class TestRiskLabel:
 class TestClassify:
     def test_no_confirmed_tracks_means_all_risky(self):
         dets = [BBox(0, 0, 10, 10), BBox(50, 50, 5, 5)]
-        labels = classify(dets, [], GateConfig())
+        labels = classify_boxes(dets, [], GateConfig())
         assert all(l.risky for l in labels)
 
     def test_sole_overlapping_track_with_matching_shape(self):
         d = BBox(0, 0, 10, 10)
         t = BBox(0, 0, 10, 10)
-        labels = classify([d], [t], GateConfig(theta_iou=0.2, theta_alpha=0.6))
+        labels = classify_boxes([d], [t], GateConfig(theta_iou=0.2, theta_alpha=0.6))
         assert labels == [RiskLabel.non_risky(0)]
         # worked numbers from the rule: iou=0.8, v=1 -> alpha = 1/1.2 = 0.833
         assert blended_alpha(0.8, 1.0) == pytest.approx(0.8333333333, abs=1e-9)
@@ -88,7 +93,7 @@ class TestClassify:
         d = BBox(0, 0, 10, 8)
         t = BBox(0, 0, 10, 10)
         assert iou(d, t) == pytest.approx(0.8)
-        labels = classify([d], [t], GateConfig(theta_iou=0.2, theta_alpha=0.6))
+        labels = classify_boxes([d], [t], GateConfig(theta_iou=0.2, theta_alpha=0.6))
         assert labels == [RiskLabel.non_risky(0)]
 
     def test_two_candidates_is_risky(self):
@@ -97,7 +102,7 @@ class TestClassify:
         t2 = BBox(0, 3, 10, 10)
         cfg = GateConfig(theta_iou=0.3, ars_enabled=False)
         assert iou(d, t1) > 0.3 and iou(d, t2) > 0.3
-        assert classify([d], [t1, t2], cfg) == [RiskLabel.make_risky()]
+        assert classify_boxes([d], [t1, t2], cfg) == [RiskLabel.make_risky()]
 
     def test_ars_gate_marks_shape_mismatch_risky(self):
         d = BBox(0, 0, 10, 10)
@@ -105,27 +110,27 @@ class TestClassify:
         wide = BBox(0, 0, 40, 4)  # same area, very different aspect
         cfg = GateConfig(theta_iou=0.05, theta_alpha=0.6)
         # iou(d, wide) = 40/(100+160-40): only candidate but shape differs
-        only_wide = classify([d], [wide], cfg)
+        only_wide = classify_boxes([d], [wide], cfg)
         assert only_wide == [RiskLabel.make_risky()]
-        assert classify([d], [t], cfg) == [RiskLabel.non_risky(0)]
+        assert classify_boxes([d], [t], cfg) == [RiskLabel.non_risky(0)]
 
     def test_always_extract_mode(self):
         dets = [BBox(0, 0, 10, 10)]
         tracks = [BBox(0, 0, 10, 10)]
-        labels = classify(dets, tracks, GateConfig(mode=MODE_ALWAYS_EXTRACT))
+        labels = classify_boxes(dets, tracks, GateConfig(mode=MODE_ALWAYS_EXTRACT))
         assert labels == [RiskLabel.make_risky()]
 
     def test_ars_disabled_skips_shape_check(self):
         d = BBox(0, 0, 10, 10)
         wide = BBox(0, 0, 40, 4)
         cfg = GateConfig(theta_iou=0.05, ars_enabled=False)
-        assert classify([d], [wide], cfg) == [RiskLabel.non_risky(0)]
+        assert classify_boxes([d], [wide], cfg) == [RiskLabel.non_risky(0)]
 
     def test_tie_at_threshold_is_excluded(self):
         d = BBox(0, 0, 10, 10)
         t = BBox(5, 0, 10, 10)  # iou exactly 1/3
         cfg = GateConfig(theta_iou=1 / 3, ars_enabled=False)
-        assert classify([d], [t], cfg) == [RiskLabel.make_risky()]
+        assert classify_boxes([d], [t], cfg) == [RiskLabel.make_risky()]
 
 
 class TestOracleEquivalence:
@@ -139,7 +144,7 @@ class TestOracleEquivalence:
                 theta_alpha=float(rng.uniform(0, 1)),
                 ars_enabled=bool(rng.integers(0, 2)),
             )
-            assert classify(dets, tracks, cfg) == classify_oracle(dets, tracks, cfg)
+            assert classify_boxes(dets, tracks, cfg) == classify_oracle(dets, tracks, cfg)
 
 
 class TestIouFloor:
@@ -157,7 +162,7 @@ class TestIouFloor:
             if not 0.0 < o <= 0.2:
                 continue
             checked += 1
-            (label,) = classify([d], [t], cfg)
+            (label,) = classify_boxes([d], [t], cfg)
             assert label.risky
 
     @given(st.floats(0, 1), st.floats(0, 0.2))
@@ -172,7 +177,7 @@ class TestAlwaysExtract:
         rng = np.random.default_rng(seed)
         dets = random_boxes(rng, int(rng.integers(0, 8)))
         tracks = random_boxes(rng, int(rng.integers(0, 8)))
-        labels = classify(dets, tracks, GateConfig(mode=MODE_ALWAYS_EXTRACT))
+        labels = classify_boxes(dets, tracks, GateConfig(mode=MODE_ALWAYS_EXTRACT))
         assert all(l.risky for l in labels)
         assert len(labels) == len(dets)
 

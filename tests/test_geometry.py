@@ -1,9 +1,10 @@
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from seltrack.geometry import BBox, ars, blended_alpha, iou
+from seltrack.geometry import BBox, ars, blended_alpha, iou, iou_matrix
 
 
 def iou_pixel_oracle(a: BBox, b: BBox) -> float:
@@ -15,6 +16,20 @@ def iou_pixel_oracle(a: BBox, b: BBox) -> float:
 
     ca, cb = cells(a), cells(b)
     return len(ca & cb) / len(ca | cb)
+
+
+def iou_reference(a: BBox, b: BBox) -> float:
+    """Scalar IoU, written out operation by operation: the matrix must equal it exactly."""
+    ax1, ay1, ax2, ay2 = a.as_xyxy()
+    bx1, by1, bx2, by2 = b.as_xyxy()
+    iw = min(ax2, bx2) - max(ax1, bx1)
+    ih = min(ay2, by2) - max(ay1, by1)
+    if iw <= 0 or ih <= 0:
+        return 0.0
+    inter = iw * ih
+    area_a = (ax2 - ax1) * (ay2 - ay1)
+    area_b = (bx2 - bx1) * (by2 - by1)
+    return inter / (area_a + area_b - inter)
 
 
 finite_coord = st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False)
@@ -68,6 +83,47 @@ class TestIou:
     @given(boxes)
     def test_self_iou_is_one(self, b):
         assert iou(b, b) == 1.0
+
+
+# integer grids make shared edges, containment and identical boxes common
+grid_boxes = st.builds(
+    BBox, st.integers(-6, 6), st.integers(-6, 6), st.integers(1, 8), st.integers(1, 8)
+)
+scale = st.floats(1e-3, 1e6, allow_nan=False, allow_infinity=False)
+scaled_boxes = st.builds(BBox, finite_coord, finite_coord, scale, scale)
+any_boxes = st.lists(st.one_of(grid_boxes, scaled_boxes, boxes), max_size=6)
+
+
+class TestIouMatrix:
+    @settings(max_examples=300, deadline=None)
+    @given(any_boxes, any_boxes)
+    def test_equals_scalar_reference_exactly(self, rows, cols):
+        m = iou_matrix(rows, cols)
+        assert m.shape == (len(rows), len(cols)) and m.dtype == np.float64
+        for i, a in enumerate(rows):
+            for j, b in enumerate(cols):
+                assert m[i, j] == iou_reference(a, b), (a, b)
+
+    @given(st.lists(grid_boxes, min_size=1, max_size=5))
+    def test_contained_and_shared_edge_boxes(self, rows):
+        cols = [BBox(b.x, b.y, b.w / 2, b.h) for b in rows] + [BBox(b.x + b.w, b.y, 1, 1) for b in rows]
+        assert (iou_matrix(rows, cols) == [[iou_reference(a, b) for b in cols] for a in rows]).all()
+
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_empty_sides(self, n):
+        some = [BBox(k, 0, 2, 2) for k in range(n)]
+        assert iou_matrix([], some).shape == (0, n)
+        assert iou_matrix(some, []).shape == (n, 0)
+
+    def test_boxes_thinner_than_their_coordinate_spacing(self):
+        # x + w rounds back to x: zero corner area, so IoU is 0, not 0/0
+        thin = BBox(1e16, 0.0, 1e-3, 1.0)
+        assert iou_matrix([thin, thin], [thin]).tolist() == [[0.0], [0.0]]
+        assert iou_reference(thin, thin) == 0.0
+
+    @given(boxes, boxes)
+    def test_pair_is_one_cell(self, a, b):
+        assert iou(a, b) == iou_matrix([a], [b])[0, 0]
 
 
 class TestArs:

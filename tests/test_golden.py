@@ -10,12 +10,20 @@ claim. A deliberate behaviour change must re-record the table and say why.
 
 import hashlib
 
+import numpy as np
 import pytest
 
-from seltrack.gating import MODES, GateConfig
-from seltrack.io import FeatureFileProvider, read_detections, write_results
+from seltrack.gating import MODE_ALWAYS_EXTRACT, MODE_BASE_GATE, MODE_SELECTIVE, MODES, GateConfig
+from seltrack.geometry import BBox
+from seltrack.io import FeatureFileProvider, read_detections, write_features, write_results
 from seltrack.synth import PRESETS, generate_to_dir, preset
-from seltrack.tracker import STRATEGY_CASCADE, STRATEGY_FUSED, MatchConfig, run_sequence
+from seltrack.tracker import (
+    STRATEGY_CASCADE,
+    STRATEGY_FUSED,
+    Detection,
+    MatchConfig,
+    run_sequence,
+)
 
 GOLDEN = {
     ("crossing", "cascade", "selective"):
@@ -69,6 +77,46 @@ GOLDEN = {
 }
 
 
+# The presets write the same bytes in every gating mode, so this scene
+# separates them. Targets A and B stand far apart. From frame SWAP_FRAME on,
+# A's box steps right so that its IoU with A's prediction is 3/7, inside
+# [1/3, 0.5): A stays its sole candidate and, with the same aspect, clears
+# the aspect check (alpha = 1 / (2 - IoU) >= 0.6), while the IoU stage takes
+# the pair only when iou_gate <= 3/7. At SWAP_FRAME A's detection also
+# carries B's feature, as when two people look alike: an extraction there
+# pulls it towards B. Under cascade association, by (iou_gate, mode):
+SWAP_GOLDEN = {
+    (0.3, MODE_SELECTIVE):
+        "d3cd177926d4b0804c37710bc04c9ccd887ef9b9798a696de24aa9c34e1e36c7",
+    (0.3, MODE_BASE_GATE):
+        "d3cd177926d4b0804c37710bc04c9ccd887ef9b9798a696de24aa9c34e1e36c7",
+    (0.3, MODE_ALWAYS_EXTRACT):
+        "c10e2ba0126502d4ab7d11d6bd8a9a84863b71f6e111666c8eab3be9259ac25f",
+    (0.5, MODE_SELECTIVE):
+        "d3cd177926d4b0804c37710bc04c9ccd887ef9b9798a696de24aa9c34e1e36c7",
+    (0.5, MODE_BASE_GATE):
+        "f291fb2dfb69d041f81603084f25047fab37f89683f942cfacee2271da3f5603",
+    (0.5, MODE_ALWAYS_EXTRACT):
+        "c10e2ba0126502d4ab7d11d6bd8a9a84863b71f6e111666c8eab3be9259ac25f",
+}
+SWAP_IDS = {  # distinct track ids written
+    (0.3, MODE_SELECTIVE): 2,  # the copied embedding keeps A
+    (0.3, MODE_BASE_GATE): 2,  # the IoU stage keeps A
+    (0.3, MODE_ALWAYS_EXTRACT): 3,  # B's track takes A's detection; B is born again
+    (0.5, MODE_SELECTIVE): 2,
+    (0.5, MODE_BASE_GATE): 3,  # no stage takes A's detection; it is born anew
+    (0.5, MODE_ALWAYS_EXTRACT): 3,
+}
+SWAP_FRAMES = 10
+SWAP_FRAME = 5
+
+
+def sha256_of_results(output, tmp_path) -> str:
+    out_path = tmp_path / "results.txt"
+    write_results(out_path, output)
+    return hashlib.sha256(out_path.read_bytes()).hexdigest()
+
+
 def results_sha256(name: str, strategy: str, mode: str, tmp_path) -> str:
     det_path, feat_path, _ = generate_to_dir(preset(name), tmp_path / name)
     output, _ = run_sequence(
@@ -77,9 +125,26 @@ def results_sha256(name: str, strategy: str, mode: str, tmp_path) -> str:
         GateConfig(mode=mode),
         MatchConfig(strategy=strategy),
     )
-    out_path = tmp_path / "results.txt"
-    write_results(out_path, output)
-    return hashlib.sha256(out_path.read_bytes()).hexdigest()
+    return sha256_of_results(output, tmp_path)
+
+
+def run_swap_scene(iou_gate: float, mode: str, tmp_path):
+    e_a, e_b = np.eye(2, dtype=np.float32)
+    frames, records = {}, []
+    for f in range(1, SWAP_FRAMES + 1):
+        a = BBox(100.0 + (16.0 if f >= SWAP_FRAME else 0.0), 100.0, 40.0, 80.0)
+        b = BBox(600.0, 100.0, 40.0, 80.0)
+        frames[f] = [Detection(f, 0, a, 0.9), Detection(f, 1, b, 0.9)]
+        records += [(f, 0, e_b if f == SWAP_FRAME else e_a), (f, 1, e_b)]
+    feat_path = tmp_path / "swap.feab"
+    write_features(feat_path, records)
+    output, _ = run_sequence(
+        frames,
+        FeatureFileProvider(feat_path),
+        GateConfig(mode=mode),
+        MatchConfig(strategy=STRATEGY_CASCADE, iou_gate=iou_gate),
+    )
+    return output
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -87,3 +152,17 @@ def results_sha256(name: str, strategy: str, mode: str, tmp_path) -> str:
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_results_match_golden_hash(name, strategy, mode, tmp_path):
     assert results_sha256(name, strategy, mode, tmp_path) == GOLDEN[(name, strategy, mode)]
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("iou_gate", [0.3, 0.5])
+def test_swap_scene_matches_golden_hash(iou_gate, mode, tmp_path):
+    output = run_swap_scene(iou_gate, mode, tmp_path)
+    assert len({tid for _, tid, _ in output.rows}) == SWAP_IDS[(iou_gate, mode)]
+    assert sha256_of_results(output, tmp_path) == SWAP_GOLDEN[(iou_gate, mode)]
+
+
+def test_swap_scene_separates_the_modes():
+    at = SWAP_GOLDEN
+    assert at[(0.3, MODE_SELECTIVE)] == at[(0.3, MODE_BASE_GATE)] != at[(0.3, MODE_ALWAYS_EXTRACT)]
+    assert len({at[(0.5, mode)] for mode in MODES}) == 3

@@ -159,13 +159,23 @@ class TestFeatureFile:
         (v,) = read_features(p).values()
         assert np.allclose(v, [0.6, 0.8], atol=1e-7)
 
+    @pytest.mark.parametrize(
+        "vector, message", [([0.0, 0.0], "zero-norm"), ([1.0, np.nan], "non-finite")]
+    )
+    def test_rejects_unusable_vectors_on_read(self, vector, message, tmp_path):
+        p = tmp_path / "f.feab"
+        write_features(p, [(1, 0, np.array(vector, dtype=np.float32))])
+        with pytest.raises(ValueError, match=message):
+            read_features(p)
+
     def test_provider_fetch(self, tmp_path):
         p = tmp_path / "f.feab"
         write_features(p, [(4, 1, np.array([0, 1, 0], dtype=np.float32))])
         provider = FeatureFileProvider(p)
         got = provider.fetch(4, 1)
-        assert got is not None and got.dtype == np.float64
-        assert np.allclose(got, [0, 1, 0])
+        # the validated vector as read, not a renormalized copy
+        assert got is not None and got.dtype == np.float32
+        assert np.array_equal(got, read_features(p)[(4, 1)])
         assert provider.fetch(4, 2) is None
 
 

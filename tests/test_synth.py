@@ -12,7 +12,13 @@ from seltrack.synth import (
     generate_to_dir,
     preset,
 )
-from seltrack.appearance import cosine_distance, feature
+from seltrack.appearance import cosine_distance
+
+
+def normalized(values) -> np.ndarray:
+    """Test vectors scaled to unit norm, the form every embedding arrives in."""
+    v = np.asarray(values, dtype=float).ravel()
+    return v / np.linalg.norm(v)
 
 
 def tiny_scenario(seed=0, **overrides):
@@ -97,8 +103,8 @@ class TestCrossingScene:
 
     def test_features_orthogonal(self):
         sc = crossing_scene()
-        f0 = feature(sc.targets[0].feature_dir)
-        f1 = feature(sc.targets[1].feature_dir)
+        f0 = normalized(sc.targets[0].feature_dir)
+        f1 = normalized(sc.targets[1].feature_dir)
         assert cosine_distance(f0, f1) == 1.0
 
     def test_reappearance_is_clear_of_both_predictions(self):

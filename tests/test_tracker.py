@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from seltrack import motion
 from seltrack.gating import (
@@ -7,6 +8,7 @@ from seltrack.gating import (
     MODE_ALWAYS_EXTRACT,
     MODE_BASE_GATE,
     MODE_SELECTIVE,
+    MODES,
 )
 from seltrack.geometry import BBox
 from seltrack.io import FeatureFileProvider, read_detections
@@ -18,6 +20,7 @@ from seltrack.tracker import (
     EMIT_DETECTION,
     MatchConfig,
     NullFeatureProvider,
+    STRATEGY_CASCADE,
     STRATEGY_FUSED,
     SelectiveTracker,
     run_sequence,
@@ -360,3 +363,97 @@ class TestRunSequence:
         )
         emitted_frames = sorted({f for f, _, _ in out.rows})
         assert emitted_frames == [3, 4, 5]
+
+
+# -- property tests over arbitrary detection streams ------------------------
+
+# a few directions, some close and one opposite, so features both separate
+# and confuse targets
+PALETTE = [
+    v / np.linalg.norm(v)
+    for v in np.array([[1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1], [-1, 0, 0]], dtype=float)
+]
+
+
+class DictProvider:
+    """Features by (frame, index); a missing key is a detection without one."""
+
+    def __init__(self, features):
+        self.features = features
+
+    def fetch(self, frame, index):
+        return self.features.get((frame, index))
+
+
+# coordinates and sizes mostly on a coarse grid, so that boxes overlap and
+# tracks match, plus arbitrary valid values
+coords = st.one_of(st.integers(0, 8).map(lambda k: 10.0 * k), st.floats(-1e4, 1e4))
+sizes = st.one_of(st.sampled_from([20.0, 40.0]), st.floats(1e-2, 1e4))
+confidences = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def streams(draw):
+    """({frame: detections}, {(frame, index): feature}) with gaps between frames."""
+    frames, features = {}, {}
+    frame = 0
+    for _ in range(draw(st.integers(1, 12))):
+        frame += draw(st.integers(1, 4))
+        dets = []
+        for index in range(draw(st.integers(0, 5))):
+            box = BBox(draw(coords), draw(coords), draw(sizes), draw(sizes))
+            dets.append(det(frame, index, box, draw(confidences)))
+            k = draw(st.integers(-1, len(PALETTE) - 1))
+            if k >= 0:
+                features[(frame, index)] = PALETTE[k]
+        frames[frame] = dets
+    return frames, features
+
+
+configs = st.builds(
+    lambda mode, strategy, byte_low, max_age: (
+        GateConfig(mode=mode),
+        MatchConfig(strategy=strategy, byte_low=byte_low, max_age=max_age),
+    ),
+    st.sampled_from(MODES),
+    st.sampled_from([STRATEGY_CASCADE, STRATEGY_FUSED]),
+    st.booleans(),
+    st.integers(1, 4),
+)
+
+
+class TestStreamProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(streams(), configs)
+    def test_steps_never_raise_and_tracks_stay_bounded(self, stream, config):
+        frames, features = stream
+        gate, match = config
+        tracker = SelectiveTracker(DictProvider(features), gate, match)
+        most = max(len(dets) for dets in frames.values())
+        for frame in sorted(frames):
+            tracker.step(frame, frames[frame])
+            # a held track was born or matched within the last max_age + 1 steps
+            assert len(tracker.tracks) <= (match.max_age + 1) * most
+
+    @settings(max_examples=100, deadline=None)
+    @given(streams(), configs)
+    def test_two_runs_agree(self, stream, config):
+        frames, features = stream
+        first, first_stats = run_sequence(frames, DictProvider(features), *config)
+        second, second_stats = run_sequence(frames, DictProvider(features), *config)
+        assert first.rows == second.rows
+        assert first_stats == second_stats
+
+    @settings(max_examples=100, deadline=None)
+    @given(streams(), st.sampled_from([STRATEGY_CASCADE, STRATEGY_FUSED]))
+    def test_full_iou_threshold_equals_always_extract(self, stream, strategy):
+        frames, features = stream
+        match = MatchConfig(strategy=strategy)
+        gated, gated_stats = run_sequence(
+            frames, DictProvider(features), GateConfig(theta_iou=1.0), match
+        )
+        always, always_stats = run_sequence(
+            frames, DictProvider(features), GateConfig(mode=MODE_ALWAYS_EXTRACT), match
+        )
+        assert gated.rows == always.rows
+        assert gated_stats.fetches == always_stats.fetches
