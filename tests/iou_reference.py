@@ -1,0 +1,17 @@
+"""Scalar IoU for test oracles, independent of `geometry.iou_matrix`."""
+
+from seltrack.geometry import BBox
+
+
+def iou_reference(a: BBox, b: BBox) -> float:
+    """Scalar IoU, written out operation by operation: the matrix must equal it exactly."""
+    ax1, ay1, ax2, ay2 = a.as_xyxy()
+    bx1, by1, bx2, by2 = b.as_xyxy()
+    iw = min(ax2, bx2) - max(ax1, bx1)
+    ih = min(ay2, by2) - max(ay1, by1)
+    if iw <= 0 or ih <= 0:
+        return 0.0
+    inter = iw * ih
+    area_a = (ax2 - ax1) * (ay2 - ay1)
+    area_b = (bx2 - bx1) * (by2 - by1)
+    return inter / (area_a + area_b - inter)

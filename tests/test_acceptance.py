@@ -22,7 +22,7 @@ from seltrack.gating import (
     RiskLabel,
     classify,
 )
-from seltrack.geometry import BBox, ars, blended_alpha, iou, iou_matrix
+from seltrack.geometry import BBox, ars, blended_alpha, iou_matrix
 from seltrack.io import (
     FeatureFileProvider,
     read_det_rows,
@@ -34,6 +34,8 @@ from seltrack.io import (
 )
 from seltrack.synth import PRESETS, generate_to_dir, preset
 from seltrack.tracker import NullFeatureProvider, TrackOutput, run_sequence
+
+from iou_reference import iou_reference
 
 
 def classify_boxes(det_boxes, track_boxes, cfg):
@@ -114,7 +116,7 @@ def test_c03_ars_iou_floor():
                 break
             a = BBox(xs[i, 0, 0], xs[i, 0, 1], sizes[i, 0, 0], sizes[i, 0, 1])
             b = BBox(xs[i, 1, 0], xs[i, 1, 1], sizes[i, 1, 0], sizes[i, 1, 1])
-            if iou(a, b) > 0.2:
+            if iou_reference(a, b) > 0.2:
                 continue
             checked += 1
             (label,) = classify_boxes([a], [b], cfg)
@@ -125,13 +127,13 @@ def test_c03_ars_iou_floor():
 def classify_oracle(det_boxes, track_boxes, cfg):
     out = []
     for d in det_boxes:
-        above = [i for i, t in enumerate(track_boxes) if iou(d, t) > cfg.theta_iou]
+        above = [i for i, t in enumerate(track_boxes) if iou_reference(d, t) > cfg.theta_iou]
         if len(above) != 1:
             out.append(RiskLabel.make_risky())
             continue
         c = above[0]
         if cfg.ars_enabled:
-            if blended_alpha(iou(d, track_boxes[c]), ars(d, track_boxes[c])) < cfg.theta_alpha:
+            if blended_alpha(iou_reference(d, track_boxes[c]), ars(d, track_boxes[c])) < cfg.theta_alpha:
                 out.append(RiskLabel.make_risky())
                 continue
         out.append(RiskLabel.non_risky(c))
@@ -251,7 +253,7 @@ def idf1_oracle(gt, pred, iou_match=0.5):
 
     def count(g, p):
         shared = gt[g].keys() & pred[p].keys()
-        return sum(1 for f in shared if iou(gt[g][f], pred[p][f]) >= iou_match)
+        return sum(1 for f in shared if iou_reference(gt[g][f], pred[p][f]) >= iou_match)
 
     best = 0
     for r in range(min(len(gt_ids), len(pred_ids)) + 1):

@@ -3,8 +3,15 @@ import itertools
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.optimize import linear_sum_assignment
 
-from seltrack.assignment import Assignment, solve
+from seltrack import assignment
+from seltrack.assignment import INFEASIBLE, Assignment, solve
+from seltrack.gating import GateConfig
+from seltrack.io import FeatureFileProvider, read_detections
+from seltrack.synth import generate_to_dir, grid_scene
+from seltrack.tracker import STRATEGY_CASCADE, MatchConfig, run_sequence
 
 
 def brute_force(costs: np.ndarray, gate: float):
@@ -31,6 +38,61 @@ def brute_force(costs: np.ndarray, gate: float):
 
     rec(0, frozenset(), [], 0.0)
     return -best[0], best[1], best[2]
+
+
+def _full_scan_optimum(feasible: np.ndarray) -> tuple[int, float]:
+    n, m = feasible.shape
+    if n == 0 or m == 0:
+        return 0, 0.0
+    mask = np.isfinite(feasible)
+    if not mask.any():
+        return 0, 0.0
+    big = 2.0 * (float(np.abs(feasible[mask]).max()) + 1.0) * (min(n, m) + 1)
+    rows, cols = linear_sum_assignment(np.where(mask, feasible, big))
+    used = mask[rows, cols]
+    return int(used.sum()), float(feasible[rows[used], cols[used]].sum())
+
+
+def full_scan_solve(costs, gate: float) -> Assignment:
+    """Reference solver with the same tie rule and one re-solve per feasible cell tried.
+
+    Fixes matches row by row, trying every open feasible column from the
+    left until one keeps the optimum's cardinality and total reachable.
+    """
+    m = np.asarray(costs, dtype=float)
+    n_rows, n_cols = m.shape
+    feasible = np.where(m <= gate, m, INFEASIBLE)
+    target_card, target_cost = _full_scan_optimum(feasible)
+
+    matches: list[tuple[int, int]] = []
+    if target_card > 0:
+        open_cols = np.arange(n_cols)
+        fixed_cost = 0.0
+        for r in range(n_rows):
+            if len(matches) == target_card:
+                break
+            row = feasible[r, open_cols]
+            sub_rows = feasible[r + 1 :, :]
+            for k in np.flatnonzero(np.isfinite(row)):
+                c = open_cols[k]
+                rest = sub_rows[:, np.delete(open_cols, k)]
+                card, cost = _full_scan_optimum(rest)
+                total = fixed_cost + feasible[r, c] + cost
+                if len(matches) + 1 + card == target_card and assignment._costs_equal(
+                    total, target_cost
+                ):
+                    matches.append((r, int(c)))
+                    fixed_cost += feasible[r, c]
+                    open_cols = np.delete(open_cols, k)
+                    break
+
+    matched_rows = {r for r, _ in matches}
+    matched_cols = {c for _, c in matches}
+    return Assignment(
+        matches=matches,
+        unmatched_rows=[r for r in range(n_rows) if r not in matched_rows],
+        unmatched_cols=[c for c in range(n_cols) if c not in matched_cols],
+    )
 
 
 # dyadic costs make float sums exact, so "equal total" has no rounding slack
@@ -102,6 +164,15 @@ class TestExamples:
         with pytest.raises(ValueError):
             solve(np.zeros((1, 1)), gate=np.inf)
 
+    def test_rejects_costs_too_large_to_pad(self):
+        # the padding of infeasible cells would overflow to inf
+        with pytest.raises(ValueError, match="too large"):
+            solve(np.array([[1e308, np.inf], [1e308, np.inf]]), gate=1e308)
+
+    def test_large_costs_below_the_padding_limit(self):
+        a = solve(np.array([[1e306, np.inf], [1e306, 1e306]]), gate=1e306)
+        assert a.matches == [(0, 0), (1, 1)]
+
 
 class TestAgainstBruteForce:
     @settings(max_examples=300, deadline=None)
@@ -170,3 +241,86 @@ def brute_force_count_optima(costs, gate, card, cost):
                     if total == cost:
                         count += 1
     return count
+
+
+# few distinct values, so equal-cost optima are common
+TIED = [k / 4.0 for k in range(9)]
+
+
+@st.composite
+def block_sparse(draw, max_side=14):
+    """Tied dyadic costs with inf cells, where only row/column pairs of one block are feasible.
+
+    Cells across blocks are inf or above the gate, as gated tracking matrices are.
+    """
+    n, m = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
+    costs = draw(arrays(float, (n, m), elements=st.sampled_from(TIED + [np.inf]), fill=st.nothing()))
+    blocks = st.integers(0, draw(st.integers(0, 3)))
+    row_block = draw(arrays(int, n, elements=blocks, fill=st.nothing()))
+    col_block = draw(arrays(int, m, elements=blocks, fill=st.nothing()))
+    costs[row_block[:, None] != col_block[None, :]] = draw(st.sampled_from([np.inf, 100.0]))
+    return costs
+
+
+class TestAgainstFullScan:
+    @settings(max_examples=200, deadline=None)
+    @given(block_sparse(), st.sampled_from(TIED))
+    def test_equals_full_scan_solve(self, costs, gate):
+        assert solve(costs, gate) == full_scan_solve(costs, gate)
+
+
+@pytest.fixture
+def lsa_calls(monkeypatch):
+    """Shapes of the matrices `assignment` hands to linear_sum_assignment."""
+    calls = []
+
+    def counting(cost):
+        calls.append(cost.shape)
+        return linear_sum_assignment(cost)
+
+    monkeypatch.setattr(assignment, "linear_sum_assignment", counting)
+    return calls
+
+
+class TestOneSolve:
+    def test_diagonal_feasible(self, lsa_calls):
+        costs = np.full((25, 25), np.inf)
+        np.fill_diagonal(costs, 0.5)
+        assert solve(costs, gate=1.0).matches == [(i, i) for i in range(25)]
+        assert len(lsa_calls) == 1
+
+    def test_permutation_feasible(self, lsa_calls):
+        rng = np.random.default_rng(5)
+        perm = rng.permutation(25)
+        costs = np.full((25, 25), np.inf)
+        costs[np.arange(25), perm] = rng.integers(0, 8, size=25) / 8.0
+        assert solve(costs, gate=1.0).matches == list(enumerate(perm.tolist()))
+        assert len(lsa_calls) == 1
+
+    @pytest.mark.parametrize("cell", [0.9, np.inf])
+    def test_fully_gated_out(self, lsa_calls, cell):
+        assert solve(np.full((6, 4), cell), gate=0.5).matches == []
+        assert lsa_calls == []
+
+    def test_cascade_stage_matrices_of_a_grid_scene(self, lsa_calls, monkeypatch, tmp_path):
+        stages = []
+        real_solve = assignment.solve
+
+        def recording(costs, gate):
+            stages.append((np.array(costs, dtype=float), gate))
+            return real_solve(costs, gate)
+
+        monkeypatch.setattr(assignment, "solve", recording)
+        det_path, feat_path, _ = generate_to_dir(grid_scene(side=4, frames=20), tmp_path)
+        run_sequence(
+            read_detections(det_path),
+            FeatureFileProvider(feat_path),
+            GateConfig(),
+            MatchConfig(strategy=STRATEGY_CASCADE),
+        )
+        solvable = [(c, g) for c, g in stages if (c <= g).any()]
+        assert len(solvable) >= 19  # one appearance stage a frame after the first
+        for costs, gate in solvable:
+            lsa_calls.clear()
+            real_solve(costs, gate)
+            assert len(lsa_calls) == 1, costs.shape

@@ -10,6 +10,8 @@ from seltrack.gating import (
     classify,
 )
 
+from iou_reference import iou_reference
+
 
 def classify_boxes(det_boxes, track_boxes, cfg):
     """`classify` with its IoU matrix built from the boxes."""
@@ -22,14 +24,14 @@ def classify_oracle(det_boxes, track_boxes, cfg):
     for d in det_boxes:
         candidates = []
         for i, t in enumerate(track_boxes):
-            if iou(d, t) > cfg.theta_iou:
+            if iou_reference(d, t) > cfg.theta_iou:
                 candidates.append(i)
         if len(candidates) != 1:
             out.append(RiskLabel.make_risky())
         else:
             c = candidates[0]
             if cfg.ars_enabled:
-                a = blended_alpha(iou(d, track_boxes[c]), ars(d, track_boxes[c]))
+                a = blended_alpha(iou_reference(d, track_boxes[c]), ars(d, track_boxes[c]))
                 if a < cfg.theta_alpha:
                     out.append(RiskLabel.make_risky())
                     continue
@@ -158,7 +160,7 @@ class TestIouFloor:
         checked = 0
         while checked < 10_000:
             d, t = random_boxes(rng, 2)
-            o = iou(d, t)
+            o = iou_reference(d, t)
             if not 0.0 < o <= 0.2:
                 continue
             checked += 1

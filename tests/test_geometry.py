@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from seltrack.geometry import BBox, ars, blended_alpha, iou, iou_matrix
 
+from iou_reference import iou_reference
+
 
 def iou_pixel_oracle(a: BBox, b: BBox) -> float:
     """Count unit grid cells covered by each integer-coordinate box."""
@@ -16,20 +18,6 @@ def iou_pixel_oracle(a: BBox, b: BBox) -> float:
 
     ca, cb = cells(a), cells(b)
     return len(ca & cb) / len(ca | cb)
-
-
-def iou_reference(a: BBox, b: BBox) -> float:
-    """Scalar IoU, written out operation by operation: the matrix must equal it exactly."""
-    ax1, ay1, ax2, ay2 = a.as_xyxy()
-    bx1, by1, bx2, by2 = b.as_xyxy()
-    iw = min(ax2, bx2) - max(ax1, bx1)
-    ih = min(ay2, by2) - max(ay1, by1)
-    if iw <= 0 or ih <= 0:
-        return 0.0
-    inter = iw * ih
-    area_a = (ax2 - ax1) * (ay2 - ay1)
-    area_b = (bx2 - bx1) * (by2 - by1)
-    return inter / (area_a + area_b - inter)
 
 
 finite_coord = st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False)

@@ -3,9 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
-from seltrack.geometry import BBox, iou
+from seltrack.geometry import BBox
 from seltrack.metrics import EvalReport, evaluate, id_switches, idf1, pde
 from seltrack.tracker import RunStats
+
+from iou_reference import iou_reference
 
 
 def box(x, y=0.0, size=10.0):
@@ -18,7 +20,7 @@ def idtp_brute_force(gt, pred, iou_match=0.5):
 
     def count(g, p):
         shared = gt[g].keys() & pred[p].keys()
-        return sum(1 for f in shared if iou(gt[g][f], pred[p][f]) >= iou_match)
+        return sum(1 for f in shared if iou_reference(gt[g][f], pred[p][f]) >= iou_match)
 
     best = 0
     k = min(len(gt_ids), len(pred_ids))
