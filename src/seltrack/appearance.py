@@ -60,11 +60,6 @@ def ema_update(s: EmaState, f) -> EmaState:
     return EmaState(blended / norm, s.base_alpha, s.base_alpha, 0)
 
 
-def cosine_distance(a, b) -> float:
-    """Cosine distance of two unit vectors; see `cosine_costs`."""
-    return float(cosine_costs(np.atleast_2d(a), [b])[0, 0])
-
-
 def cosine_costs(embeddings, columns) -> np.ndarray:
     """1 - e.f for stacked unit track embeddings (rows) against detection columns.
 

@@ -2,8 +2,11 @@
 
 State is (cx, cy, a, h, vcx, vcy, va, vh) with a = w/h, so h carries the
 scale and both noise models can be expressed relative to it (position std
-h/20, velocity std h/160). Time step is one frame. All operations return
-fresh states; nothing is mutated in place.
+h/20, velocity std h/160). Time step is one frame. Motion, measurement,
+noise and initial spread tie each coordinate only to its own velocity, so
+the filter is four independent (position, velocity) filters in closed form,
+with a diagonal innovation covariance. All operations return fresh states;
+nothing is mutated in place.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from seltrack.geometry import BBox
 
@@ -19,105 +21,87 @@ NDIM = 4
 STD_WEIGHT_POSITION = 1.0 / 20
 STD_WEIGHT_VELOCITY = 1.0 / 160
 
-_MOTION_MAT = np.eye(2 * NDIM)
-for _i in range(NDIM):
-    _MOTION_MAT[_i, NDIM + _i] = 1.0
-_UPDATE_MAT = np.eye(NDIM, 2 * NDIM)
-
 
 @dataclass
 class KalmanState:
-    """Mean (8,) and covariance (8, 8); treat both as immutable."""
+    """Mean (8,) and per-coordinate covariance; treat all four as immutable.
+
+    For (cx, cy, a, h), (4,) arrays of the position variance, the
+    position-velocity covariance and the velocity variance.
+    """
 
     mean: np.ndarray
-    covariance: np.ndarray
+    var_pos: np.ndarray
+    cov: np.ndarray
+    var_vel: np.ndarray
+
+
+def _variance(h: float, weight: float, aspect_std: float) -> np.ndarray:
+    """Squared stds of (cx, cy, a, h): `weight * h` for the three lengths."""
+    return np.square([weight * h, weight * h, aspect_std, weight * h])
 
 
 def initiate(box: BBox) -> KalmanState:
     """Start a state at the box with zero velocity and height-scaled spread."""
     mean = np.zeros(2 * NDIM)
     mean[:NDIM] = (box.cx, box.cy, box.aspect, box.h)
-    std = [
-        2 * STD_WEIGHT_POSITION * box.h,
-        2 * STD_WEIGHT_POSITION * box.h,
-        1e-2,
-        2 * STD_WEIGHT_POSITION * box.h,
-        10 * STD_WEIGHT_VELOCITY * box.h,
-        10 * STD_WEIGHT_VELOCITY * box.h,
-        1e-5,
-        10 * STD_WEIGHT_VELOCITY * box.h,
-    ]
-    return KalmanState(mean, np.diag(np.square(std)))
-
-
-def _process_noise(h: float) -> np.ndarray:
-    std = [
-        STD_WEIGHT_POSITION * h,
-        STD_WEIGHT_POSITION * h,
-        1e-2,
-        STD_WEIGHT_POSITION * h,
-        STD_WEIGHT_VELOCITY * h,
-        STD_WEIGHT_VELOCITY * h,
-        1e-5,
-        STD_WEIGHT_VELOCITY * h,
-    ]
-    return np.diag(np.square(std))
-
-
-def _measurement_noise(h: float) -> np.ndarray:
-    std = [
-        STD_WEIGHT_POSITION * h,
-        STD_WEIGHT_POSITION * h,
-        1e-1,
-        STD_WEIGHT_POSITION * h,
-    ]
-    return np.diag(np.square(std))
+    return KalmanState(
+        mean,
+        _variance(box.h, 2 * STD_WEIGHT_POSITION, 1e-2),
+        np.zeros(NDIM),
+        _variance(box.h, 10 * STD_WEIGHT_VELOCITY, 1e-5),
+    )
 
 
 def predict(state: KalmanState) -> KalmanState:
-    """Advance one frame: mean through the motion matrix, covariance FPF' + Q."""
-    mean = _MOTION_MAT @ state.mean
-    covariance = (
-        _MOTION_MAT @ state.covariance @ _MOTION_MAT.T + _process_noise(state.mean[3])
+    """Advance one frame: position += velocity, covariance FPF' + Q."""
+    h = state.mean[3]
+    pos, vel = state.mean[:NDIM], state.mean[NDIM:]
+    cov = state.cov + state.var_vel
+    return KalmanState(
+        np.concatenate([pos + vel, vel]),
+        state.var_pos + state.cov + cov + _variance(h, STD_WEIGHT_POSITION, 1e-2),
+        cov,
+        state.var_vel + _variance(h, STD_WEIGHT_VELOCITY, 1e-5),
     )
-    return KalmanState(mean, covariance)
 
 
-def project(state: KalmanState) -> tuple[np.ndarray, np.ndarray]:
-    """Measurement-space mean and innovation covariance (HPH' + R)."""
-    mean = _UPDATE_MAT @ state.mean
-    cov = _UPDATE_MAT @ state.covariance @ _UPDATE_MAT.T + _measurement_noise(
-        state.mean[3]
-    )
-    return mean, cov
+def _innovation_variance(state: KalmanState) -> np.ndarray:
+    """Diagonal of the innovation covariance HPH' + R."""
+    return state.var_pos + _variance(state.mean[3], STD_WEIGHT_POSITION, 1e-1)
 
 
 def update(state: KalmanState, measurement: BBox) -> KalmanState:
     """Standard Kalman correction with the box as (cx, cy, a, h)."""
-    projected_mean, projected_cov = project(state)
+    s = _innovation_variance(state)
+    if not s.min() > 0:
+        raise ValueError("singular innovation covariance")
     z = np.array([measurement.cx, measurement.cy, measurement.aspect, measurement.h])
-    try:
-        chol = scipy.linalg.cho_factor(projected_cov, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise ValueError("singular innovation covariance") from exc
-    gain = scipy.linalg.cho_solve(
-        chol, (state.covariance @ _UPDATE_MAT.T).T, check_finite=False
-    ).T
-    mean = state.mean + gain @ (z - projected_mean)
-    covariance = state.covariance - gain @ projected_cov @ gain.T
-    covariance = (covariance + covariance.T) / 2.0  # keep symmetric under fp error
-    return KalmanState(mean, covariance)
+    residual = z - state.mean[:NDIM]
+    gain_pos, gain_vel = state.var_pos / s, state.cov / s
+    return KalmanState(
+        state.mean + np.concatenate([gain_pos * residual, gain_vel * residual]),
+        state.var_pos - gain_pos * s * gain_pos,
+        state.cov - gain_pos * s * gain_vel,
+        state.var_vel - gain_vel * s * gain_vel,
+    )
 
 
 def degenerate(state: KalmanState) -> bool:
-    """True when the mean's aspect or height is not positive: it has no box."""
-    return bool(state.mean[2] <= 0 or state.mean[3] <= 0)
+    """True when the state has no box or no measurement can correct it.
+
+    That is, the mean's aspect or height is not positive, or an innovation
+    variance is not (a tiny height underflows it to 0).
+    """
+    return bool(
+        state.mean[2] <= 0 or state.mean[3] <= 0 or not _innovation_variance(state).min() > 0
+    )
 
 
 def state_to_box(state: KalmanState) -> BBox:
     """Mean back to a top-left box; degenerate aspect or height is an error."""
     cx, cy, a, h = state.mean[:NDIM]
-    if degenerate(state):
+    if a <= 0 or h <= 0:
         raise ValueError(f"degenerate state: aspect={a}, height={h}")
     w = a * h
     return BBox(cx - w / 2.0, cy - h / 2.0, w, h)

@@ -254,13 +254,7 @@ class SelectiveTracker:
         cost[priced] += w * extra[priced]
         gate = w * SATURATED_COST + (1.0 - self.match.iou_gate)
         result = assignment.solve(cost, gate)
-        matched_t = {r for r, _ in result.matches}
-        matched_d = {c for _, c in result.matches}
-        return (
-            result.matches,
-            [i for i in range(n_tracks) if i not in matched_t],
-            [j for j in range(n_dets) if j not in matched_d],
-        )
+        return result.matches, result.unmatched_rows, result.unmatched_cols
 
     def _iou_stage(self, ious, track_idx, det_idx):
         """IoU-only assignment over the given track/detection subsets."""
@@ -268,13 +262,10 @@ class SelectiveTracker:
             return [], list(track_idx), list(det_idx)
         cost = self._iou_costs(ious[np.ix_(track_idx, det_idx)])
         result = assignment.solve(cost, 1.0 - self.match.iou_gate)
-        matches = [(track_idx[r], det_idx[c]) for r, c in result.matches]
-        matched_t = {r for r, _ in matches}
-        matched_d = {c for _, c in matches}
         return (
-            matches,
-            [i for i in track_idx if i not in matched_t],
-            [j for j in det_idx if j not in matched_d],
+            [(track_idx[r], det_idx[c]) for r, c in result.matches],
+            [track_idx[r] for r in result.unmatched_rows],
+            [det_idx[c] for c in result.unmatched_cols],
         )
 
     # -- the frame step ----------------------------------------------------

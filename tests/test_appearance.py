@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from seltrack.appearance import (
     EmaState,
     cosine_costs,
-    cosine_distance,
     ema_update,
     init_ema,
     mark_skipped,
@@ -88,13 +87,13 @@ class TestEmaUpdate:
 
 class TestCosineDistance:
     def test_identical(self):
-        assert cosine_distance(e1, e1) == 0.0
+        assert cosine_costs([e1], [e1])[0, 0] == 0.0
 
     def test_orthogonal(self):
-        assert cosine_distance(e1, e2) == 1.0
+        assert cosine_costs([e1], [e2])[0, 0] == 1.0
 
     def test_antiparallel(self):
-        assert cosine_distance(e1, -e1) == 2.0
+        assert cosine_costs([e1], [-e1])[0, 0] == 2.0
 
 
 class TestAppearanceCostMatrix:
@@ -110,7 +109,7 @@ class TestAppearanceCostMatrix:
     def test_off_candidate_is_inter_track_distance(self):
         a = normalized([1.0, 1.0, 0.0])
         cost = cosine_costs(np.stack([a, e2]), [1])
-        assert cost[0, 0] == pytest.approx(cosine_distance(a, e2), abs=1e-12)
+        assert cost[0, 0] == pytest.approx(cosine_costs([a], [e2])[0, 0], abs=1e-12)
 
     def test_featureless_detection_without_copy_is_an_error(self):
         with pytest.raises(ValueError):

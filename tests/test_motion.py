@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from seltrack.geometry import BBox
 from seltrack import motion
-from seltrack.motion import KalmanState, initiate, predict, state_to_box, update
+from seltrack.motion import KalmanState, degenerate, initiate, predict, state_to_box, update
 
 
 class ReferenceFilter:
@@ -38,6 +39,21 @@ def as_measurement(box: BBox) -> np.ndarray:
     return np.array([box.cx, box.cy, box.aspect, box.h])
 
 
+def dense(state: KalmanState) -> np.ndarray:
+    """The 8x8 covariance that the per-coordinate arrays stand for."""
+    P = np.diag(np.concatenate([state.var_pos, state.var_vel]))
+    P[range(4), range(4, 8)] = P[range(4, 8), range(4)] = state.cov
+    return P
+
+
+def from_dense(mean, P) -> KalmanState:
+    """A state with covariance P, which must tie each coordinate only to its velocity."""
+    var, cov = np.diag(P), np.diag(P, 4)
+    state = KalmanState(np.asarray(mean, dtype=float), var[:4], cov, var[4:])
+    assert np.array_equal(dense(state), P)
+    return state
+
+
 class TestInitiate:
     def test_coordinate_transform(self):
         s = initiate(BBox(0, 0, 10, 20))
@@ -49,7 +65,7 @@ class TestInitiate:
 
     def test_covariance_diagonal_positive(self):
         s = initiate(BBox(0, 0, 5, 5))
-        assert np.all(np.diag(s.covariance) > 0)
+        assert np.all(np.diag(dense(s)) > 0)
 
 
 class TestPredict:
@@ -60,22 +76,22 @@ class TestPredict:
 
     def test_constant_velocity_advances_position(self):
         mean = np.array([0.0, 0.0, 1.0, 10.0, 2.0, 3.0, 0.0, 0.0])
-        s = KalmanState(mean, np.eye(8))
+        s = from_dense(mean, np.eye(8))
         p = predict(s)
         ref = ReferenceFilter()
         x_ref, P_ref = ref.predict(mean, np.eye(8))
         assert p.mean[0] == 2.0 and p.mean[1] == 3.0
         assert np.allclose(p.mean, x_ref)
-        assert np.allclose(p.covariance, P_ref)
+        assert np.allclose(dense(p), P_ref)
 
     def test_trace_grows_by_q_on_velocity_free_state(self):
         # diagonal covariance with zero velocity variance: FPF' leaves the
         # trace unchanged and only Q adds to it
         mean = np.array([0.0, 0.0, 1.0, 10.0, 0.0, 0.0, 0.0, 0.0])
         P = np.diag([1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0])
-        p = predict(KalmanState(mean, P))
+        p = predict(from_dense(mean, P))
         ref = ReferenceFilter()
-        assert np.trace(p.covariance) == pytest.approx(
+        assert np.trace(dense(p)) == pytest.approx(
             np.trace(P) + np.trace(ref.q(10.0)), rel=1e-12
         )
 
@@ -90,7 +106,7 @@ class TestUpdate:
         target = BBox(100, 50, 20, 40)
         s = initiate(BBox(95, 47, 20, 40))
         ref = ReferenceFilter()
-        x, P = s.mean.copy(), s.covariance.copy()
+        x, P = s.mean.copy(), dense(s)
         for _ in range(10):
             s = update(predict(s), target)
             x, P = ref.predict(x, P)
@@ -98,13 +114,13 @@ class TestUpdate:
         assert abs(s.mean[0] - target.cx) < 0.1
         assert abs(s.mean[1] - target.cy) < 0.1
         assert np.allclose(s.mean, x, atol=1e-8)
-        assert np.allclose(s.covariance, P, atol=1e-8)
+        assert np.allclose(dense(s), P, atol=1e-8)
 
     def test_update_contracts_position_variance(self):
         s = predict(initiate(BBox(0, 0, 10, 20)))
         u = update(s, BBox(1, 1, 10, 20))
-        assert u.covariance[0, 0] < s.covariance[0, 0]
-        assert u.covariance[1, 1] < s.covariance[1, 1]
+        assert u.var_pos[0] < s.var_pos[0]
+        assert u.var_pos[1] < s.var_pos[1]
 
 
 class TestStateToBox:
@@ -113,16 +129,16 @@ class TestStateToBox:
         assert state_to_box(initiate(b)) == b
 
     def test_transform(self):
-        s = KalmanState(np.array([5.0, 10, 0.5, 20, 0, 0, 0, 0]), np.eye(8))
+        s = from_dense(np.array([5.0, 10, 0.5, 20, 0, 0, 0, 0]), np.eye(8))
         assert state_to_box(s) == BBox(0, 0, 10, 20)
 
     def test_negative_height_rejected(self):
-        s = KalmanState(np.array([5.0, 10, 0.5, -20, 0, 0, 0, 0]), np.eye(8))
+        s = from_dense(np.array([5.0, 10, 0.5, -20, 0, 0, 0, 0]), np.eye(8))
         with pytest.raises(ValueError):
             state_to_box(s)
 
     def test_negative_aspect_rejected(self):
-        s = KalmanState(np.array([5.0, 10, -0.5, 20, 0, 0, 0, 0]), np.eye(8))
+        s = from_dense(np.array([5.0, 10, -0.5, 20, 0, 0, 0, 0]), np.eye(8))
         with pytest.raises(ValueError):
             state_to_box(s)
 
@@ -139,8 +155,9 @@ class TestInvariants:
                 s = update(
                     s, BBox(b.x + jitter[0], b.y + jitter[1], b.w, b.h)
                 )
-            assert np.max(np.abs(s.covariance - s.covariance.T)) < 1e-9
-            assert np.linalg.eigvalsh(s.covariance).min() >= -1e-8
+            assert np.all(s.var_pos >= 0) and np.all(s.var_vel >= 0)
+            assert np.all(s.var_pos * s.var_vel - s.cov**2 >= -1e-8)
+            assert np.linalg.eigvalsh(dense(s)).min() >= -1e-8
 
     def test_stationary_box_is_a_fixed_point(self):
         target = BBox(50, 60, 14, 34)
@@ -154,8 +171,48 @@ class TestInvariants:
         rng = np.random.default_rng(3)
         s = initiate(BBox(0, 0, 10, 30))
         for _ in range(200):
-            before = np.trace(s.covariance)
+            before = np.trace(dense(s))
             s = predict(s)
-            assert np.trace(s.covariance) >= before
+            assert np.trace(dense(s)) >= before
             b = state_to_box(s)
             s = update(s, BBox(b.x + rng.normal(0, 1), b.y, b.w, b.h))
+
+
+boxes = st.builds(
+    BBox,
+    st.floats(-1e3, 1e3),
+    st.floats(-1e3, 1e3),
+    st.floats(1.0, 500.0),
+    st.floats(1.0, 500.0),
+)
+
+
+class TestAgainstDenseReference:
+    @settings(max_examples=200, deadline=None)
+    @given(boxes, st.lists(st.one_of(st.none(), boxes), max_size=50))
+    def test_matches_dense_filter(self, start, steps):
+        # None is a predict, a box is an update with it as the measurement
+        ref = ReferenceFilter()
+        s = initiate(start)
+        x, P = s.mean.copy(), dense(s)
+        for box in steps:
+            if box is None:
+                s = predict(s)
+                x, P = ref.predict(x, P)
+            else:
+                s = update(s, box)
+                x, P = ref.update(x, P, as_measurement(box))
+            np.testing.assert_allclose(s.mean, x, rtol=1e-9, atol=1e-9 * np.abs(x).max())
+            np.testing.assert_allclose(dense(s), P, rtol=1e-9, atol=1e-9 * np.abs(P).max())
+
+
+class TestDegenerate:
+    TINY = BBox(0.0, 0.0, 1e-3, 1e-200)
+
+    def test_underflowed_innovation_variance_is_degenerate(self):
+        # (h / 20)^2 underflows to 0 for h = 1e-200: no measurement can correct it
+        assert degenerate(predict(initiate(self.TINY)))
+
+    def test_update_rejects_zero_innovation_variance(self):
+        with pytest.raises(ValueError, match="singular innovation covariance"):
+            update(predict(initiate(self.TINY)), self.TINY)

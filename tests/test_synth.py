@@ -12,7 +12,7 @@ from seltrack.synth import (
     generate_to_dir,
     preset,
 )
-from seltrack.appearance import cosine_distance
+from seltrack.appearance import cosine_costs
 
 
 def normalized(values) -> np.ndarray:
@@ -105,7 +105,7 @@ class TestCrossingScene:
         sc = crossing_scene()
         f0 = normalized(sc.targets[0].feature_dir)
         f1 = normalized(sc.targets[1].feature_dir)
-        assert cosine_distance(f0, f1) == 1.0
+        assert cosine_costs([f0], [f1])[0, 0] == 1.0
 
     def test_reappearance_is_clear_of_both_predictions(self):
         sc = crossing_scene()

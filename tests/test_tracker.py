@@ -182,6 +182,17 @@ class TestBoundedState:
         assert tracker.tracks == []
         assert tracker.last_frame == 79
 
+    @pytest.mark.parametrize("strategy", [STRATEGY_CASCADE, STRATEGY_FUSED])
+    def test_tiny_box_never_raises(self, strategy):
+        # below h of about 4e-161 the height-scaled variances underflow to 0,
+        # so the innovation variance is 0 and no measurement can correct the
+        # state: the track is dropped after its prediction, as a degenerate one
+        tracker = SelectiveTracker(NullFeatureProvider(), match=MatchConfig(strategy=strategy))
+        for f in range(1, 41):
+            tracker.step(f, [det(f, 0, BBox(0.0, 0.0, 1e-3, 1e-200))])
+            assert len(tracker.tracks) <= 1
+        assert tracker.last_frame == 40
+
 
 class TestByteStage:
     def test_low_confidence_detection_rescues_track(self):
@@ -386,9 +397,10 @@ class DictProvider:
 
 
 # coordinates and sizes mostly on a coarse grid, so that boxes overlap and
-# tracks match, plus arbitrary valid values
+# tracks match, plus arbitrary valid values; 1e-200 is a size whose
+# height-scaled variances underflow to 0 (a box at the origin still overlaps)
 coords = st.one_of(st.integers(0, 8).map(lambda k: 10.0 * k), st.floats(-1e4, 1e4))
-sizes = st.one_of(st.sampled_from([20.0, 40.0]), st.floats(1e-2, 1e4))
+sizes = st.one_of(st.sampled_from([20.0, 40.0, 1e-200]), st.floats(1e-2, 1e4))
 confidences = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 
 
