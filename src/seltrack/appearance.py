@@ -5,6 +5,8 @@ whenever a freshly extracted feature f arrives. While extractions are
 skipped, the effective weight a' is multiplied by the base alpha once per
 frame, so the old average keeps losing significance exactly as it would
 have under per-frame updates (a' = alpha^(k+1) after k skipped frames).
+The state of one track or of a stack of tracks (leading axes) goes through
+the same calls, and each row of a stack gets the bytes it would get alone.
 """
 
 from __future__ import annotations
@@ -16,21 +18,37 @@ import numpy as np
 UNIT_NORM_ATOL = 1e-6
 
 
-def _check_unit(v: np.ndarray) -> np.ndarray:
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Norms over the last axis, each `sqrt(v @ v)` as `np.linalg.norm` sums one vector.
+
+    `np.linalg.norm(v, axis=-1)` sums in another order and can differ in the last bit.
+    """
+    return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
+
+
+def _check_unit(v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
-    if abs(float(np.linalg.norm(v)) - 1.0) > UNIT_NORM_ATOL:
+    if np.any(np.abs(_norms(v) - 1.0) > UNIT_NORM_ATOL):
         raise ValueError("feature vector must be unit-norm")
     return v
 
 
 @dataclass
 class EmaState:
-    """Unit embedding plus the decayed blend weight bookkeeping."""
+    """Unit embedding (..., d) plus the decayed blend weight bookkeeping.
+
+    The weight and the frame count are (...) arrays, or scalars that hold
+    for every row: a fresh state has full weight and no skipped frames.
+    """
 
     embedding: np.ndarray
     base_alpha: float
-    effective_alpha: float
-    frames_since_feature: int
+    effective_alpha: float | np.ndarray
+    frames_since_feature: int | np.ndarray
+
+    def __getitem__(self, rows) -> EmaState:
+        """The states at `rows` of a stacked state with per-row bookkeeping."""
+        return EmaState(self.embedding[rows], self.base_alpha, self.effective_alpha[rows], self.frames_since_feature[rows])
 
 
 def init_ema(f, base_alpha: float) -> EmaState:
@@ -51,13 +69,14 @@ def mark_skipped(s: EmaState) -> EmaState:
 
 
 def ema_update(s: EmaState, f) -> EmaState:
-    """Blend a freshly extracted feature in and reset the decay."""
+    """Blend freshly extracted features in and reset the decay."""
     f = _check_unit(f)
-    blended = s.effective_alpha * s.embedding + (1.0 - s.effective_alpha) * f
-    norm = float(np.linalg.norm(blended))
-    if norm == 0.0:
+    alpha = np.asarray(s.effective_alpha)[..., None]
+    blended = alpha * s.embedding + (1.0 - alpha) * f
+    norm = _norms(blended)
+    if np.any(norm == 0.0):
         raise ValueError("blended embedding cancelled to zero")
-    return EmaState(blended / norm, s.base_alpha, s.base_alpha, 0)
+    return EmaState(blended / norm[..., None], s.base_alpha, s.base_alpha, 0)
 
 
 def cosine_costs(embeddings, columns) -> np.ndarray:

@@ -45,22 +45,40 @@ class BBox:
         return self.x, self.y, self.x + self.w, self.y + self.h
 
 
+def _corners(boxes) -> np.ndarray:
+    """(n, 4) xyxy corners of a sequence of `BBox` or of an (n, 4) array of their (x, y, w, h)."""
+    if not isinstance(boxes, np.ndarray):
+        boxes = np.array([(box.x, box.y, box.w, box.h) for box in boxes], dtype=float)
+    xywh = boxes.reshape(-1, 4)
+    return np.concatenate([xywh[:, :2], xywh[:, :2] + xywh[:, 2:]], axis=1)
+
+
+def _inter_union(ca: np.ndarray, cb: np.ndarray):
+    """Intersection and union areas of corner arrays (..., 4) broadcast together."""
+    # [width, height] of each pair's overlap, 0 where there is none
+    overlap = np.maximum(np.minimum(ca[..., 2:], cb[..., 2:]) - np.maximum(ca[..., :2], cb[..., :2]), 0.0)
+    inter = overlap[..., 0] * overlap[..., 1]
+    # areas from the same corner coordinates so iou(a, a) is exactly 1
+    size_a, size_b = ca[..., 2:] - ca[..., :2], cb[..., 2:] - cb[..., :2]
+    return inter, size_a[..., 0] * size_a[..., 1] + size_b[..., 0] * size_b[..., 1] - inter
+
+
 def iou_matrix(a, b) -> np.ndarray:
     """IoU of every box of `a` (rows) with every box of `b` (columns), in [0, 1].
 
+    Either side is a sequence of `BBox` or an (n, 4) array of their (x, y, w, h).
     Touching edges count as disjoint; disjoint cells are exactly 0.
     """
-    ca = np.array([box.as_xyxy() for box in a], dtype=float).reshape(-1, 4)
-    cb = np.array([box.as_xyxy() for box in b], dtype=float).reshape(-1, 4)
-    # (row, column, [width, height]) of each pair's overlap, 0 where there is none
-    lo = np.maximum(ca[:, None, :2], cb[None, :, :2])
-    hi = np.minimum(ca[:, None, 2:], cb[None, :, 2:])
-    overlap = np.maximum(hi - lo, 0.0)
-    inter = overlap[..., 0] * overlap[..., 1]
-    # areas from the same corner coordinates so iou(a, a) is exactly 1
-    size_a = ca[:, 2:] - ca[:, :2]
-    size_b = cb[:, 2:] - cb[:, :2]
-    union = (size_a[:, 0] * size_a[:, 1])[:, None] + size_b[:, 0] * size_b[:, 1] - inter
+    ca, cb = _corners(a), _corners(b)
+    inter, union = _inter_union(ca[:, None, :], cb[None, :, :])
+    overflowed = ~np.isfinite(union)
+    if overflowed.any():
+        # an area beyond float64: IoU is scale-free, so recompute the pair
+        # with both boxes scaled by one exact power of two below unit size
+        rows, cols = np.nonzero(overflowed)
+        pa, pb = ca[rows], cb[cols]
+        _, exp = np.frexp(np.maximum(np.abs(pa).max(axis=1), np.abs(pb).max(axis=1)))
+        inter[overflowed], union[overflowed] = _inter_union(np.ldexp(pa, -exp[:, None]), np.ldexp(pb, -exp[:, None]))
     # only overlapping cells are divided: the others are exactly 0, also for
     # two boxes narrower than their coordinates' spacing (zero corner area)
     return np.divide(inter, union, out=np.zeros_like(inter), where=inter > 0)

@@ -4,13 +4,14 @@ Each frame: predict all tracks, split detections by confidence, classify
 the high-confidence ones as risky/non-risky against the confirmed tracks,
 fetch features only for the risky ones (non-risky reuse their candidate's
 embedding), associate, then update motion, appearance, and lifecycle.
+All per-track state lives in one `TrackTable` of stacked arrays, so each
+of those per-track steps is one call over the rows it concerns.
 """
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
-from typing import Protocol
+from dataclasses import dataclass, field, fields, replace
+from typing import NamedTuple, Protocol
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from seltrack.motion import KalmanState
 
 TENTATIVE = "tentative"
 CONFIRMED = "confirmed"
-DELETED = "deleted"  # never held: a track past max_age is dropped from `tracks`
+DELETED = "deleted"  # never held: a track past max_age is dropped from the table
 
 STRATEGY_CASCADE = "cascade"
 STRATEGY_FUSED = "fused"
@@ -117,14 +118,73 @@ class CountingProvider:
 
 
 @dataclass
-class Track:
+class TrackTable:
+    """Every held track as one row of stacked arrays, in birth order.
+
+    Kalman and EMA columns are `motion`'s and `appearance`'s stacked states;
+    a row without an embedding holds zeros there. No operation writes into
+    an array a table holds, so a table is a snapshot later frames keep intact.
+    """
+
+    ids: np.ndarray
+    mean: np.ndarray  # (n, 8)
+    var_pos: np.ndarray  # (n, 4), as are cov and var_vel
+    cov: np.ndarray
+    var_vel: np.ndarray
+    embedding: np.ndarray  # (n, d); d is 0 until the first feature
+    has_embedding: np.ndarray
+    effective_alpha: np.ndarray
+    frames_since_feature: np.ndarray
+    hits: np.ndarray
+    age: np.ndarray
+    time_since_update: np.ndarray
+    confirmed: np.ndarray
+
+    @classmethod
+    def born(cls, ids: np.ndarray, state: KalmanState, dim: int) -> TrackTable:
+        """Rows of new tracks: one hit, no embedding yet, not confirmed."""
+        zeros = np.zeros(len(ids), dtype=int)
+        no = zeros.astype(bool)
+        return cls(ids, **vars(state), embedding=np.zeros((len(ids), dim)), has_embedding=no,
+                   effective_alpha=zeros.astype(float), frames_since_feature=zeros, hits=zeros + 1,
+                   age=zeros, time_since_update=zeros, confirmed=no)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    @property
+    def kalman(self) -> KalmanState:
+        return KalmanState(self.mean, self.var_pos, self.cov, self.var_vel)
+
+    def keep(self, mask: np.ndarray) -> TrackTable:
+        return self if mask.all() else TrackTable(*(getattr(self, f.name)[mask] for f in fields(self)))
+
+    def concat(self, other: TrackTable) -> TrackTable:
+        return TrackTable(*(np.concatenate([getattr(self, f.name), getattr(other, f.name)]) for f in fields(self)))
+
+    def put(self, rows, **columns) -> TrackTable:
+        """This table with `rows` of the named columns set to the given values, in new arrays."""
+        for name, values in list(columns.items()):
+            columns[name] = getattr(self, name).copy()
+            columns[name][rows] = values
+        return replace(self, **columns)
+
+
+class TrackView(NamedTuple):
+    """A held track's id and status; its other fields are read from `SelectiveTracker.table`."""
+
     id: int
-    kalman: KalmanState
-    ema: EmaState | None
     status: str
-    hits: int
-    age: int
-    time_since_update: int
+
+
+class _Boxes:
+    """`BBox` of the (x, y, w, h) rows at `rows`, made only for the rows looked up."""
+
+    def __init__(self, xywh: np.ndarray, rows: np.ndarray):
+        self._xywh, self._rows = xywh, rows
+
+    def __getitem__(self, k: int) -> BBox:
+        return BBox(*self._xywh[self._rows[k]].tolist())
 
 
 @dataclass
@@ -160,76 +220,43 @@ class SelectiveTracker:
         self.provider = CountingProvider(provider)
         self.gate = gate or GateConfig()
         self.match = match or MatchConfig()
-        self.tracks: list[Track] = []
+        self.table = TrackTable.born(np.zeros(0, dtype=int), motion.initiate(np.zeros((0, motion.NDIM))), 0)
         self.last_frame = 0
         self._next_id = 1
         self.stats = RunStats()
 
-    # -- lifecycle helpers -------------------------------------------------
-
-    def _drop(self, dead) -> None:
-        """Forget the tracks `dead` selects; `_next_id` never hands out their ids again."""
-        self.tracks = [t for t in self.tracks if not dead(t)]
-
-    def _spawn(self, det: Detection, feat: np.ndarray | None) -> Track:
-        ema = None if feat is None else appearance.init_ema(feat, self.match.ema_alpha)
-        status = CONFIRMED if self.match.min_hits <= 1 else TENTATIVE
-        t = Track(
-            id=self._next_id,
-            kalman=motion.initiate(det.box),
-            ema=ema,
-            status=status,
-            hits=1,
-            age=0,
-            time_since_update=0,
-        )
-        self._next_id += 1
-        self.tracks.append(t)
-        return t
-
-    def _mark_matched(self, track: Track, det: Detection, fresh: np.ndarray | None):
-        track.kalman = motion.update(track.kalman, det.box)
-        if fresh is not None:
-            if track.ema is None:
-                track.ema = appearance.init_ema(fresh, self.match.ema_alpha)
-            else:
-                track.ema = appearance.ema_update(track.ema, fresh)
-        elif track.ema is not None:
-            track.ema = appearance.mark_skipped(track.ema)
-        track.hits += 1
-        track.time_since_update = 0
-        if track.status == TENTATIVE and track.hits >= self.match.min_hits:
-            track.status = CONFIRMED
+    @property
+    def tracks(self) -> list[TrackView]:
+        """Each held track's id and status, in birth order."""
+        t = self.table
+        return [TrackView(i, CONFIRMED if c else TENTATIVE) for i, c in zip(t.ids.tolist(), t.confirmed.tolist())]
 
     # -- matching stages ---------------------------------------------------
 
     def _iou_costs(self, ious: np.ndarray) -> np.ndarray:
         return np.where(ious >= self.match.iou_gate, 1.0 - ious, INFEASIBLE)
 
-    def _cosine_costs(self, tracks, plan) -> np.ndarray:
+    def _cosine_costs(self, t: TrackTable, plan) -> np.ndarray:
         """Cosine cost of every track (rows) to every plan entry (columns).
 
         NaN where the track has no embedding or the entry carries neither a
         fetched vector nor a copy (no feature, or SATURATED).
         """
-        cost = np.full((len(tracks), len(plan)), np.nan)
+        cost = np.full((len(t), len(plan)), np.nan)
         cols = [j for j, p in enumerate(plan) if p is not None and p is not SATURATED]
-        embedded = [t.ema.embedding for t in tracks if t.ema is not None]
-        if cols and embedded:
-            # a zero row stands in for a missing embedding, so that copy
-            # entries index rows by their live index without a remap
-            blank = np.zeros_like(embedded[0])
-            stacked = np.stack([blank if t.ema is None else t.ema.embedding for t in tracks])
-            cost[:, cols] = appearance.cosine_costs(stacked, [plan[j] for j in cols])
-            cost[[i for i, t in enumerate(tracks) if t.ema is None]] = np.nan
+        if cols and t.has_embedding.any():
+            # copy entries index the embedding matrix by live index; its zero
+            # rows (no embedding) are priced and then blanked
+            cost[:, cols] = appearance.cosine_costs(t.embedding, [plan[j] for j in cols])
+            cost[~t.has_embedding] = np.nan
         return cost
 
-    def _appearance_stage(self, tracks, plan, cosine):
+    def _appearance_stage(self, t: TrackTable, plan, cosine):
         """Cascade stage 1: appearance-only assignment over confirmed tracks."""
-        rows = [i for i, t in enumerate(tracks) if t.status == CONFIRMED and t.ema is not None]
+        rows = np.flatnonzero(t.confirmed & t.has_embedding).tolist()
         cols = [j for j, p in enumerate(plan) if p is not None]
         if not rows or not cols:
-            return [], list(range(len(tracks))), list(range(len(plan)))
+            return [], list(range(len(t))), list(range(len(plan)))
         # only SATURATED columns are NaN on embedded rows: base-gate semantics,
         # unbounded distance to every track, so they resolve in the IoU stage
         cost = np.nan_to_num(cosine[np.ix_(rows, cols)], nan=INFEASIBLE)
@@ -237,7 +264,7 @@ class SelectiveTracker:
         matches = [(rows[r], cols[c]) for r, c in result.matches]
         matched_t = {r for r, _ in matches}
         matched_d = {c for _, c in matches}
-        unmatched_t = [i for i in range(len(tracks)) if i not in matched_t]
+        unmatched_t = [i for i in range(len(t)) if i not in matched_t]
         unmatched_d = [j for j in range(len(plan)) if j not in matched_d]
         return matches, unmatched_t, unmatched_d
 
@@ -282,24 +309,12 @@ class SelectiveTracker:
         if len({d.index for d in detections}) != len(detections):
             raise ValueError(f"duplicate detection indices in frame {frame}")
 
-        snapshot = (
-            [copy.copy(t) for t in self.tracks],
-            self._next_id,
-            self.last_frame,
-            self.provider.fetches,
-            self.stats.high_detections,
-        )
+        fetches = self.provider.fetches
         try:
             emitted = self._step_inner(frame, detections)
         except Exception:
-            # the frame never happened: restore track state and counters
-            (
-                self.tracks,
-                self._next_id,
-                self.last_frame,
-                self.provider.fetches,
-                self.stats.high_detections,
-            ) = snapshot
+            # the frame never happened: `_step_inner` commits nothing before it returns
+            self.provider.fetches = fetches
             raise
         self.stats.frames += 1
         self.stats.detections += len(detections)
@@ -307,31 +322,26 @@ class SelectiveTracker:
         return emitted
 
     def _step_inner(self, frame, detections):
+        """One frame on a local table; only its last lines write to `self`."""
         m = self.match
 
         # 1. motion prediction; a track whose predicted aspect or height is
         #    no longer positive has no box, so it ends here
-        for t in self.tracks:
-            t.kalman = motion.predict(t.kalman)
-            t.age += 1
-            t.time_since_update += 1
-        self._drop(lambda t: motion.degenerate(t.kalman))
-        live = list(self.tracks)
+        t = self.table
+        t = replace(t, **vars(motion.predict(t.kalman)), age=t.age + 1, time_since_update=t.time_since_update + 1)
+        t = t.keep(~motion.degenerate(t.kalman))
 
         # 2. confidence split; the selective mechanism sees only the high half
         high = [d for d in detections if d.confidence >= m.conf_high]
         low = [d for d in detections if d.confidence < m.conf_high]
-        self.stats.high_detections += len(high)
 
         # 3. risk classification against confirmed tracks' predicted boxes;
         #    every stage below reads its IoUs from the same matrix
-        boxes = [motion.state_to_box(t.kalman) for t in live]
+        boxes = motion.state_to_xywh(t.kalman)
         high_boxes = [d.box for d in high]
         high_iou = iou_matrix(boxes, high_boxes)
-        confirmed = [i for i, t in enumerate(live) if t.status == CONFIRMED]
-        labels = gating.classify(
-            high_iou[confirmed], high_boxes, [boxes[i] for i in confirmed], self.gate
-        )
+        confirmed = np.flatnonzero(t.confirmed)
+        labels = gating.classify(high_iou[confirmed], high_boxes, _Boxes(boxes, confirmed), self.gate)
 
         # 4. the feature plan: fetch for risky, copy (or saturate) for non-risky
         plan: list = []
@@ -341,14 +351,14 @@ class SelectiveTracker:
             elif self.gate.mode == gating.MODE_BASE_GATE:
                 plan.append(SATURATED)
             else:
-                cand = confirmed[label.candidate]
+                cand = int(confirmed[label.candidate])
                 # a candidate without an embedding leaves nothing to copy
-                plan.append(cand if live[cand].ema is not None else None)
+                plan.append(cand if t.has_embedding[cand] else None)
 
         # 5. association
-        cosine = self._cosine_costs(live, plan)
+        cosine = self._cosine_costs(t, plan)
         if m.strategy == STRATEGY_CASCADE:
-            stage1, left_t, left_d = self._appearance_stage(live, plan, cosine)
+            stage1, left_t, left_d = self._appearance_stage(t, plan, cosine)
             stage2, left_t, left_d = self._iou_stage(high_iou, left_t, left_d)
             matches = stage1 + stage2
         else:
@@ -359,45 +369,64 @@ class SelectiveTracker:
         else:
             byte_matches = []
 
-        # 6. update matched tracks; only a fetched vector refreshes the EMA,
-        #    byte/copied/feature-less matches decay it
-        emitted: list[tuple[int, BBox]] = []
-        for i, j in matches:
-            track, det = live[i], high[j]
-            self._mark_matched(track, det, plan[j] if labels[j].risky else None)
-            if track.status == CONFIRMED:
-                emitted.append((track.id, self._emit_box(track, det)))
-        for i, j in byte_matches:
-            track, det = live[i], low[j]
-            self._mark_matched(track, det, None)
-            if track.status == CONFIRMED:
-                emitted.append((track.id, self._emit_box(track, det)))
-
-        # unmatched tracks also decay: skipped frames count toward the EMA age
-        matched_tracks = {i for i, _ in matches} | {i for i, _ in byte_matches}
-        for i, t in enumerate(live):
-            if i not in matched_tracks and t.ema is not None:
-                t.ema = appearance.mark_skipped(t.ema)
+        # 6. one Kalman update over the matched rows
+        rows = [i for i, _ in matches] + [i for i, _ in byte_matches]
+        dets = [high[j] for _, j in matches] + [low[j] for _, j in byte_matches]
+        if rows:
+            state = motion.update(t.kalman[rows], motion.measurements(d.box for d in dets))
+            t = t.put(rows, **vars(state), hits=t.hits[rows] + 1, time_since_update=0)
 
         # 7. births for unmatched high-confidence detections (eager feature)
-        for j in left_d:
-            det = high[j]
-            feat = plan[j] if labels[j].risky else self.provider.fetch(frame, det.index)
-            track = self._spawn(det, feat)
-            if track.status == CONFIRMED:
-                emitted.append((track.id, self._emit_box(track, det)))
+        born = [high[j] for j in left_d]
+        feats = [plan[j] if labels[j].risky else self.provider.fetch(frame, high[j].index) for j in left_d]
+        if born:
+            ids = np.arange(self._next_id, self._next_id + len(born))
+            state = motion.initiate(motion.measurements(d.box for d in born))
+            t = t.concat(TrackTable.born(ids, state, t.embedding.shape[1]))
+        born_rows = range(len(t) - len(born), len(t))
+        t = replace(t, confirmed=t.hits >= m.min_hits)
 
-        # deletions after max_age consecutive misses
-        self._drop(lambda t: t.time_since_update > m.max_age)
+        # 8. appearance: only a fetched vector refreshes the EMA (or seeds a
+        #    newborn's); byte/copied/feature-less matches and unmatched tracks decay it
+        fresh = [(i, plan[j]) for i, j in matches if labels[j].risky and plan[j] is not None]
+        fresh += [(i, f) for i, f in zip(born_rows, feats) if f is not None]
+        t = self._refresh_appearance(t, fresh)
 
+        # the confirmed matched and newborn tracks emit, by id
+        confirmed = t.confirmed.tolist()
+        shown = [(i, d) for i, d in zip(rows + list(born_rows), dets + born) if confirmed[i]]
+        shown_rows = [i for i, _ in shown]
+        if m.emit == EMIT_DETECTION:
+            shown_boxes = [d.box for _, d in shown]
+        else:
+            shown_boxes = [BBox(*b) for b in motion.state_to_xywh(t.kalman[shown_rows]).tolist()]
+        emitted = sorted(zip(t.ids[shown_rows].tolist(), shown_boxes), key=lambda pair: pair[0])
+
+        # commit, with deletions after max_age consecutive misses
+        self.table = t.keep(t.time_since_update <= m.max_age)
+        self._next_id += len(born)
         self.last_frame = frame
-        emitted.sort(key=lambda pair: pair[0])
+        self.stats.high_detections += len(high)
         return emitted
 
-    def _emit_box(self, track: Track, det: Detection) -> BBox:
-        if self.match.emit == EMIT_DETECTION:
-            return det.box
-        return motion.state_to_box(track.kalman)
+    def _refresh_appearance(self, t: TrackTable, fresh) -> TrackTable:
+        """Decay every row's EMA, then blend in each (row, vector) of `fresh`; a row without one is seeded."""
+        alpha = self.match.ema_alpha
+        before = EmaState(t.embedding, alpha, t.effective_alpha, t.frames_since_feature)
+        decayed = appearance.mark_skipped(before)
+        t = replace(t, effective_alpha=decayed.effective_alpha, frames_since_feature=decayed.frames_since_feature)
+        if not fresh:
+            return t
+        rows = np.array([i for i, _ in fresh])
+        vectors = np.array([f for _, f in fresh], dtype=float)
+        if not t.embedding.shape[1]:
+            t = replace(t, embedding=np.zeros((len(t), vectors.shape[1])))
+        seed = ~t.has_embedding[rows]
+        if seed.any():
+            vectors[seed] = appearance.init_ema(vectors[seed], alpha).embedding
+        if not seed.all():
+            vectors[~seed] = appearance.ema_update(before[rows[~seed]], vectors[~seed]).embedding
+        return t.put(rows, embedding=vectors, has_embedding=True, effective_alpha=alpha, frames_since_feature=0)
 
 
 def run_sequence(

@@ -180,3 +180,30 @@ class TestDecayLaw:
         except ValueError:
             return  # exact anti-parallel cancellation is a documented error
         assert np.linalg.norm(s.embedding) == pytest.approx(1.0, abs=1e-6)
+
+
+class TestStacked:
+    """A stack of states through one call gives each row the bytes of its own call."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 8), st.integers(2, 64), st.integers(0, 2**32 - 1))
+    def test_rows_equal_single_calls(self, n, dim, seed):
+        rng = np.random.default_rng(seed)
+        old = np.stack([normalized(rng.normal(size=dim)) for _ in range(n)])
+        fresh = np.stack([normalized(rng.normal(size=dim)) for _ in range(n)])
+        weights = rng.uniform(0.01, 0.99, size=n)
+        stacked = ema_update(EmaState(old, 0.9, weights, np.zeros(n, dtype=int)), fresh)
+        for i in range(n):
+            alone = ema_update(EmaState(old[i], 0.9, weights[i], 0), fresh[i])
+            assert stacked.embedding[i].tobytes() == alone.embedding.tobytes()
+        decayed = mark_skipped(EmaState(old, 0.9, weights, np.zeros(n, dtype=int)))
+        assert decayed.effective_alpha.tolist() == [w * 0.9 for w in weights]
+        assert init_ema(fresh, 0.9).embedding.tobytes() == fresh.tobytes()
+
+    def test_any_row_cancelling_is_an_error(self):
+        with pytest.raises(ValueError, match="cancelled to zero"):
+            ema_update(EmaState(np.stack([e1, e2]), 0.5, np.array([0.5, 0.5]), np.zeros(2)), np.stack([e2, -e2]))
+
+    def test_any_row_off_unit_norm_is_an_error(self):
+        with pytest.raises(ValueError, match="unit-norm"):
+            init_ema(np.stack([e1, 2 * e2]), 0.9)

@@ -109,6 +109,19 @@ class TestIouMatrix:
         assert iou_matrix([thin, thin], [thin]).tolist() == [[0.0], [0.0]]
         assert iou_reference(thin, thin) == 0.0
 
+    def test_overflowing_areas_are_rescaled(self):
+        # w * h overflows float64: the pair is recomputed at an exact power-of-two scale
+        huge, half, small = BBox(0, 0, 1e250, 1e100), BBox(0, 0, 5e249, 1e100), BBox(0, 0, 10, 10)
+        m = iou_matrix([huge, small], [huge, half, small])
+        np.testing.assert_allclose(m, [[1.0, 0.5, 0.0], [0.0, 0.0, 1.0]], rtol=1e-12, atol=0.0)
+        assert m[0, 0] == 1.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(any_boxes, any_boxes)
+    def test_xywh_array_equals_boxes(self, rows, cols):
+        xywh = np.array([(b.x, b.y, b.w, b.h) for b in rows], dtype=float).reshape(-1, 4)
+        assert iou_matrix(xywh, cols).tobytes() == iou_matrix(rows, cols).tobytes()
+
     @given(boxes, boxes)
     def test_pair_is_one_cell(self, a, b):
         assert iou(a, b) == iou_matrix([a], [b])[0, 0]

@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -56,21 +58,21 @@ def from_dense(mean, P) -> KalmanState:
 
 class TestInitiate:
     def test_coordinate_transform(self):
-        s = initiate(BBox(0, 0, 10, 20))
+        s = initiate(as_measurement(BBox(0, 0, 10, 20)))
         assert np.allclose(s.mean, [5, 10, 0.5, 20, 0, 0, 0, 0])
 
     def test_zero_velocities(self):
-        s = initiate(BBox(37.5, 12.25, 8, 14))
+        s = initiate(as_measurement(BBox(37.5, 12.25, 8, 14)))
         assert np.all(s.mean[4:] == 0)
 
     def test_covariance_diagonal_positive(self):
-        s = initiate(BBox(0, 0, 5, 5))
+        s = initiate(as_measurement(BBox(0, 0, 5, 5)))
         assert np.all(np.diag(dense(s)) > 0)
 
 
 class TestPredict:
     def test_zero_velocity_keeps_position(self):
-        s = initiate(BBox(10, 10, 10, 10))
+        s = initiate(as_measurement(BBox(10, 10, 10, 10)))
         p = predict(s)
         assert np.allclose(p.mean[:4], s.mean[:4])
 
@@ -98,17 +100,17 @@ class TestPredict:
 
 class TestUpdate:
     def test_zero_innovation_keeps_mean(self):
-        s = initiate(BBox(0, 0, 10, 20))
-        u = update(s, BBox(0, 0, 10, 20))
+        s = initiate(as_measurement(BBox(0, 0, 10, 20)))
+        u = update(s, as_measurement(BBox(0, 0, 10, 20)))
         assert np.allclose(u.mean[:4], s.mean[:4], atol=1e-12)
 
     def test_converges_to_fixed_box(self):
         target = BBox(100, 50, 20, 40)
-        s = initiate(BBox(95, 47, 20, 40))
+        s = initiate(as_measurement(BBox(95, 47, 20, 40)))
         ref = ReferenceFilter()
         x, P = s.mean.copy(), dense(s)
         for _ in range(10):
-            s = update(predict(s), target)
+            s = update(predict(s), as_measurement(target))
             x, P = ref.predict(x, P)
             x, P = ref.update(x, P, as_measurement(target))
         assert abs(s.mean[0] - target.cx) < 0.1
@@ -117,8 +119,8 @@ class TestUpdate:
         assert np.allclose(dense(s), P, atol=1e-8)
 
     def test_update_contracts_position_variance(self):
-        s = predict(initiate(BBox(0, 0, 10, 20)))
-        u = update(s, BBox(1, 1, 10, 20))
+        s = predict(initiate(as_measurement(BBox(0, 0, 10, 20))))
+        u = update(s, as_measurement(BBox(1, 1, 10, 20)))
         assert u.var_pos[0] < s.var_pos[0]
         assert u.var_pos[1] < s.var_pos[1]
 
@@ -126,7 +128,7 @@ class TestUpdate:
 class TestStateToBox:
     def test_round_trip(self):
         b = BBox(12.5, 7.25, 30, 60)
-        assert state_to_box(initiate(b)) == b
+        assert state_to_box(initiate(as_measurement(b))) == b
 
     def test_transform(self):
         s = from_dense(np.array([5.0, 10, 0.5, 20, 0, 0, 0, 0]), np.eye(8))
@@ -146,36 +148,34 @@ class TestStateToBox:
 class TestInvariants:
     def test_covariance_stays_symmetric_psd_over_random_cycles(self):
         rng = np.random.default_rng(7)
-        s = initiate(BBox(100, 100, 20, 40))
+        s = initiate(as_measurement(BBox(100, 100, 20, 40)))
         for _ in range(1000):
             s = predict(s)
             if rng.random() < 0.7:
                 jitter = rng.normal(0, 2, size=2)
                 b = state_to_box(s)
-                s = update(
-                    s, BBox(b.x + jitter[0], b.y + jitter[1], b.w, b.h)
-                )
+                s = update(s, as_measurement(BBox(b.x + jitter[0], b.y + jitter[1], b.w, b.h)))
             assert np.all(s.var_pos >= 0) and np.all(s.var_vel >= 0)
             assert np.all(s.var_pos * s.var_vel - s.cov**2 >= -1e-8)
             assert np.linalg.eigvalsh(dense(s)).min() >= -1e-8
 
     def test_stationary_box_is_a_fixed_point(self):
         target = BBox(50, 60, 14, 34)
-        s = initiate(target)
+        s = initiate(as_measurement(target))
         for _ in range(50):
-            s = update(predict(s), target)
+            s = update(predict(s), as_measurement(target))
         assert abs(s.mean[0] - target.cx) < 0.5
         assert abs(s.mean[1] - target.cy) < 0.5
 
     def test_predict_never_decreases_trace_in_tracking_regime(self):
         rng = np.random.default_rng(3)
-        s = initiate(BBox(0, 0, 10, 30))
+        s = initiate(as_measurement(BBox(0, 0, 10, 30)))
         for _ in range(200):
             before = np.trace(dense(s))
             s = predict(s)
             assert np.trace(dense(s)) >= before
             b = state_to_box(s)
-            s = update(s, BBox(b.x + rng.normal(0, 1), b.y, b.w, b.h))
+            s = update(s, as_measurement(BBox(b.x + rng.normal(0, 1), b.y, b.w, b.h)))
 
 
 boxes = st.builds(
@@ -193,14 +193,14 @@ class TestAgainstDenseReference:
     def test_matches_dense_filter(self, start, steps):
         # None is a predict, a box is an update with it as the measurement
         ref = ReferenceFilter()
-        s = initiate(start)
+        s = initiate(as_measurement(start))
         x, P = s.mean.copy(), dense(s)
         for box in steps:
             if box is None:
                 s = predict(s)
                 x, P = ref.predict(x, P)
             else:
-                s = update(s, box)
+                s = update(s, as_measurement(box))
                 x, P = ref.update(x, P, as_measurement(box))
             np.testing.assert_allclose(s.mean, x, rtol=1e-9, atol=1e-9 * np.abs(x).max())
             np.testing.assert_allclose(dense(s), P, rtol=1e-9, atol=1e-9 * np.abs(P).max())
@@ -211,8 +211,36 @@ class TestDegenerate:
 
     def test_underflowed_innovation_variance_is_degenerate(self):
         # (h / 20)^2 underflows to 0 for h = 1e-200: no measurement can correct it
-        assert degenerate(predict(initiate(self.TINY)))
+        assert degenerate(predict(initiate(as_measurement(self.TINY))))
 
     def test_update_rejects_zero_innovation_variance(self):
         with pytest.raises(ValueError, match="singular innovation covariance"):
-            update(predict(initiate(self.TINY)), self.TINY)
+            update(predict(initiate(as_measurement(self.TINY))), as_measurement(self.TINY))
+
+
+class TestStacked:
+    """Stacked states through one call give each row the bytes of its own call."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(boxes, boxes), min_size=1, max_size=8))
+    def test_rows_equal_single_calls(self, pairs):
+        starts = np.stack([as_measurement(a) for a, _ in pairs])
+        measured = np.stack([as_measurement(b) for _, b in pairs])
+        stacked = update(predict(initiate(starts)), measured)
+        for i in range(len(pairs)):
+            alone = update(predict(initiate(starts[i])), measured[i])
+            for field in ("mean", "var_pos", "cov", "var_vel"):
+                assert getattr(stacked, field)[i].tobytes() == getattr(alone, field).tobytes()
+            assert stacked[i].mean.tobytes() == alone.mean.tobytes()
+            assert motion.state_to_xywh(stacked)[i].tolist() == list(astuple(state_to_box(alone)))
+        assert degenerate(stacked).tolist() == [bool(degenerate(stacked[i])) for i in range(len(pairs))]
+
+    def test_degenerate_is_a_mask(self):
+        ok = as_measurement(BBox(0, 0, 10, 20))
+        tiny = as_measurement(TestDegenerate.TINY)
+        state = predict(initiate(np.stack([ok, tiny, ok])))
+        assert degenerate(state).tolist() == [False, True, False]
+
+    def test_overflowing_variance_is_degenerate(self):
+        # (h / 10)^2 overflows for h = 1e200: no finite gain can correct the state
+        assert degenerate(initiate(as_measurement(BBox(0, 0, 1e200, 1e200))))

@@ -1,3 +1,6 @@
+import collections
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +16,7 @@ from seltrack.gating import (
 from seltrack.geometry import BBox
 from seltrack.io import FeatureFileProvider, read_detections
 from seltrack.metrics import evaluate, pde
-from seltrack.synth import crossing_scene, generate_to_dir, preset
+from seltrack.synth import crossing_scene, generate_to_dir, grid_scene, preset
 from seltrack.tracker import (
     CONFIRMED,
     Detection,
@@ -62,14 +65,18 @@ def stationary_frames(n, box=BBox(100, 100, 20, 40)):
     return {f: [det(f, 0, box)] for f in range(1, n + 1)}
 
 
+def table_fields(tracker):
+    """Every column of the track table as plain values, copied out."""
+    return {f.name: getattr(tracker.table, f.name).tolist() for f in fields(tracker.table)}
+
+
 class TestStep:
     def test_empty_frame_ages_tracks(self):
         tracker = SelectiveTracker(ConstantProvider())
         tracker.step(1, [det(1, 0, BBox(0, 0, 10, 20))])
         assert tracker.step(2, []) == []
-        (track,) = tracker.tracks
-        assert track.time_since_update == 1
-        assert track.age == 1
+        assert tracker.table.time_since_update.tolist() == [1]
+        assert tracker.table.age.tolist() == [1]
 
     def test_stationary_target_fetches_once(self):
         tracker = SelectiveTracker(ConstantProvider())
@@ -106,21 +113,40 @@ class TestStep:
         tracker = SelectiveTracker(provider, GateConfig(mode=MODE_ALWAYS_EXTRACT))
         tracker.step(1, [det(1, 0, BBox(100, 100, 20, 40))])
         tracker.step(2, [det(2, 0, BBox(102, 100, 20, 40))])
-        before = [
-            (t.id, t.time_since_update, t.hits, tuple(t.kalman.mean)) for t in tracker.tracks
-        ]
+        before = table_fields(tracker)
         fetches_before = tracker.provider.fetches
         with pytest.raises(RuntimeError):
             tracker.step(3, [det(3, 0, BBox(104, 100, 20, 40))])
-        after = [
-            (t.id, t.time_since_update, t.hits, tuple(t.kalman.mean)) for t in tracker.tracks
-        ]
-        assert after == before
+        assert table_fields(tracker) == before
         assert tracker.provider.fetches == fetches_before
         assert tracker.last_frame == 2
         provider.armed = False
         emitted = tracker.step(3, [det(3, 0, BBox(104, 100, 20, 40))])
         assert [tid for tid, _ in emitted] == [1]
+
+    def test_failed_ema_update_rolls_back_every_field(self):
+        # frame 3 hands track 2 the negation of its embedding: at ema_alpha 0.5
+        # the blend cancels to zero and raises, while track 1's fresh feature
+        # blends fine; the frame must leave no trace in any column of the table
+        a, b = e(4, 0), e(4, 1)
+        features = {(f, 0): a for f in (1, 2)} | {(f, 1): b for f in (1, 2)}
+        features |= {(3, 0): (a + e(4, 2)) / np.sqrt(2.0), (3, 1): -b}
+        tracker = SelectiveTracker(
+            DictProvider(features), GateConfig(mode=MODE_ALWAYS_EXTRACT), MatchConfig(ema_alpha=0.5)
+        )
+
+        def frame(f):
+            return [det(f, i, BBox(100 + 200 * i + 2 * f, 100, 20, 40)) for i in range(2)]
+
+        tracker.step(1, frame(1))
+        tracker.step(2, frame(2))
+        before, fetches = table_fields(tracker), tracker.provider.fetches
+        assert before["has_embedding"] == [True, True]
+        with pytest.raises(ValueError, match="cancelled to zero"):
+            tracker.step(3, frame(3))
+        assert table_fields(tracker) == before
+        assert tracker.last_frame == 2
+        assert tracker.provider.fetches == fetches
 
     def test_track_ids_never_reused(self):
         tracker = SelectiveTracker(ConstantProvider(), match=MatchConfig(max_age=1))
@@ -138,8 +164,7 @@ class TestStep:
         tracker = SelectiveTracker(ConstantProvider())
         tracker.step(1, [det(1, 0, BBox(100, 100, 20, 40))])
         emitted = tracker.step(2, [det(2, 0, BBox(104, 100, 20, 40))])
-        (track,) = tracker.tracks
-        assert emitted == [(1, motion.state_to_box(track.kalman))]
+        assert emitted == [(1, motion.state_to_box(tracker.table.kalman[0]))]
 
     def test_emitted_box_can_be_raw_detection(self):
         tracker = SelectiveTracker(
@@ -194,6 +219,73 @@ class TestBoundedState:
         assert tracker.last_frame == 40
 
 
+    def test_degenerate_track_is_dropped_alone(self):
+        # three targets side by side; the middle one shrinks 6 px/frame and
+        # then vanishes, so its coasting prediction turns degenerate while
+        # its neighbours are still tracked
+        def frames(with_middle):
+            out = {}
+            for f in range(1, 41):
+                dets = [det(f, 0, BBox(100 + f, 100, 20, 70))]
+                if with_middle and f <= 10:
+                    dets.append(det(f, 1, BBox(300, 100, 20, 70 - 6 * (f - 1))))
+                dets.append(det(f, len(dets), BBox(500 - f, 100, 20, 70)))
+                out[f] = dets
+            return out
+
+        tracker = SelectiveTracker(NullFeatureProvider())
+        rows = []
+        for f, dets in frames(with_middle=True).items():
+            rows += [(f, tid, box) for tid, box in tracker.step(f, dets)]
+        assert [t.id for t in tracker.tracks] == [1, 3]
+        assert max(f for f, tid, _ in rows if tid == 2) == 10
+        alone, _ = run_sequence(frames(with_middle=False), NullFeatureProvider())
+        renamed = {1: 1, 3: 2}
+        assert [(f, renamed[tid], box) for f, tid, box in rows if tid != 2] == alone.rows
+
+    @pytest.mark.parametrize("strategy", [STRATEGY_CASCADE, STRATEGY_FUSED])
+    def test_box_with_overflowing_area_keeps_its_track(self, strategy):
+        # w * h overflows float64, so IoU must come from a rescaled box
+        tracker = SelectiveTracker(NullFeatureProvider(), match=MatchConfig(strategy=strategy))
+        for f in range(1, 21):
+            emitted = tracker.step(f, [det(f, 0, BBox(0.0, 0.0, 1e250, 1e100))])
+            assert [tid for tid, _ in emitted] == [1]
+        assert [t.id for t in tracker.tracks] == [1]
+
+    @pytest.mark.parametrize("strategy", [STRATEGY_CASCADE, STRATEGY_FUSED])
+    def test_box_with_overflowing_variance_never_raises(self, strategy):
+        # (h / 10)^2 overflows float64 for h = 1e200: such a state is
+        # degenerate, so its track ends after its prediction, like a tiny box's
+        tracker = SelectiveTracker(NullFeatureProvider(), match=MatchConfig(strategy=strategy))
+        for f in range(1, 21):
+            tracker.step(f, [det(f, 0, BBox(0.0, 0.0, 1e200, 1e200))])
+            assert len(tracker.tracks) <= 1
+        assert tracker.last_frame == 20
+
+
+class TestStackedCalls:
+    def test_one_predict_and_one_update_per_step(self, monkeypatch, tmp_path):
+        calls = collections.Counter()
+        for name in ("predict", "update"):
+
+            def counting(*args, real=getattr(motion, name), name=name):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(motion, name, counting)
+        det_path, feat_path, _ = generate_to_dir(grid_scene(side=5, frames=10), tmp_path)
+        frames = read_detections(det_path)
+        tracker = SelectiveTracker(FeatureFileProvider(feat_path))
+        updates = 0
+        for f in sorted(frames):
+            calls.clear()
+            tracker.step(f, frames[f])
+            assert calls["predict"] <= 1 and calls["update"] <= 1, (f, calls)
+            updates += calls["update"]
+        assert len(tracker.tracks) == 25
+        assert updates == len(frames) - 1
+
+
 class TestByteStage:
     def test_low_confidence_detection_rescues_track(self):
         match = MatchConfig(byte_low=True)
@@ -201,10 +293,9 @@ class TestByteStage:
         tracker.step(1, [det(1, 0, BBox(100, 100, 20, 40))])
         emitted = tracker.step(2, [det(2, 0, BBox(102, 100, 20, 40), conf=0.2)])
         assert [tid for tid, _ in emitted] == [1]
-        (track,) = tracker.tracks
-        assert track.time_since_update == 0
+        assert tracker.table.time_since_update.tolist() == [0]
         # byte matches never refresh the appearance state
-        assert track.ema.frames_since_feature == 1
+        assert tracker.table.frames_since_feature.tolist() == [1]
 
     def test_byte_disabled_leaves_track_unmatched(self):
         match = MatchConfig(byte_low=False)
@@ -212,8 +303,7 @@ class TestByteStage:
         tracker.step(1, [det(1, 0, BBox(100, 100, 20, 40))])
         emitted = tracker.step(2, [det(2, 0, BBox(102, 100, 20, 40), conf=0.2)])
         assert emitted == []
-        (track,) = tracker.tracks
-        assert track.time_since_update == 1
+        assert tracker.table.time_since_update.tolist() == [1]
 
 
 class TestCopySemantics:
@@ -224,8 +314,7 @@ class TestCopySemantics:
         emitted = tracker.step(2, [det(2, 0, BBox(101, 100, 20, 40))])
         assert tracker.provider.fetches == 1  # copied, not fetched
         assert [tid for tid, _ in emitted] == [1]
-        (track,) = tracker.tracks
-        assert track.ema.frames_since_feature == 1  # copy counts as a skip
+        assert tracker.table.frames_since_feature.tolist() == [1]  # copy counts as a skip
 
     def test_candidate_index_maps_through_confirmed_list(self):
         # three well-separated tracks; detection overlaps only the third
@@ -236,8 +325,7 @@ class TestCopySemantics:
         emitted = tracker.step(2, [det(2, 0, BBox(401, 0, 20, 40))])
         assert tracker.provider.fetches == 3
         assert [tid for tid, _ in emitted] == [3]
-        assert tracker.tracks[2].time_since_update == 0
-        assert tracker.tracks[0].time_since_update == 1
+        assert tracker.table.time_since_update.tolist() == [1, 1, 0]
 
     def test_copy_from_embeddingless_candidate_degrades_to_iou(self):
         # provider has nothing for the first frame, so the track has no EMA;
@@ -245,11 +333,10 @@ class TestCopySemantics:
         provider = NullFeatureProvider()
         tracker = SelectiveTracker(provider)
         tracker.step(1, [det(1, 0, BBox(100, 100, 20, 40))])
-        (track,) = tracker.tracks
-        assert track.ema is None
+        assert tracker.table.has_embedding.tolist() == [False]
         emitted = tracker.step(2, [det(2, 0, BBox(101, 100, 20, 40))])
         assert [tid for tid, _ in emitted] == [1]
-        assert tracker.tracks[0].ema is None
+        assert tracker.table.has_embedding.tolist() == [False]
 
 
 class TestBaseGateMode:
@@ -262,8 +349,7 @@ class TestBaseGateMode:
         emitted = tracker.step(2, [det(2, 0, BBox(101, 100, 20, 40))])
         assert tracker.provider.fetches == fetches
         assert [tid for tid, _ in emitted] == [1]
-        (track,) = tracker.tracks
-        assert track.ema.frames_since_feature == 1
+        assert tracker.table.frames_since_feature.tolist() == [1]
 
 
 class TestGateOffEquivalence:
