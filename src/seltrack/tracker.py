@@ -393,8 +393,8 @@ class SelectiveTracker:
         t = self._refresh_appearance(t, fresh)
 
         # the confirmed matched and newborn tracks emit, by id
-        confirmed = t.confirmed.tolist()
-        shown = [(i, d) for i, d in zip(rows + list(born_rows), dets + born) if confirmed[i]]
+        is_confirmed = t.confirmed.tolist()
+        shown = [(i, d) for i, d in zip(rows + list(born_rows), dets + born) if is_confirmed[i]]
         shown_rows = [i for i, _ in shown]
         if m.emit == EMIT_DETECTION:
             shown_boxes = [d.box for _, d in shown]
