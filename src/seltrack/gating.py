@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from seltrack.geometry import BBox, ars, blended_alpha
+from seltrack.geometry import ars, blended_alpha
 
 MODE_SELECTIVE = "selective"
 MODE_BASE_GATE = "base_gate"
@@ -40,50 +40,20 @@ class GateConfig:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
 
 
-@dataclass(frozen=True)
-class RiskLabel:
-    """Risky, or non-risky with the index of the sole candidate track."""
+def candidates(ious: np.ndarray, det_xywh: np.ndarray, track_xywh: np.ndarray, cfg: GateConfig) -> np.ndarray:
+    """Each detection's sole candidate track, or -1 where the detection is risky.
 
-    risky: bool
-    candidate: int | None = None
-
-    def __post_init__(self):
-        if self.risky != (self.candidate is None):
-            raise ValueError("candidate must be set exactly when non-risky")
-
-    @staticmethod
-    def make_risky() -> "RiskLabel":
-        return RiskLabel(True)
-
-    @staticmethod
-    def non_risky(candidate: int) -> "RiskLabel":
-        return RiskLabel(False, candidate)
-
-
-def classify(
-    ious: np.ndarray,
-    det_boxes: list[BBox],
-    confirmed_track_boxes: list[BBox],
-    cfg: GateConfig,
-) -> list[RiskLabel]:
-    """Label each detection against the confirmed tracks' predicted boxes.
-
-    `ious[i, j]` is the IoU of confirmed track i with detection j.
+    `ious[i, j]` is the IoU of track i with detection j, and the box arrays
+    hold (x, y, w, h) rows; a track whose row of `ious` is 0 is no candidate.
     """
-    if cfg.mode == MODE_ALWAYS_EXTRACT:
-        return [RiskLabel.make_risky() for _ in det_boxes]
-    labels = []
+    n_tracks, n_dets = ious.shape
+    if cfg.mode == MODE_ALWAYS_EXTRACT or not n_tracks:
+        return np.full(n_dets, -1)
     above = ious > cfg.theta_iou
-    for j, d in enumerate(det_boxes):
-        candidates = np.flatnonzero(above[:, j])
-        if len(candidates) != 1:
-            labels.append(RiskLabel.make_risky())
-            continue
-        c = int(candidates[0])
-        if cfg.ars_enabled:
-            alpha = blended_alpha(float(ious[c, j]), ars(d, confirmed_track_boxes[c]))
-            if alpha < cfg.theta_alpha:
-                labels.append(RiskLabel.make_risky())
-                continue
-        labels.append(RiskLabel.non_risky(c))
-    return labels
+    cand = np.where(above.sum(axis=0) == 1, above.argmax(axis=0), -1)
+    if cfg.ars_enabled:
+        dets = np.flatnonzero(cand >= 0)
+        tracks = cand[dets]
+        alpha = blended_alpha(ious[tracks, dets], ars(det_xywh[dets], track_xywh[tracks]))
+        cand[dets[alpha < cfg.theta_alpha]] = -1
+    return cand

@@ -45,11 +45,16 @@ class BBox:
         return self.x, self.y, self.x + self.w, self.y + self.h
 
 
-def _corners(boxes) -> np.ndarray:
-    """(n, 4) xyxy corners of a sequence of `BBox` or of an (n, 4) array of their (x, y, w, h)."""
+def as_xywh(boxes) -> np.ndarray:
+    """(n, 4) rows of (x, y, w, h) of a sequence of `BBox`, or of such an array itself."""
     if not isinstance(boxes, np.ndarray):
         boxes = np.array([(box.x, box.y, box.w, box.h) for box in boxes], dtype=float)
-    xywh = boxes.reshape(-1, 4)
+    return boxes.reshape(-1, 4)
+
+
+def _corners(boxes) -> np.ndarray:
+    """(n, 4) xyxy corners of the boxes `as_xywh` takes."""
+    xywh = as_xywh(boxes)
     return np.concatenate([xywh[:, :2], xywh[:, :2] + xywh[:, 2:]], axis=1)
 
 
@@ -70,7 +75,8 @@ def iou_matrix(a, b) -> np.ndarray:
     Touching edges count as disjoint; disjoint cells are exactly 0.
     """
     ca, cb = _corners(a), _corners(b)
-    inter, union = _inter_union(ca[:, None, :], cb[None, :, :])
+    with np.errstate(over="ignore", invalid="ignore"):  # overflowed pairs are recomputed below
+        inter, union = _inter_union(ca[:, None, :], cb[None, :, :])
     overflowed = ~np.isfinite(union)
     if overflowed.any():
         # an area beyond float64: IoU is scale-free, so recompute the pair
@@ -89,27 +95,33 @@ def iou(a: BBox, b: BBox) -> float:
     return float(iou_matrix([a], [b])[0, 0])
 
 
-def ars(a: BBox, b: BBox) -> float:
+def ars(a, b):
     """Aspect-ratio similarity: 1 - (4/pi^2) * (atan(w_a/h_a) - atan(w_b/h_b))^2.
 
-    Equals 1 iff the aspect ratios match; invariant under uniform scaling of
-    either box. Range (0, 1] since atan differences stay below pi/2.
+    Either two `BBox`, which give a float, or two (n, 4) arrays of (x, y, w, h)
+    rows compared row by row. Equals 1 iff the aspect ratios match; invariant
+    under uniform scaling of either box. Range (0, 1] since atan differences
+    stay below pi/2.
     """
-    d = math.atan(a.w / a.h) - math.atan(b.w / b.h)
+    if isinstance(a, BBox):
+        return float(ars(as_xywh([a]), as_xywh([b]))[0])
+    with np.errstate(over="ignore"):  # a ratio beyond float64 is inf, whose atan is pi/2
+        d = np.arctan(a[:, 2] / a[:, 3]) - np.arctan(b[:, 2] / b[:, 3])
     return 1.0 - (4.0 / math.pi**2) * d * d
 
 
-def blended_alpha(iou_value: float, v: float) -> float:
+def blended_alpha(iou_value, v):
     """IoU-adaptive blending of the aspect similarity: V / ((1 - IoU) + V).
 
-    The 0/0 corner (iou=1, v=0) is defined as 0, the conservative outcome
-    for a threshold test. Monotone non-decreasing in both arguments.
+    Elementwise over arrays; two floats give a float. The 0/0 corner
+    (iou=1, v=0) is defined as 0, the conservative outcome for a threshold
+    test. Monotone non-decreasing in both arguments.
     """
-    if not 0.0 <= iou_value <= 1.0:
+    iou_value, v = np.asarray(iou_value, dtype=float), np.asarray(v, dtype=float)
+    if not np.all((0.0 <= iou_value) & (iou_value <= 1.0)):
         raise ValueError(f"iou out of range: {iou_value!r}")
-    if not 0.0 <= v <= 1.0:
+    if not np.all((0.0 <= v) & (v <= 1.0)):
         raise ValueError(f"v out of range: {v!r}")
     denom = (1.0 - iou_value) + v
-    if denom == 0.0:
-        return 0.0
-    return v / denom
+    alpha = np.divide(v, denom, out=np.zeros_like(denom), where=denom != 0.0)
+    return alpha if alpha.ndim else float(alpha)

@@ -52,7 +52,8 @@ def _variance(h, weight: float, aspect_std: float) -> np.ndarray:
     std = np.empty(np.shape(h) + (NDIM,))
     std[...] = weight * np.asarray(h)[..., None]
     std[..., 2] = aspect_std
-    return np.square(std, out=std)
+    with np.errstate(over="ignore"):  # an inf variance marks the state `degenerate`
+        return np.square(std, out=std)
 
 
 def initiate(z) -> KalmanState:

@@ -1,9 +1,10 @@
 """Per-sequence tracking pipeline with selective feature extraction.
 
-Each frame: predict all tracks, split detections by confidence, classify
-the high-confidence ones as risky/non-risky against the confirmed tracks,
-fetch features only for the risky ones (non-risky reuse their candidate's
-embedding), associate, then update motion, appearance, and lifecycle.
+Each frame: predict all tracks, split detections by confidence, give each
+high-confidence one its sole candidate among the confirmed tracks (-1 when
+it is risky) in one array pass of the gate, fetch features only for the
+risky ones (non-risky reuse their candidate's embedding), associate, then
+update motion, appearance, and lifecycle.
 All per-track state lives in one `TrackTable` of stacked arrays, so each
 of those per-track steps is one call over the rows it concerns.
 """
@@ -19,7 +20,7 @@ from seltrack import appearance, assignment, gating, motion
 from seltrack.appearance import EmaState
 from seltrack.assignment import INFEASIBLE
 from seltrack.gating import GateConfig, SATURATED_COST
-from seltrack.geometry import BBox, iou_matrix
+from seltrack.geometry import BBox, as_xywh, iou_matrix
 from seltrack.motion import KalmanState
 
 TENTATIVE = "tentative"
@@ -78,8 +79,8 @@ class MatchConfig:
             raise ValueError("appearance_gate must be in [0, 2]")
         if not 0.0 <= self.iou_gate <= 1.0:
             raise ValueError("iou_gate must be in [0, 1]")
-        if self.fused_weight < 0:
-            raise ValueError("fused_weight must be non-negative")
+        if not 0.0 <= self.fused_weight < np.inf:
+            raise ValueError("fused_weight must be finite and non-negative")
         if not 0.0 <= self.conf_high <= 1.0:
             raise ValueError("conf_high must be in [0, 1]")
         if self.min_hits < 1:
@@ -175,16 +176,6 @@ class TrackView(NamedTuple):
 
     id: int
     status: str
-
-
-class _Boxes:
-    """`BBox` of the (x, y, w, h) rows at `rows`, made only for the rows looked up."""
-
-    def __init__(self, xywh: np.ndarray, rows: np.ndarray):
-        self._xywh, self._rows = xywh, rows
-
-    def __getitem__(self, k: int) -> BBox:
-        return BBox(*self._xywh[self._rows[k]].tolist())
 
 
 @dataclass
@@ -335,25 +326,25 @@ class SelectiveTracker:
         high = [d for d in detections if d.confidence >= m.conf_high]
         low = [d for d in detections if d.confidence < m.conf_high]
 
-        # 3. risk classification against confirmed tracks' predicted boxes;
-        #    every stage below reads its IoUs from the same matrix
+        # 3. risk classification against confirmed tracks' predicted boxes
+        #    (a tentative track's row is 0 for the gate); every stage below
+        #    reads its IoUs from the same matrix
         boxes = motion.state_to_xywh(t.kalman)
-        high_boxes = [d.box for d in high]
-        high_iou = iou_matrix(boxes, high_boxes)
-        confirmed = np.flatnonzero(t.confirmed)
-        labels = gating.classify(high_iou[confirmed], high_boxes, _Boxes(boxes, confirmed), self.gate)
+        high_xywh = as_xywh([d.box for d in high])
+        high_iou = iou_matrix(boxes, high_xywh)
+        cand = gating.candidates(np.where(t.confirmed[:, None], high_iou, 0.0), high_xywh, boxes, self.gate)
+        risky = (cand < 0).tolist()
 
         # 4. the feature plan: fetch for risky, copy (or saturate) for non-risky
         plan: list = []
-        for det, label in zip(high, labels):
-            if label.risky:
+        for det, c in zip(high, cand.tolist()):
+            if c < 0:
                 plan.append(self.provider.fetch(frame, det.index))
             elif self.gate.mode == gating.MODE_BASE_GATE:
                 plan.append(SATURATED)
             else:
-                cand = int(confirmed[label.candidate])
                 # a candidate without an embedding leaves nothing to copy
-                plan.append(cand if t.has_embedding[cand] else None)
+                plan.append(c if t.has_embedding[c] else None)
 
         # 5. association
         cosine = self._cosine_costs(t, plan)
@@ -378,7 +369,7 @@ class SelectiveTracker:
 
         # 7. births for unmatched high-confidence detections (eager feature)
         born = [high[j] for j in left_d]
-        feats = [plan[j] if labels[j].risky else self.provider.fetch(frame, high[j].index) for j in left_d]
+        feats = [plan[j] if risky[j] else self.provider.fetch(frame, high[j].index) for j in left_d]
         if born:
             ids = np.arange(self._next_id, self._next_id + len(born))
             state = motion.initiate(motion.measurements(d.box for d in born))
@@ -388,7 +379,7 @@ class SelectiveTracker:
 
         # 8. appearance: only a fetched vector refreshes the EMA (or seeds a
         #    newborn's); byte/copied/feature-less matches and unmatched tracks decay it
-        fresh = [(i, plan[j]) for i, j in matches if labels[j].risky and plan[j] is not None]
+        fresh = [(i, plan[j]) for i, j in matches if risky[j] and plan[j] is not None]
         fresh += [(i, f) for i, f in zip(born_rows, feats) if f is not None]
         t = self._refresh_appearance(t, fresh)
 

@@ -19,10 +19,9 @@ from seltrack.gating import (
     GateConfig,
     MODE_ALWAYS_EXTRACT,
     MODE_SELECTIVE,
-    RiskLabel,
-    classify,
+    candidates,
 )
-from seltrack.geometry import BBox, ars, blended_alpha, iou_matrix
+from seltrack.geometry import BBox, ars, as_xywh, blended_alpha, iou_matrix
 from seltrack.io import (
     FeatureFileProvider,
     read_det_rows,
@@ -38,9 +37,9 @@ from seltrack.tracker import NullFeatureProvider, TrackOutput, run_sequence
 from iou_reference import iou_reference
 
 
-def classify_boxes(det_boxes, track_boxes, cfg):
-    """`classify` with its IoU matrix built from the boxes."""
-    return classify(iou_matrix(track_boxes, det_boxes), det_boxes, track_boxes, cfg)
+def candidates_of(det_boxes, track_boxes, cfg):
+    """`candidates` with its IoU matrix and box arrays built from the boxes."""
+    return candidates(iou_matrix(track_boxes, det_boxes), as_xywh(det_boxes), as_xywh(track_boxes), cfg)
 
 
 def normalized(values) -> np.ndarray:
@@ -126,26 +125,26 @@ def test_c03_ars_iou_floor():
     block = 100
     for start in range(0, len(dets), block):
         d, t = dets[start:start + block], tracks[start:start + block]
-        labels = classify(np.diag(np.diag(iou_matrix(t, d))), d, t, cfg)
-        for label, a, b in zip(labels, d, t):
-            assert label.risky, (a, b)
+        cand = candidates(np.diag(np.diag(iou_matrix(t, d))), as_xywh(d), as_xywh(t), cfg)
+        for c, a, b in zip(cand.tolist(), d, t):
+            assert c == -1, (a, b)
     report(3, f"{len(dets)} low-overlap pairs all classified risky at theta_alpha=0.6")
 
 
-def classify_oracle(det_boxes, track_boxes, cfg):
+def candidates_oracle(det_boxes, track_boxes, cfg):
     out = []
     for d in det_boxes:
         above = [i for i, t in enumerate(track_boxes) if iou_reference(d, t) > cfg.theta_iou]
         if len(above) != 1:
-            out.append(RiskLabel.make_risky())
+            out.append(-1)
             continue
         c = above[0]
         if cfg.ars_enabled:
             if blended_alpha(iou_reference(d, track_boxes[c]), ars(d, track_boxes[c])) < cfg.theta_alpha:
-                out.append(RiskLabel.make_risky())
+                out.append(-1)
                 continue
-        out.append(RiskLabel.non_risky(c))
-    return out
+        out.append(c)
+    return np.array(out, dtype=int)
 
 
 def test_c04_gating_matches_bruteforce_oracle():
@@ -165,8 +164,8 @@ def test_c04_gating_matches_bruteforce_oracle():
             theta_alpha=float(rng.uniform(0, 1)),
             ars_enabled=bool(rng.integers(0, 2)),
         )
-        assert classify_boxes(dets, tracks, cfg) == classify_oracle(dets, tracks, cfg)
-    report(4, "classify == candidate-enumeration oracle on 1000 random frames")
+        assert np.array_equal(candidates_of(dets, tracks, cfg), candidates_oracle(dets, tracks, cfg))
+    report(4, "candidates == candidate-enumeration oracle on 1000 random frames")
 
 
 def assignment_oracle(costs, gate):

@@ -2,46 +2,52 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seltrack.geometry import BBox, ars, blended_alpha, iou, iou_matrix
+from seltrack.geometry import BBox, ars, as_xywh, blended_alpha, iou, iou_matrix
 from seltrack.gating import (
     GateConfig,
     MODE_ALWAYS_EXTRACT,
-    RiskLabel,
-    classify,
+    candidates,
 )
 
 from iou_reference import iou_reference
 
 
-def classify_boxes(det_boxes, track_boxes, cfg):
-    """`classify` with its IoU matrix built from the boxes."""
-    return classify(iou_matrix(track_boxes, det_boxes), det_boxes, track_boxes, cfg)
+def candidates_of(det_boxes, track_boxes, cfg):
+    """`candidates` with its IoU matrix and box arrays built from the boxes."""
+    return candidates(iou_matrix(track_boxes, det_boxes), as_xywh(det_boxes), as_xywh(track_boxes), cfg)
 
 
-def classify_oracle(det_boxes, track_boxes, cfg):
+def candidates_oracle(det_boxes, track_boxes, cfg):
     """Naive re-statement of the rule, kept deliberately independent."""
     out = []
     for d in det_boxes:
-        candidates = []
+        found = []
         for i, t in enumerate(track_boxes):
             if iou_reference(d, t) > cfg.theta_iou:
-                candidates.append(i)
-        if len(candidates) != 1:
-            out.append(RiskLabel.make_risky())
+                found.append(i)
+        if len(found) != 1:
+            out.append(-1)
         else:
-            c = candidates[0]
+            c = found[0]
             if cfg.ars_enabled:
                 a = blended_alpha(iou_reference(d, track_boxes[c]), ars(d, track_boxes[c]))
                 if a < cfg.theta_alpha:
-                    out.append(RiskLabel.make_risky())
+                    out.append(-1)
                     continue
-            out.append(RiskLabel.non_risky(c))
-    return out
+            out.append(c)
+    return np.array(out, dtype=int)
 
 
 def random_boxes(rng, n):
     """n boxes with corner in [0, 200)^2 and sides in [1, 80), one draw per call."""
     return [BBox(*row) for row in rng.uniform([0, 0, 1, 1], [200, 200, 80, 80], (n, 4)).tolist()]
+
+
+def extreme_aspect_boxes(rng, n):
+    """n boxes with corner in [0, 200)^2, area in [1, 6400) and aspect ratio log-uniform in [1e-6, 1e6]."""
+    x, y, side, log_aspect = rng.uniform([0, 0, 1, -6], [200, 200, 80, 6], (n, 4)).T
+    root = 10.0 ** (log_aspect / 2)
+    return [BBox(*row) for row in np.stack([x, y, side * root, side / root], axis=1).tolist()]
 
 
 class TestConfig:
@@ -58,25 +64,15 @@ class TestConfig:
             GateConfig(**kwargs)
 
 
-class TestRiskLabel:
-    def test_candidate_required_iff_non_risky(self):
-        with pytest.raises(ValueError):
-            RiskLabel(True, 3)
-        with pytest.raises(ValueError):
-            RiskLabel(False, None)
-
-
 class TestClassify:
     def test_no_confirmed_tracks_means_all_risky(self):
         dets = [BBox(0, 0, 10, 10), BBox(50, 50, 5, 5)]
-        labels = classify_boxes(dets, [], GateConfig())
-        assert all(l.risky for l in labels)
+        assert candidates_of(dets, [], GateConfig()).tolist() == [-1, -1]
 
     def test_sole_overlapping_track_with_matching_shape(self):
         d = BBox(0, 0, 10, 10)
         t = BBox(0, 0, 10, 10)
-        labels = classify_boxes([d], [t], GateConfig(theta_iou=0.2, theta_alpha=0.6))
-        assert labels == [RiskLabel.non_risky(0)]
+        assert candidates_of([d], [t], GateConfig(theta_iou=0.2, theta_alpha=0.6)).tolist() == [0]
         # worked numbers from the rule: iou=0.8, v=1 -> alpha = 1/1.2 = 0.833
         assert blended_alpha(0.8, 1.0) == pytest.approx(0.8333333333, abs=1e-9)
 
@@ -86,8 +82,7 @@ class TestClassify:
         d = BBox(0, 0, 10, 8)
         t = BBox(0, 0, 10, 10)
         assert iou(d, t) == pytest.approx(0.8)
-        labels = classify_boxes([d], [t], GateConfig(theta_iou=0.2, theta_alpha=0.6))
-        assert labels == [RiskLabel.non_risky(0)]
+        assert candidates_of([d], [t], GateConfig(theta_iou=0.2, theta_alpha=0.6)).tolist() == [0]
 
     def test_two_candidates_is_risky(self):
         d = BBox(0, 0, 10, 10)
@@ -95,7 +90,7 @@ class TestClassify:
         t2 = BBox(0, 3, 10, 10)
         cfg = GateConfig(theta_iou=0.3, ars_enabled=False)
         assert iou(d, t1) > 0.3 and iou(d, t2) > 0.3
-        assert classify_boxes([d], [t1, t2], cfg) == [RiskLabel.make_risky()]
+        assert candidates_of([d], [t1, t2], cfg).tolist() == [-1]
 
     def test_ars_gate_marks_shape_mismatch_risky(self):
         d = BBox(0, 0, 10, 10)
@@ -103,27 +98,25 @@ class TestClassify:
         wide = BBox(0, 0, 40, 4)  # same area, very different aspect
         cfg = GateConfig(theta_iou=0.05, theta_alpha=0.6)
         # iou(d, wide) = 40/(100+160-40): only candidate but shape differs
-        only_wide = classify_boxes([d], [wide], cfg)
-        assert only_wide == [RiskLabel.make_risky()]
-        assert classify_boxes([d], [t], cfg) == [RiskLabel.non_risky(0)]
+        assert candidates_of([d], [wide], cfg).tolist() == [-1]
+        assert candidates_of([d], [t], cfg).tolist() == [0]
 
     def test_always_extract_mode(self):
         dets = [BBox(0, 0, 10, 10)]
         tracks = [BBox(0, 0, 10, 10)]
-        labels = classify_boxes(dets, tracks, GateConfig(mode=MODE_ALWAYS_EXTRACT))
-        assert labels == [RiskLabel.make_risky()]
+        assert candidates_of(dets, tracks, GateConfig(mode=MODE_ALWAYS_EXTRACT)).tolist() == [-1]
 
     def test_ars_disabled_skips_shape_check(self):
         d = BBox(0, 0, 10, 10)
         wide = BBox(0, 0, 40, 4)
         cfg = GateConfig(theta_iou=0.05, ars_enabled=False)
-        assert classify_boxes([d], [wide], cfg) == [RiskLabel.non_risky(0)]
+        assert candidates_of([d], [wide], cfg).tolist() == [0]
 
     def test_tie_at_threshold_is_excluded(self):
         d = BBox(0, 0, 10, 10)
         t = BBox(5, 0, 10, 10)  # iou exactly 1/3
         cfg = GateConfig(theta_iou=1 / 3, ars_enabled=False)
-        assert classify_boxes([d], [t], cfg) == [RiskLabel.make_risky()]
+        assert candidates_of([d], [t], cfg).tolist() == [-1]
 
 
 class TestOracleEquivalence:
@@ -137,7 +130,18 @@ class TestOracleEquivalence:
                 theta_alpha=float(rng.uniform(0, 1)),
                 ars_enabled=bool(rng.integers(0, 2)),
             )
-            assert classify_boxes(dets, tracks, cfg) == classify_oracle(dets, tracks, cfg)
+            assert np.array_equal(candidates_of(dets, tracks, cfg), candidates_oracle(dets, tracks, cfg))
+        # no tracks, no detections, and aspect ratios from 1e-6 to 1e6, each
+        # track a jittered copy of a detection so that sole candidates occur
+        for n_dets, n_tracks in [(0, 5), (5, 0), (0, 0)]:
+            dets, tracks = random_boxes(rng, n_dets), random_boxes(rng, n_tracks)
+            assert np.array_equal(candidates_of(dets, tracks, cfg), candidates_oracle(dets, tracks, cfg))
+        for _ in range(200):
+            dets = extreme_aspect_boxes(rng, int(rng.integers(1, 11)))
+            jitter = rng.uniform([-0.2, -0.2, 0.5, 0.5], [0.2, 0.2, 2, 2], (len(dets), 4))
+            tracks = [BBox(d.x + dx * d.w, d.y + dy * d.h, d.w * sw, d.h * sh) for d, (dx, dy, sw, sh) in zip(dets, jitter)]
+            cfg = GateConfig(theta_iou=float(rng.uniform(0, 0.9)), theta_alpha=float(rng.uniform(0, 1)))
+            assert np.array_equal(candidates_of(dets, tracks, cfg), candidates_oracle(dets, tracks, cfg))
 
 
 class TestIouFloor:
@@ -159,8 +163,7 @@ class TestIouFloor:
                 if not 0.0 < o <= 0.2:
                     continue
                 checked += 1
-                (label,) = classify_boxes([d], [t], cfg)
-                assert label.risky
+                assert candidates_of([d], [t], cfg).tolist() == [-1]
 
     @given(st.floats(0, 1), st.floats(0, 0.2))
     def test_algebraic_floor(self, v, o):
@@ -174,9 +177,8 @@ class TestAlwaysExtract:
         rng = np.random.default_rng(seed)
         dets = random_boxes(rng, int(rng.integers(0, 8)))
         tracks = random_boxes(rng, int(rng.integers(0, 8)))
-        labels = classify_boxes(dets, tracks, GateConfig(mode=MODE_ALWAYS_EXTRACT))
-        assert all(l.risky for l in labels)
-        assert len(labels) == len(dets)
+        cand = candidates_of(dets, tracks, GateConfig(mode=MODE_ALWAYS_EXTRACT))
+        assert cand.tolist() == [-1] * len(dets)
 
 
 class TestMonotonicity:
@@ -187,9 +189,6 @@ class TestMonotonicity:
         dets = random_boxes(rng, 5)
         tracks = random_boxes(rng, 8)
 
-        def candidate_count(d, thr):
-            return sum(1 for t in tracks if iou(d, t) > thr)
-
-        for d in dets:
-            counts = [candidate_count(d, thr / 10) for thr in range(10)]
-            assert all(a >= b for a, b in zip(counts, counts[1:]))
+        ious = iou_matrix(tracks, dets)
+        counts = [(ious > thr / 10).sum(axis=0) for thr in range(10)]
+        assert all((a >= b).all() for a, b in zip(counts, counts[1:]))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seltrack.geometry import BBox, ars, blended_alpha, iou, iou_matrix
+from seltrack.geometry import BBox, ars, as_xywh, blended_alpha, iou, iou_matrix
 
 from iou_reference import iou_reference
 
@@ -139,6 +139,8 @@ class TestArs:
     def test_extreme_ratio_approaches_three_quarters(self):
         got = ars(BBox(0, 0, 10, 10), BBox(0, 0, 1e6, 1.0))
         assert got == pytest.approx(0.7500006366193671, abs=1e-12)
+        # a ratio beyond float64 is inf, and atan(inf) is pi/2
+        assert ars(BBox(0, 0, 10, 10), BBox(0, 0, 1e300, 1e-10)) == pytest.approx(0.75, abs=1e-12)
 
     @given(boxes, boxes, st.floats(0.01, 100))
     def test_uniform_scale_invariance(self, a, b, s):
@@ -151,6 +153,8 @@ class TestArs:
         v = ars(a, b)
         assert 0.0 < v <= 1.0
         assert v == ars(b, a)
+        stacked = ars(as_xywh([a, b]), as_xywh([b, a]))
+        assert stacked.tobytes() == np.array([v, ars(b, a)]).tobytes()
 
 
 class TestBlendedAlpha:
@@ -165,8 +169,14 @@ class TestBlendedAlpha:
 
     def test_degenerate_zero_over_zero(self):
         assert blended_alpha(1.0, 0.0) == 0.0
+        # also as one entry among others
+        assert blended_alpha(np.array([0.0, 1.0, 1.0]), np.array([1.0, 0.0, 0.5])).tolist() == [0.5, 0.0, 1.0]
 
-    @pytest.mark.parametrize("i, v", [(-0.1, 0.5), (1.1, 0.5), (0.5, -0.1), (0.5, 1.1)])
+    @pytest.mark.parametrize("i, v", [
+        (-0.1, 0.5), (1.1, 0.5), (0.5, -0.1), (0.5, 1.1),
+        # one bad entry among good ones
+        (np.array([0.5, -0.1, 0.5]), np.full(3, 0.5)), (np.full(2, 0.5), np.array([0.5, np.nan])),
+    ])
     def test_rejects_out_of_range(self, i, v):
         with pytest.raises(ValueError):
             blended_alpha(i, v)

@@ -439,6 +439,12 @@ class TestFusedStrategy:
         assert MatchConfig(strategy=STRATEGY_FUSED).byte_low is True
         assert MatchConfig().byte_low is False
 
+    @pytest.mark.parametrize("weight", [-1.0, float("nan"), float("inf")])
+    def test_rejects_bad_fused_weight(self, weight):
+        # a NaN or infinite weight would make every fused cost matrix unsolvable
+        with pytest.raises(ValueError):
+            MatchConfig(fused_weight=weight)
+
 
 class TestRunSequence:
     def test_zero_frames(self):
