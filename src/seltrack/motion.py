@@ -17,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from seltrack.geometry import BBox
-
 NDIM = 4
 STD_WEIGHT_POSITION = 1.0 / 20
 STD_WEIGHT_VELOCITY = 1.0 / 160
@@ -114,7 +112,7 @@ def degenerate(state: KalmanState) -> np.ndarray:
 
 
 def state_to_xywh(state: KalmanState) -> np.ndarray:
-    """(..., 4) top-left boxes (x, y, w, h) of the means, the fields `state_to_box` gives."""
+    """(..., 4) top-left boxes (x, y, w, h) of the means, the fields of a `BBox`."""
     mean = state.mean
     w = mean[..., 2] * mean[..., 3]
     box = np.empty(mean.shape[:-1] + (NDIM,))
@@ -123,11 +121,3 @@ def state_to_xywh(state: KalmanState) -> np.ndarray:
     box[..., 2] = w
     box[..., 3] = mean[..., 3]
     return box
-
-
-def state_to_box(state: KalmanState) -> BBox:
-    """One state's mean back to a top-left box; degenerate aspect or height is an error."""
-    a, h = state.mean[2], state.mean[3]
-    if a <= 0 or h <= 0:
-        raise ValueError(f"degenerate state: aspect={a}, height={h}")
-    return BBox(*state_to_xywh(state).tolist())

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from seltrack import io as mot_io
-from seltrack.geometry import BBox, iou
+from seltrack.geometry import BBox
 
 
 def center_box(cx: float, cy: float, w: float, h: float) -> BBox:

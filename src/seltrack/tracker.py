@@ -17,7 +17,6 @@ from typing import NamedTuple, Protocol
 import numpy as np
 
 from seltrack import appearance, assignment, gating, motion
-from seltrack.appearance import EmaState
 from seltrack.assignment import INFEASIBLE
 from seltrack.gating import GateConfig, SATURATED_COST
 from seltrack.geometry import BBox, as_xywh, iou_matrix
@@ -32,13 +31,6 @@ STRATEGY_FUSED = "fused"
 
 EMIT_KALMAN = "kalman"
 EMIT_DETECTION = "detection"
-
-# The feature plan holds one entry per high-confidence detection, saying how
-# it enters appearance matching: the vector fetched for a risky detection
-# (None if the provider had none), the live index of the sole candidate whose
-# embedding a non-risky detection copies, SATURATED to price a non-risky
-# detection out of appearance matching (the base-gate ablation), or None.
-SATURATED = "saturated"
 
 
 @dataclass
@@ -122,9 +114,10 @@ class CountingProvider:
 class TrackTable:
     """Every held track as one row of stacked arrays, in birth order.
 
-    Kalman and EMA columns are `motion`'s and `appearance`'s stacked states;
-    a row without an embedding holds zeros there. No operation writes into
-    an array a table holds, so a table is a snapshot later frames keep intact.
+    Kalman columns are `motion`'s stacked state, and `effective_alpha` is
+    the weight the next blend puts on a row's embedding; a row without an
+    embedding holds zeros in both. No operation writes into an array a
+    table holds, so a table is a snapshot later frames keep intact.
     """
 
     ids: np.ndarray
@@ -135,9 +128,7 @@ class TrackTable:
     embedding: np.ndarray  # (n, d); d is 0 until the first feature
     has_embedding: np.ndarray
     effective_alpha: np.ndarray
-    frames_since_feature: np.ndarray
     hits: np.ndarray
-    age: np.ndarray
     time_since_update: np.ndarray
     confirmed: np.ndarray
 
@@ -147,8 +138,7 @@ class TrackTable:
         zeros = np.zeros(len(ids), dtype=int)
         no = zeros.astype(bool)
         return cls(ids, **vars(state), embedding=np.zeros((len(ids), dim)), has_embedding=no,
-                   effective_alpha=zeros.astype(float), frames_since_feature=zeros, hits=zeros + 1,
-                   age=zeros, time_since_update=zeros, confirmed=no)
+                   effective_alpha=zeros.astype(float), hits=zeros + 1, time_since_update=zeros, confirmed=no)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -222,70 +212,6 @@ class SelectiveTracker:
         t = self.table
         return [TrackView(i, CONFIRMED if c else TENTATIVE) for i, c in zip(t.ids.tolist(), t.confirmed.tolist())]
 
-    # -- matching stages ---------------------------------------------------
-
-    def _iou_costs(self, ious: np.ndarray) -> np.ndarray:
-        return np.where(ious >= self.match.iou_gate, 1.0 - ious, INFEASIBLE)
-
-    def _cosine_costs(self, t: TrackTable, plan) -> np.ndarray:
-        """Cosine cost of every track (rows) to every plan entry (columns).
-
-        NaN where the track has no embedding or the entry carries neither a
-        fetched vector nor a copy (no feature, or SATURATED).
-        """
-        cost = np.full((len(t), len(plan)), np.nan)
-        cols = [j for j, p in enumerate(plan) if p is not None and p is not SATURATED]
-        if cols and t.has_embedding.any():
-            # copy entries index the embedding matrix by live index; its zero
-            # rows (no embedding) are priced and then blanked
-            cost[:, cols] = appearance.cosine_costs(t.embedding, [plan[j] for j in cols])
-            cost[~t.has_embedding] = np.nan
-        return cost
-
-    def _appearance_stage(self, t: TrackTable, plan, cosine):
-        """Cascade stage 1: appearance-only assignment over confirmed tracks."""
-        rows = np.flatnonzero(t.confirmed & t.has_embedding).tolist()
-        cols = [j for j, p in enumerate(plan) if p is not None]
-        if not rows or not cols:
-            return [], list(range(len(t))), list(range(len(plan)))
-        # only SATURATED columns are NaN on embedded rows: base-gate semantics,
-        # unbounded distance to every track, so they resolve in the IoU stage
-        cost = np.nan_to_num(cosine[np.ix_(rows, cols)], nan=INFEASIBLE)
-        result = assignment.solve(cost, self.match.appearance_gate)
-        matches = [(rows[r], cols[c]) for r, c in result.matches]
-        matched_t = {r for r, _ in matches}
-        matched_d = {c for _, c in matches}
-        unmatched_t = [i for i in range(len(t)) if i not in matched_t]
-        unmatched_d = [j for j in range(len(plan)) if j not in matched_d]
-        return matches, unmatched_t, unmatched_d
-
-    def _fused_stage(self, ious, plan, cosine):
-        """Single-stage assignment on weighted appearance plus IoU cost."""
-        n_tracks, n_dets = ious.shape
-        if not n_tracks or not n_dets:
-            return [], list(range(n_tracks)), list(range(n_dets))
-        cost = self._iou_costs(ious)
-        w = self.match.fused_weight
-        saturated = np.array([p is SATURATED for p in plan])
-        extra = np.where(saturated, SATURATED_COST, cosine)
-        priced = np.isfinite(cost) & ~np.isnan(extra)
-        cost[priced] += w * extra[priced]
-        gate = w * SATURATED_COST + (1.0 - self.match.iou_gate)
-        result = assignment.solve(cost, gate)
-        return result.matches, result.unmatched_rows, result.unmatched_cols
-
-    def _iou_stage(self, ious, track_idx, det_idx):
-        """IoU-only assignment over the given track/detection subsets."""
-        if not track_idx or not det_idx:
-            return [], list(track_idx), list(det_idx)
-        cost = self._iou_costs(ious[np.ix_(track_idx, det_idx)])
-        result = assignment.solve(cost, 1.0 - self.match.iou_gate)
-        return (
-            [(track_idx[r], det_idx[c]) for r, c in result.matches],
-            [track_idx[r] for r in result.unmatched_rows],
-            [det_idx[c] for c in result.unmatched_cols],
-        )
-
     # -- the frame step ----------------------------------------------------
 
     def step(self, frame: int, detections: list[Detection]) -> list[tuple[int, BBox]]:
@@ -319,7 +245,7 @@ class SelectiveTracker:
         # 1. motion prediction; a track whose predicted aspect or height is
         #    no longer positive has no box, so it ends here
         t = self.table
-        t = replace(t, **vars(motion.predict(t.kalman)), age=t.age + 1, time_since_update=t.time_since_update + 1)
+        t = replace(t, **vars(motion.predict(t.kalman)), time_since_update=t.time_since_update + 1)
         t = t.keep(~motion.degenerate(t.kalman))
 
         # 2. confidence split; the selective mechanism sees only the high half
@@ -333,32 +259,44 @@ class SelectiveTracker:
         high_xywh = as_xywh([d.box for d in high])
         high_iou = iou_matrix(boxes, high_xywh)
         cand = gating.candidates(np.where(t.confirmed[:, None], high_iou, 0.0), high_xywh, boxes, self.gate)
-        risky = (cand < 0).tolist()
+        risky = cand < 0
 
-        # 4. the feature plan: fetch for risky, copy (or saturate) for non-risky
-        plan: list = []
-        for det, c in zip(high, cand.tolist()):
-            if c < 0:
-                plan.append(self.provider.fetch(frame, det.index))
-            elif self.gate.mode == gating.MODE_BASE_GATE:
-                plan.append(SATURATED)
-            else:
-                # a candidate without an embedding leaves nothing to copy
-                plan.append(c if t.has_embedding[c] else None)
+        # 4. features: fetched for risky detections; a non-risky one copies
+        #    its candidate's embedding, if it has one, or is saturated (priced
+        #    out of appearance matching) under the base-gate ablation
+        feats = self._fetch(frame, {j: high[j] for j in np.flatnonzero(risky).tolist()})
+        saturated = ~risky & (self.gate.mode == gating.MODE_BASE_GATE)
+        copies = np.flatnonzero(~risky & ~saturated)
+        copies = copies[t.has_embedding[cand[copies]]]
 
-        # 5. association
-        cosine = self._cosine_costs(t, plan)
+        # 5. association: each stage is one solve over every live row and its
+        #    detection group's columns, with INFEASIBLE outside the stage.
+        #    Appearance costs are INFEASIBLE where a track has no embedding or
+        #    a detection no feature (a saturated one included); only the fused
+        #    stage prices saturated columns, at SATURATED_COST
+        app = np.full(high_iou.shape, INFEASIBLE)
+        cols = sorted([*feats, *copies.tolist()])
+        if cols and t.has_embedding.any():
+            vectors = [feats[j] if j in feats else t.embedding[cand[j]] for j in cols]
+            app[:, cols] = appearance.cosine_costs(t.embedding, vectors)
+            app[~t.has_embedding] = INFEASIBLE
+            app[cand[copies], copies] = 0.0  # a copy is its candidate's own embedding
+        iou_cost = np.where(high_iou >= m.iou_gate, 1.0 - high_iou, INFEASIBLE)
         if m.strategy == STRATEGY_CASCADE:
-            stage1, left_t, left_d = self._appearance_stage(t, plan, cosine)
-            stage2, left_t, left_d = self._iou_stage(high_iou, left_t, left_d)
-            matches = stage1 + stage2
+            matches = _solve(np.where(t.confirmed[:, None], app, INFEASIBLE), m.appearance_gate)
+            left = _left(len(t), [i for i, _ in matches])[:, None] & _left(len(high), [j for _, j in matches])
+            matches += _solve(np.where(left, iou_cost, INFEASIBLE), 1.0 - m.iou_gate)
         else:
-            matches, left_t, left_d = self._fused_stage(high_iou, plan, cosine)
-        if m.byte_low and low:
+            extra = np.where(saturated, SATURATED_COST, app)
+            priced = np.isfinite(iou_cost) & np.isfinite(extra)
+            iou_cost[priced] += m.fused_weight * extra[priced]
+            matches = _solve(iou_cost, m.fused_weight * SATURATED_COST + (1.0 - m.iou_gate))
+        left_t = _left(len(t), [i for i, _ in matches])
+        byte_matches = []
+        if m.byte_low and low and left_t.any():
             low_iou = iou_matrix(boxes, [d.box for d in low])
-            byte_matches, left_t, _ = self._iou_stage(low_iou, left_t, list(range(len(low))))
-        else:
-            byte_matches = []
+            byte_cost = np.where(left_t[:, None] & (low_iou >= m.iou_gate), 1.0 - low_iou, INFEASIBLE)
+            byte_matches = _solve(byte_cost, 1.0 - m.iou_gate)
 
         # 6. one Kalman update over the matched rows
         rows = [i for i, _ in matches] + [i for i, _ in byte_matches]
@@ -368,8 +306,9 @@ class SelectiveTracker:
             t = t.put(rows, **vars(state), hits=t.hits[rows] + 1, time_since_update=0)
 
         # 7. births for unmatched high-confidence detections (eager feature)
-        born = [high[j] for j in left_d]
-        feats = [plan[j] if risky[j] else self.provider.fetch(frame, high[j].index) for j in left_d]
+        born_js = np.flatnonzero(_left(len(high), [j for _, j in matches])).tolist()
+        born = [high[j] for j in born_js]
+        feats |= self._fetch(frame, {j: high[j] for j in born_js if not risky[j]})
         if born:
             ids = np.arange(self._next_id, self._next_id + len(born))
             state = motion.initiate(motion.measurements(d.box for d in born))
@@ -379,8 +318,7 @@ class SelectiveTracker:
 
         # 8. appearance: only a fetched vector refreshes the EMA (or seeds a
         #    newborn's); byte/copied/feature-less matches and unmatched tracks decay it
-        fresh = [(i, plan[j]) for i, j in matches if risky[j] and plan[j] is not None]
-        fresh += [(i, f) for i, f in zip(born_rows, feats) if f is not None]
+        fresh = [(i, feats[j]) for i, j in matches + list(zip(born_rows, born_js)) if j in feats]
         t = self._refresh_appearance(t, fresh)
 
         # the confirmed matched and newborn tracks emit, by id
@@ -400,24 +338,44 @@ class SelectiveTracker:
         self.stats.high_detections += len(high)
         return emitted
 
+    def _fetch(self, frame: int, dets: dict[int, Detection]) -> dict[int, np.ndarray]:
+        """The feature of each detection in `dets` (by key) the provider has one for; raises unless unit-norm."""
+        feats = {}
+        for j, d in dets.items():
+            f = self.provider.fetch(frame, d.index)
+            if f is not None:
+                feats[j] = f
+        if feats:
+            appearance.check_unit(list(feats.values()))
+        return feats
+
     def _refresh_appearance(self, t: TrackTable, fresh) -> TrackTable:
-        """Decay every row's EMA, then blend in each (row, vector) of `fresh`; a row without one is seeded."""
+        """Decay every row's blend weight, then blend in each (row, vector) of `fresh`; a row without one is seeded."""
         alpha = self.match.ema_alpha
-        before = EmaState(t.embedding, alpha, t.effective_alpha, t.frames_since_feature)
-        decayed = appearance.mark_skipped(before)
-        t = replace(t, effective_alpha=decayed.effective_alpha, frames_since_feature=decayed.frames_since_feature)
+        weight = t.effective_alpha  # what this frame's blends put on the old embedding
+        t = replace(t, effective_alpha=weight * alpha)
         if not fresh:
             return t
         rows = np.array([i for i, _ in fresh])
         vectors = np.array([f for _, f in fresh], dtype=float)
         if not t.embedding.shape[1]:
             t = replace(t, embedding=np.zeros((len(t), vectors.shape[1])))
-        seed = ~t.has_embedding[rows]
-        if seed.any():
-            vectors[seed] = appearance.init_ema(vectors[seed], alpha).embedding
-        if not seed.all():
-            vectors[~seed] = appearance.ema_update(before[rows[~seed]], vectors[~seed]).embedding
-        return t.put(rows, embedding=vectors, has_embedding=True, effective_alpha=alpha, frames_since_feature=0)
+        blend = t.has_embedding[rows]
+        if blend.any():
+            vectors[blend] = appearance.ema_update(t.embedding[rows[blend]], weight[rows[blend]], vectors[blend])
+        return t.put(rows, embedding=vectors, has_embedding=True, effective_alpha=alpha)
+
+
+def _solve(cost: np.ndarray, gate: float) -> list[tuple[int, int]]:
+    """`assignment.solve`'s (row, column) matches; no solve when no cell is within the gate."""
+    return assignment.solve(cost, gate).matches if (cost <= gate).any() else []
+
+
+def _left(n: int, taken: list[int]) -> np.ndarray:
+    """Mask of the indices below n that are not in `taken`."""
+    left = np.ones(n, dtype=bool)
+    left[taken] = False
+    return left
 
 
 def run_sequence(

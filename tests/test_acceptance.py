@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from seltrack import cli, metrics
-from seltrack.appearance import ema_update, init_ema, mark_skipped
 from seltrack.assignment import solve
 from seltrack.gating import (
     GateConfig,
@@ -32,9 +31,10 @@ from seltrack.io import (
     write_results,
 )
 from seltrack.synth import PRESETS, generate_to_dir, preset
-from seltrack.tracker import NullFeatureProvider, TrackOutput, run_sequence
+from seltrack.tracker import Detection, MatchConfig, NullFeatureProvider, SelectiveTracker, TrackOutput, run_sequence
 
 from iou_reference import iou_reference
+from providers import DictProvider
 
 
 def candidates_of(det_boxes, track_boxes, cfg):
@@ -85,20 +85,27 @@ def test_c01_gate_off_equivalence(preset_dirs, tmp_path):
 
 def test_c02_feature_decay_law():
     rng = np.random.default_rng(21)
+    box = BBox(100, 100, 20, 40)
     checked = 0
-    for _ in range(1000):
+    for _ in range(1000):  # each a tracker run through up to 100 frames
         alpha = float(rng.uniform(0.05, 0.99))
         dim = int(rng.integers(2, 9))
-        state = init_ema(normalized(rng.normal(size=dim)), alpha)
-        for _ in range(int(rng.integers(1, 6))):
-            k = int(rng.integers(0, 21))
+        features = {}
+        tracker = SelectiveTracker(DictProvider(features), GateConfig(mode=MODE_ALWAYS_EXTRACT), MatchConfig(ema_alpha=alpha))
+        frame = 0
+        for _ in range(int(rng.integers(1, 6)) + 1):  # the first feature seeds the track
+            k = int(rng.integers(0, 21)) if frame else 0
             for _ in range(k):
-                state = mark_skipped(state)
-            # the weight the next update will put on the old average
-            assert abs(state.effective_alpha - alpha ** (k + 1)) <= 1e-9
-            state = ema_update(state, normalized(rng.normal(size=dim)))
-            assert state.effective_alpha == alpha
-            checked += 1
+                frame += 1
+                tracker.step(frame, [])
+            if frame:
+                # the weight the next update will put on the old average
+                assert abs(tracker.table.effective_alpha[0] - alpha ** (k + 1)) <= 1e-9
+                checked += 1
+            frame += 1
+            features[(frame, 0)] = normalized(rng.normal(size=dim))
+            tracker.step(frame, [Detection(frame, 0, box, 0.9)])
+            assert tracker.table.effective_alpha.tolist() == [alpha]
     report(2, f"blend weight == alpha^(k+1) within 1e-9 across {checked} updates")
 
 

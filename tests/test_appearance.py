@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seltrack.appearance import (
-    EmaState,
-    cosine_costs,
-    ema_update,
-    init_ema,
-    mark_skipped,
-)
+from seltrack import assignment
+from seltrack.appearance import check_unit, cosine_costs, ema_update
+from seltrack.gating import GateConfig, MODE_ALWAYS_EXTRACT
+from seltrack.geometry import BBox
+from seltrack.tracker import Detection, MatchConfig, SelectiveTracker
+
+from providers import DictProvider
 
 
 def normalized(values) -> np.ndarray:
@@ -25,64 +25,74 @@ e1 = unit(1, 0, 0)
 e2 = unit(0, 1, 0)
 
 
+BOX = BBox(100, 100, 20, 40)
+
+
+def track_through(alpha, features, frames):
+    """A tracker after `frames` frames of one stationary target that pays for every feature.
+
+    The target is seen, with the given feature, in each frame that `features`
+    maps (frame 1 among them) and missed in every other frame up to `frames`.
+    """
+    provider = DictProvider({(f, 0): v for f, v in features.items()})
+    tracker = SelectiveTracker(provider, GateConfig(mode=MODE_ALWAYS_EXTRACT), MatchConfig(ema_alpha=alpha))
+    for f in range(1, frames + 1):
+        tracker.step(f, [Detection(f, 0, BOX, 0.9)] if f in features else [])
+    return tracker
+
+
 class TestInitEma:
+    """A track's first feature seeds its embedding, at full weight alpha."""
+
     def test_construction(self):
-        s = init_ema(e1, 0.9)
-        assert np.array_equal(s.embedding, e1)
-        assert s.effective_alpha == 0.9
-        assert s.frames_since_feature == 0
+        table = track_through(0.9, {1: e1}, 1).table
+        assert table.embedding[0].tobytes() == e1.tobytes()
+        assert table.has_embedding.tolist() == [True]
+        assert table.effective_alpha.tolist() == [0.9]
 
     def test_embedding_stays_unit(self):
-        s = init_ema(normalized([2.0, 5.0, 1.0]), 0.5)
-        assert np.linalg.norm(s.embedding) == pytest.approx(1.0, abs=1e-9)
+        table = track_through(0.5, {1: normalized([2.0, 5.0, 1.0])}, 1).table
+        assert np.linalg.norm(table.embedding[0]) == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1, 1.5])
     def test_alpha_open_interval(self, alpha):
         with pytest.raises(ValueError):
-            init_ema(e1, alpha)
+            MatchConfig(ema_alpha=alpha)
 
 
 class TestMarkSkipped:
+    """A frame without a fresh feature multiplies the blend weight by alpha."""
+
     def test_single_skip(self):
-        s = mark_skipped(init_ema(e1, 0.9))
-        assert s.effective_alpha == pytest.approx(0.81, abs=1e-12)
-        assert s.frames_since_feature == 1
+        table = track_through(0.9, {1: e1}, 2).table
+        assert table.effective_alpha[0] == pytest.approx(0.81, abs=1e-12)
 
     def test_three_skips(self):
-        s = init_ema(e1, 0.9)
-        for _ in range(3):
-            s = mark_skipped(s)
-        assert s.effective_alpha == pytest.approx(0.9**4, abs=1e-12)
+        table = track_through(0.9, {1: e1}, 4).table
+        assert table.effective_alpha[0] == pytest.approx(0.9**4, abs=1e-12)
 
     def test_embedding_untouched(self):
-        s = mark_skipped(init_ema(e1, 0.9))
-        assert np.array_equal(s.embedding, e1)
+        table = track_through(0.9, {1: e1}, 2).table
+        assert np.array_equal(table.embedding[0], e1)
 
 
 class TestEmaUpdate:
     def test_orthogonal_blend(self):
-        s = ema_update(init_ema(e1[:2], 0.9), e2[:2])
         # pre-normalization blend (0.9, 0.1), frozen normalized values
-        assert np.allclose(s.embedding, [0.99388373, 0.11043153], atol=1e-7)
-        assert s.effective_alpha == 0.9
-        assert s.frames_since_feature == 0
+        assert np.allclose(ema_update(e1[:2], 0.9, e2[:2]), [0.99388373, 0.11043153], atol=1e-7)
 
     def test_same_feature_is_fixed_point(self):
-        s = ema_update(init_ema(e1, 0.9), e1)
-        assert np.allclose(s.embedding, e1, atol=1e-12)
+        assert np.allclose(ema_update(e1, 0.9, e1), e1, atol=1e-12)
 
     def test_blend_weight_after_two_skips(self):
-        s = init_ema(e1, 0.9)
-        s = mark_skipped(mark_skipped(s))
-        assert s.effective_alpha == pytest.approx(0.729, abs=1e-12)
-        u = ema_update(s, e2)
+        table = track_through(0.9, {1: e1, 4: e2}, 4).table
         expect = 0.729 * e1 + (1 - 0.729) * e2
-        assert np.allclose(u.embedding, expect / np.linalg.norm(expect), atol=1e-12)
+        assert np.allclose(table.embedding[0], expect / np.linalg.norm(expect), atol=1e-12)
+        assert table.effective_alpha.tolist() == [0.9]  # a blend resets the weight
 
     def test_antiparallel_cancellation_is_an_error(self):
-        s = EmaState(e1, 0.5, 0.5, 0)
         with pytest.raises(ValueError):
-            ema_update(s, -e1)
+            ema_update(e1, 0.5, -e1)
 
 
 class TestCosineDistance:
@@ -96,39 +106,65 @@ class TestCosineDistance:
         assert cosine_costs([e1], [-e1])[0, 0] == 2.0
 
 
+def appearance_stage_costs(monkeypatch, features, frames):
+    """The cost matrix of the last cascade appearance stage the tracker solves.
+
+    Each frame of `frames` is a list of boxes; detection i of frame f has
+    the feature `features[(f, i)]`, or none.
+    """
+    stages = []
+    real_solve = assignment.solve
+
+    def recording(costs, gate):
+        stages.append((costs.copy(), gate))
+        return real_solve(costs, gate)
+
+    monkeypatch.setattr(assignment, "solve", recording)
+    tracker = SelectiveTracker(DictProvider(features))
+    for f, boxes in enumerate(frames, start=1):
+        stages.clear()
+        tracker.step(f, [Detection(f, i, b, 0.9) for i, b in enumerate(boxes)])
+    costs, gate = stages[0]
+    assert gate == MatchConfig().appearance_gate
+    return costs
+
+
 class TestAppearanceCostMatrix:
     def test_zero_diagonal_for_matching_features(self):
         cost = cosine_costs(np.stack([e1, e2]), [e1, e2])
         assert cost[0, 0] == 0.0 and cost[1, 1] == 0.0
         assert cost[0, 1] == 1.0 and cost[1, 0] == 1.0
 
-    def test_copied_detection_costs_zero_to_candidate(self):
-        cost = cosine_costs(np.stack([e1, e2]), [1])
+    # two far-apart tracks, embeddings a and e2; in frame 2 detection 0
+    # overlaps only the second, so it copies e2 instead of being fetched
+    A = normalized([1.0, 1.0, 0.0])
+    TWO_TRACKS = [BBox(0, 0, 20, 40), BBox(300, 0, 20, 40)]
+    COPY = [BBox(301, 0, 20, 40)]
+
+    def test_copied_detection_costs_zero_to_candidate(self, monkeypatch):
+        cost = appearance_stage_costs(monkeypatch, {(1, 0): self.A, (1, 1): e2}, [self.TWO_TRACKS, self.COPY])
         assert cost[1, 0] == 0.0
 
-    def test_off_candidate_is_inter_track_distance(self):
-        a = normalized([1.0, 1.0, 0.0])
-        cost = cosine_costs(np.stack([a, e2]), [1])
-        assert cost[0, 0] == pytest.approx(cosine_costs([a], [e2])[0, 0], abs=1e-12)
+    def test_off_candidate_is_inter_track_distance(self, monkeypatch):
+        cost = appearance_stage_costs(monkeypatch, {(1, 0): self.A, (1, 1): e2}, [self.TWO_TRACKS, self.COPY])
+        assert cost[0, 0] == pytest.approx(cosine_costs([self.A], [e2])[0, 0], abs=1e-12)
 
-    def test_featureless_detection_without_copy_is_an_error(self):
-        with pytest.raises(ValueError):
-            cosine_costs(np.stack([e1]), [None])
-
-    def test_copy_candidate_out_of_range(self):
-        with pytest.raises(ValueError):
-            cosine_costs(np.stack([e1]), [3])
+    def test_featureless_detection_is_infeasible(self, monkeypatch):
+        # detection 1 of frame 2 is risky (no track near it) and has no feature
+        frames = [self.TWO_TRACKS, self.COPY + [BBox(600, 0, 20, 40)]]
+        cost = appearance_stage_costs(monkeypatch, {(1, 0): self.A, (1, 1): e2}, frames)
+        assert cost[:, 1].tolist() == [assignment.INFEASIBLE] * 2
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 1000))
     def test_cells_are_clipped_one_minus_dot(self, seed):
         rng = np.random.default_rng(seed)
         tracks = np.stack([normalized(rng.normal(size=5)) for _ in range(4)])
-        vectors = [normalized(rng.normal(size=5)) for _ in range(3)]
-        cost = cosine_costs(tracks, vectors + [2])
+        vectors = np.stack([normalized(rng.normal(size=5)) for _ in range(3)])
+        cost = cosine_costs(tracks, vectors)
         for i, t in enumerate(tracks):
-            for k, v in enumerate(vectors + [tracks[2]]):
-                expect = 0.0 if (i, k) == (2, 3) else 1.0 - float(np.dot(t, v))
+            for k, v in enumerate(vectors):
+                expect = 1.0 - float(np.dot(t, v))
                 assert cost[i, k] == pytest.approx(min(max(expect, 0.0), 2.0), abs=1e-12)
 
 
@@ -150,16 +186,15 @@ class TestDecayLaw:
     @given(st.integers(0, 20), st.floats(0.05, 0.95), vector_pairs)
     def test_blend_weight_is_alpha_to_the_k_plus_one(self, k, alpha, pair):
         e, f = normalized(pair[0]), normalized(pair[1])
-        s = init_ema(e, alpha)
-        for _ in range(k):
-            s = mark_skipped(s)
-        assert s.effective_alpha == pytest.approx(alpha ** (k + 1), abs=1e-9)
-        u = ema_update(s, f)
+        tracker = track_through(alpha, {1: e, k + 2: f}, k + 1)
+        assert tracker.table.effective_alpha[0] == pytest.approx(alpha ** (k + 1), abs=1e-9)
+        tracker.step(k + 2, [Detection(k + 2, 0, BOX, 0.9)])
+        u = tracker.table.embedding[0]
         expect = alpha ** (k + 1) * e + (1 - alpha ** (k + 1)) * f
         n = np.linalg.norm(expect)
         if n > 0:
-            assert np.allclose(u.embedding, expect / n, atol=1e-9)
-        assert np.linalg.norm(u.embedding) == pytest.approx(1.0, abs=1e-9)
+            assert np.allclose(u, expect / n, atol=1e-9)
+        assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-9)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 20), st.floats(0.05, 0.95))
@@ -171,19 +206,16 @@ class TestDecayLaw:
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 10), unit_vectors, st.floats(0.1, 0.9))
     def test_embedding_unit_norm_after_every_operation(self, k, fv, alpha):
-        s = init_ema(normalized(fv), alpha)
-        for _ in range(k):
-            s = mark_skipped(s)
-            assert np.linalg.norm(s.embedding) == pytest.approx(1.0, abs=1e-6)
+        e = normalized(fv)
         try:
-            s = ema_update(s, normalized(np.arange(1, s.embedding.size + 1)))
+            u = ema_update(e, alpha ** (k + 1), normalized(np.arange(1, e.size + 1)))
         except ValueError:
             return  # exact anti-parallel cancellation is a documented error
-        assert np.linalg.norm(s.embedding) == pytest.approx(1.0, abs=1e-6)
+        assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-6)
 
 
 class TestStacked:
-    """A stack of states through one call gives each row the bytes of its own call."""
+    """A stack of embeddings through one call gives each row the bytes of its own call."""
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 8), st.integers(2, 64), st.integers(0, 2**32 - 1))
@@ -192,18 +224,21 @@ class TestStacked:
         old = np.stack([normalized(rng.normal(size=dim)) for _ in range(n)])
         fresh = np.stack([normalized(rng.normal(size=dim)) for _ in range(n)])
         weights = rng.uniform(0.01, 0.99, size=n)
-        stacked = ema_update(EmaState(old, 0.9, weights, np.zeros(n, dtype=int)), fresh)
+        stacked = ema_update(old, weights, fresh)
         for i in range(n):
-            alone = ema_update(EmaState(old[i], 0.9, weights[i], 0), fresh[i])
-            assert stacked.embedding[i].tobytes() == alone.embedding.tobytes()
-        decayed = mark_skipped(EmaState(old, 0.9, weights, np.zeros(n, dtype=int)))
-        assert decayed.effective_alpha.tolist() == [w * 0.9 for w in weights]
-        assert init_ema(fresh, 0.9).embedding.tobytes() == fresh.tobytes()
+            assert stacked[i].tobytes() == ema_update(old[i], weights[i], fresh[i]).tobytes()
 
     def test_any_row_cancelling_is_an_error(self):
         with pytest.raises(ValueError, match="cancelled to zero"):
-            ema_update(EmaState(np.stack([e1, e2]), 0.5, np.array([0.5, 0.5]), np.zeros(2)), np.stack([e2, -e2]))
+            ema_update(np.stack([e1, e2]), np.array([0.5, 0.5]), np.stack([e2, -e2]))
 
     def test_any_row_off_unit_norm_is_an_error(self):
         with pytest.raises(ValueError, match="unit-norm"):
-            init_ema(np.stack([e1, 2 * e2]), 0.9)
+            check_unit(np.stack([e1, 2 * e2]))
+
+
+class TestCheckUnit:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vector_is_an_error(self, bad):
+        with pytest.raises(ValueError, match="unit-norm"):
+            check_unit(np.stack([e1, np.array([bad, 0.0, 0.0])]))

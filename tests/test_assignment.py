@@ -269,6 +269,28 @@ class TestAgainstFullScan:
         assert solve(costs, gate) == full_scan_solve(costs, gate)
 
 
+class TestInsertedInfeasibleLines:
+    """Rows and columns without a feasible cell change no match, ties included.
+
+    The tracker relies on this: each matching stage solves the whole live x
+    detection matrix with every cell outside the stage infeasible.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(block_sparse(), st.sampled_from(TIED), st.data())
+    def test_matches_map_through_the_insertion(self, costs, gate, data):
+        n, m = costs.shape
+        extra_rows, extra_cols = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+        rows = sorted(data.draw(st.permutations(range(n + extra_rows)))[:n])
+        cols = sorted(data.draw(st.permutations(range(m + extra_cols)))[:m])
+        # inserted cells are infeasible or above the gate
+        out = st.sampled_from([np.inf, gate + 0.25, 100.0])
+        big = data.draw(arrays(float, (n + extra_rows, m + extra_cols), elements=out, fill=st.nothing()))
+        big[np.ix_(rows, cols)] = costs
+        expect = [(rows[r], cols[c]) for r, c in solve(costs, gate).matches]
+        assert solve(big, gate).matches == expect
+
+
 @pytest.fixture
 def lsa_calls(monkeypatch):
     """Shapes of the matrices `assignment` hands to linear_sum_assignment."""

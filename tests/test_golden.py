@@ -9,6 +9,7 @@ claim. A deliberate behaviour change must re-record the table and say why.
 """
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -77,6 +78,62 @@ GOLDEN = {
 }
 
 
+# Every preset emits confidence 0.9, so no hash above reaches the ByteTrack
+# stage. Here every third detection of each preset ((frame + index) % 3 == 0)
+# drops to confidence 0.3, below conf_high, and ByteTrack is on, which adds
+# about half again as many rows as the same run without it.
+BYTE_GOLDEN = {
+    ("crossing", "cascade", "selective"):
+        "1cf3161b6eafd7e4e7e32bc8dbba927e3c66669b2f02247d6f90f4edb8b291d6",
+    ("crossing", "cascade", "base_gate"):
+        "1cf3161b6eafd7e4e7e32bc8dbba927e3c66669b2f02247d6f90f4edb8b291d6",
+    ("crossing", "cascade", "always_extract"):
+        "1cf3161b6eafd7e4e7e32bc8dbba927e3c66669b2f02247d6f90f4edb8b291d6",
+    ("crossing", "fused", "selective"):
+        "d869408d6c693bbd34a379ae7ecefbdd8fc67e57c929ca58bedd4a644d3c6b5c",
+    ("crossing", "fused", "base_gate"):
+        "d869408d6c693bbd34a379ae7ecefbdd8fc67e57c929ca58bedd4a644d3c6b5c",
+    ("crossing", "fused", "always_extract"):
+        "d869408d6c693bbd34a379ae7ecefbdd8fc67e57c929ca58bedd4a644d3c6b5c",
+    ("enter_exit", "cascade", "selective"):
+        "930ff5263525d4fa2a8d5d9902c642ba66b1138e4acdd48e101f2c23741c7e3d",
+    ("enter_exit", "cascade", "base_gate"):
+        "930ff5263525d4fa2a8d5d9902c642ba66b1138e4acdd48e101f2c23741c7e3d",
+    ("enter_exit", "cascade", "always_extract"):
+        "930ff5263525d4fa2a8d5d9902c642ba66b1138e4acdd48e101f2c23741c7e3d",
+    ("enter_exit", "fused", "selective"):
+        "930ff5263525d4fa2a8d5d9902c642ba66b1138e4acdd48e101f2c23741c7e3d",
+    ("enter_exit", "fused", "base_gate"):
+        "930ff5263525d4fa2a8d5d9902c642ba66b1138e4acdd48e101f2c23741c7e3d",
+    ("enter_exit", "fused", "always_extract"):
+        "930ff5263525d4fa2a8d5d9902c642ba66b1138e4acdd48e101f2c23741c7e3d",
+    ("grid", "cascade", "selective"):
+        "a2dba6f65fd152e771ae88fc46fa5d907e5e4262df887277e82a938ca6e5842b",
+    ("grid", "cascade", "base_gate"):
+        "a2dba6f65fd152e771ae88fc46fa5d907e5e4262df887277e82a938ca6e5842b",
+    ("grid", "cascade", "always_extract"):
+        "a2dba6f65fd152e771ae88fc46fa5d907e5e4262df887277e82a938ca6e5842b",
+    ("grid", "fused", "selective"):
+        "a2dba6f65fd152e771ae88fc46fa5d907e5e4262df887277e82a938ca6e5842b",
+    ("grid", "fused", "base_gate"):
+        "a2dba6f65fd152e771ae88fc46fa5d907e5e4262df887277e82a938ca6e5842b",
+    ("grid", "fused", "always_extract"):
+        "a2dba6f65fd152e771ae88fc46fa5d907e5e4262df887277e82a938ca6e5842b",
+    ("parade", "cascade", "selective"):
+        "3d2d1f3610fcccc0aacc8d76efb4b4aedc561c475426fc3a6dbfb21062d49e18",
+    ("parade", "cascade", "base_gate"):
+        "3d2d1f3610fcccc0aacc8d76efb4b4aedc561c475426fc3a6dbfb21062d49e18",
+    ("parade", "cascade", "always_extract"):
+        "3d2d1f3610fcccc0aacc8d76efb4b4aedc561c475426fc3a6dbfb21062d49e18",
+    ("parade", "fused", "selective"):
+        "3d2d1f3610fcccc0aacc8d76efb4b4aedc561c475426fc3a6dbfb21062d49e18",
+    ("parade", "fused", "base_gate"):
+        "3d2d1f3610fcccc0aacc8d76efb4b4aedc561c475426fc3a6dbfb21062d49e18",
+    ("parade", "fused", "always_extract"):
+        "3d2d1f3610fcccc0aacc8d76efb4b4aedc561c475426fc3a6dbfb21062d49e18",
+}
+
+
 # The presets write the same bytes in every gating mode, so this scene
 # separates them. Targets A and B stand far apart. From frame SWAP_FRAME on,
 # A's box steps right so that its IoU with A's prediction is 3/7, inside
@@ -117,13 +174,20 @@ def sha256_of_results(output, tmp_path) -> str:
     return hashlib.sha256(out_path.read_bytes()).hexdigest()
 
 
-def results_sha256(name: str, strategy: str, mode: str, tmp_path) -> str:
+def results_sha256(name: str, strategy: str, mode: str, tmp_path, byte: bool = False) -> str:
+    """The preset's result hash; `byte` lowers every third detection and turns ByteTrack on."""
     det_path, feat_path, _ = generate_to_dir(preset(name), tmp_path / name)
+    frames = read_detections(det_path)
+    if byte:
+        frames = {
+            f: [replace(d, confidence=0.3) if (f + d.index) % 3 == 0 else d for d in dets]
+            for f, dets in frames.items()
+        }
     output, _ = run_sequence(
-        read_detections(det_path),
+        frames,
         FeatureFileProvider(feat_path),
         GateConfig(mode=mode),
-        MatchConfig(strategy=strategy),
+        MatchConfig(strategy=strategy, byte_low=True if byte else None),
     )
     return sha256_of_results(output, tmp_path)
 
@@ -152,6 +216,13 @@ def run_swap_scene(iou_gate: float, mode: str, tmp_path):
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_results_match_golden_hash(name, strategy, mode, tmp_path):
     assert results_sha256(name, strategy, mode, tmp_path) == GOLDEN[(name, strategy, mode)]
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("strategy", [STRATEGY_CASCADE, STRATEGY_FUSED])
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_byte_stage_matches_golden_hash(name, strategy, mode, tmp_path):
+    assert results_sha256(name, strategy, mode, tmp_path, byte=True) == BYTE_GOLDEN[(name, strategy, mode)]
 
 
 @pytest.mark.parametrize("mode", MODES)

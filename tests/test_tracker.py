@@ -29,6 +29,8 @@ from seltrack.tracker import (
     run_sequence,
 )
 
+from providers import DictProvider
+
 
 def e(dim, i):
     v = np.zeros(dim)
@@ -76,7 +78,6 @@ class TestStep:
         tracker.step(1, [det(1, 0, BBox(0, 0, 10, 20))])
         assert tracker.step(2, []) == []
         assert tracker.table.time_since_update.tolist() == [1]
-        assert tracker.table.age.tolist() == [1]
 
     def test_stationary_target_fetches_once(self):
         tracker = SelectiveTracker(ConstantProvider())
@@ -148,6 +149,26 @@ class TestStep:
         assert tracker.last_frame == 2
         assert tracker.provider.fetches == fetches
 
+    @pytest.mark.parametrize("strategy", [STRATEGY_CASCADE, STRATEGY_FUSED])
+    def test_nan_feature_is_rejected_and_rolls_back(self, strategy):
+        # a NaN norm is not within any tolerance of 1: the vector must not
+        # seed or blend an embedding, so frame 2 fails and leaves no trace
+        a = e(4, 0)
+        features = {(f, 0): a for f in range(1, 6)} | {(2, 0): np.array([np.nan, 0.0, 0.0, 0.0])}
+        tracker = SelectiveTracker(
+            DictProvider(features), GateConfig(mode=MODE_ALWAYS_EXTRACT), MatchConfig(strategy=strategy)
+        )
+        tracker.step(1, [det(1, 0, BBox(100, 100, 20, 40))])
+        before, fetches = table_fields(tracker), tracker.provider.fetches
+        with pytest.raises(ValueError, match="unit-norm"):
+            tracker.step(2, [det(2, 0, BBox(101, 100, 20, 40))])
+        assert table_fields(tracker) == before
+        assert tracker.provider.fetches == fetches
+        assert tracker.last_frame == 1
+        for f in range(3, 6):
+            tracker.step(f, [det(f, 0, BBox(100 + f, 100, 20, 40))])
+        assert np.isfinite(tracker.table.embedding).all()
+
     def test_track_ids_never_reused(self):
         tracker = SelectiveTracker(ConstantProvider(), match=MatchConfig(max_age=1))
         left = BBox(0, 0, 10, 20)
@@ -164,7 +185,7 @@ class TestStep:
         tracker = SelectiveTracker(ConstantProvider())
         tracker.step(1, [det(1, 0, BBox(100, 100, 20, 40))])
         emitted = tracker.step(2, [det(2, 0, BBox(104, 100, 20, 40))])
-        assert emitted == [(1, motion.state_to_box(tracker.table.kalman[0]))]
+        assert emitted == [(1, BBox(*motion.state_to_xywh(tracker.table.kalman[0]).tolist()))]
 
     def test_emitted_box_can_be_raw_detection(self):
         tracker = SelectiveTracker(
@@ -294,8 +315,8 @@ class TestByteStage:
         emitted = tracker.step(2, [det(2, 0, BBox(102, 100, 20, 40), conf=0.2)])
         assert [tid for tid, _ in emitted] == [1]
         assert tracker.table.time_since_update.tolist() == [0]
-        # byte matches never refresh the appearance state
-        assert tracker.table.frames_since_feature.tolist() == [1]
+        # byte matches never refresh the appearance state: the weight decays
+        assert tracker.table.effective_alpha.tolist() == [match.ema_alpha**2]
 
     def test_byte_disabled_leaves_track_unmatched(self):
         match = MatchConfig(byte_low=False)
@@ -314,7 +335,7 @@ class TestCopySemantics:
         emitted = tracker.step(2, [det(2, 0, BBox(101, 100, 20, 40))])
         assert tracker.provider.fetches == 1  # copied, not fetched
         assert [tid for tid, _ in emitted] == [1]
-        assert tracker.table.frames_since_feature.tolist() == [1]  # copy counts as a skip
+        assert tracker.table.effective_alpha.tolist() == [MatchConfig().ema_alpha**2]  # copy counts as a skip
 
     def test_candidate_index_maps_through_confirmed_list(self):
         # three well-separated tracks; detection overlaps only the third
@@ -349,7 +370,7 @@ class TestBaseGateMode:
         emitted = tracker.step(2, [det(2, 0, BBox(101, 100, 20, 40))])
         assert tracker.provider.fetches == fetches
         assert [tid for tid, _ in emitted] == [1]
-        assert tracker.table.frames_since_feature.tolist() == [1]
+        assert tracker.table.effective_alpha.tolist() == [MatchConfig().ema_alpha**2]
 
 
 class TestGateOffEquivalence:
@@ -476,16 +497,6 @@ PALETTE = [
     v / np.linalg.norm(v)
     for v in np.array([[1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1], [-1, 0, 0]], dtype=float)
 ]
-
-
-class DictProvider:
-    """Features by (frame, index); a missing key is a detection without one."""
-
-    def __init__(self, features):
-        self.features = features
-
-    def fetch(self, frame, index):
-        return self.features.get((frame, index))
 
 
 # coordinates and sizes mostly on a coarse grid, so that boxes overlap and
