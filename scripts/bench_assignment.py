@@ -1,13 +1,19 @@
 #!/usr/bin/env python3
 """Microbenchmark of `seltrack.assignment.solve`.
 
-Times `solve` on square cost matrices of several sizes and three kinds:
+Times `solve` on square cost matrices of several sizes and four kinds:
 
 - random: uniform costs in [0, 1), every cell feasible;
 - tied: costs drawn from {0, 0.25, 0.5, 0.75}, so many optima tie;
 - gated: block-sparse, as gated tracking matrices are; rows and columns
   fall into blocks of about five, cells across blocks are infeasible, and
-  a quarter of the in-block cells are above the gate.
+  a quarter of the in-block cells are above the gate;
+- free: conflict-free, as the benchmark's tracker matrices are: a random
+  partial permutation covering about four fifths of the rows is within
+  the gate, and every other cell is above it.
+
+The random, tied and gated kinds hold rows with several feasible cells,
+so they take the Hungarian solve; the free kind is returned without one.
 
 For each it prints the median milliseconds per solve and the number of
 `linear_sum_assignment` calls per solve. Matrices come from a seeded
@@ -44,7 +50,14 @@ def gated_costs(rng, n):
     return costs
 
 
-KINDS = {"random": random_costs, "tied": tied_costs, "gated": gated_costs}
+def free_costs(rng, n):
+    costs = GATE + rng.random((n, n))
+    k = int(round(0.8 * n))
+    costs[rng.permutation(n)[:k], rng.permutation(n)[:k]] = GATE * rng.random(k)
+    return costs
+
+
+KINDS = {"random": random_costs, "tied": tied_costs, "gated": gated_costs, "free": free_costs}
 
 
 def main(argv=None) -> int:

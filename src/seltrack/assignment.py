@@ -126,24 +126,33 @@ def solve(costs, gate: float) -> Assignment:
 
     Maximizes the number of matches first, then minimizes their total cost.
     Ties between equal-cost optima are broken toward the lexicographically
-    smallest match list (lowest row, then lowest column). One solve gives
-    an optimal *incumbent* matching. Rows are then fixed in scan order: a
-    row's incumbent column keeps the optimum reachable, so only its
-    *challengers* are tried, lowest first: the feasible open columns left
-    of it, or every feasible open column for a row the incumbent leaves
-    unmatched. A challenger wins when the remainder, re-solved without it,
-    still reaches the optimum's cardinality and total; that re-solve becomes
-    the new incumbent. A row without a winning challenger keeps its
-    incumbent column, unsolved, and rows before the first challenger are
-    fixed in one vectorized pass. Totals within a relative 1e-9 of each
-    other count as tied, so costs need coarser granularity than that for
-    the tie-break to be meaningful. Output is reproducible bit-for-bit
-    across runs.
+    smallest match list (lowest row, then lowest column). When no row and
+    no column holds two feasible cells, those cells are the only
+    max-cardinality matching, so they are returned as they are, with no
+    solve. Otherwise one solve gives an optimal *incumbent* matching. Rows
+    are then fixed in scan order: a row's incumbent column keeps the
+    optimum reachable, so only its *challengers* are tried, lowest first:
+    the feasible open columns left of it, or every feasible open column for
+    a row the incumbent leaves unmatched. A challenger wins when the
+    remainder, re-solved without it, still reaches the optimum's
+    cardinality and total; that re-solve becomes the new incumbent. A row
+    without a winning challenger keeps its incumbent column, unsolved, and
+    rows before the first challenger are fixed in one vectorized pass.
+    Totals within a relative 1e-9 of each other count as tied, so costs
+    need coarser granularity than that for the tie-break to be meaningful.
+    Output is reproducible bit-for-bit across runs.
     """
     feasible = _validate(costs, gate)
     n_rows, n_cols = feasible.shape
-    target_card, target_cost, col_of = _incumbent(feasible)
-    _break_ties(feasible, col_of, target_card, target_cost)
+    mask = np.isfinite(feasible)
+    if np.count_nonzero(mask) == np.count_nonzero(mask.any(axis=0)) == np.count_nonzero(mask.any(axis=1)):
+        # as many feasible cells as rows and as columns holding one: no conflict
+        col_of = np.full(n_rows, UNMATCHED)
+        rows, cols = np.nonzero(mask)
+        col_of[rows] = cols
+    else:
+        target_card, target_cost, col_of = _incumbent(feasible)
+        _break_ties(feasible, col_of, target_card, target_cost)
 
     matched = col_of != UNMATCHED
     held = np.zeros(n_cols, dtype=bool)

@@ -256,9 +256,12 @@ class SelectiveTracker:
         #    (a tentative track's row is 0 for the gate); every stage below
         #    reads its IoUs from the same matrix
         boxes = motion.state_to_xywh(t.kalman)
-        high_xywh = as_xywh([d.box for d in high])
-        high_iou = iou_matrix(boxes, high_xywh)
-        cand = gating.candidates(np.where(t.confirmed[:, None], high_iou, 0.0), high_xywh, boxes, self.gate)
+        if high:
+            high_xywh = as_xywh([d.box for d in high])
+            high_iou = iou_matrix(boxes, high_xywh)
+            cand = gating.candidates(np.where(t.confirmed[:, None], high_iou, 0.0), high_xywh, boxes, self.gate)
+        else:
+            high_iou, cand = np.zeros((len(t), 0)), np.full(0, -1)
         risky = cand < 0
 
         # 4. features: fetched for risky detections; a non-risky one copies

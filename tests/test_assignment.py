@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -169,6 +170,11 @@ class TestExamples:
         with pytest.raises(ValueError, match="too large"):
             solve(np.array([[1e308, np.inf], [1e308, np.inf]]), gate=1e308)
 
+    def test_conflict_free_costs_too_large_to_pad(self):
+        # no solve, so no padding: the feasible cells are the answer
+        a = solve(np.array([[1e308, np.inf], [np.inf, 1e308]]), gate=1e308)
+        assert a.matches == [(0, 0), (1, 1)]
+
     def test_large_costs_below_the_padding_limit(self):
         a = solve(np.array([[1e306, np.inf], [1e306, 1e306]]), gate=1e306)
         assert a.matches == [(0, 0), (1, 1)]
@@ -269,6 +275,75 @@ class TestAgainstFullScan:
         assert solve(costs, gate) == full_scan_solve(costs, gate)
 
 
+@st.composite
+def conflict_free(draw, max_side=7):
+    """A gate and a matrix with at most one feasible cell in each row and each column.
+
+    The feasible cells form a random partial permutation of tied costs, the
+    gate itself included; every other cell is inf, just above the gate or
+    far above it. Either side may be 0.
+    """
+    gate = draw(st.sampled_from(TIED))
+    n, m = draw(st.integers(0, max_side)), draw(st.integers(0, max_side))
+    out = st.sampled_from([np.inf, float(np.nextafter(gate, np.inf)), gate + 0.25])
+    costs = draw(arrays(float, (n, m), elements=out, fill=st.nothing()))
+    k = draw(st.integers(0, min(n, m)))
+    rows = np.array(draw(st.permutations(range(n)))[:k], dtype=int)
+    cols = np.array(draw(st.permutations(range(m)))[:k], dtype=int)
+    within = st.sampled_from([c for c in TIED if c <= gate])
+    costs[rows, cols] = draw(arrays(float, k, elements=within, fill=st.nothing()))
+    return costs, gate
+
+
+def with_conflict(data, costs, gate):
+    """`costs` with one more feasible cell in the row or the column of a feasible one."""
+    n, m = costs.shape
+    feasible = np.argwhere(costs <= gate)
+    assume(len(feasible) and (n > 1 or m > 1))
+    r, c = feasible[data.draw(st.integers(0, len(feasible) - 1))]
+    costs = costs.copy()
+    if m > 1 and (n == 1 or data.draw(st.booleans())):
+        cell = (r, data.draw(st.sampled_from([j for j in range(m) if j != c])))
+    else:
+        cell = (data.draw(st.sampled_from([i for i in range(n) if i != r])), c)
+    costs[cell] = data.draw(st.sampled_from([v for v in TIED if v <= gate]))
+    return costs
+
+
+def assert_optimal(costs, gate):
+    """`solve` equals the full-scan reference and the exhaustive optimum, unmatched lines included."""
+    a = solve(costs, gate)
+    assert a == full_scan_solve(costs, gate)
+    _, _, lex = brute_force(costs, gate)
+    n, m = costs.shape
+    assert a == Assignment(
+        matches=lex,
+        unmatched_rows=sorted(set(range(n)) - {r for r, _ in lex}),
+        unmatched_cols=sorted(set(range(m)) - {c for _, c in lex}),
+    )
+
+
+class TestConflictFree:
+    """A matrix whose feasible cells share no row or column is returned with no solve."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(conflict_free())
+    def test_equals_references_without_a_solve(self, case):
+        costs, gate = case
+        with mock.patch.object(assignment, "linear_sum_assignment", wraps=linear_sum_assignment) as lsa:
+            assert_optimal(costs, gate)
+        assert lsa.call_count == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(conflict_free(), st.data())
+    def test_one_conflicting_cell_takes_the_solve(self, case, data):
+        costs, gate = case
+        costs = with_conflict(data, costs, gate)
+        with mock.patch.object(assignment, "linear_sum_assignment", wraps=linear_sum_assignment) as lsa:
+            assert_optimal(costs, gate)
+        assert lsa.call_count >= 1
+
+
 class TestInsertedInfeasibleLines:
     """Rows and columns without a feasible cell change no match, ties included.
 
@@ -305,11 +380,13 @@ def lsa_calls(monkeypatch):
 
 
 class TestOneSolve:
+    """A conflict-free matrix takes no solve, one with a conflict a single solve."""
+
     def test_diagonal_feasible(self, lsa_calls):
         costs = np.full((25, 25), np.inf)
         np.fill_diagonal(costs, 0.5)
         assert solve(costs, gate=1.0).matches == [(i, i) for i in range(25)]
-        assert len(lsa_calls) == 1
+        assert lsa_calls == []
 
     def test_permutation_feasible(self, lsa_calls):
         rng = np.random.default_rng(5)
@@ -317,6 +394,14 @@ class TestOneSolve:
         costs = np.full((25, 25), np.inf)
         costs[np.arange(25), perm] = rng.integers(0, 8, size=25) / 8.0
         assert solve(costs, gate=1.0).matches == list(enumerate(perm.tolist()))
+        assert lsa_calls == []
+
+    @pytest.mark.parametrize("extra", [(0, 1), (1, 0)], ids=["row", "column"])
+    def test_one_conflicting_cell(self, lsa_calls, extra):
+        costs = np.full((25, 25), np.inf)
+        np.fill_diagonal(costs, 0.5)
+        costs[extra] = 0.75  # a second feasible cell in row 0, or in column 0
+        assert solve(costs, gate=1.0).matches == [(i, i) for i in range(25)]
         assert len(lsa_calls) == 1
 
     @pytest.mark.parametrize("cell", [0.9, np.inf])
@@ -343,6 +428,5 @@ class TestOneSolve:
         solvable = [(c, g) for c, g in stages if (c <= g).any()]
         assert len(solvable) >= 19  # one appearance stage a frame after the first
         for costs, gate in solvable:
-            lsa_calls.clear()
             real_solve(costs, gate)
-            assert len(lsa_calls) == 1, costs.shape
+            assert lsa_calls == [], costs.shape

@@ -1,11 +1,13 @@
 import collections
+import hashlib
 from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seltrack import motion
+from seltrack import gating, motion
+from seltrack import tracker as tracker_module
 from seltrack.gating import (
     GateConfig,
     MODE_ALWAYS_EXTRACT,
@@ -13,7 +15,7 @@ from seltrack.gating import (
     MODE_SELECTIVE,
     MODES,
 )
-from seltrack.geometry import BBox
+from seltrack.geometry import BBox, as_xywh
 from seltrack.io import FeatureFileProvider, read_detections
 from seltrack.metrics import evaluate, pde
 from seltrack.synth import crossing_scene, generate_to_dir, grid_scene, preset
@@ -305,6 +307,55 @@ class TestStackedCalls:
             updates += calls["update"]
         assert len(tracker.tracks) == 25
         assert updates == len(frames) - 1
+
+
+def frames_without_high_detections(tracker):
+    """Two targets in frames 1-3 and 6; frame 4 holds one low-confidence detection, frame 5 none.
+
+    Returns every emitted row and the final track table.
+    """
+    emitted = []
+    for f in range(1, 7):
+        if f == 4:
+            dets = [det(f, 0, BBox(108, 100, 20, 40), conf=0.3)]
+        elif f == 5:
+            dets = []
+        else:
+            dets = [det(f, 0, BBox(100 + 2 * f, 100, 20, 40)), det(f, 1, BBox(300, 100, 20, 40))]
+        emitted.append(tracker.step(f, dets))
+    return emitted, table_fields(tracker)
+
+
+class TestNoHighDetection:
+    # sha256 of `frames_without_high_detections`, recorded while the gate still ran on such frames
+    EXPECTED = {
+        STRATEGY_CASCADE: "accf46ac36c34b5668f161b6a64419579a5871bfba3b1d7577e80c1fc74a0849",
+        STRATEGY_FUSED: "effea27cbae7862c09f0b67baecf69e0fd0354ba082198103d9e5b03ea116aed",
+    }
+
+    @pytest.mark.parametrize("strategy", [STRATEGY_CASCADE, STRATEGY_FUSED])
+    def test_frame_skips_the_gate(self, strategy, monkeypatch):
+        columns, gate_calls = [], []
+
+        def recording_iou(tracks, dets, real=tracker_module.iou_matrix):
+            columns.append(len(as_xywh(dets)))
+            return real(tracks, dets)
+
+        def counting_candidates(*args, real=gating.candidates):
+            gate_calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(tracker_module, "iou_matrix", recording_iou)
+        monkeypatch.setattr(gating, "candidates", counting_candidates)
+        tracker = SelectiveTracker(ConstantProvider(), match=MatchConfig(strategy=strategy))
+        emitted, table = frames_without_high_detections(tracker)
+        # frames 1-3 and 6 each make one gate pass over their two high
+        # detections; in frame 4 only the byte stage (fused) reads IoUs
+        assert len(gate_calls) == 4
+        byte = [1] if strategy == STRATEGY_FUSED else []
+        assert columns == [2, 2, 2, *byte, 2]
+        digest = hashlib.sha256(repr((emitted, table)).encode()).hexdigest()
+        assert digest == self.EXPECTED[strategy]
 
 
 class TestByteStage:
