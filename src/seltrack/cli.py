@@ -2,24 +2,23 @@
 
 Configuration precedence is flags > config file (key=value lines) > built-in
 defaults; the effective configuration is echoed into the stats file so any
-run can be reproduced from its outputs alone.
+run can be reproduced from its outputs alone. Each setting is one field of
+`GateConfig` or `MatchConfig`, which gives its default and its value type;
+`SETTINGS` maps its config key (its flag is `--` plus the key, `-` for `_`)
+to that field.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from seltrack import io as mot_io
 from seltrack import metrics, synth
-from seltrack.gating import (
-    GateConfig,
-    MODE_ALWAYS_EXTRACT,
-    MODE_BASE_GATE,
-    MODE_SELECTIVE,
-)
-from seltrack.tracker import MatchConfig, NullFeatureProvider, run_sequence
+from seltrack.gating import MODE_ALWAYS_EXTRACT, MODE_BASE_GATE, MODE_SELECTIVE, GateConfig
+from seltrack.tracker import EMITS, STRATEGIES, MatchConfig, NullFeatureProvider, run_sequence
 
 MODE_ALIASES = {
     "selective": MODE_SELECTIVE,
@@ -29,24 +28,43 @@ MODE_ALIASES = {
     "always_extract": MODE_ALWAYS_EXTRACT,
 }
 
-CONFIG_DEFAULTS = {
-    "mode": "selective",
-    "iou_th": 0.2,
-    "ars_th": 0.6,
-    "ars": True,
-    "match": "cascade",
-    "appearance_gate": 0.4,
-    "iou_gate": 0.3,
-    "fused_weight": 1.0,
-    "conf_high": 0.6,
-    "byte": None,  # strategy-dependent default
-    "min_hits": 1,
-    "max_age": 30,
-    "ema_alpha": 0.9,
-    "emit": "kalman",
+# config key -> (config class, field name, flag help)
+SETTINGS = {
+    "mode": (GateConfig, "mode", "gating mode"),
+    "iou_th": (GateConfig, "theta_iou", "candidacy IoU threshold"),
+    "ars_th": (GateConfig, "theta_alpha", "blended aspect-ratio threshold"),
+    "ars": (GateConfig, "ars_enabled", "disable the aspect-ratio gate"),
+    "match": (MatchConfig, "strategy", "association strategy"),
+    "appearance_gate": (MatchConfig, "appearance_gate", "max cosine distance in the appearance stage"),
+    "iou_gate": (MatchConfig, "iou_gate", "min IoU for a feasible IoU match"),
+    "fused_weight": (MatchConfig, "fused_weight", "appearance weight in fused cost"),
+    "conf_high": (MatchConfig, "conf_high", "high-confidence split"),
+    "byte": (MatchConfig, "byte_low", "second IoU association of low-confidence detections"),
+    "min_hits": (MatchConfig, "min_hits", "matches before confirmation"),
+    "max_age": (MatchConfig, "max_age", "misses before deletion"),
+    "ema_alpha": (MatchConfig, "ema_alpha", "EMA base weight"),
+    "emit": (MatchConfig, "emit", "output box convention"),
 }
+DEFAULTS = {
+    key: next(f.default for f in fields(cls) if f.name == name)
+    for key, (cls, name, _) in SETTINGS.items()
+}
+CHOICES = {"mode": sorted(MODE_ALIASES), "match": STRATEGIES, "emit": EMITS}
 
 _BOOL_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+
+def _is_switch(key: str) -> bool:
+    """A yes/no setting: a boolean field, or `byte`, whose None default defers to the strategy."""
+    return DEFAULTS[key] is None or isinstance(DEFAULTS[key], bool)
+
+
+def _parse_value(key: str, text: str):
+    if not _is_switch(key):
+        return type(DEFAULTS[key])(text)
+    if text.lower() not in _BOOL_WORDS:
+        raise ValueError(f"bad boolean {text!r}")
+    return _BOOL_WORDS[text.lower()]
 
 
 def _parse_config_file(path) -> dict:
@@ -58,31 +76,21 @@ def _parse_config_file(path) -> dict:
         if "=" not in line:
             raise ValueError(f"{path}:{line_no}: expected key=value, got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in CONFIG_DEFAULTS:
+        if key not in SETTINGS:
             raise ValueError(f"{path}:{line_no}: unknown config key {key!r}")
-        default = CONFIG_DEFAULTS[key]
-        if key == "byte":
-            out[key] = _BOOL_WORDS.get(value.lower())
-            if out[key] is None:
-                raise ValueError(f"{path}:{line_no}: bad boolean {value!r}")
-        elif isinstance(default, bool):
-            if value.lower() not in _BOOL_WORDS:
-                raise ValueError(f"{path}:{line_no}: bad boolean {value!r}")
-            out[key] = _BOOL_WORDS[value.lower()]
-        elif isinstance(default, float):
-            out[key] = float(value)
-        elif isinstance(default, int):
-            out[key] = int(value)
-        else:
-            out[key] = value
+        try:
+            out[key] = _parse_value(key, value)
+            _build_configs({**DEFAULTS, key: out[key]})  # its range or choice, checked on its line
+        except ValueError as exc:
+            raise ValueError(f"{path}:{line_no}: {exc}") from None
     return out
 
 
 def _effective_config(args) -> dict:
-    cfg = dict(CONFIG_DEFAULTS)
+    cfg = dict(DEFAULTS)
     if getattr(args, "config", None):
         cfg.update(_parse_config_file(args.config))
-    for key in CONFIG_DEFAULTS:
+    for key in SETTINGS:
         value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value
@@ -93,25 +101,11 @@ def _build_configs(cfg: dict) -> tuple[GateConfig, MatchConfig]:
     mode = MODE_ALIASES.get(cfg["mode"])
     if mode is None:
         raise ValueError(f"unknown mode {cfg['mode']!r}; choose from {sorted(MODE_ALIASES)}")
-    gate = GateConfig(
-        theta_iou=cfg["iou_th"],
-        theta_alpha=cfg["ars_th"],
-        ars_enabled=cfg["ars"],
-        mode=mode,
-    )
-    match = MatchConfig(
-        strategy=cfg["match"],
-        appearance_gate=cfg["appearance_gate"],
-        iou_gate=cfg["iou_gate"],
-        fused_weight=cfg["fused_weight"],
-        conf_high=cfg["conf_high"],
-        byte_low=cfg["byte"],
-        min_hits=cfg["min_hits"],
-        max_age=cfg["max_age"],
-        ema_alpha=cfg["ema_alpha"],
-        emit=cfg["emit"],
-    )
-    return gate, match
+    kwargs = {GateConfig: {}, MatchConfig: {}}
+    for key, (cls, name, _) in SETTINGS.items():
+        kwargs[cls][name] = cfg[key]
+    kwargs[GateConfig]["mode"] = mode
+    return GateConfig(**kwargs[GateConfig]), MatchConfig(**kwargs[MatchConfig])
 
 
 def _config_lines(cfg: dict, match: MatchConfig) -> list[str]:
@@ -130,36 +124,17 @@ def _add_tracking_options(p: argparse.ArgumentParser):
     p.add_argument("--det", required=True, help="detection file (MOT rows)")
     p.add_argument("--features", help="binary feature file; omit for IoU-only tracking")
     p.add_argument("--config", help="key=value config file (flags win over it)")
-    p.add_argument("--mode", choices=sorted(MODE_ALIASES), help="gating mode (default selective)")
-    p.add_argument("--iou-th", dest="iou_th", type=float, help="candidacy IoU threshold (default 0.2)")
-    p.add_argument("--ars-th", dest="ars_th", type=float, help="blended aspect-ratio threshold (default 0.6)")
-    p.add_argument("--no-ars", dest="ars", action="store_false", default=None,
-                   help="disable the aspect-ratio gate")
-    p.add_argument("--match", choices=["cascade", "fused"], help="association strategy (default cascade)")
-    p.add_argument("--appearance-gate", dest="appearance_gate", type=float,
-                   help="max cosine distance in the appearance stage (default 0.4)")
-    p.add_argument("--iou-gate", dest="iou_gate", type=float,
-                   help="min IoU for a feasible IoU match (default 0.3)")
-    p.add_argument("--fused-weight", dest="fused_weight", type=float,
-                   help="appearance weight in fused cost (default 1.0)")
-    p.add_argument("--conf-high", dest="conf_high", type=float,
-                   help="high-confidence split (default 0.6)")
-    p.add_argument("--byte", dest="byte", action="store_true", default=None,
-                   help="second IoU association of low-confidence detections")
-    p.add_argument("--no-byte", dest="byte", action="store_false", default=None)
-    p.add_argument("--min-hits", dest="min_hits", type=int, help="matches before confirmation (default 1)")
-    p.add_argument("--max-age", dest="max_age", type=int, help="misses before deletion (default 30)")
-    p.add_argument("--ema-alpha", dest="ema_alpha", type=float, help="EMA base weight (default 0.9)")
-    p.add_argument("--emit", choices=["kalman", "detection"],
-                   help="output box convention (default kalman)")
-
-
-def _run_tracking(args, cfg):
-    gate, match = _build_configs(cfg)
-    frames = mot_io.read_detections(args.det)
-    provider = _make_provider(args.features)
-    output, stats = run_sequence(frames, provider, gate, match)
-    return output, stats, match
+    for key, (_, _, text) in SETTINGS.items():
+        flag, default = "--" + key.replace("_", "-"), DEFAULTS[key]
+        if not _is_switch(key):
+            p.add_argument(flag, dest=key, type=type(default), choices=CHOICES.get(key),
+                           help=f"{text} (default {default})")
+            continue
+        # a switch has --key unless it is on by default, and always --no-key
+        if default is not True:
+            p.add_argument(flag, dest=key, action="store_true", default=None, help=text)
+            text = None
+        p.add_argument("--no-" + flag[2:], dest=key, action="store_false", default=None, help=text)
 
 
 def _stats_lines(stats, cfg, match) -> list[str]:
@@ -177,7 +152,9 @@ def _stats_lines(stats, cfg, match) -> list[str]:
 
 def cmd_track(args) -> int:
     cfg = _effective_config(args)
-    output, stats, match = _run_tracking(args, cfg)
+    gate, match = _build_configs(cfg)
+    frames = mot_io.read_detections(args.det)
+    output, stats = run_sequence(frames, _make_provider(args.features), gate, match)
     mot_io.write_results(args.out, output)
     stats_path = args.stats or (args.out + ".stats")
     Path(stats_path).write_text("\n".join(_stats_lines(stats, cfg, match)) + "\n")
@@ -233,14 +210,13 @@ def cmd_sweep(args) -> int:
     gt = mot_io.read_trajectories(args.gt)
     frames = mot_io.read_detections(args.det)
 
+    cfg = _effective_config(args)
+    provider = _make_provider(args.features)
+
     def run_point(mode: str, theta: float):
-        cfg = _effective_config(args)
-        cfg["mode"] = mode
-        cfg["iou_th"] = theta
-        gate, match = _build_configs(cfg)
-        output, stats = run_sequence(frames, _make_provider(args.features), gate, match)
-        report = metrics.evaluate(gt, output.trajectories(), stats=stats)
-        return report
+        gate, match = _build_configs({**cfg, "mode": mode, "iou_th": theta})
+        output, stats = run_sequence(frames, provider, gate, match)
+        return metrics.evaluate(gt, output.trajectories(), stats=stats)
 
     rows = [("baseline", run_point("always", 0.0))]
     for theta in grid:
@@ -260,23 +236,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    if args.preset not in synth.PRESETS:
-        raise ValueError(
-            f"unknown preset {args.preset!r}; available: {', '.join(sorted(synth.PRESETS))}"
-        )
-    kwargs = {}
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    if args.preset == "parade":
-        if args.targets is not None:
-            kwargs["n_targets"] = args.targets
-        if args.frames is not None:
-            kwargs["frames"] = args.frames
-    elif args.preset == "grid" and args.frames is not None:
-        kwargs["frames"] = args.frames
-    elif args.targets is not None or args.frames is not None:
-        raise ValueError(f"preset {args.preset!r} does not take --targets/--frames")
-    scenario = synth.PRESETS[args.preset](**kwargs)
+    given = {"seed": args.seed, "n_targets": args.targets, "frames": args.frames}
+    scenario = synth.preset(args.preset, **{k: v for k, v in given.items() if v is not None})
     det, feat, gt = synth.generate_to_dir(scenario, args.out)
     print(f"wrote {det}\nwrote {feat}\nwrote {gt}")
     return 0

@@ -9,7 +9,6 @@ detection's order of appearance within its frame in the detection file.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -21,82 +20,56 @@ FEATURE_MAGIC = b"FEAB"
 FEATURE_VERSION = 1
 
 
-@dataclass(frozen=True)
-class DetFileRow:
-    frame: int
-    track_id: int
-    x: float
-    y: float
-    w: float
-    h: float
-    conf: float
-
-
-def _parse_int(text: str, line: int, what: str) -> int:
+def _parse_int(text: str, what: str) -> int:
     v = float(text)
     if not v.is_integer():
-        raise ValueError(f"line {line}: {what} must be an integer, got {text!r}")
+        raise ValueError(f"{what} must be an integer, got {text!r}")
     return int(v)
 
 
-def _parse_row(line_no: int, line: str) -> DetFileRow:
-    parts = [p.strip() for p in line.split(",")]
-    if len(parts) < 7:
-        raise ValueError(f"line {line_no}: expected at least 7 fields, got {len(parts)}")
-    try:
-        frame = _parse_int(parts[0], line_no, "frame")
-        track_id = _parse_int(parts[1], line_no, "id")
-        x, y, w, h, conf = (float(p) for p in parts[2:7])
-    except ValueError as exc:
-        raise ValueError(f"line {line_no}: {exc}") from None
-    if frame < 1:
-        raise ValueError(f"line {line_no}: frame must be >= 1, got {frame}")
-    if w <= 0 or h <= 0:
-        raise ValueError(f"line {line_no}: non-positive box size w={w}, h={h}")
-    return DetFileRow(frame, track_id, x, y, w, h, conf)
-
-
 def _numbered_rows(path):
-    """(line number, validated row) for every non-blank line of a MOT-style CSV."""
+    """(line number, frame, id, box, confidence) for every non-blank line of a MOT-style CSV."""
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
-            if line.strip():
-                yield line_no, _parse_row(line_no, line)
-
-
-def read_det_rows(path) -> list[DetFileRow]:
-    """All rows of a detection/result/gt-shaped CSV, validated per line."""
-    return [row for _, row in _numbered_rows(path)]
+            if not line.strip():
+                continue
+            parts = [p.strip() for p in line.split(",")]
+            if len(parts) < 7:
+                raise ValueError(f"line {line_no}: expected at least 7 fields, got {len(parts)}")
+            try:
+                frame = _parse_int(parts[0], "frame")
+                track_id = _parse_int(parts[1], "id")
+                x, y, w, h, conf = (float(p) for p in parts[2:7])
+                if frame < 1:
+                    raise ValueError(f"frame must be >= 1, got {frame}")
+                box = BBox(x, y, w, h)
+            except ValueError as exc:
+                raise ValueError(f"line {line_no}: {exc}") from None
+            yield line_no, frame, track_id, box, conf
 
 
 def read_detections(path) -> dict[int, list[Detection]]:
     """Detections grouped by frame; per-frame index follows file order."""
     frames: dict[int, list[Detection]] = {}
-    for line_no, row in _numbered_rows(path):
-        group = frames.setdefault(row.frame, [])
+    for line_no, frame, _, box, conf in _numbered_rows(path):
+        group = frames.setdefault(frame, [])
         try:
-            det = Detection(
-                frame=row.frame,
-                index=len(group),
-                box=BBox(row.x, row.y, row.w, row.h),
-                confidence=row.conf,
-            )
+            group.append(Detection(frame=frame, index=len(group), box=box, confidence=conf))
         except ValueError as exc:
             raise ValueError(f"line {line_no}: {exc}") from None
-        group.append(det)
     return dict(sorted(frames.items()))
 
 
 def read_trajectories(path) -> dict[int, dict[int, BBox]]:
     """Ground-truth or result file as {track id: {frame: box}}; ids >= 1."""
     out: dict[int, dict[int, BBox]] = {}
-    for i, row in enumerate(read_det_rows(path), start=1):
-        if row.track_id < 1:
-            raise ValueError(f"row {i}: trajectory id must be >= 1, got {row.track_id}")
-        frames = out.setdefault(row.track_id, {})
-        if row.frame in frames:
-            raise ValueError(f"row {i}: duplicate (id={row.track_id}, frame={row.frame})")
-        frames[row.frame] = BBox(row.x, row.y, row.w, row.h)
+    for line_no, frame, track_id, box, _ in _numbered_rows(path):
+        if track_id < 1:
+            raise ValueError(f"line {line_no}: trajectory id must be >= 1, got {track_id}")
+        frames = out.setdefault(track_id, {})
+        if frame in frames:
+            raise ValueError(f"line {line_no}: duplicate (id={track_id}, frame={frame})")
+        frames[frame] = box
     return out
 
 

@@ -64,6 +64,12 @@ def pde(stats: RunStats) -> float | None:
     return 100.0 * stats.fetches / stats.high_detections
 
 
+def _check_iou_match(iou_match: float) -> None:
+    """The matching threshold is an IoU, so it must lie in [0, 1] (NaN does not)."""
+    if not 0.0 <= iou_match <= 1.0:
+        raise ValueError(f"iou_match must be in [0, 1], got {iou_match!r}")
+
+
 def _by_frame(trajectories: Trajectories) -> dict[int, tuple[list[int], list[BBox]]]:
     """Per frame: the positions (in sorted id order) of the ids present, and their boxes."""
     out: dict[int, tuple[list[int], list[BBox]]] = {}
@@ -93,6 +99,7 @@ def _overlap_counts(gt: Trajectories, pred: Trajectories, iou_match: float) -> n
 
 def idf1(gt: Trajectories, pred: Trajectories, iou_match: float = 0.5) -> EvalReport:
     """Identity F1 over the best global gt-to-prediction id mapping."""
+    _check_iou_match(iou_match)
     n_gt = sum(len(frames) for frames in gt.values())
     n_pred = sum(len(frames) for frames in pred.values())
     if n_gt == 0 and n_pred == 0:
@@ -111,6 +118,7 @@ def idf1(gt: Trajectories, pred: Trajectories, iou_match: float = 0.5) -> EvalRe
 
 def id_switches(gt: Trajectories, pred: Trajectories, iou_match: float = 0.5) -> int:
     """Frames where a gt identity's matched prediction id changes."""
+    _check_iou_match(iou_match)
     last_match: dict[int, int] = {}
     switches = 0
     for rows, cols, ious in _frame_ious(gt, pred):

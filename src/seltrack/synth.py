@@ -9,6 +9,7 @@ byte-identical files on any platform.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -260,7 +261,12 @@ PRESETS = {
 }
 
 
-def preset(name: str, seed: int | None = None) -> Scenario:
+def preset(name: str, **kwargs) -> Scenario:
+    """The named preset's scenario; `kwargs` must be parameters of its scene function."""
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
-    return PRESETS[name]() if seed is None else PRESETS[name](seed=seed)
+    params = inspect.signature(PRESETS[name]).parameters
+    for key in kwargs:
+        if key not in params:
+            raise ValueError(f"preset {name!r} takes no {key!r}; it takes {sorted(params)}")
+    return PRESETS[name](**kwargs)

@@ -28,9 +28,11 @@ DELETED = "deleted"  # never held: a track past max_age is dropped from the tabl
 
 STRATEGY_CASCADE = "cascade"
 STRATEGY_FUSED = "fused"
+STRATEGIES = (STRATEGY_CASCADE, STRATEGY_FUSED)
 
 EMIT_KALMAN = "kalman"
 EMIT_DETECTION = "detection"
+EMITS = (EMIT_KALMAN, EMIT_DETECTION)
 
 
 @dataclass
@@ -63,7 +65,7 @@ class MatchConfig:
     emit: str = EMIT_KALMAN
 
     def __post_init__(self):
-        if self.strategy not in (STRATEGY_CASCADE, STRATEGY_FUSED):
+        if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.byte_low is None:
             self.byte_low = self.strategy == STRATEGY_FUSED
@@ -81,7 +83,7 @@ class MatchConfig:
             raise ValueError("max_age must be >= 1")
         if not 0.0 < self.ema_alpha < 1.0:
             raise ValueError("ema_alpha must be in (0, 1)")
-        if self.emit not in (EMIT_KALMAN, EMIT_DETECTION):
+        if self.emit not in EMITS:
             raise ValueError(f"unknown emit convention {self.emit!r}")
 
 

@@ -23,7 +23,6 @@ from seltrack.gating import (
 from seltrack.geometry import BBox, ars, as_xywh, blended_alpha, iou_matrix
 from seltrack.io import (
     FeatureFileProvider,
-    read_det_rows,
     read_detections,
     read_features,
     read_trajectories,
@@ -349,13 +348,11 @@ def test_c10_io_round_trips(tmp_path):
             )
         rp1, rp2 = tmp_path / "r1.txt", tmp_path / "r2.txt"
         write_results(rp1, TrackOutput(rows=rows))
-        parsed = read_det_rows(rp1)
+        parsed = read_trajectories(rp1)
         write_results(
             rp2,
             TrackOutput(
-                rows=[
-                    (r.frame, r.track_id, BBox(r.x, r.y, r.w, r.h)) for r in parsed
-                ]
+                rows=[(f, tid, box) for tid, boxes in parsed.items() for f, box in boxes.items()]
             ),
         )
         assert rp1.read_bytes() == rp2.read_bytes()

@@ -60,7 +60,7 @@ class TestInitEma:
             MatchConfig(ema_alpha=alpha)
 
 
-class TestMarkSkipped:
+class TestDecay:
     """A frame without a fresh feature multiplies the blend weight by alpha."""
 
     def test_single_skip(self):

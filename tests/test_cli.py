@@ -1,10 +1,13 @@
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
-from seltrack.cli import main
-from seltrack.io import read_det_rows, read_trajectories
+from seltrack.cli import DEFAULTS, SETTINGS, build_parser, main
+from seltrack.gating import GateConfig
+from seltrack.io import read_trajectories
+from seltrack.tracker import MatchConfig
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +47,7 @@ class TestTrack:
         assert kv["config.mode"] == "selective"
         assert kv["config.iou_th"] == "0.2"
         assert float(kv["pde"]) < 100.0
-        assert read_det_rows(out)
+        assert read_trajectories(out)
 
     def test_always_mode_reports_full_pde(self, tmp_path, crossing_dir):
         _, stats = run_track(tmp_path, crossing_dir, "--mode", "always")
@@ -100,6 +103,52 @@ class TestTrack:
         assert code == 1
         assert "unknown config key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line", ["ema_alpha=abc", "min_hits=2.0", "ars=maybe", "iou_th=1.5", "match=fuse", "mode=sometimes"]
+    )
+    def test_bad_config_value_names_file_and_line(self, tmp_path, crossing_dir, capsys, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# a comment\n{line}\n")
+        code = main(
+            ["track", "--det", str(crossing_dir / "det.txt"), "--config", str(cfg),
+             "--out", str(tmp_path / "r.txt")]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {cfg}:2: ")
+
+
+class TestSettingsTable:
+    def test_every_config_field_has_exactly_one_key(self):
+        keys_of = {}
+        for key, (cls, name, _) in SETTINGS.items():
+            keys_of.setdefault((cls, name), []).append(key)
+        every = {(cls, f.name) for cls in (GateConfig, MatchConfig) for f in fields(cls)}
+        assert set(keys_of) == every
+        assert all(len(keys) == 1 for keys in keys_of.values())
+
+    def test_defaults_are_the_field_defaults(self, tmp_path, crossing_dir):
+        for key, (cls, name, _) in SETTINGS.items():
+            assert DEFAULTS[key] == {f.name: f.default for f in fields(cls)}[name]
+        # and a run without flags echoes them, `byte` resolved by the strategy
+        _, stats = run_track(tmp_path, crossing_dir)
+        kv = dict(line.split("=", 1) for line in stats.read_text().splitlines())
+        for key, default in DEFAULTS.items():
+            want = str(MatchConfig().byte_low) if key == "byte" else str(default)
+            assert kv[f"config.{key}"] == want
+
+    def test_value_flag_help_ends_with_its_default(self):
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        for command in ("track", "sweep"):
+            actions = {a.dest: a for a in sub.choices[command]._actions}
+            for key, default in DEFAULTS.items():
+                action = actions[key]
+                assert action.option_strings[0].endswith(key.replace("_", "-"))
+                if isinstance(default, bool) or default is None:
+                    assert "(default" not in (action.help or "")
+                else:
+                    assert action.help.endswith(f" (default {default})")
+                    assert action.type is type(default)
+
 
 class TestEval:
     def test_perfect_run_scores_one(self, tmp_path, crossing_dir, capsys):
@@ -128,6 +177,13 @@ class TestEval:
         code = main(["eval", "--gt", str(crossing_dir / "gt.txt"), "--pred", str(out)])
         assert code == 0
         assert "IDF1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("iou_match", ["1.5", "nan", "-0.5"])
+    def test_iou_match_outside_zero_one_fails(self, crossing_dir, capsys, iou_match):
+        gt = str(crossing_dir / "gt.txt")
+        code = main(["eval", "--gt", gt, "--pred", gt, "--iou-match", iou_match])
+        assert code == 1
+        assert "iou_match must be in [0, 1]" in capsys.readouterr().err
 
     def test_mismatched_frame_domain_fails(self, tmp_path, crossing_dir, capsys):
         bad = tmp_path / "bad.txt"
@@ -191,6 +247,13 @@ class TestSynth:
         main(["synth", "--preset", "parade", "--seed", "7", "--out", str(b)])
         for name in ("det.txt", "features.feab", "gt.txt"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_flag_the_preset_does_not_take_fails(self, tmp_path, capsys):
+        code = main(
+            ["synth", "--preset", "grid", "--targets", "3", "--frames", "20", "--out", str(tmp_path)]
+        )
+        assert code == 1
+        assert "n_targets" in capsys.readouterr().err
 
     def test_parameterized_parade(self, tmp_path):
         out = tmp_path / "mini"

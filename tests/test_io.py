@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from seltrack.geometry import BBox
 from seltrack.io import (
     FeatureFileProvider,
-    read_det_rows,
     read_detections,
     read_features,
     read_trajectories,
@@ -49,6 +48,12 @@ class TestReadDetections:
         with pytest.raises(ValueError, match="line 1"):
             read_detections(p)
 
+    def test_integer_field_error_names_line_once(self, tmp_path):
+        p = tmp_path / "det.txt"
+        p.write_text("1.5,-1,10,20,30,40,0.9,-1,-1,-1\n")
+        with pytest.raises(ValueError, match=r"^line 1: frame must be an integer"):
+            read_detections(p)
+
     def test_per_frame_index_follows_file_order(self, tmp_path):
         p = tmp_path / "det.txt"
         p.write_text(
@@ -82,6 +87,23 @@ class TestTrajectories:
         with pytest.raises(ValueError, match="duplicate"):
             read_trajectories(p)
 
+    @pytest.mark.parametrize("reader", [read_trajectories, read_detections])
+    def test_non_finite_box_names_line(self, reader, tmp_path):
+        p = tmp_path / "gt.txt"
+        p.write_text("1,1,0,0,5,5,1\n2,1,inf,10,5,5,1\n")
+        with pytest.raises(ValueError, match=r"^line 2: non-finite bbox field x=inf"):
+            reader(p)
+
+    @pytest.mark.parametrize("rows, message", [
+        ("1,5,0,0,10,10,1\n\n1,5,9,9,10,10,1\n", r"^line 3: duplicate"),
+        ("1,5,0,0,10,10,1\n\n\n1,0,9,9,10,10,1\n", r"^line 4: trajectory id"),
+    ])
+    def test_errors_name_the_file_line_after_blank_lines(self, rows, message, tmp_path):
+        p = tmp_path / "gt.txt"
+        p.write_text(rows)
+        with pytest.raises(ValueError, match=message):
+            read_trajectories(p)
+
 
 class TestWriteResults:
     def test_single_row_shape(self, tmp_path):
@@ -105,11 +127,8 @@ class TestWriteResults:
         p = tmp_path / "out.txt"
         rows = [(1, 3, BBox(10.125, 20.5, 30.0625, 40.75)), (2, 3, BBox(11, 21, 30, 40))]
         write_results(p, TrackOutput(rows=rows))
-        back = read_det_rows(p)
-        assert [(r.frame, r.track_id) for r in back] == [(1, 3), (2, 3)]
-        assert back[0].x == 10.125 and back[0].h == 40.75
-        # and through the trajectory reader with ids preserved
         traj = read_trajectories(p)
+        assert {tid: sorted(boxes) for tid, boxes in traj.items()} == {3: [1, 2]}
         assert traj[3][1] == BBox(10.125, 20.5, 30.0625, 40.75)
 
 
@@ -240,10 +259,14 @@ class TestRoundTripProperties:
             rows.append((frame, tid, BBox(x, y, w, h)))
         p = tmp_path_factory.mktemp("res") / "r.txt"
         write_results(p, TrackOutput(rows=rows))
-        back = read_det_rows(p)
+        traj = read_trajectories(p)
+        back = sorted(
+            ((f, tid, b) for tid, boxes in traj.items() for f, b in boxes.items()),
+            key=lambda r: (r[0], r[1]),
+        )
         expect = sorted(rows, key=lambda r: (r[0], r[1]))
         assert len(back) == len(expect)
-        for row, (frame, tid, box) in zip(back, expect):
-            assert (row.frame, row.track_id) == (frame, tid)
-            for got, want in [(row.x, box.x), (row.y, box.y), (row.w, box.w), (row.h, box.h)]:
+        for (f, t, b), (frame, tid, box) in zip(back, expect):
+            assert (f, t) == (frame, tid)
+            for got, want in [(b.x, box.x), (b.y, box.y), (b.w, box.w), (b.h, box.h)]:
                 assert got == pytest.approx(want, abs=5e-7)

@@ -134,6 +134,21 @@ class TestIdSwitches:
         assert id_switches(gt, pred) == 0
 
 
+class TestIouMatchRange:
+    @pytest.mark.parametrize("iou_match", [-0.1, 1.5, float("nan")])
+    @pytest.mark.parametrize("metric", [idf1, id_switches, evaluate])
+    def test_outside_zero_one_is_an_error(self, metric, iou_match):
+        gt = {1: {1: box(0)}}
+        with pytest.raises(ValueError, match=r"iou_match must be in \[0, 1\]"):
+            metric(gt, gt, iou_match=iou_match)
+
+    @pytest.mark.parametrize("iou_match", [0.0, 1.0])
+    def test_bounds_are_valid(self, iou_match):
+        gt = {1: {1: box(0), 2: box(1)}}
+        assert idf1(gt, gt, iou_match).idf1 == 1.0
+        assert id_switches(gt, gt, iou_match) == 0
+
+
 class TestEvaluate:
     def test_combines_fields(self):
         gt = {1: {f: box(f) for f in range(1, 11)}}

@@ -122,6 +122,15 @@ class TestPresets:
         with pytest.raises(ValueError, match="unknown preset"):
             preset("nope")
 
+    @pytest.mark.parametrize("name, kwarg", [("grid", "n_targets"), ("crossing", "frames"), ("parade", "side")])
+    def test_kwarg_the_preset_does_not_take(self, name, kwarg):
+        with pytest.raises(ValueError, match=f"takes no '{kwarg}'"):
+            preset(name, **{kwarg: 3})
+
+    def test_kwargs_reach_the_scene_function(self):
+        sc = preset("parade", seed=7, n_targets=3, frames=20)
+        assert (sc.seed, len(sc.targets), sc.frames) == (7, 3, 20)
+
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_presets_generate_and_parse(self, name, tmp_path):
         det, feat, gt = generate_to_dir(preset(name), tmp_path / name)
