@@ -16,7 +16,7 @@ import numpy as np
 UNIT_NORM_ATOL = 1e-6
 
 
-def _norms(v: np.ndarray) -> np.ndarray:
+def norms(v: np.ndarray) -> np.ndarray:
     """Norms over the last axis, each `sqrt(v @ v)` as `np.linalg.norm` sums one vector.
 
     `np.linalg.norm(v, axis=-1)` sums in another order and can differ in the last bit.
@@ -27,7 +27,7 @@ def _norms(v: np.ndarray) -> np.ndarray:
 def check_unit(v) -> np.ndarray:
     """`v` as a float array; raises unless every vector on its last axis is finite and unit-norm."""
     v = np.asarray(v, dtype=float)
-    if not np.all(np.abs(_norms(v) - 1.0) <= UNIT_NORM_ATOL):
+    if not np.all(np.abs(norms(v) - 1.0) <= UNIT_NORM_ATOL):
         raise ValueError("feature vector must be unit-norm")
     return v
 
@@ -37,7 +37,7 @@ def ema_update(embedding: np.ndarray, weight, f) -> np.ndarray:
     f = check_unit(f)
     alpha = np.asarray(weight)[..., None]
     blended = alpha * embedding + (1.0 - alpha) * f
-    norm = _norms(blended)
+    norm = norms(blended)
     if np.any(norm == 0.0):
         raise ValueError("blended embedding cancelled to zero")
     return blended / norm[..., None]

@@ -37,7 +37,7 @@ def _validate(costs, gate: float) -> np.ndarray:
     m = np.asarray(costs, dtype=float)
     if m.ndim != 2:
         raise ValueError(f"cost matrix must be 2-D, got shape {m.shape}")
-    if np.isnan(m).any() or np.isneginf(m).any():
+    if not (m > -np.inf).all():  # NaN or -inf
         raise ValueError("cost matrix entries must be finite or +inf (infeasible)")
     if not np.isfinite(gate):
         raise ValueError(f"gate must be finite, got {gate!r}")

@@ -86,15 +86,14 @@ def _parse_config_file(path) -> dict:
     return out
 
 
-def _effective_config(args) -> dict:
-    cfg = dict(DEFAULTS)
-    if getattr(args, "config", None):
-        cfg.update(_parse_config_file(args.config))
+def _given_settings(args) -> dict:
+    """The settings that the config file and the flags give, flags winning."""
+    given = _parse_config_file(args.config) if getattr(args, "config", None) else {}
     for key in SETTINGS:
         value = getattr(args, key, None)
         if value is not None:
-            cfg[key] = value
-    return cfg
+            given[key] = value
+    return given
 
 
 def _build_configs(cfg: dict) -> tuple[GateConfig, MatchConfig]:
@@ -151,7 +150,7 @@ def _stats_lines(stats, cfg, match) -> list[str]:
 
 
 def cmd_track(args) -> int:
-    cfg = _effective_config(args)
+    cfg = {**DEFAULTS, **_given_settings(args)}
     gate, match = _build_configs(cfg)
     frames = mot_io.read_detections(args.det)
     output, stats = run_sequence(frames, _make_provider(args.features), gate, match)
@@ -207,10 +206,16 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"bad --iou-th-grid {args.iou_th_grid!r}") from None
     if not grid:
         raise ValueError("empty --iou-th-grid")
+    given = _given_settings(args)
+    for key in ("mode", "iou_th"):  # each row of the table sets its own
+        if key in given:
+            raise ValueError(
+                f"sweep does not take the {key} setting: it runs its always_extract "
+                "baseline and selective mode over --iou-th-grid"
+            )
+    cfg = {**DEFAULTS, **given}
     gt = mot_io.read_trajectories(args.gt)
     frames = mot_io.read_detections(args.det)
-
-    cfg = _effective_config(args)
     provider = _make_provider(args.features)
 
     def run_point(mode: str, theta: float):

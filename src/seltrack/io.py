@@ -9,10 +9,10 @@ detection's order of appearance within its frame in the detection file.
 from __future__ import annotations
 
 import struct
-from pathlib import Path
 
 import numpy as np
 
+from seltrack.appearance import UNIT_NORM_ATOL, norms
 from seltrack.geometry import BBox
 from seltrack.tracker import Detection, TrackOutput
 
@@ -83,6 +83,11 @@ def write_results(path, output: TrackOutput) -> None:
             )
 
 
+def _record_dtype(dim: int) -> np.dtype:
+    """One feature-file record: frame, detection index, then `dim` little-endian f32."""
+    return np.dtype([("f", "<u4"), ("i", "<u4"), ("v", "<f4", (dim,))])
+
+
 def write_features(path, records) -> None:
     """Binary feature file from (frame, det index, vector) records.
 
@@ -103,27 +108,32 @@ def write_features(path, records) -> None:
         seen.add((f, i))
         if v.size != dim:
             raise ValueError(f"inconsistent feature dimension: {v.size} vs {dim}")
+    table = np.array(records, dtype=_record_dtype(dim))
     with open(path, "wb") as fh:
         fh.write(FEATURE_MAGIC)
-        fh.write(struct.pack("<B", FEATURE_VERSION))
-        fh.write(struct.pack("<II", dim, len(records)))
-        for f, i, v in records:
-            fh.write(struct.pack("<II", f, i))
-            fh.write(v.tobytes())
+        fh.write(struct.pack("<BII", FEATURE_VERSION, dim, len(records)))
+        table.tofile(fh)
+
+
+# rows checked and normalized per array pass; bounds the float64 scratch copy
+_CHECK_ROWS = 256
 
 
 def read_features(path) -> dict[tuple[int, int], np.ndarray]:
     """Load a feature file as {(frame, det index): f32 vector}.
 
     Vectors within 1e-6 of unit norm are returned bit-exact; anything else
-    is normalized on the way in.
+    is normalized on the way in. The file is read into one buffer and each
+    vector is a view of its record there. An unusable file is refused with
+    the error of its first bad record in file order: a repeated key, then a
+    non-finite vector, then a zero vector.
     """
-    data = Path(path).read_bytes()
+    data = np.fromfile(path, dtype=np.uint8)
     if len(data) < 13:
         raise ValueError("truncated feature file header")
-    if data[:4] != FEATURE_MAGIC:
+    if data[:4].tobytes() != FEATURE_MAGIC:
         raise ValueError("bad magic")
-    version = data[4]
+    version = int(data[4])
     if version != FEATURE_VERSION:
         raise ValueError(f"unsupported feature file version {version}")
     dim, count = struct.unpack_from("<II", data, 5)
@@ -133,22 +143,34 @@ def read_features(path) -> dict[tuple[int, int], np.ndarray]:
         raise ValueError(
             f"truncated feature file: expected {expected} bytes, got {len(data)}"
         )
-    out: dict[tuple[int, int], np.ndarray] = {}
-    offset = 13
-    for _ in range(count):
-        f, i = struct.unpack_from("<II", data, offset)
-        vec = np.frombuffer(data, dtype="<f4", count=dim, offset=offset + 8).copy()
-        offset += record_size
-        if (f, i) in out:
-            raise ValueError(f"duplicate feature key ({f}, {i})")
-        if not np.all(np.isfinite(vec)):
-            raise ValueError(f"non-finite feature vector at key ({f}, {i})")
-        norm = float(np.linalg.norm(vec.astype(np.float64)))
-        if norm == 0.0:
-            raise ValueError(f"zero-norm feature vector at key ({f}, {i})")
-        if abs(norm - 1.0) > 1e-6:
-            vec = (vec.astype(np.float64) / norm).astype(np.float32)
-        out[(f, i)] = vec
+    if count == 0:  # its header may give a dim too large for a record dtype
+        return {}
+    table = data[13:].view(_record_dtype(dim))
+    vectors = table["v"]
+    keys = list(zip(table["f"].tolist(), table["i"].tolist()))
+    out = dict(zip(keys, vectors))
+    # records before the first repeated key are checked; a bad one among them fails first
+    checked = count
+    if len(out) != count:
+        seen = set()
+        for checked, key in enumerate(keys):
+            if key in seen:
+                break
+            seen.add(key)
+    for start in range(0, checked, _CHECK_ROWS):
+        block = vectors[start:min(start + _CHECK_ROWS, checked)]
+        wide = block.astype(np.float64)
+        norm = norms(wide)
+        finite = np.isfinite(block).all(axis=1)
+        bad = ~finite | (norm == 0.0)
+        if bad.any():
+            n = int(np.argmax(bad))
+            what = "non-finite" if not finite[n] else "zero-norm"
+            raise ValueError(f"{what} feature vector at key {keys[start + n]}")
+        off = np.abs(norm - 1.0) > UNIT_NORM_ATOL
+        block[off] = (wide[off] / norm[off, None]).astype(np.float32)
+    if checked < count:
+        raise ValueError(f"duplicate feature key {keys[checked]}")
     return out
 
 

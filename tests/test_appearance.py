@@ -41,7 +41,7 @@ def track_through(alpha, features, frames):
     return tracker
 
 
-class TestInitEma:
+class TestFirstFeatureSeedsEmbedding:
     """A track's first feature seeds its embedding, at full weight alpha."""
 
     def test_construction(self):

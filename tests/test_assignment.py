@@ -161,6 +161,10 @@ class TestExamples:
         with pytest.raises(ValueError):
             solve(np.array([[np.nan]]), gate=1.0)
 
+    def test_rejects_negative_infinity(self):
+        with pytest.raises(ValueError, match=r"finite or \+inf"):
+            solve(np.array([[0.0, -np.inf]]), gate=1.0)
+
     def test_rejects_non_finite_gate(self):
         with pytest.raises(ValueError):
             solve(np.zeros((1, 1)), gate=np.inf)

@@ -214,6 +214,28 @@ class TestSweep:
         header = lines[0].split()
         assert header == ["theta_iou", "pde", "idf1", "id_switches"]
 
+    @pytest.mark.parametrize("flags, key", [
+        (["--mode", "base"], "mode"),
+        (["--iou-th", "0.3"], "iou_th"),
+        (["--mode", "selective", "--iou-th", "0.3"], "mode"),
+    ])
+    def test_refuses_a_flag_it_sets_itself(self, crossing_dir, capsys, flags, key):
+        code = main(["sweep", "--det", str(crossing_dir / "det.txt"),
+                     "--gt", str(crossing_dir / "gt.txt"), *flags])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"the {key} setting" in captured.err
+
+    @pytest.mark.parametrize("line, key", [("mode=base", "mode"), ("iou_th=0.3", "iou_th")])
+    def test_refuses_a_config_key_it_sets_itself(self, tmp_path, crossing_dir, capsys, line, key):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(f"ema_alpha=0.8\n{line}\n")
+        code = main(["sweep", "--det", str(crossing_dir / "det.txt"),
+                     "--gt", str(crossing_dir / "gt.txt"), "--config", str(cfg)])
+        assert code == 1
+        assert f"the {key} setting" in capsys.readouterr().err
+
     def test_bad_grid_fails(self, tmp_path, crossing_dir, capsys):
         code = main(
             [

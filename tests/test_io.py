@@ -1,9 +1,13 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from seltrack.geometry import BBox
 from seltrack.io import (
+    FEATURE_MAGIC,
+    FEATURE_VERSION,
     FeatureFileProvider,
     read_detections,
     read_features,
@@ -187,6 +191,14 @@ class TestFeatureFile:
         with pytest.raises(ValueError, match=message):
             read_features(p)
 
+    def test_repeated_key_refused_on_read(self, tmp_path):
+        # write_features refuses such a file, so it is written byte by byte
+        p = tmp_path / "f.feab"
+        e = np.eye(2, dtype=np.float32)
+        write_raw_features(p, 2, [(1, 0, e[0]), (2, 0, e[1]), (1, 0, e[1]), (2, 0, e[0])])
+        with pytest.raises(ValueError, match=r"^duplicate feature key \(1, 0\)$"):
+            read_features(p)
+
     def test_provider_fetch(self, tmp_path):
         p = tmp_path / "f.feab"
         write_features(p, [(4, 1, np.array([0, 1, 0], dtype=np.float32))])
@@ -196,6 +208,106 @@ class TestFeatureFile:
         assert got is not None and got.dtype == np.float32
         assert np.array_equal(got, read_features(p)[(4, 1)])
         assert provider.fetch(4, 2) is None
+
+
+def write_raw_features(path, dim, records) -> None:
+    """A feature file written record by record, with no check on what it holds."""
+    with open(path, "wb") as fh:
+        fh.write(FEATURE_MAGIC + struct.pack("<BII", FEATURE_VERSION, dim, len(records)))
+        for f, i, v in records:
+            fh.write(struct.pack("<II", f, i) + np.asarray(v, dtype="<f4").tobytes())
+
+
+def reference_read_features(path) -> dict:
+    """`read_features` as a loop over records, each unpacked, checked and normalized alone."""
+    data = open(path, "rb").read()
+    if len(data) < 13:
+        raise ValueError("truncated feature file header")
+    if data[:4] != FEATURE_MAGIC:
+        raise ValueError("bad magic")
+    version = data[4]
+    if version != FEATURE_VERSION:
+        raise ValueError(f"unsupported feature file version {version}")
+    dim, count = struct.unpack_from("<II", data, 5)
+    record_size = 8 + 4 * dim
+    expected = 13 + count * record_size
+    if len(data) != expected:
+        raise ValueError(f"truncated feature file: expected {expected} bytes, got {len(data)}")
+    out = {}
+    offset = 13
+    for _ in range(count):
+        f, i = struct.unpack_from("<II", data, offset)
+        vec = np.frombuffer(data, dtype="<f4", count=dim, offset=offset + 8).copy()
+        offset += record_size
+        if (f, i) in out:
+            raise ValueError(f"duplicate feature key ({f}, {i})")
+        if not np.all(np.isfinite(vec)):
+            raise ValueError(f"non-finite feature vector at key ({f}, {i})")
+        norm = float(np.linalg.norm(vec.astype(np.float64)))
+        if norm == 0.0:
+            raise ValueError(f"zero-norm feature vector at key ({f}, {i})")
+        if abs(norm - 1.0) > 1e-6:
+            vec = (vec.astype(np.float64) / norm).astype(np.float32)
+        out[(f, i)] = vec
+    return out
+
+
+@st.composite
+def feature_records(draw):
+    """(dim, records): unit and scaled vectors, some spoiled by NaN, inf, zeros or a repeated key."""
+    dim = draw(st.integers(0, 200))
+    count = draw(st.integers(0, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vectors = rng.normal(size=(count, dim)) * 10.0 ** rng.integers(-3, 4, size=(count, 1))
+    unit = rng.random(count) < 0.5
+    vectors[unit] /= np.maximum(np.linalg.norm(vectors[unit], axis=1, keepdims=True), 1e-300)
+    vectors = vectors.astype(np.float32)
+    keys = [(n // 5, n % 5) for n in range(count)]
+    for _ in range(draw(st.integers(0, 3)) if count else 0):
+        n = draw(st.integers(0, count - 1))
+        kind = draw(st.sampled_from(["nan", "inf", "-inf", "zero", "repeat"]))
+        if kind == "zero":
+            vectors[n] = 0.0
+        elif kind == "repeat":
+            keys[n] = keys[draw(st.integers(0, count - 1))]
+        elif dim:
+            vectors[n, draw(st.integers(0, dim - 1))] = float(kind)
+    return dim, [(f, i, v) for (f, i), v in zip(keys, vectors)]
+
+
+def read_outcome(reader, path):
+    try:
+        return reader(path), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+class TestReadFeaturesAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(spec=feature_records())
+    def test_same_vectors_or_same_error(self, spec, tmp_path_factory):
+        dim, records = spec
+        p = tmp_path_factory.mktemp("feab") / "f.feab"
+        write_raw_features(p, dim, records)
+        got, error = read_outcome(read_features, p)
+        want, want_error = read_outcome(reference_read_features, p)
+        assert error == want_error
+        if want is not None:
+            assert list(got) == list(want)
+            for key, v in want.items():
+                assert got[key].dtype == np.float32
+                assert got[key].tobytes() == v.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(spec=feature_records())
+    def test_writer_bytes_match_record_by_record(self, spec, tmp_path_factory):
+        dim, records = spec
+        if not records or len({(f, i) for f, i, _ in records}) < len(records):
+            return  # write_features gives an empty file dim 0 and refuses repeated keys
+        d = tmp_path_factory.mktemp("feab")
+        write_raw_features(d / "raw.feab", dim, records)
+        write_features(d / "table.feab", records)
+        assert (d / "table.feab").read_bytes() == (d / "raw.feab").read_bytes()
 
 
 unit_f32 = st.integers(2, 8).flatmap(

@@ -127,7 +127,7 @@ class TestUpdate:
         assert u.var_pos[1] < s.var_pos[1]
 
 
-class TestStateToBox:
+class TestBoxOfState:
     """`state_to_xywh` gives a state's box; a state without one is `degenerate`."""
 
     def test_round_trip(self):
