@@ -20,10 +20,24 @@ For each it prints the median milliseconds per solve and the number of
 generator, so two checkouts time the same inputs:
 
     PYTHONPATH=src python scripts/bench_assignment.py --sizes 10,30,60,100
+
+`--against PATH` loads the `seltrack/assignment.py` of the checkout at
+PATH into the same process under another module name and times both on
+each matrix, alternating which goes first, so that host drift hits both
+sides alike; the two must return the same assignment. Before the table,
+the first solve of a tied 12x12 matrix is timed in a fresh interpreter for
+each side, apart from the steady state: it includes importing
+`seltrack.assignment` and, where that is deferred, scipy.
 """
 
 import argparse
+import importlib.util
+import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -31,6 +45,7 @@ from seltrack import assignment
 
 GATE = 1.0
 BLOCK = 5
+FIRST_SIDE = 12
 
 
 def random_costs(rng, n):
@@ -59,6 +74,51 @@ def free_costs(rng, n):
 
 KINDS = {"random": random_costs, "tied": tied_costs, "gated": gated_costs, "free": free_costs}
 
+# run in a fresh interpreter: import, first solve and second solve, in seconds
+FIRST_SOLVE = """
+import json, sys, time
+costs = json.loads(sys.argv[1])
+start = time.perf_counter()
+from seltrack import assignment
+imported = time.perf_counter()
+assignment.solve(costs, {gate})
+first = time.perf_counter()
+assignment.solve(costs, {gate})
+print(json.dumps([imported - start, first - imported, time.perf_counter() - first]))
+"""
+
+
+def first_solve(src: Path, costs) -> list[float]:
+    """Seconds to import `seltrack.assignment` from `src`, then to solve `costs` twice."""
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run(
+        [sys.executable, "-c", FIRST_SOLVE.format(gate=GATE), json.dumps(costs.tolist())],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    return json.loads(result.stdout)
+
+
+def load_against(root: Path):
+    """The checkout's `seltrack.assignment`, loaded as the module `against_assignment`."""
+    path = root / "src" / "seltrack" / "assignment.py"
+    spec = importlib.util.spec_from_file_location("against_assignment", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up while building
+    spec.loader.exec_module(module)
+    return module
+
+
+def count_lsa(module, calls: dict) -> None:
+    """Wrap the module's `linear_sum_assignment` so `calls[module]` counts its calls."""
+    real = module.linear_sum_assignment
+    calls[module] = 0
+
+    def counting(*args, **kwargs):
+        calls[module] += 1
+        return real(*args, **kwargs)
+
+    module.linear_sum_assignment = counting
+
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -66,28 +126,48 @@ def main(argv=None) -> int:
     ap.add_argument("--kinds", default=",".join(KINDS), help="comma-separated cost kinds")
     ap.add_argument("--repeats", type=int, default=3, help="matrices timed per size and kind")
     ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--against", type=Path, help="another checkout to time alongside this one")
     args = ap.parse_args(argv)
 
-    calls = 0
-    real_lsa = assignment.linear_sum_assignment
+    roots = {"this": Path(assignment.__file__).resolve().parents[2]}
+    if args.against is not None:
+        roots["against"] = args.against.resolve()
+    costs = tied_costs(np.random.default_rng([args.seed, FIRST_SIDE]), FIRST_SIDE)
+    print(f"fresh process, tied {FIRST_SIDE}x{FIRST_SIDE}: import, first solve, second solve (ms)")
+    for name, root in roots.items():
+        seconds = first_solve(root / "src", costs)
+        print(f"{name:8} " + " ".join(f"{1e3 * s:>10.3f}" for s in seconds))
 
-    def counting_lsa(cost):
-        nonlocal calls
-        calls += 1
-        return real_lsa(cost)
+    sides = {"this": assignment}
+    if args.against is not None:
+        sides["against"] = load_against(roots["against"])
+    calls: dict = {}
+    for module in sides.values():
+        count_lsa(module, calls)
 
-    assignment.linear_sum_assignment = counting_lsa
-    print(f"{'kind':8} {'n':>4} {'ms/solve':>10} {'lsa/solve':>10}")
+    print()
+    print(f"{'kind':8} {'n':>4}" + "".join(f" {name + ' ms':>12} {'lsa/solve':>10}" for name in sides))
     for kind in args.kinds.split(","):
         for n in (int(s) for s in args.sizes.split(",")):
             rng = np.random.default_rng([args.seed, n])
-            times, calls = [], 0
-            for _ in range(args.repeats):
+            times = {module: [] for module in sides.values()}
+            for module in sides.values():
+                calls[module] = 0
+            for repeat in range(args.repeats):
                 costs = KINDS[kind](rng, n)
-                start = time.perf_counter()
-                assignment.solve(costs, GATE)
-                times.append(time.perf_counter() - start)
-            print(f"{kind:8} {n:>4} {1e3 * float(np.median(times)):>10.3f} {calls / args.repeats:>10.1f}")
+                order = list(sides.values())[:: 1 if repeat % 2 == 0 else -1]
+                results = []
+                for module in order:
+                    start = time.perf_counter()
+                    result = module.solve(costs, GATE)
+                    times[module].append(time.perf_counter() - start)
+                    results.append(vars(result))
+                if any(r != results[0] for r in results):
+                    raise SystemExit(f"the checkouts disagree on a {kind} {n}x{n} matrix")
+            print(f"{kind:8} {n:>4}" + "".join(
+                f" {1e3 * float(np.median(times[m])):>12.3f} {calls[m] / args.repeats:>10.1f}"
+                for m in sides.values()
+            ))
     return 0
 
 

@@ -1,11 +1,15 @@
-"""Gated minimum-cost bipartite assignment with deterministic tie-breaking."""
+"""Gated minimum-cost bipartite assignment with deterministic tie-breaking.
+
+scipy is imported on the first matrix that needs a Hungarian solve, that
+is, the first one in which a row or a column holds two feasible cells. A
+process whose matrices are all conflict-free never loads it.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 INFEASIBLE = np.inf
 UNMATCHED = -1
@@ -16,6 +20,27 @@ class Assignment:
     matches: list[tuple[int, int]]
     unmatched_rows: list[int]
     unmatched_cols: list[int]
+
+
+_scipy_lsa = None
+
+
+def linear_sum_assignment(cost, maximize: bool = False):
+    """scipy's `linear_sum_assignment`, imported on the first call."""
+    global _scipy_lsa
+    if _scipy_lsa is None:
+        from scipy.optimize import linear_sum_assignment as _scipy_lsa
+    return _scipy_lsa(cost, maximize)
+
+
+def conflict_free(mask: np.ndarray) -> bool:
+    """True when no row and no column of the boolean `mask` holds two True cells.
+
+    Then the True cells are the one maximum matching of `mask`: every one
+    of them is in it, as many cells as rows and as columns holding one.
+    """
+    n = np.count_nonzero(mask)
+    return n == np.count_nonzero(mask.any(axis=0)) == np.count_nonzero(mask.any(axis=1))
 
 
 def _padding(feasible: np.ndarray, mask: np.ndarray) -> float:
@@ -145,8 +170,7 @@ def solve(costs, gate: float) -> Assignment:
     feasible = _validate(costs, gate)
     n_rows, n_cols = feasible.shape
     mask = np.isfinite(feasible)
-    if np.count_nonzero(mask) == np.count_nonzero(mask.any(axis=0)) == np.count_nonzero(mask.any(axis=1)):
-        # as many feasible cells as rows and as columns holding one: no conflict
+    if conflict_free(mask):
         col_of = np.full(n_rows, UNMATCHED)
         rows, cols = np.nonzero(mask)
         col_of[rows] = cols

@@ -51,6 +51,9 @@ DEFAULTS = {
 }
 CHOICES = {"mode": sorted(MODE_ALIASES), "match": STRATEGIES, "emit": EMITS}
 
+# the settings that `sweep` sets itself for each row of its table
+SWEEP_SETS = ("mode", "iou_th")
+
 _BOOL_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
@@ -119,11 +122,14 @@ def _make_provider(features_path):
     return mot_io.FeatureFileProvider(features_path)
 
 
-def _add_tracking_options(p: argparse.ArgumentParser):
+def _add_tracking_options(p: argparse.ArgumentParser, omit=()):
+    """Input flags and one flag per setting, except the settings in `omit`."""
     p.add_argument("--det", required=True, help="detection file (MOT rows)")
     p.add_argument("--features", help="binary feature file; omit for IoU-only tracking")
     p.add_argument("--config", help="key=value config file (flags win over it)")
     for key, (_, _, text) in SETTINGS.items():
+        if key in omit:
+            continue
         flag, default = "--" + key.replace("_", "-"), DEFAULTS[key]
         if not _is_switch(key):
             p.add_argument(flag, dest=key, type=type(default), choices=CHOICES.get(key),
@@ -207,7 +213,7 @@ def cmd_sweep(args) -> int:
     if not grid:
         raise ValueError("empty --iou-th-grid")
     given = _given_settings(args)
-    for key in ("mode", "iou_th"):  # each row of the table sets its own
+    for key in SWEEP_SETS:  # its parser has no flag for them, but a config file may
         if key in given:
             raise ValueError(
                 f"sweep does not take the {key} setting: it runs its always_extract "
@@ -270,8 +276,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--out", help="also write the report here")
     p_eval.set_defaults(func=cmd_eval)
 
-    p_sweep = sub.add_parser("sweep", help="table of PDE/IDF1 across IoU thresholds")
-    _add_tracking_options(p_sweep)
+    # no abbreviations: `--iou-th` would otherwise be taken for `--iou-th-grid`
+    p_sweep = sub.add_parser("sweep", help="table of PDE/IDF1 across IoU thresholds",
+                             allow_abbrev=False)
+    _add_tracking_options(p_sweep, omit=SWEEP_SETS)
     p_sweep.add_argument("--gt", required=True)
     p_sweep.add_argument(
         "--iou-th-grid",

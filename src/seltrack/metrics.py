@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from seltrack import assignment
 from seltrack.geometry import BBox, iou_matrix
@@ -107,9 +106,12 @@ def idf1(gt: Trajectories, pred: Trajectories, iou_match: float = 0.5) -> EvalRe
     if n_gt == 0 or n_pred == 0:
         return EvalReport(None, 0.0, 0, 0, n_pred, n_gt)
     counts = _overlap_counts(gt, pred, iou_match)
-    # only the optimal total matters, so no tie-break among optimal mappings
-    rows, cols = linear_sum_assignment(counts, maximize=True)
-    idtp = int(counts[rows, cols].sum())
+    if assignment.conflict_free(counts > 0):
+        idtp = int(counts.sum())  # every count is in the optimal mapping
+    else:
+        # only the optimal total matters, so no tie-break among optimal mappings
+        rows, cols = assignment.linear_sum_assignment(counts, maximize=True)
+        idtp = int(counts[rows, cols].sum())
     idfp = n_pred - idtp
     idfn = n_gt - idtp
     score = 2.0 * idtp / (2.0 * idtp + idfp + idfn)

@@ -1,0 +1,68 @@
+"""What a process loads: scipy only once a matrix conflicts.
+
+Each test runs a fresh interpreter, since the test process itself has
+long since imported scipy.
+"""
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import seltrack
+
+# the directory this test process imports seltrack from
+PACKAGE_ROOT = str(Path(seltrack.__file__).resolve().parents[1])
+
+
+def run_fresh(code: str, cwd) -> str:
+    env = {**os.environ, "PYTHONPATH": PACKAGE_ROOT}
+    result = subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                            capture_output=True, text=True, cwd=cwd, env=env)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def test_cli_commands_on_the_presets_never_load_scipy(tmp_path):
+    # with the default (cascade) matching; fused or IoU-only matching on
+    # `crossing` meets a conflicting matrix at the occlusion
+    out = run_fresh("""
+        import sys
+        from seltrack.cli import main
+
+        def run(*argv):
+            assert main(list(argv)) == 0, argv
+
+        for preset in ("crossing", "parade", "enter_exit", "grid"):
+            run("synth", "--preset", preset, "--out", preset)
+            inputs = ["--det", preset + "/det.txt", "--features", preset + "/features.feab"]
+            gt = preset + "/gt.txt"
+            for mode in ("selective", "always"):
+                pred = f"{preset}/{mode}.txt"
+                run("track", *inputs, "--mode", mode, "--out", pred)
+                run("eval", "--gt", gt, "--pred", pred, "--stats", pred + ".stats")
+            run("sweep", *inputs, "--gt", gt)
+        print("loaded" if "scipy.optimize" in sys.modules else "not loaded")
+    """, tmp_path)
+    assert out.splitlines()[-1] == "not loaded"
+
+
+def test_a_conflicting_matrix_loads_scipy_and_keeps_the_tie_break(tmp_path):
+    out = run_fresh("""
+        import sys
+        import numpy as np
+        from seltrack.assignment import solve
+
+        assert "scipy.optimize" not in sys.modules
+        costs = np.array([
+            [0.5, 0.5, 0.5, 0.5],
+            [0.25, 0.5, 0.5, 0.25],
+            [0.25, 0.5, 0.5, 0.25],
+            [0.5, 0.5, 0.5, 0.25],
+        ])
+        print(solve(costs, gate=0.5).matches)
+        print("loaded" if "scipy.optimize" in sys.modules else "not loaded")
+    """, tmp_path)
+    # scipy's own optimum is [(0, 2), (1, 3), (2, 0), (3, 1)], of the same total
+    assert out.splitlines() == ["[(0, 1), (1, 0), (2, 2), (3, 3)]", "loaded"]

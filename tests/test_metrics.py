@@ -1,8 +1,13 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
+from scipy.optimize import linear_sum_assignment
 
+from seltrack import assignment
 from seltrack.geometry import BBox
 from seltrack.metrics import EvalReport, evaluate, id_switches, idf1, pde
 from seltrack.tracker import RunStats
@@ -100,6 +105,58 @@ class TestIdf1:
             n_gt = sum(len(t) for t in gt.values())
             n_pred = sum(len(t) for t in pred.values())
             assert r.idf1 == pytest.approx(2 * r.idtp / (n_gt + n_pred))
+
+
+def trajectories_of(counts):
+    """gt and pred trajectories whose overlap count matrix is `counts`.
+
+    Each count is frames of its own in which only that gt id and that pred
+    id are present, on the same box; each id also gets one frame alone.
+    """
+    n_gt, n_pred = counts.shape
+    gt = {g: {} for g in range(1, n_gt + 1)}
+    pred = {p: {} for p in range(1, n_pred + 1)}
+    frames = itertools.count(1)
+    for (g, p), count in np.ndenumerate(counts):
+        for _ in range(count):
+            f = next(frames)
+            gt[g + 1][f] = pred[p + 1][f] = box(0.0)
+    for traj in (*gt.values(), *pred.values()):
+        traj[next(frames)] = box(0.0)
+    return gt, pred
+
+
+def conflicting(counts) -> bool:
+    nonzero = counts > 0
+    return bool((nonzero.sum(axis=0) > 1).any() or (nonzero.sum(axis=1) > 1).any())
+
+
+count_matrices = arrays(np.int64, array_shapes(min_dims=2, max_dims=2, max_side=6),
+                        elements=st.sampled_from((0, 0, 0, 1, 2, 5)))
+
+
+class TestIdf1Solve:
+    @settings(max_examples=200, deadline=None)
+    @given(count_matrices)
+    @example(np.array([[3, 0, 0], [0, 0, 2]]))  # conflict-free
+    @example(np.array([[3, 2], [2, 0]]))  # a row and a column with two counts
+    def test_idtp_is_the_optimal_total(self, counts):
+        rows, cols = linear_sum_assignment(counts, maximize=True)
+        r = idf1(*trajectories_of(counts))
+        assert r.idtp == counts[rows, cols].sum()
+        assert (r.idfp, r.idfn) == (counts.sum() + counts.shape[1] - r.idtp,
+                                    counts.sum() + counts.shape[0] - r.idtp)
+
+    @settings(max_examples=100, deadline=None)
+    @given(count_matrices)
+    @example(np.array([[1, 0], [0, 4]]))
+    @example(np.array([[1, 1], [0, 0]]))
+    def test_solves_exactly_when_the_count_matrix_conflicts(self, counts):
+        gt, pred = trajectories_of(counts)
+        with mock.patch.object(assignment, "linear_sum_assignment",
+                               wraps=assignment.linear_sum_assignment) as lsa:
+            idf1(gt, pred)
+        assert lsa.call_count == (1 if conflicting(counts) else 0)
 
 
 class TestIdSwitches:
