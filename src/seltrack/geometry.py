@@ -18,12 +18,14 @@ class BBox:
     h: float
 
     def __post_init__(self):
-        for name in ("x", "y", "w", "h"):
-            v = getattr(self, name)
+        x, y, w, h = self.x, self.y, self.w, self.h
+        if math.isfinite(x) and math.isfinite(y) and math.isfinite(w) and math.isfinite(h) and w > 0 and h > 0:
+            return
+        # a refused box: its first non-finite field in field order names the error
+        for name, v in zip("xywh", (x, y, w, h)):
             if not math.isfinite(v):
                 raise ValueError(f"non-finite bbox field {name}={v!r}")
-        if self.w <= 0 or self.h <= 0:
-            raise ValueError(f"non-positive bbox size w={self.w}, h={self.h}")
+        raise ValueError(f"non-positive bbox size w={w}, h={h}")
 
     @property
     def area(self) -> float:
@@ -110,6 +112,11 @@ def ars(a, b):
     return 1.0 - (4.0 / math.pi**2) * d * d
 
 
+def _in_unit_interval(a: np.ndarray) -> bool:
+    """Every entry in [0, 1]: one min and one max pass with no temporary; NaN fails, empty passes."""
+    return a.min(initial=0.0) >= 0.0 and a.max(initial=1.0) <= 1.0
+
+
 def blended_alpha(iou_value, v):
     """IoU-adaptive blending of the aspect similarity: V / ((1 - IoU) + V).
 
@@ -118,9 +125,9 @@ def blended_alpha(iou_value, v):
     test. Monotone non-decreasing in both arguments.
     """
     iou_value, v = np.asarray(iou_value, dtype=float), np.asarray(v, dtype=float)
-    if not np.all((0.0 <= iou_value) & (iou_value <= 1.0)):
+    if not _in_unit_interval(iou_value):
         raise ValueError(f"iou out of range: {iou_value!r}")
-    if not np.all((0.0 <= v) & (v <= 1.0)):
+    if not _in_unit_interval(v):
         raise ValueError(f"v out of range: {v!r}")
     denom = (1.0 - iou_value) + v
     alpha = np.divide(v, denom, out=np.zeros_like(denom), where=denom != 0.0)

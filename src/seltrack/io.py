@@ -8,6 +8,7 @@ detection's order of appearance within its frame in the detection file.
 
 from __future__ import annotations
 
+import itertools
 import struct
 
 import numpy as np
@@ -28,7 +29,11 @@ def _parse_int(text: str, what: str) -> int:
 
 
 def _numbered_rows(path):
-    """(line number, frame, id, box, confidence) for every non-blank line of a MOT-style CSV."""
+    """(line number, frame, id, box, confidence) for every non-blank line of a MOT-style CSV.
+
+    The one definition of a valid row; `_rows` leaves a file to it whenever
+    its array pass refuses one.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
@@ -48,13 +53,68 @@ def _numbered_rows(path):
             yield line_no, frame, track_id, box, conf
 
 
+# integer-valued floats below this magnitude are exact in int64 and as floats
+_EXACT_INT = 2.0**53
+
+
+def _table(path, detections: bool) -> np.ndarray | None:
+    """Fields frame..conf of each non-blank line as one (n, 7) float table, or None.
+
+    One `np.loadtxt` parses the file, then boolean passes run the checks of
+    `_numbered_rows` and of the reader (conf in [0, 1] for `detections`;
+    else id >= 1 and no repeated (id, frame)). loadtxt skips only empty
+    lines, so an accepted table holds the non-blank lines in file order.
+    None leaves the file to the line parser: it holds a bad value, a frame
+    or id of 2**53 or more, or a line that loadtxt refuses but `float` may
+    read (whitespace-only, `1_0`, non-ASCII digits).
+    """
+    try:
+        # the line parser reads (and decodes) line by line, so it may meet a
+        # bad line before a bad byte: a UnicodeDecodeError is left to it too
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        if not text.strip():  # loadtxt warns on a file without rows
+            return None
+        table = np.loadtxt(
+            text.split("\n"), delimiter=",", usecols=range(7), ndmin=2, comments=None
+        )
+    except ValueError:
+        return None
+    frame, track_id, x, y, w, h, conf = table.T
+    # NaN fails every comparison, so it fails each pass it meets
+    ok = (1 <= frame) & (frame < _EXACT_INT) & (np.floor(frame) == frame)
+    ok &= (np.abs(track_id) < _EXACT_INT) & (np.floor(track_id) == track_id)
+    ok &= np.isfinite(x) & np.isfinite(y) & (0 < w) & (w < np.inf) & (0 < h) & (h < np.inf)
+    if detections:
+        ok &= (0 <= conf) & (conf <= 1)
+    else:
+        ok &= 1 <= track_id
+    if not ok.all():
+        return None
+    if not detections:
+        order = np.lexsort((frame, track_id))
+        if ((np.diff(track_id[order]) == 0) & (np.diff(frame[order]) == 0)).any():
+            return None
+    return table
+
+
+def _rows(path, detections: bool):
+    """`_numbered_rows` of the file, from its array pass when that accepts it (line number None)."""
+    table = _table(path, detections)
+    if table is None:
+        return _numbered_rows(path)
+    frames, ids = table[:, :2].astype(np.int64).T.tolist()
+    x, y, w, h, conf = table[:, 2:].T.tolist()  # columns: no list per row
+    return zip(itertools.repeat(None), frames, ids, map(BBox, x, y, w, h), conf)
+
+
 def read_detections(path) -> dict[int, list[Detection]]:
     """Detections grouped by frame; per-frame index follows file order."""
     frames: dict[int, list[Detection]] = {}
-    for line_no, frame, _, box, conf in _numbered_rows(path):
+    for line_no, frame, _, box, conf in _rows(path, detections=True):
         group = frames.setdefault(frame, [])
         try:
-            group.append(Detection(frame=frame, index=len(group), box=box, confidence=conf))
+            group.append(Detection(frame, len(group), box, conf))
         except ValueError as exc:
             raise ValueError(f"line {line_no}: {exc}") from None
     return dict(sorted(frames.items()))
@@ -63,7 +123,7 @@ def read_detections(path) -> dict[int, list[Detection]]:
 def read_trajectories(path) -> dict[int, dict[int, BBox]]:
     """Ground-truth or result file as {track id: {frame: box}}; ids >= 1."""
     out: dict[int, dict[int, BBox]] = {}
-    for line_no, frame, track_id, box, _ in _numbered_rows(path):
+    for line_no, frame, track_id, box, _ in _rows(path, detections=False):
         if track_id < 1:
             raise ValueError(f"line {line_no}: trajectory id must be >= 1, got {track_id}")
         frames = out.setdefault(track_id, {})

@@ -39,6 +39,24 @@ class TestBBox:
         with pytest.raises(ValueError):
             BBox(bad, 0, 10, 10)
 
+    @pytest.mark.parametrize("field", ["x", "y", "w", "h"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_error_names_the_first_bad_field(self, bad, field):
+        fields = dict(x=0.0, y=0.0, w=10.0, h=10.0)
+        fields[field] = bad
+        with pytest.raises(ValueError, match=rf"^non-finite bbox field {field}={bad!r}$"):
+            BBox(**fields)
+        # later fields, non-finite or non-positive, do not change the message
+        for later in "xywh"["xywh".index(field) + 1:]:
+            fields[later] = -1.0 if later in "wh" else math.nan
+        with pytest.raises(ValueError, match=rf"^non-finite bbox field {field}={bad!r}$"):
+            BBox(**fields)
+
+    @pytest.mark.parametrize("w, h", [(0.0, 10.0), (10.0, -1.0), (-0.0, -0.0)])
+    def test_non_positive_size_message(self, w, h):
+        with pytest.raises(ValueError, match=rf"^non-positive bbox size w={w}, h={h}$"):
+            BBox(1.0, 2.0, w, h)
+
     def test_derived_properties(self):
         b = BBox(0, 0, 10, 20)
         assert (b.cx, b.cy, b.aspect, b.area) == (5, 10, 0.5, 200)
@@ -180,6 +198,22 @@ class TestBlendedAlpha:
     def test_rejects_out_of_range(self, i, v):
         with pytest.raises(ValueError):
             blended_alpha(i, v)
+
+    @pytest.mark.parametrize("i, v, message", [
+        (np.array([0.5, np.nan]), np.full(2, 0.5), "iou out of range: array([0.5, nan])"),
+        (0.5, np.nan, "v out of range: array(nan)"),
+        (np.array([[1.0, 1.5]]), np.full((1, 2), 2.0), "iou out of range: array([[1. , 1.5]])"),
+        (np.zeros(2), np.array([-np.inf, 0.0]), "v out of range: array([-inf,   0.])"),
+    ])
+    def test_out_of_range_message_names_the_input(self, i, v, message):
+        with pytest.raises(ValueError) as caught:
+            blended_alpha(i, v)
+        assert str(caught.value) == message
+
+    def test_empty_and_edge_entries_accepted(self):
+        assert blended_alpha(np.array([]), np.array([])).shape == (0,)
+        assert blended_alpha(np.zeros((0, 3)), np.zeros((0, 3))).shape == (0, 3)
+        assert blended_alpha(np.array([-0.0, 1.0]), np.array([1.0, -0.0])).tolist() == [0.5, 0.0]
 
     @given(st.floats(0, 1))
     def test_zero_iou_never_exceeds_half(self, v):

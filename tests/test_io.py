@@ -1,9 +1,11 @@
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
+from seltrack import io as mot_io
 from seltrack.geometry import BBox
 from seltrack.io import (
     FEATURE_MAGIC,
@@ -98,15 +100,175 @@ class TestTrajectories:
         with pytest.raises(ValueError, match=r"^line 2: non-finite bbox field x=inf"):
             reader(p)
 
-    @pytest.mark.parametrize("rows, message", [
-        ("1,5,0,0,10,10,1\n\n1,5,9,9,10,10,1\n", r"^line 3: duplicate"),
-        ("1,5,0,0,10,10,1\n\n\n1,0,9,9,10,10,1\n", r"^line 4: trajectory id"),
+    @pytest.mark.parametrize("rows, message, reader", [
+        ("1,5,0,0,10,10,1\n\n1,5,9,9,10,10,1\n", r"^line 3: duplicate", read_trajectories),
+        ("1,5,0,0,10,10,1\n\n\n1,0,9,9,10,10,1\n", r"^line 4: trajectory id", read_trajectories),
+        ("1,5,0,0,10,10,1\n  \n\t\n1,5,9,9,10,10,1\n", r"^line 4: duplicate", read_trajectories),
+        ("1,-1,0,0,10,10,0.9\n\n1,-1,9,9,10,10,1.5\n", r"^line 3: confidence out of range", read_detections),
+        # whitespace-only lines, which loadtxt refuses, then a CRLF blank line
+        ("1,-1,0,0,10,10,0.9\n \n\x0c\n\r\n1,-1,9,9,0,10,0.9\n", r"^line 5: non-positive bbox size", read_detections),
     ])
-    def test_errors_name_the_file_line_after_blank_lines(self, rows, message, tmp_path):
+    def test_errors_name_the_file_line_after_blank_lines(self, rows, message, reader, tmp_path):
         p = tmp_path / "gt.txt"
-        p.write_text(rows)
+        p.write_bytes(rows.encode("utf-8"))
         with pytest.raises(ValueError, match=message):
-            read_trajectories(p)
+            reader(p)
+
+    @pytest.mark.parametrize("reader", [read_trajectories, read_detections])
+    @pytest.mark.parametrize("field", ["x", "y", "w", "h"])
+    @pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
+    def test_non_finite_field_names_line_and_field(self, bad, field, reader, tmp_path):
+        row = dict(x="0", y="0", w="5", h="5")
+        row[field] = bad
+        p = tmp_path / "gt.txt"
+        p.write_text("1,1,0,0,5,5,1\n2,1,{x},{y},{w},{h},1\n".format(**row))
+        value = float(bad)
+        with pytest.raises(ValueError, match=rf"^line 2: non-finite bbox field {field}={value!r}$"):
+            reader(p)
+
+    @pytest.mark.parametrize("reader", [read_trajectories, read_detections])
+    @pytest.mark.parametrize("spelling, value", [
+        ("9007199254740991", 2**53 - 1),  # the largest the array pass takes
+        ("9007199254740993", 2**53),  # float rounds it, as `float` does
+        ("1e20", 10**20),
+        ("9223372036854775808", 2**63),  # int64 would wrap here
+        ("18446744073709551617", 2**64),
+    ])
+    def test_frame_and_id_beyond_int64_read_exactly(self, spelling, value, reader, tmp_path):
+        p = tmp_path / "gt.txt"
+        p.write_text(f"{spelling},{spelling},1,1,5,5,0.9\n")
+        got = reader(p)
+        if reader is read_detections:
+            (frame,) = got
+            (d,) = got[frame]
+            assert (type(frame), frame, d.frame) == (int, value, value)
+        else:
+            (track_id,) = got
+            (frame,) = got[track_id]
+            assert (type(track_id), track_id, type(frame), frame) == (int, value, int, value)
+
+
+# per field: spellings both parsers read alike, then spellings that `float`
+# alone reads, that neither reads, or whose value a reader refuses
+FIELD_SPELLINGS = {
+    "frame": (["1", "2", "3", "4", "5", "6", "7", "2.0", "1e0", "+3", " 2 "],
+              ["1.5", "0", "-1", "1_0", "1e20", "9007199254740993", "nan", "inf", "", "#2", "\u0663"]),
+    "id": (["1", "2", "3", "4", "5", "+2", "2.0", " 1 "],
+           ["-1", "0", "-1.5", "1_0", "1e20", "nan", "", "x"]),
+    "x": (["0", "10.5", "-3.25", "1e1", " 7 ", "+1", "-0", "1e-320"],
+          ["inf", "nan", "-inf", "Infinity", "1_0.5", "", "1e400", "1.5 # c"]),
+    "w": (["5", "0.25", "1e1", " 3 ", "+2", "1e-320"],
+          ["0", "-1", "inf", "nan", "-0", "1_0", "", "1e400"]),
+    "conf": (["0.9", "1", "0", "0.5", "+0.3", " 1 ", "-0"],
+             ["1.5", "-0.1", "nan", "inf", "1_0", "", "x"]),
+}
+ROW_FIELDS = ["frame", "id", "x", "x", "w", "w", "conf"]  # y and h are spelled like x and w
+ODD_LINES = [b"   ", b"\t", b"\x0c", b"# comment", b"\xff", b",,,,,,", "\ufeff".encode("utf-8")]
+FAULTS = ["field", "field", "field", "line", "short", "bom"]
+LINE_ENDINGS = [b"\n", b"\r\n", b"\r"]
+
+
+@st.composite
+def mot_files(draw):
+    """Bytes of a MOT-style file: clean rows and blank lines with mixed endings, then 0-3 faults.
+
+    A fault is an odd spelling of one field, an odd line, a row cut short or
+    a BOM. One fault asks whether the array pass refuses the file or reads
+    it as the line parser does; two or more ask which bad line wins.
+    """
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(b"")
+            continue
+        fields = [draw(st.sampled_from(FIELD_SPELLINGS[name][0])) for name in ROW_FIELDS]
+        lines.append(fields + ["-1"] * draw(st.integers(0, 3)))  # ragged trailing columns
+    bom = b""
+    for _ in range(draw(st.sampled_from([0, 0, 1, 1, 1, 2, 3])) if lines else 0):
+        n = draw(st.integers(0, len(lines) - 1))
+        fault = draw(st.sampled_from(FAULTS))
+        if fault == "line":
+            lines.insert(n, draw(st.sampled_from(ODD_LINES)))
+        elif fault == "bom":
+            bom = "\ufeff".encode("utf-8")
+        elif isinstance(lines[n], list) and fault == "field":
+            k = draw(st.integers(0, min(6, len(lines[n]) - 1)))  # the row may be cut short
+            lines[n][k] = draw(st.sampled_from(FIELD_SPELLINGS[ROW_FIELDS[k]][1]))
+        elif isinstance(lines[n], list):
+            del lines[n][draw(st.integers(1, 6)):]
+    lines = [line if isinstance(line, bytes) else ",".join(line).encode("utf-8") for line in lines]
+    endings = [draw(st.sampled_from(LINE_ENDINGS)) for _ in lines]
+    if lines and draw(st.booleans()):
+        endings[-1] = b""
+    return bom + b"".join(line + end for line, end in zip(lines, endings))
+
+
+def read_outcome_text(reader, path, line_parser_only=False) -> str:
+    """repr of what `reader` returns (floats and types shown exactly), or its error."""
+    try:
+        if line_parser_only:
+            with mock.patch.object(mot_io, "_table", return_value=None):
+                return repr(reader(path))
+        return repr(reader(path))
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestArrayPass:
+    """The array pass of the text readers against the line parser alone."""
+
+    def test_accepts_clean_rows_in_any_spelling(self, tmp_path):
+        p = tmp_path / "det.txt"
+        p.write_bytes(
+            b"\n1,5,10,20,30,40,0.9,-1,-1,-1\r\n"
+            b"\r\n +2 ,2.0,1e1,-0,  3  ,4.5,1\n"
+            b"1.0, +3 ,1,1,5,5,0,extra,,#\n"
+            b"1e0,7,-1e-320,1,1e-320,5,+0.25"
+        )
+        for reader in (read_detections, read_trajectories):
+            assert mot_io._table(p, reader is read_detections) is not None
+            assert read_outcome_text(reader, p) == read_outcome_text(reader, p, line_parser_only=True)
+        frames = read_detections(p)
+        assert [(d.frame, d.index, d.box.x, d.confidence) for d in frames[1]] == [
+            (1, 0, 10.0, 0.9), (1, 1, 1.0, 0.0), (1, 2, -1e-320, 0.25)
+        ]
+
+    def test_trajectory_confidence_is_not_checked(self, tmp_path):
+        p = tmp_path / "gt.txt"
+        p.write_text("1,1,0,0,5,5,nan\n2,1,0,0,5,5,-3\n")
+        assert mot_io._table(p, detections=False) is not None
+        assert read_trajectories(p) == {1: {1: BBox(0, 0, 5, 5), 2: BBox(0, 0, 5, 5)}}
+
+    @pytest.mark.parametrize("rows", [
+        "1,-1,1,1,5,5,0.9\n   \n",  # whitespace-only lines are blank to the line parser
+        "1,-1,1,1,5,5,0.9\n\t\n",
+        "1,-1,1,1,5,5,0.9\n\x0c\n",
+        "1_0,-1,1,1,5,5,0.9\n",  # `float` reads 10
+        "\u0661,-1,1,1,5,5,0.9\n",  # an Arabic-Indic 1
+        "9007199254740992,-1,1,1,5,5,0.9\n",  # 2**53
+    ])
+    def test_lines_only_float_reads_are_left_to_the_line_parser(self, rows, tmp_path):
+        p = tmp_path / "det.txt"
+        p.write_text(rows)
+        assert mot_io._table(p, detections=True) is None
+        assert read_outcome_text(read_detections, p).startswith("{")
+
+    def test_bad_byte_after_a_bad_line_names_the_line(self, tmp_path):
+        # the line parser decodes as it reads, so it meets line 1 first
+        p = tmp_path / "det.txt"
+        p.write_bytes(b"1,-1,1,1,0,5,0.9\n" + b"1,-1,1,1,5,5,0.9\n" * 2000 + b"\xff\n")
+        with pytest.raises(ValueError, match=r"^line 1: non-positive bbox size"):
+            read_detections(p)
+
+    @settings(max_examples=500, deadline=None)
+    @given(content=mot_files())
+    @pytest.mark.parametrize("reader", [read_detections, read_trajectories])
+    def test_same_rows_or_same_error_as_the_line_parser(self, reader, content, tmp_path_factory):
+        p = tmp_path_factory.mktemp("mot") / "rows.txt"
+        p.write_bytes(content)
+        accepted = mot_io._table(p, reader is read_detections) is not None
+        event("array pass accepted" if accepted else "left to the line parser")
+        assert read_outcome_text(reader, p) == read_outcome_text(reader, p, line_parser_only=True)
 
 
 class TestWriteResults:
