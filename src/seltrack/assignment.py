@@ -7,6 +7,7 @@ process whose matrices are all conflict-free never loads it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +41,7 @@ def conflict_free(mask: np.ndarray) -> bool:
     of them is in it, as many cells as rows and as columns holding one.
     """
     n = np.count_nonzero(mask)
-    return n == np.count_nonzero(mask.any(axis=0)) == np.count_nonzero(mask.any(axis=1))
+    return n <= 1 or n == np.count_nonzero(mask.any(axis=0)) == np.count_nonzero(mask.any(axis=1))
 
 
 def _padding(feasible: np.ndarray, mask: np.ndarray) -> float:
@@ -58,15 +59,15 @@ def _padding(feasible: np.ndarray, mask: np.ndarray) -> float:
 
 
 def _validate(costs, gate: float) -> np.ndarray:
-    """The gated cost matrix: cells above `gate` become INFEASIBLE."""
+    """The cost matrix as a float array; raises unless it and `gate` can be solved."""
     m = np.asarray(costs, dtype=float)
     if m.ndim != 2:
         raise ValueError(f"cost matrix must be 2-D, got shape {m.shape}")
-    if not (m > -np.inf).all():  # NaN or -inf
+    if not m.min(initial=np.inf) > -np.inf:  # NaN or -inf
         raise ValueError("cost matrix entries must be finite or +inf (infeasible)")
-    if not np.isfinite(gate):
+    if not math.isfinite(gate):
         raise ValueError(f"gate must be finite, got {gate!r}")
-    return np.where(m <= gate, m, INFEASIBLE)
+    return m
 
 
 def _incumbent(feasible: np.ndarray) -> tuple[int, float, np.ndarray]:
@@ -146,6 +147,12 @@ def _break_ties(feasible, col_of, target_card: int, target_cost: float) -> None:
             open_cols = open_cols[open_cols != c]
 
 
+def _others(n: int, taken: list[int]) -> list[int]:
+    """The indices below n that are not in `taken`, in order."""
+    taken = set(taken)
+    return [i for i in range(n) if i not in taken]
+
+
 def solve(costs, gate: float) -> Assignment:
     """Assign rows to columns over the cells with cost <= gate (and not inf).
 
@@ -167,16 +174,16 @@ def solve(costs, gate: float) -> Assignment:
     need coarser granularity than that for the tie-break to be meaningful.
     Output is reproducible bit-for-bit across runs.
     """
-    feasible = _validate(costs, gate)
-    n_rows, n_cols = feasible.shape
-    mask = np.isfinite(feasible)
+    m = _validate(costs, gate)
+    n_rows, n_cols = m.shape
+    mask = m <= gate  # the feasible cells
     if conflict_free(mask):
-        col_of = np.full(n_rows, UNMATCHED)
-        rows, cols = np.nonzero(mask)
-        col_of[rows] = cols
-    else:
-        target_card, target_cost, col_of = _incumbent(feasible)
-        _break_ties(feasible, col_of, target_card, target_cost)
+        # the feasible cells in row-major order, each cell the match of its row and its column
+        matches = [divmod(k, n_cols) for k in mask.ravel().nonzero()[0].tolist()]
+        return Assignment(matches, _others(n_rows, [r for r, _ in matches]), _others(n_cols, [c for _, c in matches]))
+    feasible = np.where(mask, m, INFEASIBLE)
+    target_card, target_cost, col_of = _incumbent(feasible)
+    _break_ties(feasible, col_of, target_card, target_cost)
 
     matched = col_of != UNMATCHED
     held = np.zeros(n_cols, dtype=bool)

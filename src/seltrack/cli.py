@@ -265,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_tracking_options(p_track)
     p_track.add_argument("--out", required=True, help="result file to write")
     p_track.add_argument("--stats", help="stats file (default: <out>.stats)")
-    p_track.set_defaults(func=cmd_track)
+    p_track.set_defaults(func=cmd_track, parser=p_track)
 
     p_eval = sub.add_parser("eval", help="score a result file against ground truth")
     p_eval.add_argument("--gt", required=True)
@@ -274,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--iou-match", dest="iou_match", type=float, default=0.5)
     p_eval.add_argument("--format", choices=["table", "kv"], default="table")
     p_eval.add_argument("--out", help="also write the report here")
-    p_eval.set_defaults(func=cmd_eval)
+    p_eval.set_defaults(func=cmd_eval, parser=p_eval)
 
     # no abbreviations: `--iou-th` would otherwise be taken for `--iou-th-grid`
     p_sweep = sub.add_parser("sweep", help="table of PDE/IDF1 across IoU thresholds",
@@ -288,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated thresholds (default 0.0..0.5)",
     )
     p_sweep.add_argument("--out", help="also write the table here")
-    p_sweep.set_defaults(func=cmd_sweep)
+    p_sweep.set_defaults(func=cmd_sweep, parser=p_sweep)
 
     p_synth = sub.add_parser("synth", help="materialize a synthetic scenario")
     p_synth.add_argument("--preset", required=True)
@@ -296,13 +296,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--seed", type=int)
     p_synth.add_argument("--targets", type=int, help="target count (parade)")
     p_synth.add_argument("--frames", type=int, help="frame count (parade/grid)")
-    p_synth.set_defaults(func=cmd_synth)
+    p_synth.set_defaults(func=cmd_synth, parser=p_synth)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    if extra:  # reported by the subcommand's parser, with its usage line
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 
@@ -47,27 +49,38 @@ class BBox:
         return self.x, self.y, self.x + self.w, self.y + self.h
 
 
+_XYWH = attrgetter("x", "y", "w", "h")
+
+
 def as_xywh(boxes) -> np.ndarray:
     """(n, 4) rows of (x, y, w, h) of a sequence of `BBox`, or of such an array itself."""
     if not isinstance(boxes, np.ndarray):
-        boxes = np.array([(box.x, box.y, box.w, box.h) for box in boxes], dtype=float)
+        boxes = np.fromiter(chain.from_iterable(map(_XYWH, boxes)), float, 4 * len(boxes))
     return boxes.reshape(-1, 4)
 
 
 def _corners(boxes) -> np.ndarray:
-    """(n, 4) xyxy corners of the boxes `as_xywh` takes."""
-    xywh = as_xywh(boxes)
-    return np.concatenate([xywh[:, :2], xywh[:, :2] + xywh[:, 2:]], axis=1)
+    """(4, n) rows x1, y1, x2, y2 of the boxes `as_xywh` takes.
+
+    Each row is contiguous, so the calls of `_inter_union` walk whole
+    (rows, columns) planes, several times faster than (rows, columns, 2)
+    corner pairs.
+    """
+    xywh = as_xywh(boxes).T
+    corners = np.empty(xywh.shape)
+    corners[:2] = xywh[:2]
+    np.add(xywh[:2], xywh[2:], out=corners[2:])
+    return corners
 
 
 def _inter_union(ca: np.ndarray, cb: np.ndarray):
-    """Intersection and union areas of corner arrays (..., 4) broadcast together."""
+    """Intersection and union areas of corner arrays (4, ...) broadcast together."""
     # [width, height] of each pair's overlap, 0 where there is none
-    overlap = np.maximum(np.minimum(ca[..., 2:], cb[..., 2:]) - np.maximum(ca[..., :2], cb[..., :2]), 0.0)
-    inter = overlap[..., 0] * overlap[..., 1]
+    overlap = np.maximum(np.minimum(ca[2:], cb[2:]) - np.maximum(ca[:2], cb[:2]), 0.0)
+    inter = overlap[0] * overlap[1]
     # areas from the same corner coordinates so iou(a, a) is exactly 1
-    size_a, size_b = ca[..., 2:] - ca[..., :2], cb[..., 2:] - cb[..., :2]
-    return inter, size_a[..., 0] * size_a[..., 1] + size_b[..., 0] * size_b[..., 1] - inter
+    size_a, size_b = ca[2:] - ca[:2], cb[2:] - cb[:2]
+    return inter, size_a[0] * size_a[1] + size_b[0] * size_b[1] - inter
 
 
 def iou_matrix(a, b) -> np.ndarray:
@@ -78,15 +91,15 @@ def iou_matrix(a, b) -> np.ndarray:
     """
     ca, cb = _corners(a), _corners(b)
     with np.errstate(over="ignore", invalid="ignore"):  # overflowed pairs are recomputed below
-        inter, union = _inter_union(ca[:, None, :], cb[None, :, :])
+        inter, union = _inter_union(ca[:, :, None], cb[:, None, :])
     overflowed = ~np.isfinite(union)
     if overflowed.any():
         # an area beyond float64: IoU is scale-free, so recompute the pair
         # with both boxes scaled by one exact power of two below unit size
         rows, cols = np.nonzero(overflowed)
-        pa, pb = ca[rows], cb[cols]
-        _, exp = np.frexp(np.maximum(np.abs(pa).max(axis=1), np.abs(pb).max(axis=1)))
-        inter[overflowed], union[overflowed] = _inter_union(np.ldexp(pa, -exp[:, None]), np.ldexp(pb, -exp[:, None]))
+        pa, pb = ca[:, rows], cb[:, cols]
+        _, exp = np.frexp(np.maximum(np.abs(pa).max(axis=0), np.abs(pb).max(axis=0)))
+        inter[overflowed], union[overflowed] = _inter_union(np.ldexp(pa, -exp), np.ldexp(pb, -exp))
     # only overlapping cells are divided: the others are exactly 0, also for
     # two boxes narrower than their coordinates' spacing (zero corner area)
     return np.divide(inter, union, out=np.zeros_like(inter), where=inter > 0)

@@ -20,11 +20,17 @@ from seltrack.tracker import Detection, TrackOutput
 FEATURE_MAGIC = b"FEAB"
 FEATURE_VERSION = 1
 
+# integer-valued floats below this magnitude are exact in int64 and as floats
+_EXACT_INT = 2.0**53
+
 
 def _parse_int(text: str, what: str) -> int:
+    """An integer field; from 2**53 in magnitude `float` no longer tells neighbours apart, so it is refused."""
     v = float(text)
     if not v.is_integer():
         raise ValueError(f"{what} must be an integer, got {text!r}")
+    if abs(v) >= _EXACT_INT:
+        raise ValueError(f"{what} must be below 2**53 in magnitude, got {text.strip()}")
     return int(v)
 
 
@@ -51,10 +57,6 @@ def _numbered_rows(path):
             except ValueError as exc:
                 raise ValueError(f"line {line_no}: {exc}") from None
             yield line_no, frame, track_id, box, conf
-
-
-# integer-valued floats below this magnitude are exact in int64 and as floats
-_EXACT_INT = 2.0**53
 
 
 def _table(path, detections: bool) -> np.ndarray | None:

@@ -6,7 +6,10 @@ it is risky) in one array pass of the gate, fetch features only for the
 risky ones (non-risky reuse their candidate's embedding), associate, then
 update motion, appearance, and lifecycle.
 All per-track state lives in one `TrackTable` of stacked arrays, so each
-of those per-track steps is one call over the rows it concerns.
+of those per-track steps is one call over the rows it concerns, and each
+per-frame quantity (the detections' box array, the IoU matrix, the
+innovation variances, the fetched features) is built once and sliced by
+every stage that reads it.
 """
 
 from __future__ import annotations
@@ -116,17 +119,15 @@ class CountingProvider:
 class TrackTable:
     """Every held track as one row of stacked arrays, in birth order.
 
-    Kalman columns are `motion`'s stacked state, and `effective_alpha` is
-    the weight the next blend puts on a row's embedding; a row without an
-    embedding holds zeros in both. No operation writes into an array a
-    table holds, so a table is a snapshot later frames keep intact.
+    `kalman_block` is `motion`'s stacked state block, which `kalman` views
+    as its four arrays, and `effective_alpha` is the weight the next blend
+    puts on a row's embedding; a row without an embedding holds zeros in
+    both. No operation writes into an array a table holds, so a table is a
+    snapshot later frames keep intact.
     """
 
     ids: np.ndarray
-    mean: np.ndarray  # (n, 8)
-    var_pos: np.ndarray  # (n, 4), as are cov and var_vel
-    cov: np.ndarray
-    var_vel: np.ndarray
+    kalman_block: np.ndarray  # (n, 5, 4)
     embedding: np.ndarray  # (n, d); d is 0 until the first feature
     has_embedding: np.ndarray
     effective_alpha: np.ndarray
@@ -139,7 +140,7 @@ class TrackTable:
         """Rows of new tracks: one hit, no embedding yet, not confirmed."""
         zeros = np.zeros(len(ids), dtype=int)
         no = zeros.astype(bool)
-        return cls(ids, **vars(state), embedding=np.zeros((len(ids), dim)), has_embedding=no,
+        return cls(ids, state.block, embedding=np.zeros((len(ids), dim)), has_embedding=no,
                    effective_alpha=zeros.astype(float), hits=zeros + 1, time_since_update=zeros, confirmed=no)
 
     def __len__(self) -> int:
@@ -147,7 +148,7 @@ class TrackTable:
 
     @property
     def kalman(self) -> KalmanState:
-        return KalmanState(self.mean, self.var_pos, self.cov, self.var_vel)
+        return KalmanState.of(self.kalman_block)
 
     def keep(self, mask: np.ndarray) -> TrackTable:
         return self if mask.all() else TrackTable(*(getattr(self, f.name)[mask] for f in fields(self)))
@@ -245,31 +246,41 @@ class SelectiveTracker:
         m = self.match
 
         # 1. motion prediction; a track whose predicted aspect or height is
-        #    no longer positive has no box, so it ends here
+        #    no longer positive has no box, so it ends here. The innovation
+        #    variances that tell so are kept for the update
         t = self.table
-        t = replace(t, **vars(motion.predict(t.kalman)), time_since_update=t.time_since_update + 1)
-        t = t.keep(~motion.degenerate(t.kalman))
+        kalman = motion.predict(t.kalman)
+        s = motion.innovation_variance(kalman)
+        kept = ~motion.degenerate(kalman, s)
+        t = replace(t, kalman_block=kalman.block, time_since_update=t.time_since_update + 1).keep(kept)
+        s = s[kept]
 
-        # 2. confidence split; the selective mechanism sees only the high half
+        # 2. confidence split; the selective mechanism sees only the high
+        #    half. The frame's boxes are one array, the high rows first
         high = [d for d in detections if d.confidence >= m.conf_high]
         low = [d for d in detections if d.confidence < m.conf_high]
+        dets = high + low
+        n_high = len(high)
+        xywh = as_xywh([d.box for d in dets])
 
-        # 3. risk classification against confirmed tracks' predicted boxes
-        #    (a tentative track's row is 0 for the gate); every stage below
-        #    reads its IoUs from the same matrix
+        # 3. one IoU matrix of the predicted boxes with the high detections,
+        #    and with the low ones when the byte stage may run; every stage
+        #    reads it. Risk classification is against confirmed tracks'
+        #    boxes (a tentative track's row is 0 for the gate)
         boxes = motion.state_to_xywh(t.kalman)
+        n_iou = len(dets) if m.byte_low else n_high
+        ious = iou_matrix(boxes, xywh[:n_iou]) if n_iou else np.zeros((len(t), 0))
+        high_iou = ious[:, :n_high]
         if high:
-            high_xywh = as_xywh([d.box for d in high])
-            high_iou = iou_matrix(boxes, high_xywh)
-            cand = gating.candidates(np.where(t.confirmed[:, None], high_iou, 0.0), high_xywh, boxes, self.gate)
+            cand = gating.candidates(np.where(t.confirmed[:, None], high_iou, 0.0), xywh[:n_high], boxes, self.gate)
         else:
-            high_iou, cand = np.zeros((len(t), 0)), np.full(0, -1)
+            cand = np.full(0, -1)
         risky = cand < 0
 
         # 4. features: fetched for risky detections; a non-risky one copies
         #    its candidate's embedding, if it has one, or is saturated (priced
         #    out of appearance matching) under the base-gate ablation
-        feats = self._fetch(frame, {j: high[j] for j in np.flatnonzero(risky).tolist()})
+        fetched, feats = self._fetch(frame, high, np.flatnonzero(risky).tolist())
         saturated = ~risky & (self.gate.mode == gating.MODE_BASE_GATE)
         copies = np.flatnonzero(~risky & ~saturated)
         copies = copies[t.has_embedding[cand[copies]]]
@@ -280,100 +291,103 @@ class SelectiveTracker:
         #    a detection no feature (a saturated one included); only the fused
         #    stage prices saturated columns, at SATURATED_COST
         app = np.full(high_iou.shape, INFEASIBLE)
-        cols = sorted([*feats, *copies.tolist()])
+        cols = sorted(fetched + copies.tolist())
         if cols and t.has_embedding.any():
-            vectors = [feats[j] if j in feats else t.embedding[cand[j]] for j in cols]
+            vectors = t.embedding[cand[cols]]  # a fetched column's row (cand -1) is overwritten next
+            if fetched:
+                vectors[np.searchsorted(cols, fetched)] = feats
             app[:, cols] = appearance.cosine_costs(t.embedding, vectors)
             app[~t.has_embedding] = INFEASIBLE
             app[cand[copies], copies] = 0.0  # a copy is its candidate's own embedding
-        iou_cost = np.where(high_iou >= m.iou_gate, 1.0 - high_iou, INFEASIBLE)
+        iou_cost = np.where(ious >= m.iou_gate, 1.0 - ious, INFEASIBLE)
+        high_cost = iou_cost[:, :n_high]
         if m.strategy == STRATEGY_CASCADE:
-            matches = _solve(np.where(t.confirmed[:, None], app, INFEASIBLE), m.appearance_gate)
-            left = _left(len(t), [i for i, _ in matches])[:, None] & _left(len(high), [j for _, j in matches])
-            matches += _solve(np.where(left, iou_cost, INFEASIBLE), 1.0 - m.iou_gate)
+            matches = assignment.solve(np.where(t.confirmed[:, None], app, INFEASIBLE), m.appearance_gate).matches
+            left = _left(len(t), [i for i, _ in matches])[:, None] & _left(n_high, [j for _, j in matches])
+            matches += assignment.solve(np.where(left, high_cost, INFEASIBLE), 1.0 - m.iou_gate).matches
         else:
             extra = np.where(saturated, SATURATED_COST, app)
-            priced = np.isfinite(iou_cost) & np.isfinite(extra)
-            iou_cost[priced] += m.fused_weight * extra[priced]
-            matches = _solve(iou_cost, m.fused_weight * SATURATED_COST + (1.0 - m.iou_gate))
+            priced = np.isfinite(high_cost) & np.isfinite(extra)
+            high_cost[priced] += m.fused_weight * extra[priced]
+            matches = assignment.solve(high_cost, m.fused_weight * SATURATED_COST + (1.0 - m.iou_gate)).matches
         left_t = _left(len(t), [i for i, _ in matches])
         byte_matches = []
         if m.byte_low and low and left_t.any():
-            low_iou = iou_matrix(boxes, [d.box for d in low])
-            byte_cost = np.where(left_t[:, None] & (low_iou >= m.iou_gate), 1.0 - low_iou, INFEASIBLE)
-            byte_matches = _solve(byte_cost, 1.0 - m.iou_gate)
+            byte_cost = np.where(left_t[:, None], iou_cost[:, n_high:], INFEASIBLE)
+            byte_matches = assignment.solve(byte_cost, 1.0 - m.iou_gate).matches
 
         # 6. one Kalman update over the matched rows
         rows = [i for i, _ in matches] + [i for i, _ in byte_matches]
-        dets = [high[j] for _, j in matches] + [low[j] for _, j in byte_matches]
+        det_js = [j for _, j in matches] + [n_high + j for _, j in byte_matches]
         if rows:
-            state = motion.update(t.kalman[rows], motion.measurements(d.box for d in dets))
-            t = t.put(rows, **vars(state), hits=t.hits[rows] + 1, time_since_update=0)
+            state = motion.update(t.kalman[rows], motion.measurements(xywh[det_js]), s[rows])
+            t = t.put(rows, kalman_block=state.block, hits=t.hits[rows] + 1, time_since_update=0)
 
         # 7. births for unmatched high-confidence detections (eager feature)
-        born_js = np.flatnonzero(_left(len(high), [j for _, j in matches])).tolist()
-        born = [high[j] for j in born_js]
-        feats |= self._fetch(frame, {j: high[j] for j in born_js if not risky[j]})
-        if born:
-            ids = np.arange(self._next_id, self._next_id + len(born))
-            state = motion.initiate(motion.measurements(d.box for d in born))
+        born_js = np.flatnonzero(_left(n_high, [j for _, j in matches])).tolist()
+        late, late_feats = self._fetch(frame, high, [j for j in born_js if not risky[j]])
+        if late:
+            fetched += late
+            feats = late_feats if feats is None else np.concatenate([feats, late_feats])
+        if born_js:
+            ids = np.arange(self._next_id, self._next_id + len(born_js))
+            state = motion.initiate(motion.measurements(xywh[born_js]))
             t = t.concat(TrackTable.born(ids, state, t.embedding.shape[1]))
-        born_rows = range(len(t) - len(born), len(t))
+        born_rows = range(len(t) - len(born_js), len(t))
         t = replace(t, confirmed=t.hits >= m.min_hits)
 
         # 8. appearance: only a fetched vector refreshes the EMA (or seeds a
         #    newborn's); byte/copied/feature-less matches and unmatched tracks decay it
-        fresh = [(i, feats[j]) for i, j in matches + list(zip(born_rows, born_js)) if j in feats]
-        t = self._refresh_appearance(t, fresh)
+        feat_of = dict(zip(fetched, range(len(fetched))))  # detection -> its row of `feats`
+        fresh = [(i, feat_of[j]) for i, j in matches + list(zip(born_rows, born_js)) if j in feat_of]
+        t = self._refresh_appearance(t, fresh, feats)
 
         # the confirmed matched and newborn tracks emit, by id
         is_confirmed = t.confirmed.tolist()
-        shown = [(i, d) for i, d in zip(rows + list(born_rows), dets + born) if is_confirmed[i]]
+        shown = [(i, j) for i, j in zip(rows + list(born_rows), det_js + born_js) if is_confirmed[i]]
         shown_rows = [i for i, _ in shown]
         if m.emit == EMIT_DETECTION:
-            shown_boxes = [d.box for _, d in shown]
+            shown_boxes = [dets[j].box for _, j in shown]
         else:
             shown_boxes = [BBox(*b) for b in motion.state_to_xywh(t.kalman[shown_rows]).tolist()]
         emitted = sorted(zip(t.ids[shown_rows].tolist(), shown_boxes), key=lambda pair: pair[0])
 
         # commit, with deletions after max_age consecutive misses
         self.table = t.keep(t.time_since_update <= m.max_age)
-        self._next_id += len(born)
+        self._next_id += len(born_js)
         self.last_frame = frame
-        self.stats.high_detections += len(high)
+        self.stats.high_detections += n_high
         return emitted
 
-    def _fetch(self, frame: int, dets: dict[int, Detection]) -> dict[int, np.ndarray]:
-        """The feature of each detection in `dets` (by key) the provider has one for; raises unless unit-norm."""
-        feats = {}
-        for j, d in dets.items():
-            f = self.provider.fetch(frame, d.index)
-            if f is not None:
-                feats[j] = f
-        if feats:
-            appearance.check_unit(list(feats.values()))
-        return feats
+    def _fetch(self, frame: int, dets: list[Detection], js: list[int]) -> tuple[list[int], np.ndarray | None]:
+        """The indices among `js` whose detection in `dets` the provider has a feature for, and those features.
 
-    def _refresh_appearance(self, t: TrackTable, fresh) -> TrackTable:
-        """Decay every row's blend weight, then blend in each (row, vector) of `fresh`; a row without one is seeded."""
+        The features are one (k, d) float64 matrix, None when there are
+        none; raises unless each is unit-norm.
+        """
+        got, vectors = [], []
+        for j in js:
+            f = self.provider.fetch(frame, dets[j].index)
+            if f is not None:
+                got.append(j)
+                vectors.append(f)
+        return got, appearance.check_unit(vectors) if vectors else None
+
+    def _refresh_appearance(self, t: TrackTable, fresh, feats) -> TrackTable:
+        """Decay every row's blend weight, then blend in each (row, row of `feats`) of `fresh`; a row without an embedding is seeded."""
         alpha = self.match.ema_alpha
         weight = t.effective_alpha  # what this frame's blends put on the old embedding
         t = replace(t, effective_alpha=weight * alpha)
         if not fresh:
             return t
         rows = np.array([i for i, _ in fresh])
-        vectors = np.array([f for _, f in fresh], dtype=float)
+        vectors = feats[[k for _, k in fresh]]
         if not t.embedding.shape[1]:
             t = replace(t, embedding=np.zeros((len(t), vectors.shape[1])))
         blend = t.has_embedding[rows]
         if blend.any():
             vectors[blend] = appearance.ema_update(t.embedding[rows[blend]], weight[rows[blend]], vectors[blend])
         return t.put(rows, embedding=vectors, has_embedding=True, effective_alpha=alpha)
-
-
-def _solve(cost: np.ndarray, gate: float) -> list[tuple[int, int]]:
-    """`assignment.solve`'s (row, column) matches; no solve when no cell is within the gate."""
-    return assignment.solve(cost, gate).matches if (cost <= gate).any() else []
 
 
 def _left(n: int, taken: list[int]) -> np.ndarray:

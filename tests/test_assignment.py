@@ -339,6 +339,17 @@ class TestConflictFree:
         assert lsa.call_count == 0
 
     @settings(max_examples=300, deadline=None)
+    @given(conflict_free())
+    def test_equals_the_hungarian_path(self, case):
+        costs, gate = case
+        fast = solve(costs, gate)
+        with mock.patch.object(assignment, "conflict_free", return_value=False) as checked:
+            assert solve(costs, gate) == fast
+        assert checked.call_count == 1
+        assert all(type(v) is int for pair in fast.matches for v in pair)
+        assert all(type(v) is int for v in fast.unmatched_rows + fast.unmatched_cols)
+
+    @settings(max_examples=300, deadline=None)
     @given(conflict_free(), st.data())
     def test_one_conflicting_cell_takes_the_solve(self, case, data):
         costs, gate = case

@@ -288,6 +288,25 @@ class TestSynth:
         assert len(read_trajectories(out / "gt.txt")) == 3
 
 
+class TestUnknownFlags:
+    """An unknown flag is reported with the usage of the subcommand it was given to."""
+
+    @pytest.mark.parametrize("argv", [
+        ["track", "--det", "d.txt", "--out", "r.txt", "--bogus", "1"],
+        ["eval", "--gt", "g.txt", "--pred", "p.txt", "--bogus", "1"],
+        ["sweep", "--det", "d.txt", "--gt", "g.txt", "--iou-th", "0.3"],
+        ["synth", "--preset", "grid", "--out", "o", "--bogus", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_usage_is_the_subcommand_s(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage: seltrack {argv[0]} ")
+        assert captured.err.rstrip().endswith(f"seltrack {argv[0]}: error: unrecognized arguments: {' '.join(argv[-2:])}")
+
+
 class TestConsoleEntry:
     def test_module_invocation(self, tmp_path):
         result = subprocess.run(

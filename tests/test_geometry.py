@@ -98,6 +98,9 @@ grid_boxes = st.builds(
 scale = st.floats(1e-3, 1e6, allow_nan=False, allow_infinity=False)
 scaled_boxes = st.builds(BBox, finite_coord, finite_coord, scale, scale)
 any_boxes = st.lists(st.one_of(grid_boxes, scaled_boxes, boxes), max_size=6)
+# boxes whose area overflows float64 more often than not: their IoUs take the rescale
+huge_size = st.floats(1e154, 1e300, allow_nan=False, allow_infinity=False)
+huge_boxes = st.builds(BBox, finite_coord, finite_coord, huge_size, huge_size)
 
 
 class TestIouMatrix:
@@ -133,6 +136,26 @@ class TestIouMatrix:
         m = iou_matrix([huge, small], [huge, half, small])
         np.testing.assert_allclose(m, [[1.0, 0.5, 0.0], [0.0, 0.0, 1.0]], rtol=1e-12, atol=0.0)
         assert m[0, 0] == 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(grid_boxes, scaled_boxes, boxes, huge_boxes), max_size=6),
+           st.lists(st.one_of(grid_boxes, scaled_boxes, boxes, huge_boxes), max_size=8), st.data())
+    def test_column_slice_equals_the_matrix_of_those_columns(self, rows, cols, data):
+        picked = data.draw(st.lists(st.integers(0, len(cols) - 1), unique=True) if cols else st.just([]))
+        sub = iou_matrix(rows, [cols[j] for j in picked])
+        assert iou_matrix(rows, cols)[:, picked].tobytes() == sub.tobytes()
+        for i, a in enumerate(rows):
+            for k, j in enumerate(picked):
+                if a.area < 1e300 and cols[j].area < 1e300:  # the reference has no rescale
+                    assert sub[i, k] == iou_reference(a, cols[j]), (a, cols[j])
+
+    def test_column_slice_of_overflowing_pairs(self):
+        huge, half, small = BBox(0, 0, 1e250, 1e100), BBox(0, 0, 5e249, 1e100), BBox(0, 0, 10, 10)
+        rows, cols = [huge, small], [small, half, huge, BBox(2, 2, 6, 6)]
+        full = iou_matrix(rows, cols)
+        for picked in ([2, 1], [1], [3, 0], []):
+            assert full[:, picked].tobytes() == iou_matrix(rows, [cols[j] for j in picked]).tobytes()
+        assert full[1, 3] == iou_reference(small, cols[3])
 
     @settings(max_examples=100, deadline=None)
     @given(any_boxes, any_boxes)

@@ -126,17 +126,30 @@ class TestTrajectories:
         with pytest.raises(ValueError, match=rf"^line 2: non-finite bbox field {field}={value!r}$"):
             reader(p)
 
+    def test_frames_of_2_53_and_beyond_are_not_merged(self, tmp_path):
+        # as floats both frames are 2**53, so they would read as one frame
+        p = tmp_path / "det.txt"
+        p.write_text("9007199254740993,-1,1,1,5,5,0.9\n9007199254740992,-1,1,1,5,5,0.9\n")
+        assert mot_io._table(p, detections=True) is None  # the line parser refuses the file
+        with pytest.raises(ValueError, match=r"^line 1: frame must be below 2\*\*53 in magnitude"):
+            read_detections(p)
+
     @pytest.mark.parametrize("reader", [read_trajectories, read_detections])
     @pytest.mark.parametrize("spelling, value", [
-        ("9007199254740991", 2**53 - 1),  # the largest the array pass takes
-        ("9007199254740993", 2**53),  # float rounds it, as `float` does
-        ("1e20", 10**20),
-        ("9223372036854775808", 2**63),  # int64 would wrap here
-        ("18446744073709551617", 2**64),
+        ("9007199254740991", 2**53 - 1),  # the largest either parser takes
+        ("9007199254740992", None),
+        ("9007199254740993", None),  # `float` would round it to 2**53
+        ("1e20", None),
+        ("9223372036854775808", None),  # int64 would wrap here
+        ("18446744073709551617", None),
     ])
-    def test_frame_and_id_beyond_int64_read_exactly(self, spelling, value, reader, tmp_path):
+    def test_frame_and_id_read_exactly_below_2_53(self, spelling, value, reader, tmp_path):
         p = tmp_path / "gt.txt"
         p.write_text(f"{spelling},{spelling},1,1,5,5,0.9\n")
+        if value is None:
+            with pytest.raises(ValueError, match=r"^line 1: frame must be below 2\*\*53 in magnitude"):
+                reader(p)
+            return
         got = reader(p)
         if reader is read_detections:
             (frame,) = got
@@ -146,6 +159,14 @@ class TestTrajectories:
             (track_id,) = got
             (frame,) = got[track_id]
             assert (type(track_id), track_id, type(frame), frame) == (int, value, int, value)
+
+    @pytest.mark.parametrize("reader", [read_trajectories, read_detections])
+    @pytest.mark.parametrize("spelling", ["9007199254740992", "-9007199254740993", "1e300"])
+    def test_id_of_2_53_or_more_in_magnitude_is_refused(self, spelling, reader, tmp_path):
+        p = tmp_path / "gt.txt"
+        p.write_text(f"1,1,1,1,5,5,0.9\n2,{spelling},1,1,5,5,0.9\n")
+        with pytest.raises(ValueError, match=r"^line 2: id must be below 2\*\*53 in magnitude"):
+            reader(p)
 
 
 # per field: spellings both parsers read alike, then spellings that `float`
@@ -245,7 +266,6 @@ class TestArrayPass:
         "1,-1,1,1,5,5,0.9\n\x0c\n",
         "1_0,-1,1,1,5,5,0.9\n",  # `float` reads 10
         "\u0661,-1,1,1,5,5,0.9\n",  # an Arabic-Indic 1
-        "9007199254740992,-1,1,1,5,5,0.9\n",  # 2**53
     ])
     def test_lines_only_float_reads_are_left_to_the_line_parser(self, rows, tmp_path):
         p = tmp_path / "det.txt"

@@ -1,9 +1,19 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from seltrack.geometry import BBox
-from seltrack.motion import KalmanState, degenerate, initiate, predict, state_to_xywh, update
+from seltrack.motion import (
+    KalmanState,
+    degenerate,
+    initiate,
+    innovation_variance,
+    measurements,
+    predict,
+    state_to_xywh,
+    update,
+)
 
 
 def box_of(state: KalmanState) -> BBox:
@@ -246,3 +256,127 @@ class TestStacked:
     def test_overflowing_variance_is_degenerate(self):
         # (h / 10)^2 overflows for h = 1e200: no finite gain can correct the state
         assert degenerate(initiate(as_measurement(BBox(0, 0, 1e200, 1e200))))
+
+
+class FourArrays:
+    """The filter as four arrays (mean, var_pos, cov, var_vel), before its state became one block.
+
+    The block kernels must give these formulas' bytes, row by row.
+    """
+
+    @staticmethod
+    def variance(h, weight, aspect_std):
+        std = np.empty(np.shape(h) + (4,))
+        std[...] = weight * np.asarray(h)[..., None]
+        std[..., 2] = aspect_std
+        return np.square(std, out=std)
+
+    @classmethod
+    def initiate(cls, z):
+        h = z[..., 3]
+        return (np.concatenate([z, np.zeros_like(z)], axis=-1), cls.variance(h, 2 / 20, 1e-2),
+                np.zeros_like(z), cls.variance(h, 10 / 160, 1e-5))
+
+    @classmethod
+    def predict(cls, mean, var_pos, cov, var_vel):
+        h = mean[..., 3]
+        pos, vel = mean[..., :4], mean[..., 4:]
+        new_cov = cov + var_vel
+        return (np.concatenate([pos + vel, vel], axis=-1), var_pos + cov + new_cov + cls.variance(h, 1 / 20, 1e-2),
+                new_cov, var_vel + cls.variance(h, 1 / 160, 1e-5))
+
+    @classmethod
+    def innovation_variance(cls, mean, var_pos):
+        return var_pos + cls.variance(mean[..., 3], 1 / 20, 1e-1)
+
+    @classmethod
+    def update(cls, mean, var_pos, cov, var_vel, z):
+        s = cls.innovation_variance(mean, var_pos)
+        residual = z - mean[..., :4]
+        gain_pos, gain_vel = var_pos / s, cov / s
+        return (mean + np.concatenate([gain_pos * residual, gain_vel * residual], axis=-1),
+                var_pos - gain_pos * s * gain_pos, cov - gain_pos * s * gain_vel, var_vel - gain_vel * s * gain_vel)
+
+    @classmethod
+    def degenerate(cls, mean, var_pos):
+        s = cls.innovation_variance(mean, var_pos)
+        corrects = np.all((s > 0) & (s < np.inf), axis=-1)
+        return (mean[..., 2] <= 0) | (mean[..., 3] <= 0) | ~corrects
+
+
+# ordinary values, and values whose variances or sums overflow, underflow or are not positive
+extreme = st.sampled_from([0.0, -0.0, 1e-200, -1e-200, 1e-320, 1e200, -1e200, 1e308, -1e308])
+entries = st.one_of(st.floats(-1e3, 1e3), st.floats(1e-3, 1e3), extreme)
+# (co)variances of states an update accepts, mostly: positive, some of them extreme
+variances = st.one_of(st.floats(1e-3, 1e3), st.floats(-1e3, 1e3), st.sampled_from([1e-200, 1e-320, 1e200, 1e308]))
+
+
+def stacks(columns):
+    """(n, columns) float arrays of `entries`, n from 0 to 6."""
+    return st.integers(0, 6).flatmap(lambda n: arrays(float, (n, columns), elements=entries))
+
+
+def assert_same_bytes(state: KalmanState, reference):
+    for name, want in zip(("mean", "var_pos", "cov", "var_vel"), reference):
+        assert getattr(state, name).tobytes() == want.tobytes(), name
+
+
+class TestBlockAgainstFourArrays:
+    """Each block kernel gives the four-array formulas' bytes, overflowing and degenerate rows included."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(stacks(4))
+    def test_initiate(self, z):
+        with np.errstate(all="ignore"):
+            assert_same_bytes(initiate(z), FourArrays.initiate(z))
+
+    @settings(max_examples=200, deadline=None)
+    @given(stacks(20))
+    def test_predict(self, rows):
+        fields = np.split(rows, [8, 12, 16], axis=1)
+        with np.errstate(all="ignore"):
+            assert_same_bytes(predict(KalmanState(*fields)), FourArrays.predict(*fields))
+
+    @settings(max_examples=200, deadline=None)
+    @given(stacks(20))
+    def test_innovation_variance_and_degenerate(self, rows):
+        fields = np.split(rows, [8, 12, 16], axis=1)
+        state = KalmanState(*fields)
+        with np.errstate(all="ignore"):
+            s = innovation_variance(state)
+            assert s.tobytes() == FourArrays.innovation_variance(fields[0], fields[1]).tobytes()
+            want = FourArrays.degenerate(fields[0], fields[1])
+            assert degenerate(state).tolist() == degenerate(state, s).tolist() == want.tolist()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+        arrays(float, (n, 12), elements=entries), arrays(float, (n, 12), elements=variances))))
+    def test_update(self, rows):
+        means_and_z, variances_ = rows
+        mean, z = np.split(means_and_z, [8], axis=1)
+        fields = [mean, *np.split(variances_, [4, 8], axis=1)]
+        state = KalmanState(*fields)
+        with np.errstate(all="ignore"):
+            s = innovation_variance(state)
+            if not s.min() > 0:
+                with pytest.raises(ValueError, match="singular innovation covariance"):
+                    update(state, z)
+                return
+            want = FourArrays.update(*fields, z)
+            assert_same_bytes(update(state, z), want)
+            assert_same_bytes(update(state, z, s), want)
+
+    def test_fields_are_views_of_the_block(self):
+        state = initiate(np.array([[5.0, 10.0, 0.5, 20.0], [1.0, 2.0, 3.0, 4.0]]))
+        for name in ("mean", "var_pos", "cov", "var_vel"):
+            assert np.shares_memory(getattr(state, name), state.block), name
+        assert state[1].mean.tolist() == [1.0, 2.0, 3.0, 4.0, 0.0, 0.0, 0.0, 0.0]
+
+
+class TestMeasurements:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(boxes, max_size=6))
+    def test_rows_are_the_box_properties(self, box_list):
+        z = measurements(np.array([(b.x, b.y, b.w, b.h) for b in box_list], dtype=float).reshape(-1, 4))
+        want = np.array([(b.cx, b.cy, b.aspect, b.h) for b in box_list], dtype=float).reshape(-1, 4)
+        assert z.tobytes() == want.tobytes()

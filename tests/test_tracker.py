@@ -70,8 +70,15 @@ def stationary_frames(n, box=BBox(100, 100, 20, 40)):
 
 
 def table_fields(tracker):
-    """Every column of the track table as plain values, copied out."""
-    return {f.name: getattr(tracker.table, f.name).tolist() for f in fields(tracker.table)}
+    """Every column of the track table as plain values, copied out; the Kalman block as its four arrays."""
+    out = {}
+    for f in fields(tracker.table):
+        if f.name == "kalman_block":
+            kalman = tracker.table.kalman
+            out.update((name, getattr(kalman, name).tolist()) for name in ("mean", "var_pos", "cov", "var_vel"))
+        else:
+            out[f.name] = getattr(tracker.table, f.name).tolist()
+    return out
 
 
 class TestStep:
@@ -307,6 +314,28 @@ class TestStackedCalls:
             updates += calls["update"]
         assert len(tracker.tracks) == 25
         assert updates == len(frames) - 1
+
+    def test_at_most_one_iou_matrix_per_step(self, monkeypatch, tmp_path):
+        calls = []
+
+        def counting(*args, real=tracker_module.iou_matrix):
+            calls.append(len(as_xywh(args[1])))
+            return real(*args)
+
+        monkeypatch.setattr(tracker_module, "iou_matrix", counting)
+        det_path, feat_path, _ = generate_to_dir(grid_scene(side=3, frames=12), tmp_path)
+        frames = read_detections(det_path)
+        # after frame 1 every third detection falls below conf_high, so the byte stage has columns
+        for f in sorted(frames)[1:]:
+            for d in frames[f][::3]:
+                d.confidence = 0.3
+        tracker = SelectiveTracker(FeatureFileProvider(feat_path), match=MatchConfig(strategy=STRATEGY_FUSED))
+        for f in sorted(frames):
+            calls.clear()
+            tracker.step(f, frames[f])
+            # one matrix covers the high and the low detections
+            assert calls == [len(frames[f])], (f, calls)
+        assert len(tracker.tracks) == 9
 
 
 def frames_without_high_detections(tracker):
