@@ -1,0 +1,145 @@
+#!/usr/bin/env python3
+"""Per-frame timing of `SelectiveTracker.step` on the benchmark's workloads.
+
+Generates each seeded workload of `perfbench/workloads.py` into a temporary
+directory, loads it through `seltrack.io` and steps fresh trackers over it
+in selective and always_extract mode, alternating pass by pass. Each frame
+keeps its fastest time over the passes, and the table gives the median of
+those minima in milliseconds, the estimator of `perfbench/measure.py`,
+whose `pin_fastest_cpu` runs every few frames between steps:
+
+    PYTHONPATH=src python scripts/bench_frame.py --passes 24
+
+`--against PATH` loads the `seltrack` package of the checkout at PATH into
+the same process next to this one and alternates passes of the two
+trackers on the same frames, which side goes first alternating too, so
+that host drift hits both sides alike; separate processes, alternated,
+drift further apart than the differences a frame-level change makes. The
+table then gives both sides, the change of this side against the other,
+and whether the two emitted the same (frame, id, box) rows.
+"""
+
+from __future__ import annotations
+
+import os
+
+# one thread, as the benchmark runs: pin the BLAS pools before numpy is imported
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse
+import dataclasses
+import gc
+import importlib
+import sys
+import tempfile
+from pathlib import Path
+from time import perf_counter
+from types import SimpleNamespace
+
+import numpy as np
+
+from seltrack import gating, io, tracker
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import measure  # noqa: E402
+import workloads  # noqa: E402
+
+MODES = (gating.MODE_SELECTIVE, gating.MODE_ALWAYS_EXTRACT)
+
+
+def _package_modules() -> dict:
+    return {name: m for name, m in sys.modules.items() if name == "seltrack" or name.startswith("seltrack.")}
+
+
+def load_against(root: Path) -> SimpleNamespace:
+    """The `gating`, `io` and `tracker` modules of the checkout at `root`, kept apart from this one's.
+
+    The checkout's package is imported under its own name while this one's
+    modules are out of `sys.modules`, which then get their entries back;
+    each package's modules keep the siblings they imported.
+    """
+    ours = _package_modules()
+    for name in ours:
+        del sys.modules[name]
+    sys.path.insert(0, str(root / "src"))
+    try:
+        names = ("gating", "io", "tracker")
+        return SimpleNamespace(**{name: importlib.import_module(f"seltrack.{name}") for name in names})
+    finally:
+        sys.path.remove(str(root / "src"))
+        for name in _package_modules():
+            del sys.modules[name]
+        sys.modules.update(ours)
+
+
+class Side:
+    """One checkout's tracker on one workload: its own loaded inputs and configs, and its timings."""
+
+    def __init__(self, modules, workload):
+        self.modules = modules
+        self.frames = modules.io.read_detections(workload.det)
+        self.provider = modules.io.FeatureFileProvider(workload.features)
+        self.match = modules.tracker.MatchConfig(**dataclasses.asdict(workload.match))
+        self.best: dict[str, dict[int, float]] = {mode: {} for mode in MODES}
+        self.rows: dict[str, list] = {}
+
+    def run_pass(self, mode: str) -> None:
+        """Step a fresh tracker over every frame; keep each frame's fastest time and the first pass's rows."""
+        gate = self.modules.gating.GateConfig(mode=mode)
+        step = self.modules.tracker.SelectiveTracker(self.provider, gate, self.match).step
+        best, rows = self.best[mode], []
+        gc.collect()
+        for n, frame in enumerate(sorted(self.frames)):
+            if n % measure.PROBE_EVERY_FRAMES == 0:
+                measure.pin_fastest_cpu()
+            started = perf_counter()
+            emitted = step(frame, self.frames[frame])
+            ms = 1e3 * (perf_counter() - started)
+            best[frame] = min(ms, best.get(frame, ms))
+            rows.extend((frame, tid, box.x, box.y, box.w, box.h) for tid, box in emitted)
+        self.rows.setdefault(mode, rows)
+
+    def median_ms(self, mode: str) -> float:
+        return float(np.median(list(self.best[mode].values())))
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--workload", default="all", choices=workloads.NAMES + ("all",))
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--passes", type=int, default=24, help="passes per side, workload and mode")
+    ap.add_argument("--against", type=Path, help="another checkout to time alongside this one")
+    args = ap.parse_args(argv)
+
+    sides = {"this": SimpleNamespace(gating=gating, io=io, tracker=tracker)}
+    if args.against is not None:
+        sides["against"] = load_against(args.against.resolve())
+    names = workloads.NAMES if args.workload == "all" else (args.workload,)
+
+    cpus = os.sched_getaffinity(0)  # `pin_fastest_cpu` narrows it
+    header = f"{'workload':8} {'mode':14}" + "".join(f" {name + ' ms':>10}" for name in sides)
+    print(header + (f" {'change':>8} {'rows':>9}" if len(sides) > 1 else ""))
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            for name in names:
+                workload = workloads.generate(name, args.seed, Path(tmp) / name)
+                loaded = [Side(modules, workload) for modules in sides.values()]
+                for n in range(args.passes):
+                    for mode in MODES:
+                        for side in loaded[:: 1 if n % 2 == 0 else -1]:
+                            side.run_pass(mode)
+                for mode in MODES:
+                    ms = [side.median_ms(mode) for side in loaded]
+                    line = f"{name:8} {mode:14}" + "".join(f" {v:>10.3f}" for v in ms)
+                    if len(loaded) > 1:
+                        same = all(side.rows[mode] == loaded[0].rows[mode] for side in loaded)
+                        line += f" {100.0 * (ms[0] / ms[1] - 1.0):>+7.1f}% {'identical' if same else 'DIFFER':>9}"
+                    print(line, flush=True)
+    finally:
+        os.sched_setaffinity(0, cpus)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

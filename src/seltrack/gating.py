@@ -50,7 +50,10 @@ def candidates(ious: np.ndarray, det_xywh: np.ndarray, track_xywh: np.ndarray, c
     if cfg.mode == MODE_ALWAYS_EXTRACT or not n_tracks:
         return np.full(n_dets, -1)
     above = ious > cfg.theta_iou
-    cand = np.where(above.sum(axis=0) == 1, above.argmax(axis=0), -1)
+    sole = above.sum(axis=0) == 1
+    if not np.count_nonzero(sole):  # every detection is risky: the aspect check has no pair
+        return np.full(n_dets, -1)
+    cand = np.where(sole, above.argmax(axis=0), -1)
     if cfg.ars_enabled:
         dets = np.flatnonzero(cand >= 0)
         tracks = cand[dets]

@@ -59,6 +59,25 @@ def as_xywh(boxes) -> np.ndarray:
     return boxes.reshape(-1, 4)
 
 
+def as_bboxes(xywh) -> list[BBox]:
+    """The `BBox` of each (x, y, w, h) row of an (n, 4) array: the inverse of `as_xywh`.
+
+    The rows are checked in one array pass, and the boxes are then built
+    without `BBox.__init__`, whose frozen fields are each set through
+    `object.__setattr__`. A refused row goes to `BBox` itself, so the first
+    one raises `BBox`'s own error.
+    """
+    xywh = np.asarray(xywh, dtype=float).reshape(-1, 4)
+    refused = ~np.isfinite(xywh).all(axis=1) | (xywh[:, 2] <= 0) | (xywh[:, 3] <= 0)
+    if refused.any():
+        BBox(*xywh[np.argmax(refused)].tolist())  # raises
+    boxes = [object.__new__(BBox) for _ in range(len(xywh))]
+    for box, (x, y, w, h) in zip(boxes, xywh.tolist()):
+        fields = box.__dict__
+        fields["x"], fields["y"], fields["w"], fields["h"] = x, y, w, h
+    return boxes
+
+
 def _corners(boxes) -> np.ndarray:
     """(4, n) rows x1, y1, x2, y2 of the boxes `as_xywh` takes.
 

@@ -14,7 +14,7 @@ import struct
 import numpy as np
 
 from seltrack.appearance import UNIT_NORM_ATOL, norms
-from seltrack.geometry import BBox
+from seltrack.geometry import BBox, as_bboxes
 from seltrack.tracker import Detection, TrackOutput
 
 FEATURE_MAGIC = b"FEAB"
@@ -106,8 +106,7 @@ def _rows(path, detections: bool):
     if table is None:
         return _numbered_rows(path)
     frames, ids = table[:, :2].astype(np.int64).T.tolist()
-    x, y, w, h, conf = table[:, 2:].T.tolist()  # columns: no list per row
-    return zip(itertools.repeat(None), frames, ids, map(BBox, x, y, w, h), conf)
+    return zip(itertools.repeat(None), frames, ids, as_bboxes(table[:, 2:6]), table[:, 6].tolist())
 
 
 def read_detections(path) -> dict[int, list[Detection]]:

@@ -14,7 +14,7 @@ every stage that reads it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple, Protocol
 
 import numpy as np
@@ -22,7 +22,7 @@ import numpy as np
 from seltrack import appearance, assignment, gating, motion
 from seltrack.assignment import INFEASIBLE
 from seltrack.gating import GateConfig, SATURATED_COST
-from seltrack.geometry import BBox, as_xywh, iou_matrix
+from seltrack.geometry import BBox, as_bboxes, as_xywh, iou_matrix
 from seltrack.motion import KalmanState
 
 TENTATIVE = "tentative"
@@ -122,8 +122,10 @@ class TrackTable:
     `kalman_block` is `motion`'s stacked state block, which `kalman` views
     as its four arrays, and `effective_alpha` is the weight the next blend
     puts on a row's embedding; a row without an embedding holds zeros in
-    both. No operation writes into an array a table holds, so a table is a
-    snapshot later frames keep intact.
+    both. A committed table (`SelectiveTracker.table`) is never written: a
+    frame writes its own copy of the columns it changes, and that copy is
+    committed whole, so a committed table is a snapshot later frames keep
+    intact.
     """
 
     ids: np.ndarray
@@ -155,13 +157,6 @@ class TrackTable:
 
     def concat(self, other: TrackTable) -> TrackTable:
         return TrackTable(*(np.concatenate([getattr(self, f.name), getattr(other, f.name)]) for f in fields(self)))
-
-    def put(self, rows, **columns) -> TrackTable:
-        """This table with `rows` of the named columns set to the given values, in new arrays."""
-        for name, values in list(columns.items()):
-            columns[name] = getattr(self, name).copy()
-            columns[name][rows] = values
-        return replace(self, **columns)
 
 
 class TrackView(NamedTuple):
@@ -247,12 +242,16 @@ class SelectiveTracker:
 
         # 1. motion prediction; a track whose predicted aspect or height is
         #    no longer positive has no box, so it ends here. The innovation
-        #    variances that tell so are kept for the update
+        #    variances that tell so are kept for the update. `t` is the
+        #    frame's own table from here on, written in place: each column the
+        #    frame writes is a new array (`keep` may return the table it is given)
         t = self.table
         kalman = motion.predict(t.kalman)
         s = motion.innovation_variance(kalman)
         kept = ~motion.degenerate(kalman, s)
-        t = replace(t, kalman_block=kalman.block, time_since_update=t.time_since_update + 1).keep(kept)
+        t = TrackTable(t.ids, kalman.block, embedding=t.embedding.copy(), has_embedding=t.has_embedding.copy(),
+                       effective_alpha=t.effective_alpha.copy(), hits=t.hits.copy(),
+                       time_since_update=t.time_since_update + 1, confirmed=t.confirmed.copy()).keep(kept)
         s = s[kept]
 
         # 2. confidence split; the selective mechanism sees only the high
@@ -303,8 +302,10 @@ class SelectiveTracker:
         high_cost = iou_cost[:, :n_high]
         if m.strategy == STRATEGY_CASCADE:
             matches = assignment.solve(np.where(t.confirmed[:, None], app, INFEASIBLE), m.appearance_gate).matches
-            left = _left(len(t), [i for i, _ in matches])[:, None] & _left(n_high, [j for _, j in matches])
-            matches += assignment.solve(np.where(left, high_cost, INFEASIBLE), 1.0 - m.iou_gate).matches
+            left_rows, left_cols = _left(len(t), [i for i, _ in matches]), _left(n_high, [j for _, j in matches])
+            if left_rows.any() and left_cols.any():
+                left = left_rows[:, None] & left_cols
+                matches += assignment.solve(np.where(left, high_cost, INFEASIBLE), 1.0 - m.iou_gate).matches
         else:
             extra = np.where(saturated, SATURATED_COST, app)
             priced = np.isfinite(high_cost) & np.isfinite(extra)
@@ -320,8 +321,9 @@ class SelectiveTracker:
         rows = [i for i, _ in matches] + [i for i, _ in byte_matches]
         det_js = [j for _, j in matches] + [n_high + j for _, j in byte_matches]
         if rows:
-            state = motion.update(t.kalman[rows], motion.measurements(xywh[det_js]), s[rows])
-            t = t.put(rows, kalman_block=state.block, hits=t.hits[rows] + 1, time_since_update=0)
+            t.kalman_block[rows] = motion.update(t.kalman[rows], motion.measurements(xywh[det_js]), s[rows]).block
+            t.hits[rows] += 1
+            t.time_since_update[rows] = 0
 
         # 7. births for unmatched high-confidence detections (eager feature)
         born_js = np.flatnonzero(_left(n_high, [j for _, j in matches])).tolist()
@@ -334,13 +336,13 @@ class SelectiveTracker:
             state = motion.initiate(motion.measurements(xywh[born_js]))
             t = t.concat(TrackTable.born(ids, state, t.embedding.shape[1]))
         born_rows = range(len(t) - len(born_js), len(t))
-        t = replace(t, confirmed=t.hits >= m.min_hits)
+        np.greater_equal(t.hits, m.min_hits, out=t.confirmed)
 
         # 8. appearance: only a fetched vector refreshes the EMA (or seeds a
         #    newborn's); byte/copied/feature-less matches and unmatched tracks decay it
         feat_of = dict(zip(fetched, range(len(fetched))))  # detection -> its row of `feats`
         fresh = [(i, feat_of[j]) for i, j in matches + list(zip(born_rows, born_js)) if j in feat_of]
-        t = self._refresh_appearance(t, fresh, feats)
+        self._refresh_appearance(t, fresh, feats)
 
         # the confirmed matched and newborn tracks emit, by id
         is_confirmed = t.confirmed.tolist()
@@ -349,7 +351,7 @@ class SelectiveTracker:
         if m.emit == EMIT_DETECTION:
             shown_boxes = [dets[j].box for _, j in shown]
         else:
-            shown_boxes = [BBox(*b) for b in motion.state_to_xywh(t.kalman[shown_rows]).tolist()]
+            shown_boxes = as_bboxes(motion.state_to_xywh(t.kalman[shown_rows]))
         emitted = sorted(zip(t.ids[shown_rows].tolist(), shown_boxes), key=lambda pair: pair[0])
 
         # commit, with deletions after max_age consecutive misses
@@ -373,21 +375,26 @@ class SelectiveTracker:
                 vectors.append(f)
         return got, appearance.check_unit(vectors) if vectors else None
 
-    def _refresh_appearance(self, t: TrackTable, fresh, feats) -> TrackTable:
-        """Decay every row's blend weight, then blend in each (row, row of `feats`) of `fresh`; a row without an embedding is seeded."""
+    def _refresh_appearance(self, t: TrackTable, fresh, feats) -> None:
+        """Decay every row's blend weight, then blend in each (row, row of `feats`) of `fresh`; a row without an embedding is seeded.
+
+        `t` is the frame's own table, written in place.
+        """
         alpha = self.match.ema_alpha
-        weight = t.effective_alpha  # what this frame's blends put on the old embedding
-        t = replace(t, effective_alpha=weight * alpha)
+        rows = np.array([i for i, _ in fresh], dtype=int)
+        weight = t.effective_alpha[rows]  # what this frame's blends put on the old embedding
+        t.effective_alpha *= alpha
         if not fresh:
-            return t
-        rows = np.array([i for i, _ in fresh])
+            return
         vectors = feats[[k for _, k in fresh]]
         if not t.embedding.shape[1]:
-            t = replace(t, embedding=np.zeros((len(t), vectors.shape[1])))
+            t.embedding = np.zeros((len(t), vectors.shape[1]))
         blend = t.has_embedding[rows]
         if blend.any():
-            vectors[blend] = appearance.ema_update(t.embedding[rows[blend]], weight[rows[blend]], vectors[blend])
-        return t.put(rows, embedding=vectors, has_embedding=True, effective_alpha=alpha)
+            vectors[blend] = appearance.ema_update(t.embedding[rows[blend]], weight[blend], vectors[blend])
+        t.embedding[rows] = vectors
+        t.has_embedding[rows] = True
+        t.effective_alpha[rows] = alpha
 
 
 def _left(n: int, taken: list[int]) -> np.ndarray:

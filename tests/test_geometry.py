@@ -1,10 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seltrack.geometry import BBox, ars, as_xywh, blended_alpha, iou, iou_matrix
+from seltrack.geometry import BBox, ars, as_bboxes, as_xywh, blended_alpha, iou, iou_matrix
 
 from iou_reference import iou_reference
 
@@ -61,6 +62,30 @@ class TestBBox:
         b = BBox(0, 0, 10, 20)
         assert (b.cx, b.cy, b.aspect, b.area) == (5, 10, 0.5, 200)
         assert b.as_xyxy() == (0, 0, 10, 20)
+
+
+class TestAsBboxes:
+    @given(st.lists(boxes, max_size=8))
+    def test_inverse_of_as_xywh(self, rows):
+        built = as_bboxes(as_xywh(rows))
+        assert built == [BBox(*row) for row in as_xywh(rows).tolist()] == rows
+        assert repr(built) == repr(rows)
+        assert all(type(b) is BBox and vars(b) == vars(r) for b, r in zip(built, rows))
+
+    def test_empty(self):
+        assert as_bboxes(np.zeros((0, 4))) == []
+
+    @pytest.mark.parametrize("bad", [
+        (math.nan, 0.0, 1.0, 1.0), (0.0, math.inf, 1.0, 1.0), (0.0, 0.0, -math.inf, 1.0),
+        (0.0, 0.0, 0.0, 1.0), (0.0, 0.0, 1.0, -2.0), (0.0, 0.0, -0.0, math.nan),
+    ])
+    def test_first_refused_row_raises_the_bbox_error(self, bad):
+        with pytest.raises(ValueError) as expected:
+            BBox(*bad)
+        # a later refused row of another kind does not change the message
+        rows = [(1.0, 2.0, 3.0, 4.0), bad, (0.0, 0.0, 0.0, -1.0), (math.nan, 0.0, 1.0, 1.0)]
+        with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+            as_bboxes(np.array(rows))
 
 
 class TestIou:

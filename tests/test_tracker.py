@@ -337,6 +337,69 @@ class TestStackedCalls:
             assert calls == [len(frames[f])], (f, calls)
         assert len(tracker.tracks) == 9
 
+    def test_no_sole_candidate_makes_no_aspect_check(self, monkeypatch):
+        calls = collections.Counter()
+        for name in ("ars", "blended_alpha"):
+
+            def counting(*args, real=getattr(gating, name), name=name):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(gating, name, counting)
+        tracker = SelectiveTracker(ConstantProvider())
+        tracker.step(1, [det(1, 0, BBox(100, 100, 20, 40)), det(1, 1, BBox(110, 100, 20, 40))])
+        # frame 2: detection 0 overlaps both confirmed tracks, detection 1 neither
+        calls.clear()
+        tracker.step(2, [det(2, 0, BBox(105, 100, 20, 40)), det(2, 2, BBox(400, 100, 20, 40))])
+        assert calls == {}
+        # frame 3: the track born there is a sole candidate, checked once for the frame
+        tracker.step(3, [det(3, 0, BBox(402, 100, 20, 40))])
+        assert calls == {"ars": 1, "blended_alpha": 1}
+
+    @pytest.mark.parametrize("provider, solves", [(ConstantProvider(), 1), (NullFeatureProvider(), 2)])
+    def test_iou_stage_runs_only_with_rows_and_columns_left(self, provider, solves, monkeypatch):
+        calls = []
+
+        def counting(*args, real=tracker_module.assignment.solve):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(tracker_module.assignment, "solve", counting)
+        tracker = SelectiveTracker(provider)
+        tracker.step(1, [det(1, i, BBox(100 + 200 * i, 100, 20, 40)) for i in range(2)])
+        calls.clear()
+        emitted = tracker.step(2, [det(2, i, BBox(102 + 200 * i, 100, 20, 40)) for i in range(2)])
+        assert [tid for tid, _ in emitted] == [1, 2]
+        # with features the appearance stage matches both rows; without, the IoU stage does
+        assert len(calls) == solves
+
+
+class TestCommittedTable:
+    def test_later_frames_never_write_a_committed_table(self):
+        # from frame 3 on, target 0 is updated and its embedding blended every
+        # frame, target 1 is missed until max_age deletes it, and a target 2
+        # is born; every feature is new, so a blend changes the embedding
+        rng = np.random.default_rng(0)
+        features = {(f, i): v / np.linalg.norm(v) for f in range(1, 7) for i in range(3)
+                    for v in [np.eye(4)[i] + 0.2 * rng.normal(size=4)]}
+        tracker = SelectiveTracker(
+            DictProvider(features), GateConfig(mode=MODE_ALWAYS_EXTRACT), MatchConfig(max_age=2)
+        )
+        for f in (1, 2):
+            tracker.step(f, [det(f, i, BBox(100 + 200 * i + 2 * f, 100, 20, 40)) for i in range(2)])
+        held = {f.name: getattr(tracker.table, f.name) for f in fields(tracker.table)}
+        before = {name: a.copy() for name, a in held.items()}
+        for f in range(3, 7):
+            dets = [det(f, 0, BBox(100 + 2 * f, 100, 20, 40))]
+            if f >= 4:
+                dets.append(det(f, 2, BBox(600 + 2 * f, 100, 20, 40)))
+            tracker.step(f, dets)
+        assert tracker.table.ids.tolist() == [1, 3]
+        assert tracker.table.hits.tolist() == [6, 3]
+        assert not np.array_equal(tracker.table.embedding[0], before["embedding"][0])
+        for name, a in held.items():
+            assert a.tobytes() == before[name].tobytes(), name
+
 
 def frames_without_high_detections(tracker):
     """Two targets in frames 1-3 and 6; frame 4 holds one low-confidence detection, frame 5 none.
