@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Per-frame timing of `SelectiveTracker.step` on the benchmark's workloads.
+"""Per-frame timing of `SelectiveTracker.step`, or load timing, on the benchmark's workloads.
 
 Generates each seeded workload of `perfbench/workloads.py` into a temporary
 directory, loads it through `seltrack.io` and steps fresh trackers over it
@@ -17,6 +17,14 @@ that host drift hits both sides alike; separate processes, alternated,
 drift further apart than the differences a frame-level change makes. The
 table then gives both sides, the change of this side against the other,
 and whether the two emitted the same (frame, id, box) rows.
+
+`--setup` times the loads instead, the benchmark's `setup_s`: one load is
+`io.read_detections` of det.txt plus an `io.FeatureFileProvider` of
+features.feab, held until the side's next load replaces it, as
+`perfbench/measure.py` holds it. The sides alternate load by load, and the
+table gives each side's fastest load in milliseconds:
+
+    PYTHONPATH=src python scripts/bench_frame.py --setup --against ../parent --passes 60
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ import argparse
 import dataclasses
 import gc
 import importlib
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -104,12 +113,29 @@ class Side:
         return float(np.median(list(self.best[mode].values())))
 
 
+def fastest_loads(sides: list, workload, passes: int) -> list[float]:
+    """Each side's fastest load of the workload in ms; which side loads first alternates pass by pass."""
+    best, held = [math.inf] * len(sides), [None] * len(sides)
+    for n in range(passes):
+        for k in range(len(sides))[:: 1 if n % 2 == 0 else -1]:
+            modules = sides[k]
+            gc.collect()
+            measure.pin_fastest_cpu()
+            started = perf_counter()
+            # the side's previous load is freed here, inside the timing, as in the benchmark
+            held[k] = modules.io.read_detections(workload.det), modules.io.FeatureFileProvider(workload.features)
+            best[k] = min(best[k], 1e3 * (perf_counter() - started))
+    return best
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", default="all", choices=workloads.NAMES + ("all",))
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--passes", type=int, default=24, help="passes per side, workload and mode")
+    ap.add_argument("--passes", type=int, default=24,
+                    help="passes per side, workload and mode (with --setup, loads per side and workload)")
     ap.add_argument("--against", type=Path, help="another checkout to time alongside this one")
+    ap.add_argument("--setup", action="store_true", help="time the loads of the inputs, not the frames")
     args = ap.parse_args(argv)
 
     sides = {"this": SimpleNamespace(gating=gating, io=io, tracker=tracker)}
@@ -119,11 +145,17 @@ def main(argv=None) -> int:
 
     cpus = os.sched_getaffinity(0)  # `pin_fastest_cpu` narrows it
     header = f"{'workload':8} {'mode':14}" + "".join(f" {name + ' ms':>10}" for name in sides)
-    print(header + (f" {'change':>8} {'rows':>9}" if len(sides) > 1 else ""))
+    columns = f" {'change':>8}" + ("" if args.setup else f" {'rows':>9}")
+    print(header + (columns if len(sides) > 1 else ""))
     try:
         with tempfile.TemporaryDirectory() as tmp:
             for name in names:
                 workload = workloads.generate(name, args.seed, Path(tmp) / name)
+                if args.setup:
+                    ms = fastest_loads(list(sides.values()), workload, args.passes)
+                    line = f"{name:8} {'setup':14}" + "".join(f" {v:>10.3f}" for v in ms)
+                    print(line + (f" {100.0 * (ms[0] / ms[1] - 1.0):>+7.1f}%" if len(ms) > 1 else ""), flush=True)
+                    continue
                 loaded = [Side(modules, workload) for modules in sides.values()]
                 for n in range(args.passes):
                     for mode in MODES:

@@ -59,6 +59,11 @@ def as_xywh(boxes) -> np.ndarray:
     return boxes.reshape(-1, 4)
 
 
+def refused_rows(xywh: np.ndarray) -> np.ndarray:
+    """Mask of the (x, y, w, h) rows of an (n, 4) array that `BBox` refuses: a non-finite field, or w or h <= 0."""
+    return ~np.isfinite(xywh).all(axis=1) | (xywh[:, 2] <= 0) | (xywh[:, 3] <= 0)
+
+
 def as_bboxes(xywh) -> list[BBox]:
     """The `BBox` of each (x, y, w, h) row of an (n, 4) array: the inverse of `as_xywh`.
 
@@ -68,7 +73,7 @@ def as_bboxes(xywh) -> list[BBox]:
     one raises `BBox`'s own error.
     """
     xywh = np.asarray(xywh, dtype=float).reshape(-1, 4)
-    refused = ~np.isfinite(xywh).all(axis=1) | (xywh[:, 2] <= 0) | (xywh[:, 3] <= 0)
+    refused = refused_rows(xywh)
     if refused.any():
         BBox(*xywh[np.argmax(refused)].tolist())  # raises
     boxes = [object.__new__(BBox) for _ in range(len(xywh))]

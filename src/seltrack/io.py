@@ -15,30 +15,31 @@ import numpy as np
 
 from seltrack.appearance import UNIT_NORM_ATOL, norms
 from seltrack.geometry import BBox, as_bboxes
-from seltrack.tracker import Detection, TrackOutput
+from seltrack.tracker import Frame, TrackOutput
 
 FEATURE_MAGIC = b"FEAB"
 FEATURE_VERSION = 1
 
-# integer-valued floats below this magnitude are exact in int64 and as floats
-_EXACT_INT = 2.0**53
+# from this magnitude on, float64 holds only integers: a fractional
+# spelling reads as an integer (and from 2**53 on, neighbours merge)
+_INT_BOUND = 2.0**52
 
 
 def _parse_int(text: str, what: str) -> int:
-    """An integer field; from 2**53 in magnitude `float` no longer tells neighbours apart, so it is refused."""
+    """An integer field; from 2**52 in magnitude `float` rounds a fraction to an integer, so it is refused."""
     v = float(text)
     if not v.is_integer():
         raise ValueError(f"{what} must be an integer, got {text!r}")
-    if abs(v) >= _EXACT_INT:
-        raise ValueError(f"{what} must be below 2**53 in magnitude, got {text.strip()}")
+    if abs(v) >= _INT_BOUND:
+        raise ValueError(f"{what} must be below 2**52 in magnitude, got {text.strip()}")
     return int(v)
 
 
 def _numbered_rows(path):
     """(line number, frame, id, box, confidence) for every non-blank line of a MOT-style CSV.
 
-    The one definition of a valid row; `_rows` leaves a file to it whenever
-    its array pass refuses one.
+    The one definition of a valid row; each reader leaves a file to it
+    whenever the file's array pass refuses one.
     """
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -67,7 +68,7 @@ def _table(path, detections: bool) -> np.ndarray | None:
     else id >= 1 and no repeated (id, frame)). loadtxt skips only empty
     lines, so an accepted table holds the non-blank lines in file order.
     None leaves the file to the line parser: it holds a bad value, a frame
-    or id of 2**53 or more, or a line that loadtxt refuses but `float` may
+    or id of 2**52 or more, or a line that loadtxt refuses but `float` may
     read (whitespace-only, `1_0`, non-ASCII digits).
     """
     try:
@@ -84,8 +85,8 @@ def _table(path, detections: bool) -> np.ndarray | None:
         return None
     frame, track_id, x, y, w, h, conf = table.T
     # NaN fails every comparison, so it fails each pass it meets
-    ok = (1 <= frame) & (frame < _EXACT_INT) & (np.floor(frame) == frame)
-    ok &= (np.abs(track_id) < _EXACT_INT) & (np.floor(track_id) == track_id)
+    ok = (1 <= frame) & (frame < _INT_BOUND) & (np.floor(frame) == frame)
+    ok &= (np.abs(track_id) < _INT_BOUND) & (np.floor(track_id) == track_id)
     ok &= np.isfinite(x) & np.isfinite(y) & (0 < w) & (w < np.inf) & (0 < h) & (h < np.inf)
     if detections:
         ok &= (0 <= conf) & (conf <= 1)
@@ -100,31 +101,46 @@ def _table(path, detections: bool) -> np.ndarray | None:
     return table
 
 
-def _rows(path, detections: bool):
-    """`_numbered_rows` of the file, from its array pass when that accepts it (line number None)."""
-    table = _table(path, detections)
+def _rows(path):
+    """`_numbered_rows` of a trajectory file, from its array pass when that accepts it (line number None)."""
+    table = _table(path, detections=False)
     if table is None:
         return _numbered_rows(path)
     frames, ids = table[:, :2].astype(np.int64).T.tolist()
     return zip(itertools.repeat(None), frames, ids, as_bboxes(table[:, 2:6]), table[:, 6].tolist())
 
 
-def read_detections(path) -> dict[int, list[Detection]]:
-    """Detections grouped by frame; per-frame index follows file order."""
-    frames: dict[int, list[Detection]] = {}
-    for line_no, frame, _, box, conf in _rows(path, detections=True):
-        group = frames.setdefault(frame, [])
-        try:
-            group.append(Detection(frame, len(group), box, conf))
-        except ValueError as exc:
-            raise ValueError(f"line {line_no}: {exc}") from None
-    return dict(sorted(frames.items()))
+def read_detections(path) -> dict[int, Frame]:
+    """Detections as one `Frame` per frame; a detection's index is its position in its frame in file order.
+
+    The checked table (of the array pass, or of the line parser's rows) is
+    sorted by frame once, stably, and each frame's arrays are views of the
+    sorted table's, built into a `Frame` without checking them again.
+    """
+    table = _table(path, detections=True)
+    if table is None:
+        rows = []
+        for line_no, frame, track_id, box, conf in _numbered_rows(path):
+            if not 0.0 <= conf <= 1.0:
+                raise ValueError(f"line {line_no}: confidence out of range: {conf!r}")
+            rows.append((frame, track_id, box.x, box.y, box.w, box.h, conf))
+        table = np.array(rows, dtype=float).reshape(-1, 7)
+    if not len(table):
+        return {}
+    order = np.argsort(table[:, 0], kind="stable")
+    frames, xywh, confidence = table[order, 0], table[order, 2:6], table[order, 6]
+    cuts = (np.flatnonzero(np.diff(frames)) + 1).tolist()
+    numbers = frames[[0, *cuts]].astype(np.int64).tolist()
+    return {
+        number: Frame.unchecked(number, xywh[start:stop], confidence[start:stop])
+        for number, start, stop in zip(numbers, [0, *cuts], [*cuts, len(frames)])
+    }
 
 
 def read_trajectories(path) -> dict[int, dict[int, BBox]]:
     """Ground-truth or result file as {track id: {frame: box}}; ids >= 1."""
     out: dict[int, dict[int, BBox]] = {}
-    for line_no, frame, track_id, box, _ in _rows(path, detections=False):
+    for line_no, frame, track_id, box, _ in _rows(path):
         if track_id < 1:
             raise ValueError(f"line {line_no}: trajectory id must be >= 1, got {track_id}")
         frames = out.setdefault(track_id, {})
@@ -180,14 +196,14 @@ def write_features(path, records) -> None:
 _CHECK_ROWS = 256
 
 
-def read_features(path) -> dict[tuple[int, int], np.ndarray]:
-    """Load a feature file as {(frame, det index): f32 vector}.
+def _feature_table(path) -> tuple[np.ndarray, dict[int, int]]:
+    """The checked record table of a feature file and the row of each record's key, the int `frame << 32 | index`.
 
-    Vectors within 1e-6 of unit norm are returned bit-exact; anything else
-    is normalized on the way in. The file is read into one buffer and each
-    vector is a view of its record there. An unusable file is refused with
-    the error of its first bad record in file order: a repeated key, then a
-    non-finite vector, then a zero vector.
+    Vectors within 1e-6 of unit norm are kept bit-exact; anything else is
+    normalized in place. The file is read into one buffer, which the table
+    views. An unusable file is refused with the error of its first bad
+    record in file order: a repeated key, then a non-finite vector, then a
+    zero vector.
     """
     data = np.fromfile(path, dtype=np.uint8)
     if len(data) < 13:
@@ -205,14 +221,14 @@ def read_features(path) -> dict[tuple[int, int], np.ndarray]:
             f"truncated feature file: expected {expected} bytes, got {len(data)}"
         )
     if count == 0:  # its header may give a dim too large for a record dtype
-        return {}
+        return np.zeros(0, _record_dtype(0)), {}
     table = data[13:].view(_record_dtype(dim))
     vectors = table["v"]
-    keys = list(zip(table["f"].tolist(), table["i"].tolist()))
-    out = dict(zip(keys, vectors))
+    keys = (table["f"].astype(np.uint64) << 32 | table["i"]).tolist()
+    rows = dict(zip(keys, range(count)))
     # records before the first repeated key are checked; a bad one among them fails first
     checked = count
-    if len(out) != count:
+    if len(rows) != count:
         seen = set()
         for checked, key in enumerate(keys):
             if key in seen:
@@ -225,21 +241,36 @@ def read_features(path) -> dict[tuple[int, int], np.ndarray]:
         finite = np.isfinite(block).all(axis=1)
         bad = ~finite | (norm == 0.0)
         if bad.any():
-            n = int(np.argmax(bad))
-            what = "non-finite" if not finite[n] else "zero-norm"
-            raise ValueError(f"{what} feature vector at key {keys[start + n]}")
+            n = start + int(np.argmax(bad))
+            what = "non-finite" if not finite[n - start] else "zero-norm"
+            raise ValueError(f"{what} feature vector at key {divmod(keys[n], 1 << 32)}")
         off = np.abs(norm - 1.0) > UNIT_NORM_ATOL
         block[off] = (wide[off] / norm[off, None]).astype(np.float32)
     if checked < count:
-        raise ValueError(f"duplicate feature key {keys[checked]}")
-    return out
+        raise ValueError(f"duplicate feature key {divmod(keys[checked], 1 << 32)}")
+    return table, rows
+
+
+def read_features(path) -> dict[tuple[int, int], np.ndarray]:
+    """Load a feature file as {(frame, det index): f32 vector}, each vector a view of the file buffer.
+
+    The file is checked, and its vectors normalized, as `FeatureFileProvider` reads it.
+    """
+    table, _ = _feature_table(path)
+    return dict(zip(zip(table["f"].tolist(), table["i"].tolist()), table["v"]))
 
 
 class FeatureFileProvider:
-    """Feature provider backed by a feature file; vectors come as `read_features` returns them."""
+    """Feature provider backed by a feature file's checked record table and a key -> row dict.
+
+    A fetched vector is the float32 row of the table, as `read_features` returns it.
+    """
 
     def __init__(self, path):
-        self._records = read_features(path)
+        table, self._rows = _feature_table(path)
+        self._vectors = table["v"]
 
     def fetch(self, frame: int, index: int) -> np.ndarray | None:
-        return self._records.get((frame, index))
+        # an index below 2**32, as a detection's is, keeps the key one-to-one
+        row = self._rows.get(frame << 32 | index)
+        return None if row is None else self._vectors[row]

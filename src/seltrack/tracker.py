@@ -15,6 +15,7 @@ every stage that reads it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from itertools import count, repeat
 from typing import NamedTuple, Protocol
 
 import numpy as np
@@ -22,7 +23,7 @@ import numpy as np
 from seltrack import appearance, assignment, gating, motion
 from seltrack.assignment import INFEASIBLE
 from seltrack.gating import GateConfig, SATURATED_COST
-from seltrack.geometry import BBox, as_bboxes, as_xywh, iou_matrix
+from seltrack.geometry import BBox, as_bboxes, iou_matrix, refused_rows
 from seltrack.motion import KalmanState
 
 TENTATIVE = "tentative"
@@ -38,20 +39,56 @@ EMIT_DETECTION = "detection"
 EMITS = (EMIT_KALMAN, EMIT_DETECTION)
 
 
-@dataclass
-class Detection:
-    """One per-frame observation; `index` is its position within the frame."""
+class Detection(NamedTuple):
+    """One detection of a `Frame`, as iterating the frame yields it; `index` is its row."""
 
     frame: int
     index: int
     box: BBox
     confidence: float
 
-    def __post_init__(self):
-        if self.frame < 1:
-            raise ValueError(f"frame must be >= 1, got {self.frame}")
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError(f"confidence out of range: {self.confidence!r}")
+
+class Frame:
+    """One frame's detections as arrays: row k of `xywh` (n, 4) and of `confidence` (n,) is detection k.
+
+    A detection's index is its row: its position within the frame in file
+    order, the key of its feature. The constructor checks the arrays in one
+    pass and raises the errors of `BBox` and of the frame and confidence
+    checks for the first refused row: the frame is >= 1, each box is finite
+    with a positive size and each confidence is in [0, 1].
+    """
+
+    __slots__ = ("frame", "xywh", "confidence")
+
+    def __init__(self, frame: int, xywh, confidence):
+        xywh, confidence = np.asarray(xywh, dtype=float), np.asarray(confidence, dtype=float)
+        if xywh.ndim != 2 or xywh.shape[1] != 4 or confidence.shape != xywh.shape[:1]:
+            raise ValueError(f"expected (n, 4) boxes and (n,) confidences, got {xywh.shape} and {confidence.shape}")
+        if frame < 1:
+            raise ValueError(f"frame must be >= 1, got {frame}")
+        refused = refused_rows(xywh) | ~((0.0 <= confidence) & (confidence <= 1.0))
+        if refused.any():
+            k = np.argmax(refused)
+            BBox(*xywh[k].tolist())  # raises for a refused box
+            raise ValueError(f"confidence out of range: {confidence[k].item()!r}")
+        self.frame, self.xywh, self.confidence = frame, xywh, confidence
+
+    @classmethod
+    def unchecked(cls, frame: int, xywh: np.ndarray, confidence: np.ndarray) -> Frame:
+        """A frame of float64 arrays that passed the constructor's checks already, built without them."""
+        built = object.__new__(cls)
+        built.frame, built.xywh, built.confidence = frame, xywh, confidence
+        return built
+
+    def __len__(self) -> int:
+        return len(self.confidence)
+
+    def __iter__(self):
+        """The `Detection` of each row, the boxes built by one `as_bboxes` call."""
+        return map(Detection, repeat(self.frame), count(), as_bboxes(self.xywh), self.confidence.tolist())
+
+    def __repr__(self) -> str:
+        return f"Frame(frame={self.frame!r}, detections={list(self)!r})"
 
 
 @dataclass
@@ -212,17 +249,14 @@ class SelectiveTracker:
 
     # -- the frame step ----------------------------------------------------
 
-    def step(self, frame: int, detections: list[Detection]) -> list[tuple[int, BBox]]:
-        """Process one frame and return (track id, box) for tracks matched now."""
+    def step(self, frame: int, detections: Frame) -> list[tuple[int, BBox]]:
+        """Process one frame and return (track id, box) for tracks matched now, by id."""
         if frame <= self.last_frame:
             raise ValueError(
                 f"frames must be strictly increasing: got {frame} after {self.last_frame}"
             )
-        for d in detections:
-            if d.frame != frame:
-                raise ValueError(f"detection frame {d.frame} does not match step frame {frame}")
-        if len({d.index for d in detections}) != len(detections):
-            raise ValueError(f"duplicate detection indices in frame {frame}")
+        if detections.frame != frame:
+            raise ValueError(f"detection frame {detections.frame} does not match step frame {frame}")
 
         fetches = self.provider.fetches
         try:
@@ -255,31 +289,37 @@ class SelectiveTracker:
         s = s[kept]
 
         # 2. confidence split; the selective mechanism sees only the high
-        #    half. The frame's boxes are one array, the high rows first
-        high = [d for d in detections if d.confidence >= m.conf_high]
-        low = [d for d in detections if d.confidence < m.conf_high]
-        dets = high + low
-        n_high = len(high)
-        xywh = as_xywh([d.box for d in dets])
+        #    half. The frame's boxes are one array, the high rows first, each
+        #    half in frame order; `order` maps its rows to the detections'
+        #    indices (None when every detection is high, so none moves)
+        high = detections.confidence >= m.conf_high
+        n_dets, n_high = len(high), int(np.count_nonzero(high))
+        if n_high == n_dets:
+            order, xywh = None, detections.xywh
+        else:
+            order = np.argsort(~high, kind="stable")
+            xywh = detections.xywh[order]
 
         # 3. one IoU matrix of the predicted boxes with the high detections,
         #    and with the low ones when the byte stage may run; every stage
         #    reads it. Risk classification is against confirmed tracks'
-        #    boxes (a tentative track's row is 0 for the gate)
+        #    boxes (a tentative track's row is 0 for the gate); always_extract
+        #    has no gate to run
         boxes = motion.state_to_xywh(t.kalman)
-        n_iou = len(dets) if m.byte_low else n_high
+        n_iou = n_dets if m.byte_low else n_high
         ious = iou_matrix(boxes, xywh[:n_iou]) if n_iou else np.zeros((len(t), 0))
         high_iou = ious[:, :n_high]
-        if high:
-            cand = gating.candidates(np.where(t.confirmed[:, None], high_iou, 0.0), xywh[:n_high], boxes, self.gate)
+        if n_high and self.gate.mode != gating.MODE_ALWAYS_EXTRACT:
+            gate_iou = high_iou if t.confirmed.all() else np.where(t.confirmed[:, None], high_iou, 0.0)
+            cand = gating.candidates(gate_iou, xywh[:n_high], boxes, self.gate)
         else:
-            cand = np.full(0, -1)
+            cand = np.full(n_high, -1)
         risky = cand < 0
 
         # 4. features: fetched for risky detections; a non-risky one copies
         #    its candidate's embedding, if it has one, or is saturated (priced
         #    out of appearance matching) under the base-gate ablation
-        fetched, feats = self._fetch(frame, high, np.flatnonzero(risky).tolist())
+        fetched, feats = self._fetch(frame, order, np.flatnonzero(risky).tolist())
         saturated = ~risky & (self.gate.mode == gating.MODE_BASE_GATE)
         copies = np.flatnonzero(~risky & ~saturated)
         copies = copies[t.has_embedding[cand[copies]]]
@@ -313,7 +353,7 @@ class SelectiveTracker:
             matches = assignment.solve(high_cost, m.fused_weight * SATURATED_COST + (1.0 - m.iou_gate)).matches
         left_t = _left(len(t), [i for i, _ in matches])
         byte_matches = []
-        if m.byte_low and low and left_t.any():
+        if m.byte_low and n_high < n_dets and left_t.any():
             byte_cost = np.where(left_t[:, None], iou_cost[:, n_high:], INFEASIBLE)
             byte_matches = assignment.solve(byte_cost, 1.0 - m.iou_gate).matches
 
@@ -327,7 +367,7 @@ class SelectiveTracker:
 
         # 7. births for unmatched high-confidence detections (eager feature)
         born_js = np.flatnonzero(_left(n_high, [j for _, j in matches])).tolist()
-        late, late_feats = self._fetch(frame, high, [j for j in born_js if not risky[j]])
+        late, late_feats = self._fetch(frame, order, [j for j in born_js if not risky[j]])
         if late:
             fetched += late
             feats = late_feats if feats is None else np.concatenate([feats, late_feats])
@@ -349,10 +389,10 @@ class SelectiveTracker:
         shown = [(i, j) for i, j in zip(rows + list(born_rows), det_js + born_js) if is_confirmed[i]]
         shown_rows = [i for i, _ in shown]
         if m.emit == EMIT_DETECTION:
-            shown_boxes = [dets[j].box for _, j in shown]
+            shown_xywh = xywh[[j for _, j in shown]]
         else:
-            shown_boxes = as_bboxes(motion.state_to_xywh(t.kalman[shown_rows]))
-        emitted = sorted(zip(t.ids[shown_rows].tolist(), shown_boxes), key=lambda pair: pair[0])
+            shown_xywh = motion.state_to_xywh(t.kalman[shown_rows])
+        emitted = sorted(zip(t.ids[shown_rows].tolist(), as_bboxes(shown_xywh)), key=lambda pair: pair[0])
 
         # commit, with deletions after max_age consecutive misses
         self.table = t.keep(t.time_since_update <= m.max_age)
@@ -361,15 +401,16 @@ class SelectiveTracker:
         self.stats.high_detections += n_high
         return emitted
 
-    def _fetch(self, frame: int, dets: list[Detection], js: list[int]) -> tuple[list[int], np.ndarray | None]:
-        """The indices among `js` whose detection in `dets` the provider has a feature for, and those features.
+    def _fetch(self, frame: int, order: np.ndarray | None, js: list[int]) -> tuple[list[int], np.ndarray | None]:
+        """The rows among `js` whose detection the provider has a feature for, and those features.
 
-        The features are one (k, d) float64 matrix, None when there are
-        none; raises unless each is unit-norm.
+        Row j is the detection of index `order[j]`, or of index j when
+        `order` is None. The features are one (k, d) float64 matrix, None
+        when there are none; raises unless each is unit-norm.
         """
         got, vectors = [], []
-        for j in js:
-            f = self.provider.fetch(frame, dets[j].index)
+        for j, index in zip(js, js if order is None else order[js].tolist()):
+            f = self.provider.fetch(frame, index)
             if f is not None:
                 got.append(j)
                 vectors.append(f)
@@ -405,7 +446,7 @@ def _left(n: int, taken: list[int]) -> np.ndarray:
 
 
 def run_sequence(
-    frames: dict[int, list[Detection]],
+    frames: dict[int, Frame],
     provider: FeatureProvider,
     gate: GateConfig | None = None,
     match: MatchConfig | None = None,

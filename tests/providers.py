@@ -1,4 +1,14 @@
-"""Feature providers for tests."""
+"""Feature providers and a detection builder for tests."""
+
+import numpy as np
+
+from seltrack.geometry import as_xywh
+from seltrack.tracker import Frame
+
+
+def frame(f, boxes, conf=0.9):
+    """The `Frame` of `boxes` in frame f, detection k being boxes[k]; `conf` is one confidence, or one per box."""
+    return Frame(f, as_xywh(boxes), np.full(len(boxes), conf, dtype=float))
 
 
 class DictProvider:

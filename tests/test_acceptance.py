@@ -30,10 +30,10 @@ from seltrack.io import (
     write_results,
 )
 from seltrack.synth import PRESETS, generate_to_dir, preset
-from seltrack.tracker import Detection, MatchConfig, NullFeatureProvider, SelectiveTracker, TrackOutput, run_sequence
+from seltrack.tracker import MatchConfig, NullFeatureProvider, SelectiveTracker, TrackOutput, run_sequence
 
 from iou_reference import iou_reference
-from providers import DictProvider
+from providers import DictProvider, frame
 
 
 def candidates_of(det_boxes, track_boxes, cfg):
@@ -91,19 +91,19 @@ def test_c02_feature_decay_law():
         dim = int(rng.integers(2, 9))
         features = {}
         tracker = SelectiveTracker(DictProvider(features), GateConfig(mode=MODE_ALWAYS_EXTRACT), MatchConfig(ema_alpha=alpha))
-        frame = 0
+        f = 0
         for _ in range(int(rng.integers(1, 6)) + 1):  # the first feature seeds the track
-            k = int(rng.integers(0, 21)) if frame else 0
+            k = int(rng.integers(0, 21)) if f else 0
             for _ in range(k):
-                frame += 1
-                tracker.step(frame, [])
-            if frame:
+                f += 1
+                tracker.step(f, frame(f, []))
+            if f:
                 # the weight the next update will put on the old average
                 assert abs(tracker.table.effective_alpha[0] - alpha ** (k + 1)) <= 1e-9
                 checked += 1
-            frame += 1
-            features[(frame, 0)] = normalized(rng.normal(size=dim))
-            tracker.step(frame, [Detection(frame, 0, box, 0.9)])
+            f += 1
+            features[(f, 0)] = normalized(rng.normal(size=dim))
+            tracker.step(f, frame(f, [box]))
             assert tracker.table.effective_alpha.tolist() == [alpha]
     report(2, f"blend weight == alpha^(k+1) within 1e-9 across {checked} updates")
 

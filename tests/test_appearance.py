@@ -6,9 +6,9 @@ from seltrack import assignment
 from seltrack.appearance import check_unit, cosine_costs, ema_update
 from seltrack.gating import GateConfig, MODE_ALWAYS_EXTRACT
 from seltrack.geometry import BBox
-from seltrack.tracker import Detection, MatchConfig, SelectiveTracker
+from seltrack.tracker import MatchConfig, SelectiveTracker
 
-from providers import DictProvider
+from providers import DictProvider, frame
 
 
 def normalized(values) -> np.ndarray:
@@ -37,7 +37,7 @@ def track_through(alpha, features, frames):
     provider = DictProvider({(f, 0): v for f, v in features.items()})
     tracker = SelectiveTracker(provider, GateConfig(mode=MODE_ALWAYS_EXTRACT), MatchConfig(ema_alpha=alpha))
     for f in range(1, frames + 1):
-        tracker.step(f, [Detection(f, 0, BOX, 0.9)] if f in features else [])
+        tracker.step(f, frame(f, [BOX] if f in features else []))
     return tracker
 
 
@@ -123,7 +123,7 @@ def appearance_stage_costs(monkeypatch, features, frames):
     tracker = SelectiveTracker(DictProvider(features))
     for f, boxes in enumerate(frames, start=1):
         stages.clear()
-        tracker.step(f, [Detection(f, i, b, 0.9) for i, b in enumerate(boxes)])
+        tracker.step(f, frame(f, boxes))
     costs, gate = stages[0]
     assert gate == MatchConfig().appearance_gate
     return costs
@@ -188,7 +188,7 @@ class TestDecayLaw:
         e, f = normalized(pair[0]), normalized(pair[1])
         tracker = track_through(alpha, {1: e, k + 2: f}, k + 1)
         assert tracker.table.effective_alpha[0] == pytest.approx(alpha ** (k + 1), abs=1e-9)
-        tracker.step(k + 2, [Detection(k + 2, 0, BOX, 0.9)])
+        tracker.step(k + 2, frame(k + 2, [BOX]))
         u = tracker.table.embedding[0]
         expect = alpha ** (k + 1) * e + (1 - alpha ** (k + 1)) * f
         n = np.linalg.norm(expect)

@@ -9,7 +9,6 @@ claim. A deliberate behaviour change must re-record the table and say why.
 """
 
 import hashlib
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,10 +20,12 @@ from seltrack.synth import PRESETS, generate_to_dir, preset
 from seltrack.tracker import (
     STRATEGY_CASCADE,
     STRATEGY_FUSED,
-    Detection,
+    Frame,
     MatchConfig,
     run_sequence,
 )
+
+from providers import frame
 
 GOLDEN = {
     ("crossing", "cascade", "selective"):
@@ -180,7 +181,7 @@ def results_sha256(name: str, strategy: str, mode: str, tmp_path, byte: bool = F
     frames = read_detections(det_path)
     if byte:
         frames = {
-            f: [replace(d, confidence=0.3) if (f + d.index) % 3 == 0 else d for d in dets]
+            f: Frame(f, dets.xywh, np.where((f + np.arange(len(dets))) % 3 == 0, 0.3, dets.confidence))
             for f, dets in frames.items()
         }
     output, _ = run_sequence(
@@ -198,7 +199,7 @@ def run_swap_scene(iou_gate: float, mode: str, tmp_path):
     for f in range(1, SWAP_FRAMES + 1):
         a = BBox(100.0 + (16.0 if f >= SWAP_FRAME else 0.0), 100.0, 40.0, 80.0)
         b = BBox(600.0, 100.0, 40.0, 80.0)
-        frames[f] = [Detection(f, 0, a, 0.9), Detection(f, 1, b, 0.9)]
+        frames[f] = frame(f, [a, b])
         records += [(f, 0, e_b if f == SWAP_FRAME else e_a), (f, 1, e_b)]
     feat_path = tmp_path / "swap.feab"
     write_features(feat_path, records)

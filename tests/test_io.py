@@ -68,9 +68,9 @@ class TestReadDetections:
             "2,-1,3,3,5,5,0.7,-1,-1,-1\n"
         )
         frames = read_detections(p)
-        assert [d.index for d in frames[2]] == [0, 1]
-        assert frames[2][1].box.x == 3
+        assert [(d.index, d.box.x) for d in frames[2]] == [(0, 1.0), (1, 3.0)]
         assert list(frames) == [1, 2]
+        assert frames[1].xywh.base is frames[2].xywh.base  # views of one array of the file
 
 
 class TestTrajectories:
@@ -131,23 +131,25 @@ class TestTrajectories:
         p = tmp_path / "det.txt"
         p.write_text("9007199254740993,-1,1,1,5,5,0.9\n9007199254740992,-1,1,1,5,5,0.9\n")
         assert mot_io._table(p, detections=True) is None  # the line parser refuses the file
-        with pytest.raises(ValueError, match=r"^line 1: frame must be below 2\*\*53 in magnitude"):
+        with pytest.raises(ValueError, match=r"^line 1: frame must be below 2\*\*52 in magnitude"):
             read_detections(p)
 
     @pytest.mark.parametrize("reader", [read_trajectories, read_detections])
     @pytest.mark.parametrize("spelling, value", [
-        ("9007199254740991", 2**53 - 1),  # the largest either parser takes
-        ("9007199254740992", None),
+        ("4503599627370495", 2**52 - 1),  # the largest either parser takes
+        ("4503599627370496", None),
+        ("4503599627370496.5", None),  # from 2**52 on `float` rounds a fraction to an integer
+        ("9007199254740990.9", None),
         ("9007199254740993", None),  # `float` would round it to 2**53
         ("1e20", None),
         ("9223372036854775808", None),  # int64 would wrap here
         ("18446744073709551617", None),
     ])
-    def test_frame_and_id_read_exactly_below_2_53(self, spelling, value, reader, tmp_path):
+    def test_frame_and_id_read_exactly_below_2_52(self, spelling, value, reader, tmp_path):
         p = tmp_path / "gt.txt"
         p.write_text(f"{spelling},{spelling},1,1,5,5,0.9\n")
         if value is None:
-            with pytest.raises(ValueError, match=r"^line 1: frame must be below 2\*\*53 in magnitude"):
+            with pytest.raises(ValueError, match=r"^line 1: frame must be below 2\*\*52 in magnitude"):
                 reader(p)
             return
         got = reader(p)
@@ -161,11 +163,11 @@ class TestTrajectories:
             assert (type(track_id), track_id, type(frame), frame) == (int, value, int, value)
 
     @pytest.mark.parametrize("reader", [read_trajectories, read_detections])
-    @pytest.mark.parametrize("spelling", ["9007199254740992", "-9007199254740993", "1e300"])
-    def test_id_of_2_53_or_more_in_magnitude_is_refused(self, spelling, reader, tmp_path):
+    @pytest.mark.parametrize("spelling", ["4503599627370496", "9007199254740990.9", "-9007199254740993", "1e300"])
+    def test_id_of_2_52_or_more_in_magnitude_is_refused(self, spelling, reader, tmp_path):
         p = tmp_path / "gt.txt"
         p.write_text(f"1,1,1,1,5,5,0.9\n2,{spelling},1,1,5,5,0.9\n")
-        with pytest.raises(ValueError, match=r"^line 2: id must be below 2\*\*53 in magnitude"):
+        with pytest.raises(ValueError, match=r"^line 2: id must be below 2\*\*52 in magnitude"):
             reader(p)
 
 
@@ -390,6 +392,7 @@ class TestFeatureFile:
         assert got is not None and got.dtype == np.float32
         assert np.array_equal(got, read_features(p)[(4, 1)])
         assert provider.fetch(4, 2) is None
+        assert provider.fetch(2**32 + 4, 1) is None  # a frame beyond the file's u32 keys
 
 
 def write_raw_features(path, dim, records) -> None:
@@ -473,12 +476,13 @@ class TestReadFeaturesAgainstReference:
         write_raw_features(p, dim, records)
         got, error = read_outcome(read_features, p)
         want, want_error = read_outcome(reference_read_features, p)
-        assert error == want_error
+        provider, provider_error = read_outcome(FeatureFileProvider, p)
+        assert error == provider_error == want_error
         if want is not None:
             assert list(got) == list(want)
             for key, v in want.items():
-                assert got[key].dtype == np.float32
-                assert got[key].tobytes() == v.tobytes()
+                assert got[key].dtype == provider.fetch(*key).dtype == np.float32
+                assert got[key].tobytes() == provider.fetch(*key).tobytes() == v.tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(spec=feature_records())

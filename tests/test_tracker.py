@@ -21,8 +21,9 @@ from seltrack.metrics import evaluate, pde
 from seltrack.synth import crossing_scene, generate_to_dir, grid_scene, preset
 from seltrack.tracker import (
     CONFIRMED,
-    Detection,
     EMIT_DETECTION,
+    Detection,
+    Frame,
     MatchConfig,
     NullFeatureProvider,
     STRATEGY_CASCADE,
@@ -31,7 +32,7 @@ from seltrack.tracker import (
     run_sequence,
 )
 
-from providers import DictProvider
+from providers import DictProvider, frame
 
 
 def e(dim, i):
@@ -61,12 +62,8 @@ class FailingProvider:
         return e(4, 0)
 
 
-def det(frame, index, box, conf=0.9):
-    return Detection(frame=frame, index=index, box=box, confidence=conf)
-
-
 def stationary_frames(n, box=BBox(100, 100, 20, 40)):
-    return {f: [det(f, 0, box)] for f in range(1, n + 1)}
+    return {f: frame(f, [box]) for f in range(1, n + 1)}
 
 
 def table_fields(tracker):
@@ -81,17 +78,51 @@ def table_fields(tracker):
     return out
 
 
+class TestFrame:
+    @pytest.mark.parametrize("xywh, confidence, message", [
+        ([[0, 0, 10, 10], [np.nan, 0, 10, 10]], [0.9, 0.9], r"^non-finite bbox field x=nan$"),
+        ([[0, 0, 10, np.inf]], [0.9], r"^non-finite bbox field h=inf$"),
+        ([[0, 0, 0, 10]], [0.9], r"^non-positive bbox size w=0.0, h=10.0$"),
+        ([[0, 0, 10, -1]], [0.9], r"^non-positive bbox size w=10.0, h=-1.0$"),
+        ([[0, 0, 10, 10]], [1.5], r"^confidence out of range: 1.5$"),
+        ([[0, 0, 10, 10]], [-0.1], r"^confidence out of range: -0.1$"),
+        ([[0, 0, 10, 10]], [np.nan], r"^confidence out of range: nan$"),
+        # the first refused row names the error, its box before its confidence
+        ([[0, 0, 10, 10], [0, 0, 0, 10]], [2.0, 2.0], r"^confidence out of range: 2.0$"),
+        ([[0, 0, 10, 10], [0, 0, 0, 10]], [0.9, 2.0], r"^non-positive bbox size"),
+        ([[0, 0, 10, 10]], [0.9, 0.9], r"^expected \(n, 4\) boxes and \(n,\) confidences"),
+        ([0, 0, 10, 10], [0.9], r"^expected \(n, 4\) boxes"),
+        ([[0, 0, 10]], [0.9], r"^expected \(n, 4\) boxes"),
+    ])
+    def test_refused_rows(self, xywh, confidence, message):
+        with pytest.raises(ValueError, match=message):
+            Frame(1, xywh, confidence)
+
+    def test_refused_frame(self):
+        with pytest.raises(ValueError, match=r"^frame must be >= 1, got 0$"):
+            Frame(0, np.zeros((0, 4)), np.zeros(0))
+
+    def test_iterates_detections_by_row(self):
+        dets = Frame(3, [[1, 2, 3, 4], [5.5, 6, 7, 8]], [0.5, 1])
+        assert len(dets) == 2
+        assert list(dets) == [Detection(3, 0, BBox(1, 2, 3, 4), 0.5), Detection(3, 1, BBox(5.5, 6, 7, 8), 1.0)]
+        assert repr(dets) == (
+            "Frame(frame=3, detections=[Detection(frame=3, index=0, box=BBox(x=1.0, y=2.0, w=3.0, h=4.0), confidence=0.5),"
+            " Detection(frame=3, index=1, box=BBox(x=5.5, y=6.0, w=7.0, h=8.0), confidence=1.0)])"
+        )
+
+
 class TestStep:
     def test_empty_frame_ages_tracks(self):
         tracker = SelectiveTracker(ConstantProvider())
-        tracker.step(1, [det(1, 0, BBox(0, 0, 10, 20))])
-        assert tracker.step(2, []) == []
+        tracker.step(1, frame(1, [BBox(0, 0, 10, 20)]))
+        assert tracker.step(2, frame(2, [])) == []
         assert tracker.table.time_since_update.tolist() == [1]
 
     def test_stationary_target_fetches_once(self):
         tracker = SelectiveTracker(ConstantProvider())
         for f in range(1, 11):
-            emitted = tracker.step(f, [det(f, 0, BBox(100, 100, 20, 40))])
+            emitted = tracker.step(f, frame(f, [BBox(100, 100, 20, 40)]))
             assert [tid for tid, _ in emitted] == [1]
         assert tracker.provider.fetches == 1
         assert pde(tracker.stats) == pytest.approx(10.0)
@@ -107,31 +138,31 @@ class TestStep:
 
     def test_out_of_order_frames_rejected(self):
         tracker = SelectiveTracker(ConstantProvider())
-        tracker.step(5, [])
+        tracker.step(5, frame(5, []))
         with pytest.raises(ValueError, match="increasing"):
-            tracker.step(5, [])
+            tracker.step(5, frame(5, []))
         with pytest.raises(ValueError, match="increasing"):
-            tracker.step(3, [])
+            tracker.step(3, frame(3, []))
 
     def test_mismatched_detection_frame_rejected(self):
         tracker = SelectiveTracker(ConstantProvider())
         with pytest.raises(ValueError, match="frame"):
-            tracker.step(1, [det(2, 0, BBox(0, 0, 10, 10))])
+            tracker.step(1, frame(2, [BBox(0, 0, 10, 10)]))
 
     def test_provider_failure_aborts_frame_atomically(self):
         provider = FailingProvider(fail_on_frame=3)
         tracker = SelectiveTracker(provider, GateConfig(mode=MODE_ALWAYS_EXTRACT))
-        tracker.step(1, [det(1, 0, BBox(100, 100, 20, 40))])
-        tracker.step(2, [det(2, 0, BBox(102, 100, 20, 40))])
+        tracker.step(1, frame(1, [BBox(100, 100, 20, 40)]))
+        tracker.step(2, frame(2, [BBox(102, 100, 20, 40)]))
         before = table_fields(tracker)
         fetches_before = tracker.provider.fetches
         with pytest.raises(RuntimeError):
-            tracker.step(3, [det(3, 0, BBox(104, 100, 20, 40))])
+            tracker.step(3, frame(3, [BBox(104, 100, 20, 40)]))
         assert table_fields(tracker) == before
         assert tracker.provider.fetches == fetches_before
         assert tracker.last_frame == 2
         provider.armed = False
-        emitted = tracker.step(3, [det(3, 0, BBox(104, 100, 20, 40))])
+        emitted = tracker.step(3, frame(3, [BBox(104, 100, 20, 40)]))
         assert [tid for tid, _ in emitted] == [1]
 
     def test_failed_ema_update_rolls_back_every_field(self):
@@ -145,15 +176,15 @@ class TestStep:
             DictProvider(features), GateConfig(mode=MODE_ALWAYS_EXTRACT), MatchConfig(ema_alpha=0.5)
         )
 
-        def frame(f):
-            return [det(f, i, BBox(100 + 200 * i + 2 * f, 100, 20, 40)) for i in range(2)]
+        def two_targets(f):
+            return frame(f, [BBox(100 + 200 * i + 2 * f, 100, 20, 40) for i in range(2)])
 
-        tracker.step(1, frame(1))
-        tracker.step(2, frame(2))
+        tracker.step(1, two_targets(1))
+        tracker.step(2, two_targets(2))
         before, fetches = table_fields(tracker), tracker.provider.fetches
         assert before["has_embedding"] == [True, True]
         with pytest.raises(ValueError, match="cancelled to zero"):
-            tracker.step(3, frame(3))
+            tracker.step(3, two_targets(3))
         assert table_fields(tracker) == before
         assert tracker.last_frame == 2
         assert tracker.provider.fetches == fetches
@@ -167,47 +198,47 @@ class TestStep:
         tracker = SelectiveTracker(
             DictProvider(features), GateConfig(mode=MODE_ALWAYS_EXTRACT), MatchConfig(strategy=strategy)
         )
-        tracker.step(1, [det(1, 0, BBox(100, 100, 20, 40))])
+        tracker.step(1, frame(1, [BBox(100, 100, 20, 40)]))
         before, fetches = table_fields(tracker), tracker.provider.fetches
         with pytest.raises(ValueError, match="unit-norm"):
-            tracker.step(2, [det(2, 0, BBox(101, 100, 20, 40))])
+            tracker.step(2, frame(2, [BBox(101, 100, 20, 40)]))
         assert table_fields(tracker) == before
         assert tracker.provider.fetches == fetches
         assert tracker.last_frame == 1
         for f in range(3, 6):
-            tracker.step(f, [det(f, 0, BBox(100 + f, 100, 20, 40))])
+            tracker.step(f, frame(f, [BBox(100 + f, 100, 20, 40)]))
         assert np.isfinite(tracker.table.embedding).all()
 
     def test_track_ids_never_reused(self):
         tracker = SelectiveTracker(ConstantProvider(), match=MatchConfig(max_age=1))
         left = BBox(0, 0, 10, 20)
         right = BBox(500, 300, 10, 20)
-        tracker.step(1, [det(1, 0, left)])
-        tracker.step(2, [])
-        tracker.step(3, [])
-        tracker.step(4, [])  # track 1 deleted by now
-        tracker.step(5, [det(5, 0, right)])
+        tracker.step(1, frame(1, [left]))
+        tracker.step(2, frame(2, []))
+        tracker.step(3, frame(3, []))
+        tracker.step(4, frame(4, []))  # track 1 deleted by now
+        tracker.step(5, frame(5, [right]))
         ids = [t.id for t in tracker.tracks]
         assert ids == [2]
 
     def test_emitted_box_is_kalman_projection(self):
         tracker = SelectiveTracker(ConstantProvider())
-        tracker.step(1, [det(1, 0, BBox(100, 100, 20, 40))])
-        emitted = tracker.step(2, [det(2, 0, BBox(104, 100, 20, 40))])
+        tracker.step(1, frame(1, [BBox(100, 100, 20, 40)]))
+        emitted = tracker.step(2, frame(2, [BBox(104, 100, 20, 40)]))
         assert emitted == [(1, BBox(*motion.state_to_xywh(tracker.table.kalman[0]).tolist()))]
 
     def test_emitted_box_can_be_raw_detection(self):
         tracker = SelectiveTracker(
             ConstantProvider(), match=MatchConfig(emit=EMIT_DETECTION)
         )
-        tracker.step(1, [det(1, 0, BBox(100, 100, 20, 40))])
+        tracker.step(1, frame(1, [BBox(100, 100, 20, 40)]))
         box = BBox(104, 100, 20, 40)
-        emitted = tracker.step(2, [det(2, 0, box)])
+        emitted = tracker.step(2, frame(2, [box]))
         assert emitted == [(1, box)]
 
     def test_low_confidence_detections_skip_the_mechanism(self):
         tracker = SelectiveTracker(ConstantProvider())
-        emitted = tracker.step(1, [det(1, 0, BBox(0, 0, 10, 20), conf=0.3)])
+        emitted = tracker.step(1, frame(1, [BBox(0, 0, 10, 20)], conf=0.3))
         assert emitted == []
         assert tracker.tracks == []
         assert tracker.stats.high_detections == 0
@@ -223,7 +254,7 @@ class TestBoundedState:
         for f in range(1, 501):
             i = f % 100
             box = BBox((i % 10) * 50, (i // 10) * 80, 20, 40)
-            tracker.step(f, [det(f, 0, box)])
+            tracker.step(f, frame(f, [box]))
             assert len(tracker.tracks) <= match.max_age + 1
         assert tracker.tracks[-1].id == 500
 
@@ -232,8 +263,7 @@ class TestBoundedState:
         # vanishes and the coasting prediction's height goes negative
         tracker = SelectiveTracker(NullFeatureProvider())
         for f in range(1, 80):
-            dets = [det(f, 0, BBox(100, 100, 20, 70 - 6 * (f - 1)))] if f <= 11 else []
-            tracker.step(f, dets)
+            tracker.step(f, frame(f, [BBox(100, 100, 20, 70 - 6 * (f - 1))] if f <= 11 else []))
         assert tracker.tracks == []
         assert tracker.last_frame == 79
 
@@ -244,7 +274,7 @@ class TestBoundedState:
         # state: the track is dropped after its prediction, as a degenerate one
         tracker = SelectiveTracker(NullFeatureProvider(), match=MatchConfig(strategy=strategy))
         for f in range(1, 41):
-            tracker.step(f, [det(f, 0, BBox(0.0, 0.0, 1e-3, 1e-200))])
+            tracker.step(f, frame(f, [BBox(0.0, 0.0, 1e-3, 1e-200)]))
             assert len(tracker.tracks) <= 1
         assert tracker.last_frame == 40
 
@@ -256,11 +286,11 @@ class TestBoundedState:
         def frames(with_middle):
             out = {}
             for f in range(1, 41):
-                dets = [det(f, 0, BBox(100 + f, 100, 20, 70))]
+                boxes = [BBox(100 + f, 100, 20, 70)]
                 if with_middle and f <= 10:
-                    dets.append(det(f, 1, BBox(300, 100, 20, 70 - 6 * (f - 1))))
-                dets.append(det(f, len(dets), BBox(500 - f, 100, 20, 70)))
-                out[f] = dets
+                    boxes.append(BBox(300, 100, 20, 70 - 6 * (f - 1)))
+                boxes.append(BBox(500 - f, 100, 20, 70))
+                out[f] = frame(f, boxes)
             return out
 
         tracker = SelectiveTracker(NullFeatureProvider())
@@ -278,7 +308,7 @@ class TestBoundedState:
         # w * h overflows float64, so IoU must come from a rescaled box
         tracker = SelectiveTracker(NullFeatureProvider(), match=MatchConfig(strategy=strategy))
         for f in range(1, 21):
-            emitted = tracker.step(f, [det(f, 0, BBox(0.0, 0.0, 1e250, 1e100))])
+            emitted = tracker.step(f, frame(f, [BBox(0.0, 0.0, 1e250, 1e100)]))
             assert [tid for tid, _ in emitted] == [1]
         assert [t.id for t in tracker.tracks] == [1]
 
@@ -288,7 +318,7 @@ class TestBoundedState:
         # degenerate, so its track ends after its prediction, like a tiny box's
         tracker = SelectiveTracker(NullFeatureProvider(), match=MatchConfig(strategy=strategy))
         for f in range(1, 21):
-            tracker.step(f, [det(f, 0, BBox(0.0, 0.0, 1e200, 1e200))])
+            tracker.step(f, frame(f, [BBox(0.0, 0.0, 1e200, 1e200)]))
             assert len(tracker.tracks) <= 1
         assert tracker.last_frame == 20
 
@@ -327,8 +357,9 @@ class TestStackedCalls:
         frames = read_detections(det_path)
         # after frame 1 every third detection falls below conf_high, so the byte stage has columns
         for f in sorted(frames)[1:]:
-            for d in frames[f][::3]:
-                d.confidence = 0.3
+            confidence = frames[f].confidence.copy()
+            confidence[::3] = 0.3
+            frames[f] = Frame(f, frames[f].xywh, confidence)
         tracker = SelectiveTracker(FeatureFileProvider(feat_path), match=MatchConfig(strategy=STRATEGY_FUSED))
         for f in sorted(frames):
             calls.clear()
@@ -346,14 +377,16 @@ class TestStackedCalls:
                 return real(*args)
 
             monkeypatch.setattr(gating, name, counting)
-        tracker = SelectiveTracker(ConstantProvider())
-        tracker.step(1, [det(1, 0, BBox(100, 100, 20, 40)), det(1, 1, BBox(110, 100, 20, 40))])
+        # the new target of frame 2 has a direction of its own, so it is born
+        features = {(1, 0): e(4, 0), (1, 1): e(4, 1), (2, 0): e(4, 0), (2, 1): e(4, 2), (3, 0): e(4, 0)}
+        tracker = SelectiveTracker(DictProvider(features))
+        tracker.step(1, frame(1, [BBox(100, 100, 20, 40), BBox(110, 100, 20, 40)]))
         # frame 2: detection 0 overlaps both confirmed tracks, detection 1 neither
         calls.clear()
-        tracker.step(2, [det(2, 0, BBox(105, 100, 20, 40)), det(2, 2, BBox(400, 100, 20, 40))])
+        tracker.step(2, frame(2, [BBox(105, 100, 20, 40), BBox(400, 100, 20, 40)]))
         assert calls == {}
         # frame 3: the track born there is a sole candidate, checked once for the frame
-        tracker.step(3, [det(3, 0, BBox(402, 100, 20, 40))])
+        tracker.step(3, frame(3, [BBox(402, 100, 20, 40)]))
         assert calls == {"ars": 1, "blended_alpha": 1}
 
     @pytest.mark.parametrize("provider, solves", [(ConstantProvider(), 1), (NullFeatureProvider(), 2)])
@@ -366,9 +399,9 @@ class TestStackedCalls:
 
         monkeypatch.setattr(tracker_module.assignment, "solve", counting)
         tracker = SelectiveTracker(provider)
-        tracker.step(1, [det(1, i, BBox(100 + 200 * i, 100, 20, 40)) for i in range(2)])
+        tracker.step(1, frame(1, [BBox(100 + 200 * i, 100, 20, 40) for i in range(2)]))
         calls.clear()
-        emitted = tracker.step(2, [det(2, i, BBox(102 + 200 * i, 100, 20, 40)) for i in range(2)])
+        emitted = tracker.step(2, frame(2, [BBox(102 + 200 * i, 100, 20, 40) for i in range(2)]))
         assert [tid for tid, _ in emitted] == [1, 2]
         # with features the appearance stage matches both rows; without, the IoU stage does
         assert len(calls) == solves
@@ -380,20 +413,22 @@ class TestCommittedTable:
         # frame, target 1 is missed until max_age deletes it, and a target 2
         # is born; every feature is new, so a blend changes the embedding
         rng = np.random.default_rng(0)
-        features = {(f, i): v / np.linalg.norm(v) for f in range(1, 7) for i in range(3)
-                    for v in [np.eye(4)[i] + 0.2 * rng.normal(size=4)]}
+        vectors = {(f, i): v / np.linalg.norm(v) for f in range(1, 7) for i in range(3)
+                   for v in [np.eye(4)[i] + 0.2 * rng.normal(size=4)]}
+        # a feature is keyed by its detection's row: target 2 takes row 1 once target 1 is gone
+        features = {(f, row): vectors[(f, 2 if row and f > 2 else row)] for f in range(1, 7) for row in range(2)}
         tracker = SelectiveTracker(
             DictProvider(features), GateConfig(mode=MODE_ALWAYS_EXTRACT), MatchConfig(max_age=2)
         )
         for f in (1, 2):
-            tracker.step(f, [det(f, i, BBox(100 + 200 * i + 2 * f, 100, 20, 40)) for i in range(2)])
+            tracker.step(f, frame(f, [BBox(100 + 200 * i + 2 * f, 100, 20, 40) for i in range(2)]))
         held = {f.name: getattr(tracker.table, f.name) for f in fields(tracker.table)}
         before = {name: a.copy() for name, a in held.items()}
         for f in range(3, 7):
-            dets = [det(f, 0, BBox(100 + 2 * f, 100, 20, 40))]
+            boxes = [BBox(100 + 2 * f, 100, 20, 40)]
             if f >= 4:
-                dets.append(det(f, 2, BBox(600 + 2 * f, 100, 20, 40)))
-            tracker.step(f, dets)
+                boxes.append(BBox(600 + 2 * f, 100, 20, 40))
+            tracker.step(f, frame(f, boxes))
         assert tracker.table.ids.tolist() == [1, 3]
         assert tracker.table.hits.tolist() == [6, 3]
         assert not np.array_equal(tracker.table.embedding[0], before["embedding"][0])
@@ -409,11 +444,11 @@ def frames_without_high_detections(tracker):
     emitted = []
     for f in range(1, 7):
         if f == 4:
-            dets = [det(f, 0, BBox(108, 100, 20, 40), conf=0.3)]
+            dets = frame(f, [BBox(108, 100, 20, 40)], conf=0.3)
         elif f == 5:
-            dets = []
+            dets = frame(f, [])
         else:
-            dets = [det(f, 0, BBox(100 + 2 * f, 100, 20, 40)), det(f, 1, BBox(300, 100, 20, 40))]
+            dets = frame(f, [BBox(100 + 2 * f, 100, 20, 40), BBox(300, 100, 20, 40)])
         emitted.append(tracker.step(f, dets))
     return emitted, table_fields(tracker)
 
@@ -454,8 +489,8 @@ class TestByteStage:
     def test_low_confidence_detection_rescues_track(self):
         match = MatchConfig(byte_low=True)
         tracker = SelectiveTracker(ConstantProvider(), match=match)
-        tracker.step(1, [det(1, 0, BBox(100, 100, 20, 40))])
-        emitted = tracker.step(2, [det(2, 0, BBox(102, 100, 20, 40), conf=0.2)])
+        tracker.step(1, frame(1, [BBox(100, 100, 20, 40)]))
+        emitted = tracker.step(2, frame(2, [BBox(102, 100, 20, 40)], conf=0.2))
         assert [tid for tid, _ in emitted] == [1]
         assert tracker.table.time_since_update.tolist() == [0]
         # byte matches never refresh the appearance state: the weight decays
@@ -464,8 +499,8 @@ class TestByteStage:
     def test_byte_disabled_leaves_track_unmatched(self):
         match = MatchConfig(byte_low=False)
         tracker = SelectiveTracker(ConstantProvider(), match=match)
-        tracker.step(1, [det(1, 0, BBox(100, 100, 20, 40))])
-        emitted = tracker.step(2, [det(2, 0, BBox(102, 100, 20, 40), conf=0.2)])
+        tracker.step(1, frame(1, [BBox(100, 100, 20, 40)]))
+        emitted = tracker.step(2, frame(2, [BBox(102, 100, 20, 40)], conf=0.2))
         assert emitted == []
         assert tracker.table.time_since_update.tolist() == [1]
 
@@ -473,9 +508,9 @@ class TestByteStage:
 class TestCopySemantics:
     def test_non_risky_detection_copies_and_does_not_fetch(self):
         tracker = SelectiveTracker(ConstantProvider())
-        tracker.step(1, [det(1, 0, BBox(100, 100, 20, 40))])
+        tracker.step(1, frame(1, [BBox(100, 100, 20, 40)]))
         assert tracker.provider.fetches == 1
-        emitted = tracker.step(2, [det(2, 0, BBox(101, 100, 20, 40))])
+        emitted = tracker.step(2, frame(2, [BBox(101, 100, 20, 40)]))
         assert tracker.provider.fetches == 1  # copied, not fetched
         assert [tid for tid, _ in emitted] == [1]
         assert tracker.table.effective_alpha.tolist() == [MatchConfig().ema_alpha**2]  # copy counts as a skip
@@ -484,21 +519,32 @@ class TestCopySemantics:
         # three well-separated tracks; detection overlaps only the third
         tracker = SelectiveTracker(ConstantProvider(dim=8))
         boxes = [BBox(0, 0, 20, 40), BBox(200, 0, 20, 40), BBox(400, 0, 20, 40)]
-        tracker.step(1, [det(1, i, b) for i, b in enumerate(boxes)])
+        tracker.step(1, frame(1, boxes))
         assert tracker.provider.fetches == 3
-        emitted = tracker.step(2, [det(2, 0, BBox(401, 0, 20, 40))])
+        emitted = tracker.step(2, frame(2, [BBox(401, 0, 20, 40)]))
         assert tracker.provider.fetches == 3
         assert [tid for tid, _ in emitted] == [3]
         assert tracker.table.time_since_update.tolist() == [1, 1, 0]
+
+    def test_tentative_track_is_no_candidate(self):
+        # before min_hits a track is tentative, so the gate gives the
+        # detection on it no candidate: the detection is risky and fetched
+        tracker = SelectiveTracker(ConstantProvider(), match=MatchConfig(min_hits=2))
+        tracker.step(1, frame(1, [BBox(100, 100, 20, 40)]))
+        tracker.step(2, frame(2, [BBox(101, 100, 20, 40)]))
+        assert tracker.provider.fetches == 2
+        assert [t.status for t in tracker.tracks] == [CONFIRMED]
+        tracker.step(3, frame(3, [BBox(102, 100, 20, 40)]))
+        assert tracker.provider.fetches == 2  # confirmed now: a copy
 
     def test_copy_from_embeddingless_candidate_degrades_to_iou(self):
         # provider has nothing for the first frame, so the track has no EMA;
         # the later non-risky detection cannot copy and must match by IoU
         provider = NullFeatureProvider()
         tracker = SelectiveTracker(provider)
-        tracker.step(1, [det(1, 0, BBox(100, 100, 20, 40))])
+        tracker.step(1, frame(1, [BBox(100, 100, 20, 40)]))
         assert tracker.table.has_embedding.tolist() == [False]
-        emitted = tracker.step(2, [det(2, 0, BBox(101, 100, 20, 40))])
+        emitted = tracker.step(2, frame(2, [BBox(101, 100, 20, 40)]))
         assert [tid for tid, _ in emitted] == [1]
         assert tracker.table.has_embedding.tolist() == [False]
 
@@ -508,9 +554,9 @@ class TestBaseGateMode:
         tracker = SelectiveTracker(
             ConstantProvider(), GateConfig(mode=MODE_BASE_GATE)
         )
-        tracker.step(1, [det(1, 0, BBox(100, 100, 20, 40))])
+        tracker.step(1, frame(1, [BBox(100, 100, 20, 40)]))
         fetches = tracker.provider.fetches
-        emitted = tracker.step(2, [det(2, 0, BBox(101, 100, 20, 40))])
+        emitted = tracker.step(2, frame(2, [BBox(101, 100, 20, 40)]))
         assert tracker.provider.fetches == fetches
         assert [tid for tid, _ in emitted] == [1]
         assert tracker.table.effective_alpha.tolist() == [MatchConfig().ema_alpha**2]
@@ -654,17 +700,17 @@ confidences = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 def streams(draw):
     """({frame: detections}, {(frame, index): feature}) with gaps between frames."""
     frames, features = {}, {}
-    frame = 0
+    f = 0
     for _ in range(draw(st.integers(1, 12))):
-        frame += draw(st.integers(1, 4))
-        dets = []
+        f += draw(st.integers(1, 4))
+        boxes, confs = [], []
         for index in range(draw(st.integers(0, 5))):
-            box = BBox(draw(coords), draw(coords), draw(sizes), draw(sizes))
-            dets.append(det(frame, index, box, draw(confidences)))
+            boxes.append(BBox(draw(coords), draw(coords), draw(sizes), draw(sizes)))
+            confs.append(draw(confidences))
             k = draw(st.integers(-1, len(PALETTE) - 1))
             if k >= 0:
-                features[(frame, index)] = PALETTE[k]
-        frames[frame] = dets
+                features[(f, index)] = PALETTE[k]
+        frames[f] = frame(f, boxes, confs)
     return frames, features
 
 
