@@ -22,7 +22,9 @@ and whether the two emitted the same (frame, id, box) rows.
 `io.read_detections` of det.txt plus an `io.FeatureFileProvider` of
 features.feab, held until the side's next load replaces it, as
 `perfbench/measure.py` holds it. The sides alternate load by load, and the
-table gives each side's fastest load in milliseconds:
+table gives each side's fastest load in milliseconds, and on rows of their
+own each side's fastest `read_detections` and fastest provider build, so a
+change to one of them shows on its own:
 
     PYTHONPATH=src python scripts/bench_frame.py --setup --against ../parent --passes 60
 """
@@ -113,18 +115,30 @@ class Side:
         return float(np.median(list(self.best[mode].values())))
 
 
-def fastest_loads(sides: list, workload, passes: int) -> list[float]:
-    """Each side's fastest load of the workload in ms; which side loads first alternates pass by pass."""
-    best, held = [math.inf] * len(sides), [None] * len(sides)
+LOAD_PARTS = ("setup", "read_detections", "provider")
+
+
+def fastest_loads(sides: list, workload, passes: int) -> list[dict[str, float]]:
+    """Each side's fastest load of the workload in ms, whole and by part; which side loads first alternates pass by pass.
+
+    A load's parts are `read_detections` and the `FeatureFileProvider`; each
+    part's time includes freeing the side's previous result of that part,
+    as the benchmark frees it when the next load replaces it.
+    """
+    best = [dict.fromkeys(LOAD_PARTS, math.inf) for _ in sides]
+    held = [[None, None] for _ in sides]
     for n in range(passes):
         for k in range(len(sides))[:: 1 if n % 2 == 0 else -1]:
-            modules = sides[k]
+            modules, loaded = sides[k], held[k]
             gc.collect()
             measure.pin_fastest_cpu()
             started = perf_counter()
-            # the side's previous load is freed here, inside the timing, as in the benchmark
-            held[k] = modules.io.read_detections(workload.det), modules.io.FeatureFileProvider(workload.features)
-            best[k] = min(best[k], 1e3 * (perf_counter() - started))
+            loaded[0] = modules.io.read_detections(workload.det)
+            read = perf_counter()
+            loaded[1] = modules.io.FeatureFileProvider(workload.features)
+            done = perf_counter()
+            for part, seconds in zip(LOAD_PARTS, (done - started, read - started, done - read)):
+                best[k][part] = min(best[k][part], 1e3 * seconds)
     return best
 
 
@@ -144,7 +158,7 @@ def main(argv=None) -> int:
     names = workloads.NAMES if args.workload == "all" else (args.workload,)
 
     cpus = os.sched_getaffinity(0)  # `pin_fastest_cpu` narrows it
-    header = f"{'workload':8} {'mode':14}" + "".join(f" {name + ' ms':>10}" for name in sides)
+    header = f"{'workload':8} {'mode':15}" + "".join(f" {name + ' ms':>10}" for name in sides)
     columns = f" {'change':>8}" + ("" if args.setup else f" {'rows':>9}")
     print(header + (columns if len(sides) > 1 else ""))
     try:
@@ -152,9 +166,11 @@ def main(argv=None) -> int:
             for name in names:
                 workload = workloads.generate(name, args.seed, Path(tmp) / name)
                 if args.setup:
-                    ms = fastest_loads(list(sides.values()), workload, args.passes)
-                    line = f"{name:8} {'setup':14}" + "".join(f" {v:>10.3f}" for v in ms)
-                    print(line + (f" {100.0 * (ms[0] / ms[1] - 1.0):>+7.1f}%" if len(ms) > 1 else ""), flush=True)
+                    best = fastest_loads(list(sides.values()), workload, args.passes)
+                    for part in LOAD_PARTS:
+                        ms = [side[part] for side in best]
+                        line = f"{name:8} {part:15}" + "".join(f" {v:>10.3f}" for v in ms)
+                        print(line + (f" {100.0 * (ms[0] / ms[1] - 1.0):>+7.1f}%" if len(ms) > 1 else ""), flush=True)
                     continue
                 loaded = [Side(modules, workload) for modules in sides.values()]
                 for n in range(args.passes):
@@ -163,7 +179,7 @@ def main(argv=None) -> int:
                             side.run_pass(mode)
                 for mode in MODES:
                     ms = [side.median_ms(mode) for side in loaded]
-                    line = f"{name:8} {mode:14}" + "".join(f" {v:>10.3f}" for v in ms)
+                    line = f"{name:8} {mode:15}" + "".join(f" {v:>10.3f}" for v in ms)
                     if len(loaded) > 1:
                         same = all(side.rows[mode] == loaded[0].rows[mode] for side in loaded)
                         line += f" {100.0 * (ms[0] / ms[1] - 1.0):>+7.1f}% {'identical' if same else 'DIFFER':>9}"

@@ -148,6 +148,8 @@ def _stats_lines(stats, cfg, match) -> list[str]:
     return [
         f"pde={pde_text}",
         f"fetches={stats.fetches}",
+        f"batches={stats.batches}",
+        f"late_fetches={stats.late_fetches}",
         f"detections={stats.detections}",
         f"high_detections={stats.high_detections}",
         f"frames={stats.frames}",

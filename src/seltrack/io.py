@@ -192,18 +192,21 @@ def write_features(path, records) -> None:
         table.tofile(fh)
 
 
-# rows checked and normalized per array pass; bounds the float64 scratch copy
-_CHECK_ROWS = 256
+# float64 cells checked and normalized per array pass; bounds the widened copy of a block
+_CHECK_CELLS = 2**15
 
 
-def _feature_table(path) -> tuple[np.ndarray, dict[int, int]]:
-    """The checked record table of a feature file and the row of each record's key, the int `frame << 32 | index`.
+def _feature_table(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The checked record table of a feature file, its keys sorted and each sorted key's row.
 
-    Vectors within 1e-6 of unit norm are kept bit-exact; anything else is
-    normalized in place. The file is read into one buffer, which the table
-    views. An unusable file is refused with the error of its first bad
-    record in file order: a repeated key, then a non-finite vector, then a
-    zero vector.
+    A record's key is the uint64 `frame << 32 | index`. The sorted keys
+    end in one padding 0, so a search's end position can be compared
+    against them too: a query past every key is not 0 unless there is no
+    key. Vectors within 1e-6 of
+    unit norm are kept bit-exact; anything else is normalized in place. The
+    file is read into one buffer, which the table views. An unusable file
+    is refused with the error of its first bad record in file order: a
+    repeated key, then a non-finite vector, then a zero vector.
     """
     data = np.fromfile(path, dtype=np.uint8)
     if len(data) < 13:
@@ -221,34 +224,39 @@ def _feature_table(path) -> tuple[np.ndarray, dict[int, int]]:
             f"truncated feature file: expected {expected} bytes, got {len(data)}"
         )
     if count == 0:  # its header may give a dim too large for a record dtype
-        return np.zeros(0, _record_dtype(0)), {}
+        return np.zeros(0, _record_dtype(0)), np.zeros(1, np.uint64), np.zeros(0, np.intp)
     table = data[13:].view(_record_dtype(dim))
     vectors = table["v"]
-    keys = (table["f"].astype(np.uint64) << 32 | table["i"]).tolist()
-    rows = dict(zip(keys, range(count)))
+    keys = table["f"].astype(np.uint64) << 32 | table["i"]
+    rows = np.argsort(keys, kind="stable")
+    sorted_keys = np.zeros(count + 1, np.uint64)
+    np.take(keys, rows, out=sorted_keys[:count])
+    # a repeated key is a run of equal sorted keys, its records in file order:
+    # the first repeat is the least row that follows an equal key
+    repeat = sorted_keys[1:count] == sorted_keys[:count - 1]
+    checked = int(rows[1:][repeat].min()) if repeat.any() else count
     # records before the first repeated key are checked; a bad one among them fails first
-    checked = count
-    if len(rows) != count:
-        seen = set()
-        for checked, key in enumerate(keys):
-            if key in seen:
-                break
-            seen.add(key)
-    for start in range(0, checked, _CHECK_ROWS):
-        block = vectors[start:min(start + _CHECK_ROWS, checked)]
+    step = max(1, _CHECK_CELLS // max(dim, 1))
+    for start in range(0, checked, step):
+        block = vectors[start:min(start + step, checked)]
         wide = block.astype(np.float64)
         norm = norms(wide)
-        finite = np.isfinite(block).all(axis=1)
+        finite = np.isfinite(norm)  # squares of finite float32 values never overflow a float64 sum
         bad = ~finite | (norm == 0.0)
         if bad.any():
             n = start + int(np.argmax(bad))
             what = "non-finite" if not finite[n - start] else "zero-norm"
-            raise ValueError(f"{what} feature vector at key {divmod(keys[n], 1 << 32)}")
+            raise ValueError(f"{what} feature vector at key {_key(table, n)}")
         off = np.abs(norm - 1.0) > UNIT_NORM_ATOL
         block[off] = (wide[off] / norm[off, None]).astype(np.float32)
     if checked < count:
-        raise ValueError(f"duplicate feature key {divmod(keys[checked], 1 << 32)}")
-    return table, rows
+        raise ValueError(f"duplicate feature key {_key(table, checked)}")
+    return table, sorted_keys, rows
+
+
+def _key(table: np.ndarray, row: int) -> tuple[int, int]:
+    """The (frame, index) key of a record, as the errors name it."""
+    return int(table["f"][row]), int(table["i"][row])
 
 
 def read_features(path) -> dict[tuple[int, int], np.ndarray]:
@@ -256,21 +264,29 @@ def read_features(path) -> dict[tuple[int, int], np.ndarray]:
 
     The file is checked, and its vectors normalized, as `FeatureFileProvider` reads it.
     """
-    table, _ = _feature_table(path)
+    table = _feature_table(path)[0]
     return dict(zip(zip(table["f"].tolist(), table["i"].tolist()), table["v"]))
 
 
 class FeatureFileProvider:
-    """Feature provider backed by a feature file's checked record table and a key -> row dict.
+    """Feature provider backed by a feature file's checked record table and its sorted key index.
 
-    A fetched vector is the float32 row of the table, as `read_features` returns it.
+    A fetched vector is the float32 row of the table, as `read_features`
+    returns it; a batch is one search of the sorted keys and one gather.
     """
 
     def __init__(self, path):
-        table, self._rows = _feature_table(path)
+        table, self._padded, self._rows = _feature_table(path)
+        self._keys = self._padded[:-1]
         self._vectors = table["v"]
 
-    def fetch(self, frame: int, index: int) -> np.ndarray | None:
-        # an index below 2**32, as a detection's is, keeps the key one-to-one
-        row = self._rows.get(frame << 32 | index)
-        return None if row is None else self._vectors[row]
+    def fetch_batch(self, frame: int, indices) -> tuple[np.ndarray, np.ndarray]:
+        """The positions in `indices` (each in [0, 2**32)) that have a record in `frame`, and their vectors."""
+        # a frame of 2**32 or more, which the uint64 shift would wrap, has no key, nor has
+        # any query of an empty file (whose one padding key is the query (0, 0))
+        if frame >> 32 or not len(self._rows):
+            return np.zeros(0, dtype=np.intp), self._vectors[:0]
+        query = np.bitwise_or(indices, frame << 32, dtype=np.uint64, casting="unsafe")
+        pos = self._keys.searchsorted(query)
+        found = (self._padded[pos] == query).nonzero()[0]
+        return found, self._vectors[self._rows[pos[found]]]

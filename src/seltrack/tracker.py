@@ -3,8 +3,8 @@
 Each frame: predict all tracks, split detections by confidence, give each
 high-confidence one its sole candidate among the confirmed tracks (-1 when
 it is risky) in one array pass of the gate, fetch features only for the
-risky ones (non-risky reuse their candidate's embedding), associate, then
-update motion, appearance, and lifecycle.
+risky ones, in one provider batch (non-risky reuse their candidate's
+embedding), associate, then update motion, appearance, and lifecycle.
 All per-track state lives in one `TrackTable` of stacked arrays, so each
 of those per-track steps is one call over the rows it concerns, and each
 per-frame quantity (the detections' box array, the IoU matrix, the
@@ -128,28 +128,34 @@ class MatchConfig:
 
 
 class FeatureProvider(Protocol):
-    """Source of appearance embeddings, deterministic per (frame, index)."""
+    """Source of appearance embeddings, deterministic per (frame, index), answered a batch at a time.
 
-    def fetch(self, frame: int, index: int) -> np.ndarray | None: ...
+    `fetch_batch` returns the positions in `indices` that have a feature and
+    one (k, d) array of their features in that order, as a ReID network
+    embeds a frame's crops in one forward pass.
+    """
+
+    def fetch_batch(self, frame: int, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]: ...
 
 
 class NullFeatureProvider:
     """Never has features; turns any configuration into IoU-only tracking."""
 
-    def fetch(self, frame: int, index: int) -> np.ndarray | None:
-        return None
+    def fetch_batch(self, frame: int, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return np.zeros(0, dtype=int), np.zeros((0, 0))
 
 
 class CountingProvider:
-    """Wraps a provider and counts every fetch — the PDE numerator."""
+    """Wraps a provider and counts every crop asked for — the PDE numerator."""
 
     def __init__(self, inner: FeatureProvider):
         self.inner = inner
         self.fetches = 0
 
-    def fetch(self, frame: int, index: int) -> np.ndarray | None:
-        self.fetches += 1
-        return self.inner.fetch(frame, index)
+    def fetch(self, frame: int, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One batch of the inner provider's `fetch_batch`; the tracker calls it by this name, so a wrapper bound here sees every batch."""
+        self.fetches += len(indices)
+        return self.inner.fetch_batch(frame, indices)
 
 
 @dataclass
@@ -218,7 +224,9 @@ class TrackOutput:
 
 @dataclass
 class RunStats:
-    fetches: int = 0
+    fetches: int = 0  # crops asked for
+    batches: int = 0  # provider calls, each with at least one crop
+    late_fetches: int = 0  # crops of non-risky detections left unmatched, fetched for their birth
     detections: int = 0
     high_detections: int = 0
     frames: int = 0
@@ -319,7 +327,8 @@ class SelectiveTracker:
         # 4. features: fetched for risky detections; a non-risky one copies
         #    its candidate's embedding, if it has one, or is saturated (priced
         #    out of appearance matching) under the base-gate ablation
-        fetched, feats = self._fetch(frame, order, np.flatnonzero(risky).tolist())
+        risky_js = np.flatnonzero(risky)
+        fetched, feats = self._fetch(frame, order, risky_js)
         saturated = ~risky & (self.gate.mode == gating.MODE_BASE_GATE)
         copies = np.flatnonzero(~risky & ~saturated)
         copies = copies[t.has_embedding[cand[copies]]]
@@ -367,7 +376,8 @@ class SelectiveTracker:
 
         # 7. births for unmatched high-confidence detections (eager feature)
         born_js = np.flatnonzero(_left(n_high, [j for _, j in matches])).tolist()
-        late, late_feats = self._fetch(frame, order, [j for j in born_js if not risky[j]])
+        late_js = [j for j in born_js if not risky[j]]
+        late, late_feats = self._fetch(frame, order, late_js)
         if late:
             fetched += late
             feats = late_feats if feats is None else np.concatenate([feats, late_feats])
@@ -399,22 +409,23 @@ class SelectiveTracker:
         self._next_id += len(born_js)
         self.last_frame = frame
         self.stats.high_detections += n_high
+        self.stats.batches += (len(risky_js) > 0) + (len(late_js) > 0)
+        self.stats.late_fetches += len(late_js)
         return emitted
 
-    def _fetch(self, frame: int, order: np.ndarray | None, js: list[int]) -> tuple[list[int], np.ndarray | None]:
+    def _fetch(self, frame: int, order: np.ndarray | None, js: np.ndarray | list[int]) -> tuple[list[int], np.ndarray | None]:
         """The rows among `js` whose detection the provider has a feature for, and those features.
 
+        One provider call asks for every row of `js` (none when it is empty).
         Row j is the detection of index `order[j]`, or of index j when
         `order` is None. The features are one (k, d) float64 matrix, None
         when there are none; raises unless each is unit-norm.
         """
-        got, vectors = [], []
-        for j, index in zip(js, js if order is None else order[js].tolist()):
-            f = self.provider.fetch(frame, index)
-            if f is not None:
-                got.append(j)
-                vectors.append(f)
-        return got, appearance.check_unit(vectors) if vectors else None
+        if not len(js):
+            return [], None
+        js = np.asarray(js)
+        found, vectors = self.provider.fetch(frame, js if order is None else order[js])
+        return js[found].tolist(), appearance.check_unit(vectors) if len(found) else None
 
     def _refresh_appearance(self, t: TrackTable, fresh, feats) -> None:
         """Decay every row's blend weight, then blend in each (row, row of `feats`) of `fresh`; a row without an embedding is seeded.

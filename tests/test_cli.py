@@ -43,7 +43,8 @@ class TestTrack:
         kv = dict(
             line.split("=", 1) for line in stats.read_text().splitlines() if "=" in line
         )
-        assert "pde" in kv and "fetches" in kv and "detections" in kv
+        assert list(kv)[:4] == ["pde", "fetches", "batches", "late_fetches"]
+        assert "detections" in kv
         assert kv["config.mode"] == "selective"
         assert kv["config.iou_th"] == "0.2"
         assert float(kv["pde"]) < 100.0
@@ -53,6 +54,8 @@ class TestTrack:
         _, stats = run_track(tmp_path, crossing_dir, "--mode", "always")
         kv = dict(line.split("=", 1) for line in stats.read_text().splitlines())
         assert float(kv["pde"]) == 100.0
+        # every high detection is fetched in its frame's one gate batch, none late
+        assert 0 < int(kv["batches"]) <= int(kv["frames"]) and kv["late_fetches"] == "0"
 
     def test_missing_det_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

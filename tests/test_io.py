@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -375,24 +376,51 @@ class TestFeatureFile:
         with pytest.raises(ValueError, match=message):
             read_features(p)
 
-    def test_repeated_key_refused_on_read(self, tmp_path):
+    @pytest.mark.parametrize("keys, message", [
+        ([(1, 0), (2, 0), (1, 0), (2, 0)], r"^duplicate feature key \(1, 0\)$"),
+        # keys out of order: the first repeat in file order names the error
+        ([(5, 0), (1, 0), (5, 0), (1, 0)], r"^duplicate feature key \(5, 0\)$"),
+        ([(5, 0), (1, 0), (1, 0), (5, 0)], r"^duplicate feature key \(1, 0\)$"),
+        ([(5, 0), (1, 0), (5, 0), (5, 0)], r"^duplicate feature key \(5, 0\)$"),
+    ])
+    def test_repeated_key_refused_on_read(self, keys, message, tmp_path):
         # write_features refuses such a file, so it is written byte by byte
         p = tmp_path / "f.feab"
         e = np.eye(2, dtype=np.float32)
-        write_raw_features(p, 2, [(1, 0, e[0]), (2, 0, e[1]), (1, 0, e[1]), (2, 0, e[0])])
-        with pytest.raises(ValueError, match=r"^duplicate feature key \(1, 0\)$"):
+        write_raw_features(p, 2, [(f, i, e[n % 2]) for n, (f, i) in enumerate(keys)])
+        with pytest.raises(ValueError, match=message):
             read_features(p)
 
     def test_provider_fetch(self, tmp_path):
         p = tmp_path / "f.feab"
         write_features(p, [(4, 1, np.array([0, 1, 0], dtype=np.float32))])
         provider = FeatureFileProvider(p)
-        got = provider.fetch(4, 1)
+        found, got = provider.fetch_batch(4, np.array([2, 1]))
         # the validated vector as read, not a renormalized copy
-        assert got is not None and got.dtype == np.float32
-        assert np.array_equal(got, read_features(p)[(4, 1)])
-        assert provider.fetch(4, 2) is None
-        assert provider.fetch(2**32 + 4, 1) is None  # a frame beyond the file's u32 keys
+        assert found.tolist() == [1] and got.dtype == np.float32
+        assert np.array_equal(got, read_features(p)[(4, 1)][None])
+        for frame in (2**32 + 4, 2**64 + 4):  # frames beyond the file's u32 keys
+            found, got = provider.fetch_batch(frame, np.array([1]))
+            assert found.tolist() == [] and got.shape == (0, 3)
+        write_features(p, [])  # an empty file has no key, (0, 0) included
+        found, got = FeatureFileProvider(p).fetch_batch(0, np.array([0, 1]))
+        assert found.tolist() == [] and len(got) == 0
+
+    def test_provider_retains_little_beyond_the_file(self, tmp_path):
+        n, dim = 5000, 16
+        p = tmp_path / "f.feab"
+        vectors = np.random.default_rng(0).normal(size=(n, dim)).astype(np.float32)
+        write_features(p, [(1 + k // 10, k % 10, v) for k, v in enumerate(vectors)])
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            provider = FeatureFileProvider(p)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert provider.fetch_batch(1, np.array([0]))[0].tolist() == [0]
+        # the file's bytes, which the vectors view, and the key index: no object per record
+        assert retained <= p.stat().st_size + 32 * n
 
 
 def write_raw_features(path, dim, records) -> None:
@@ -439,7 +467,7 @@ def reference_read_features(path) -> dict:
 
 @st.composite
 def feature_records(draw):
-    """(dim, records): unit and scaled vectors, some spoiled by NaN, inf, zeros or a repeated key."""
+    """(dim, records): unit and scaled vectors in key or shuffled order, some spoiled by NaN, inf, zeros or a repeated key."""
     dim = draw(st.integers(0, 200))
     count = draw(st.integers(0, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -447,7 +475,10 @@ def feature_records(draw):
     unit = rng.random(count) < 0.5
     vectors[unit] /= np.maximum(np.linalg.norm(vectors[unit], axis=1, keepdims=True), 1e-300)
     vectors = vectors.astype(np.float32)
-    keys = [(n // 5, n % 5) for n in range(count)]
+    keys = [(n // 5, n % 5) for n in range(count)]  # frame 0 is a key too
+    if draw(st.booleans()):
+        order = rng.permutation(count)
+        keys, vectors = [keys[n] for n in order], vectors[order]
     for _ in range(draw(st.integers(0, 3)) if count else 0):
         n = draw(st.integers(0, count - 1))
         kind = draw(st.sampled_from(["nan", "inf", "-inf", "zero", "repeat"]))
@@ -467,10 +498,16 @@ def read_outcome(reader, path):
         return None, str(exc)
 
 
+# a query's frame: small ones, of which 0 to 7 hold records, and frames beyond the u32 keys
+query_frames = st.integers(0, 9) | st.sampled_from([2**32, 2**32 + 1, 2**64])
+# a batch: missing, repeated and unsorted indices, empty ones, and the largest u32 index
+query_indices = st.lists(st.integers(0, 6) | st.just(2**32 - 1), max_size=12)
+
+
 class TestReadFeaturesAgainstReference:
     @settings(max_examples=300, deadline=None)
-    @given(spec=feature_records())
-    def test_same_vectors_or_same_error(self, spec, tmp_path_factory):
+    @given(spec=feature_records(), data=st.data())
+    def test_same_vectors_or_same_error(self, spec, data, tmp_path_factory):
         dim, records = spec
         p = tmp_path_factory.mktemp("feab") / "f.feab"
         write_raw_features(p, dim, records)
@@ -478,11 +515,20 @@ class TestReadFeaturesAgainstReference:
         want, want_error = read_outcome(reference_read_features, p)
         provider, provider_error = read_outcome(FeatureFileProvider, p)
         assert error == provider_error == want_error
-        if want is not None:
-            assert list(got) == list(want)
-            for key, v in want.items():
-                assert got[key].dtype == provider.fetch(*key).dtype == np.float32
-                assert got[key].tobytes() == provider.fetch(*key).tobytes() == v.tobytes()
+        if want is None:
+            return
+        assert list(got) == list(want)
+        for key, v in want.items():
+            assert got[key].dtype == np.float32
+            assert got[key].tobytes() == v.tobytes()
+        queries = [(f, sorted({i for g, i in want if g == f})) for f in {f for f, _ in want}]
+        queries += [(data.draw(query_frames), data.draw(query_indices)) for _ in range(3)]
+        for frame, indices in queries:
+            found, vectors = provider.fetch_batch(frame, np.array(indices, dtype=np.int64))
+            hits = [k for k, i in enumerate(indices) if (frame, i) in want]
+            assert found.tolist() == hits
+            assert vectors.dtype == np.float32 and len(vectors) == len(hits)
+            assert vectors.tobytes() == b"".join(want[frame, indices[k]].tobytes() for k in hits)
 
     @settings(max_examples=100, deadline=None)
     @given(spec=feature_records())

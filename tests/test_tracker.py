@@ -1,6 +1,6 @@
 import collections
 import hashlib
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -32,7 +32,7 @@ from seltrack.tracker import (
     run_sequence,
 )
 
-from providers import DictProvider, frame
+from providers import DictProvider, batch, frame
 
 
 def e(dim, i):
@@ -47,8 +47,8 @@ class ConstantProvider:
     def __init__(self, dim=4):
         self.dim = dim
 
-    def fetch(self, frame, index):
-        return e(self.dim, index % self.dim)
+    def fetch_batch(self, frame, indices):
+        return batch(frame, indices, lambda f, i: e(self.dim, i % self.dim))
 
 
 class FailingProvider:
@@ -56,10 +56,10 @@ class FailingProvider:
         self.fail_on_frame = fail_on_frame
         self.armed = True
 
-    def fetch(self, frame, index):
+    def fetch_batch(self, frame, indices):
         if self.armed and frame == self.fail_on_frame:
             raise RuntimeError("extractor offline")
-        return e(4, 0)
+        return batch(frame, indices, lambda f, i: e(4, 0))
 
 
 def stationary_frames(n, box=BBox(100, 100, 20, 40)):
@@ -547,6 +547,59 @@ class TestCopySemantics:
         emitted = tracker.step(2, frame(2, [BBox(101, 100, 20, 40)]))
         assert [tid for tid, _ in emitted] == [1]
         assert tracker.table.has_embedding.tolist() == [False]
+
+
+def count_batches(tracker):
+    """Rebind the tracker's counting `fetch` to a wrapper that records each call, as perfbench's tracer does."""
+    calls, inner = [], tracker.provider.fetch
+
+    def counted(frame, indices):
+        calls.append((frame, np.asarray(indices).tolist()))
+        return inner(frame, indices)
+
+    tracker.provider.fetch = counted
+    return calls
+
+
+class TestBatchedFetch:
+    def test_one_call_per_non_empty_batch(self):
+        tracker = SelectiveTracker(ConstantProvider(), GateConfig(mode=MODE_ALWAYS_EXTRACT))
+        calls = count_batches(tracker)
+        boxes = [BBox(0, 0, 20, 40), BBox(200, 0, 20, 40), BBox(400, 0, 20, 40)]
+        tracker.step(1, frame(1, boxes))
+        tracker.step(2, frame(2, []))
+        tracker.step(3, frame(3, boxes, conf=[0.2, 0.9, 0.9]))  # the low detection is not fetched
+        tracker.step(4, frame(4, boxes[:1], conf=0.2))
+        assert calls == [(1, [0, 1, 2]), (3, [1, 2])]
+        assert tracker.provider.fetches == tracker.stats.fetches == 5
+        assert tracker.stats.batches == 2 and tracker.stats.late_fetches == 0
+
+    def test_failed_batch_leaves_no_count(self):
+        provider = FailingProvider(fail_on_frame=2)
+        tracker = SelectiveTracker(provider, GateConfig(mode=MODE_ALWAYS_EXTRACT))
+        calls = count_batches(tracker)
+        tracker.step(1, frame(1, [BBox(100, 100, 20, 40)]))
+        before, stats = table_fields(tracker), replace(tracker.stats)
+        with pytest.raises(RuntimeError, match="extractor offline"):
+            tracker.step(2, frame(2, [BBox(102, 100, 20, 40)]))
+        assert calls == [(1, [0]), (2, [0])]
+        assert table_fields(tracker) == before
+        assert tracker.provider.fetches == 1 and tracker.stats == stats
+
+    def test_unmatched_non_risky_detection_fetched_late(self):
+        # detections 0 and 1 both have track 1 as their sole candidate, so both
+        # copy its embedding; one matches it and the other, left unmatched, is
+        # born and fetched in a second batch. Detection 2 overlaps no track: it
+        # is risky and fetched in the gate's batch
+        tracker = SelectiveTracker(ConstantProvider())
+        calls = count_batches(tracker)
+        tracker.step(1, frame(1, [BBox(100, 100, 20, 40)]))
+        emitted = tracker.step(2, frame(2, [BBox(100, 100, 20, 40), BBox(104, 100, 20, 40), BBox(400, 0, 20, 40)]))
+        assert calls == [(1, [0]), (2, [2]), (2, [1])]
+        assert [tid for tid, _ in emitted] == [1, 2, 3]
+        assert tracker.stats.late_fetches == 1
+        assert tracker.stats.batches == 3 and tracker.provider.fetches == 3
+        assert tracker.table.has_embedding.tolist() == [True, True, True]
 
 
 class TestBaseGateMode:
