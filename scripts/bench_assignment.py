@@ -24,7 +24,8 @@ generator, so two checkouts time the same inputs:
 `--against PATH` loads the `seltrack/assignment.py` of the checkout at
 PATH into the same process under another module name and times both on
 each matrix, alternating which goes first, so that host drift hits both
-sides alike; the two must return the same assignment. Before the table,
+sides alike; the two must return the same matched (row, column) pairs,
+whichever form each side returns them in. Before the table,
 the first solve of a tied 12x12 matrix is timed in a fresh interpreter for
 each side, apart from the steady state: it includes importing
 `seltrack.assignment` and, where that is deferred, scipy.
@@ -108,6 +109,18 @@ def load_against(root: Path):
     return module
 
 
+def matched_pairs(result) -> list[tuple[int, int]]:
+    """The (row, column) matches of a `solve` result.
+
+    That is a (rows, columns) pair of int arrays, or, from a checkout that
+    predates it, an object whose `matches` lists the pairs.
+    """
+    if hasattr(result, "matches"):
+        return [(int(r), int(c)) for r, c in result.matches]
+    rows, cols = result
+    return list(zip(rows.tolist(), cols.tolist()))
+
+
 def count_lsa(module, calls: dict) -> None:
     """Wrap the module's `linear_sum_assignment` so `calls[module]` counts its calls."""
     real = module.linear_sum_assignment
@@ -161,7 +174,7 @@ def main(argv=None) -> int:
                     start = time.perf_counter()
                     result = module.solve(costs, GATE)
                     times[module].append(time.perf_counter() - start)
-                    results.append(vars(result))
+                    results.append(matched_pairs(result))
                 if any(r != results[0] for r in results):
                     raise SystemExit(f"the checkouts disagree on a {kind} {n}x{n} matrix")
             print(f"{kind:8} {n:>4}" + "".join(

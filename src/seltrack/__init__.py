@@ -7,7 +7,7 @@ embeddings are kept as a decaying EMA so skipped extractions do not freeze
 old appearance information.
 """
 
-from seltrack.geometry import BBox, ars, blended_alpha, iou
+from seltrack.geometry import BBox, ars, blended_alpha
 
-__all__ = ["BBox", "iou", "ars", "blended_alpha"]
+__all__ = ["BBox", "ars", "blended_alpha"]
 __version__ = "0.1.0"

@@ -8,20 +8,11 @@ process whose matrices are all conflict-free never loads it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 INFEASIBLE = np.inf
 UNMATCHED = -1
-
-
-@dataclass(frozen=True)
-class Assignment:
-    matches: list[tuple[int, int]]
-    unmatched_rows: list[int]
-    unmatched_cols: list[int]
-
 
 _scipy_lsa = None
 
@@ -147,13 +138,7 @@ def _break_ties(feasible, col_of, target_card: int, target_cost: float) -> None:
             open_cols = open_cols[open_cols != c]
 
 
-def _others(n: int, taken: list[int]) -> list[int]:
-    """The indices below n that are not in `taken`, in order."""
-    taken = set(taken)
-    return [i for i in range(n) if i not in taken]
-
-
-def solve(costs, gate: float) -> Assignment:
+def solve(costs, gate: float) -> tuple[np.ndarray, np.ndarray]:
     """Assign rows to columns over the cells with cost <= gate (and not inf).
 
     Maximizes the number of matches first, then minimizes their total cost.
@@ -172,24 +157,16 @@ def solve(costs, gate: float) -> Assignment:
     rows before the first challenger are fixed in one vectorized pass.
     Totals within a relative 1e-9 of each other count as tied, so costs
     need coarser granularity than that for the tie-break to be meaningful.
-    Output is reproducible bit-for-bit across runs.
+    Returns the matches as two int arrays: the matched rows, increasing,
+    and the column of each. Output is reproducible bit-for-bit across runs.
     """
     m = _validate(costs, gate)
-    n_rows, n_cols = m.shape
     mask = m <= gate  # the feasible cells
     if conflict_free(mask):
         # the feasible cells in row-major order, each cell the match of its row and its column
-        matches = [divmod(k, n_cols) for k in mask.ravel().nonzero()[0].tolist()]
-        return Assignment(matches, _others(n_rows, [r for r, _ in matches]), _others(n_cols, [c for _, c in matches]))
+        return np.divmod(mask.ravel().nonzero()[0], m.shape[1])
     feasible = np.where(mask, m, INFEASIBLE)
     target_card, target_cost, col_of = _incumbent(feasible)
     _break_ties(feasible, col_of, target_card, target_cost)
-
-    matched = col_of != UNMATCHED
-    held = np.zeros(n_cols, dtype=bool)
-    held[col_of[matched]] = True
-    return Assignment(
-        matches=[(r, c) for r, c in enumerate(col_of.tolist()) if c != UNMATCHED],
-        unmatched_rows=np.flatnonzero(~matched).tolist(),
-        unmatched_cols=np.flatnonzero(~held).tolist(),
-    )
+    rows = np.flatnonzero(col_of != UNMATCHED)
+    return rows, col_of[rows]

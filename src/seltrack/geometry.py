@@ -30,23 +30,12 @@ class BBox:
         raise ValueError(f"non-positive bbox size w={w}, h={h}")
 
     @property
-    def area(self) -> float:
-        return self.w * self.h
-
-    @property
     def cx(self) -> float:
         return self.x + self.w / 2.0
 
     @property
     def cy(self) -> float:
         return self.y + self.h / 2.0
-
-    @property
-    def aspect(self) -> float:
-        return self.w / self.h
-
-    def as_xyxy(self) -> tuple[float, float, float, float]:
-        return self.x, self.y, self.x + self.w, self.y + self.h
 
 
 _XYWH = attrgetter("x", "y", "w", "h")
@@ -102,7 +91,7 @@ def _inter_union(ca: np.ndarray, cb: np.ndarray):
     # [width, height] of each pair's overlap, 0 where there is none
     overlap = np.maximum(np.minimum(ca[2:], cb[2:]) - np.maximum(ca[:2], cb[:2]), 0.0)
     inter = overlap[0] * overlap[1]
-    # areas from the same corner coordinates so iou(a, a) is exactly 1
+    # areas from the same corner coordinates so a box's IoU with itself is exactly 1
     size_a, size_b = ca[2:] - ca[:2], cb[2:] - cb[:2]
     return inter, size_a[0] * size_a[1] + size_b[0] * size_b[1] - inter
 
@@ -127,11 +116,6 @@ def iou_matrix(a, b) -> np.ndarray:
     # only overlapping cells are divided: the others are exactly 0, also for
     # two boxes narrower than their coordinates' spacing (zero corner area)
     return np.divide(inter, union, out=np.zeros_like(inter), where=inter > 0)
-
-
-def iou(a: BBox, b: BBox) -> float:
-    """Intersection over union of one pair; see `iou_matrix`."""
-    return float(iou_matrix([a], [b])[0, 0])
 
 
 def ars(a, b):

@@ -10,28 +10,40 @@ from __future__ import annotations
 
 import itertools
 import struct
+from decimal import Decimal
 
 import numpy as np
 
 from seltrack.appearance import UNIT_NORM_ATOL, norms
-from seltrack.geometry import BBox, as_bboxes
+from seltrack.geometry import BBox, as_bboxes, refused_rows
 from seltrack.tracker import Frame, TrackOutput
 
 FEATURE_MAGIC = b"FEAB"
 FEATURE_VERSION = 1
 
-# from this magnitude on, float64 holds only integers: a fractional
-# spelling reads as an integer (and from 2**53 on, neighbours merge)
-_INT_BOUND = 2.0**52
+# from this magnitude on, float64 holds only integers: `float` rounds a
+# fractional spelling to an integer (and from 2**53 on, neighbours merge)
+_INT_BOUND = 2**52
+
+# fields frame..conf of one text row, as the array pass reads them
+_ROW = np.dtype([("frame", "<i8"), ("id", "<i8"), ("xywh", "<f8", (4,)), ("conf", "<f8")])
 
 
 def _parse_int(text: str, what: str) -> int:
-    """An integer field; from 2**52 in magnitude `float` rounds a fraction to an integer, so it is refused."""
+    """An integer field, read exactly: a fraction is refused also where `float` would round it to an integer.
+
+    `float` parses the text, so it takes the same spellings as the other
+    fields; `Decimal` then compares the exact value of the text with the
+    float's. (A `Fraction` of the text would expand an exponent such as
+    1e-999999999 into a power of ten.)
+    """
     v = float(text)
     if not v.is_integer():
         raise ValueError(f"{what} must be an integer, got {text!r}")
     if abs(v) >= _INT_BOUND:
         raise ValueError(f"{what} must be below 2**52 in magnitude, got {text.strip()}")
+    if Decimal(text) != v:
+        raise ValueError(f"{what} must be an integer, got {text!r}")
     return int(v)
 
 
@@ -61,15 +73,17 @@ def _numbered_rows(path):
 
 
 def _table(path, detections: bool) -> np.ndarray | None:
-    """Fields frame..conf of each non-blank line as one (n, 7) float table, or None.
+    """Fields frame..conf of each non-blank line as one `_ROW` record array, or None.
 
-    One `np.loadtxt` parses the file, then boolean passes run the checks of
-    `_numbered_rows` and of the reader (conf in [0, 1] for `detections`;
-    else id >= 1 and no repeated (id, frame)). loadtxt skips only empty
-    lines, so an accepted table holds the non-blank lines in file order.
-    None leaves the file to the line parser: it holds a bad value, a frame
-    or id of 2**52 or more, or a line that loadtxt refuses but `float` may
-    read (whitespace-only, `1_0`, non-ASCII digits).
+    One `np.loadtxt` parses the file, frame and id as int64 and the rest as
+    float64, then boolean passes run the checks of `_numbered_rows` and of
+    the reader (conf in [0, 1] for `detections`; else id >= 1 and no
+    repeated (id, frame)). loadtxt skips only empty lines, so an accepted
+    table holds the non-blank lines in file order. None leaves the file to
+    the line parser: it holds a bad value, a frame or id of 2**52 or more,
+    a frame or id not spelled as a plain integer (`2.0`, `1e0`), or a line
+    that loadtxt refuses but `float` may read (whitespace-only, `1_0`,
+    non-ASCII digits).
     """
     try:
         # the line parser reads (and decodes) line by line, so it may meet a
@@ -79,17 +93,15 @@ def _table(path, detections: bool) -> np.ndarray | None:
         if not text.strip():  # loadtxt warns on a file without rows
             return None
         table = np.loadtxt(
-            text.split("\n"), delimiter=",", usecols=range(7), ndmin=2, comments=None
+            text.split("\n"), dtype=_ROW, delimiter=",", usecols=range(7), ndmin=1, comments=None
         )
     except ValueError:
         return None
-    frame, track_id, x, y, w, h, conf = table.T
-    # NaN fails every comparison, so it fails each pass it meets
-    ok = (1 <= frame) & (frame < _INT_BOUND) & (np.floor(frame) == frame)
-    ok &= (np.abs(track_id) < _INT_BOUND) & (np.floor(track_id) == track_id)
-    ok &= np.isfinite(x) & np.isfinite(y) & (0 < w) & (w < np.inf) & (0 < h) & (h < np.inf)
+    frame, track_id, conf = table["frame"], table["id"], table["conf"]
+    ok = (1 <= frame) & (frame < _INT_BOUND) & (-_INT_BOUND < track_id) & (track_id < _INT_BOUND)
+    ok &= ~refused_rows(table["xywh"])
     if detections:
-        ok &= (0 <= conf) & (conf <= 1)
+        ok &= (0 <= conf) & (conf <= 1)  # NaN fails it
     else:
         ok &= 1 <= track_id
     if not ok.all():
@@ -106,8 +118,8 @@ def _rows(path):
     table = _table(path, detections=False)
     if table is None:
         return _numbered_rows(path)
-    frames, ids = table[:, :2].astype(np.int64).T.tolist()
-    return zip(itertools.repeat(None), frames, ids, as_bboxes(table[:, 2:6]), table[:, 6].tolist())
+    return zip(itertools.repeat(None), table["frame"].tolist(), table["id"].tolist(),
+               as_bboxes(table["xywh"]), table["conf"].tolist())
 
 
 def read_detections(path) -> dict[int, Frame]:
@@ -123,14 +135,14 @@ def read_detections(path) -> dict[int, Frame]:
         for line_no, frame, track_id, box, conf in _numbered_rows(path):
             if not 0.0 <= conf <= 1.0:
                 raise ValueError(f"line {line_no}: confidence out of range: {conf!r}")
-            rows.append((frame, track_id, box.x, box.y, box.w, box.h, conf))
-        table = np.array(rows, dtype=float).reshape(-1, 7)
+            rows.append((frame, track_id, (box.x, box.y, box.w, box.h), conf))
+        table = np.array(rows, dtype=_ROW)
     if not len(table):
         return {}
-    order = np.argsort(table[:, 0], kind="stable")
-    frames, xywh, confidence = table[order, 0], table[order, 2:6], table[order, 6]
+    order = np.argsort(table["frame"], kind="stable")
+    frames, xywh, confidence = table["frame"][order], table["xywh"][order], table["conf"][order]
     cuts = (np.flatnonzero(np.diff(frames)) + 1).tolist()
-    numbers = frames[[0, *cuts]].astype(np.int64).tolist()
+    numbers = frames[[0, *cuts]].tolist()
     return {
         number: Frame.unchecked(number, xywh[start:stop], confidence[start:stop])
         for number, start, stop in zip(numbers, [0, *cuts], [*cuts, len(frames)])

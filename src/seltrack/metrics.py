@@ -123,11 +123,11 @@ def id_switches(gt: Trajectories, pred: Trajectories, iou_match: float = 0.5) ->
     _check_iou_match(iou_match)
     last_match: dict[int, int] = {}
     switches = 0
-    for rows, cols, ious in _frame_ious(gt, pred):
+    for gt_pos, pred_pos, ious in _frame_ious(gt, pred):
         cost = np.where(ious >= iou_match, 1.0 - ious, np.inf)
-        result = assignment.solve(cost, gate=1.0 - iou_match)
-        for i, j in result.matches:
-            g, p = rows[i], cols[j]
+        rows, cols = assignment.solve(cost, gate=1.0 - iou_match)
+        for i, j in zip(rows.tolist(), cols.tolist()):
+            g, p = gt_pos[i], pred_pos[j]
             if g in last_match and last_match[g] != p:
                 switches += 1
             last_match[g] = p

@@ -11,7 +11,7 @@ position variance, the position-velocity covariance and the velocity
 variance, so the rows of a stack are taken with one index. Every
 operation is elementwise along the last axis, so leading axes stack
 independent tracks and a stacked call gives each row the bytes a call on
-that row alone would give. All operations return fresh states; nothing is
+that row alone would give. All operations return fresh blocks; nothing is
 mutated in place.
 """
 
@@ -27,54 +27,10 @@ STD_WEIGHT_VELOCITY = 1.0 / 160
 POS, VEL, VAR_POS, COV, VAR_VEL = range(5)
 
 
-class KalmanState:
-    """Mean (..., 8) and per-coordinate covariance, as views of one (..., 5, 4) block; treat it as immutable.
-
-    For (cx, cy, a, h), `var_pos`, `cov` and `var_vel` are (..., 4) arrays of
-    the position variance, the position-velocity covariance and the velocity
-    variance.
-    """
-
-    __slots__ = ("block",)
-
-    def __init__(self, mean, var_pos, cov, var_vel):
-        mean = np.asarray(mean, dtype=float)
-        self.block = np.empty(mean.shape[:-1] + (5, NDIM))
-        self.block[..., :VAR_POS, :] = mean.reshape(mean.shape[:-1] + (2, NDIM))
-        self.block[..., VAR_POS, :], self.block[..., COV, :], self.block[..., VAR_VEL, :] = var_pos, cov, var_vel
-
-    @classmethod
-    def of(cls, block: np.ndarray) -> KalmanState:
-        """The state whose block is `block`, not copied."""
-        state = cls.__new__(cls)
-        state.block = block
-        return state
-
-    @property
-    def mean(self) -> np.ndarray:
-        return self.block[..., :VAR_POS, :].reshape(self.block.shape[:-2] + (2 * NDIM,))
-
-    @property
-    def var_pos(self) -> np.ndarray:
-        return self.block[..., VAR_POS, :]
-
-    @property
-    def cov(self) -> np.ndarray:
-        return self.block[..., COV, :]
-
-    @property
-    def var_vel(self) -> np.ndarray:
-        return self.block[..., VAR_VEL, :]
-
-    def __getitem__(self, rows) -> KalmanState:
-        """The states at `rows` of a stacked state."""
-        return KalmanState.of(self.block[rows])
-
-
 def measurements(xywh) -> np.ndarray:
     """(n, 4) rows of (cx, cy, a, h), the filter's measurement of each (x, y, w, h) box row.
 
-    Each is computed as `BBox.cx`, `cy`, `aspect` and `h` compute it.
+    Each is computed as `BBox.cx`, `cy` and `h` compute it, and a as w / h.
     """
     xywh = np.asarray(xywh, dtype=float).reshape(-1, NDIM)
     z = np.empty_like(xywh)
@@ -110,12 +66,12 @@ def _rows(block: np.ndarray) -> np.ndarray:
     return block.reshape(-1, 5, NDIM).transpose(1, 2, 0).copy()
 
 
-def _of_rows(rows: np.ndarray, shape) -> KalmanState:
-    """The state of block shape `shape` whose `_rows` are `rows`."""
-    return KalmanState.of(np.ascontiguousarray(rows.transpose(2, 0, 1)).reshape(shape))
+def _of_rows(rows: np.ndarray, shape) -> np.ndarray:
+    """The block of shape `shape` whose `_rows` are `rows`."""
+    return np.ascontiguousarray(rows.transpose(2, 0, 1)).reshape(shape)
 
 
-def initiate(z) -> KalmanState:
+def initiate(z) -> np.ndarray:
     """Start states at measurements z (..., 4) with zero velocity and height-scaled spread."""
     z = np.asarray(z, dtype=float)
     coords = z.reshape(-1, NDIM).T
@@ -125,9 +81,9 @@ def initiate(z) -> KalmanState:
     return _of_rows(rows, z.shape[:-1] + (5, NDIM))
 
 
-def predict(state: KalmanState) -> KalmanState:
+def predict(block: np.ndarray) -> np.ndarray:
     """Advance one frame: position += velocity, covariance FPF' + Q."""
-    rows = _rows(state.block)
+    rows = _rows(block)
     pos, vel, var_pos, cov, var_vel = rows
     q = _variance(pos[3], _PROCESS)  # from the height before the step
     pos += vel
@@ -135,26 +91,24 @@ def predict(state: KalmanState) -> KalmanState:
     cov += var_vel
     var_pos += cov
     rows[VAR_POS::2] += q
-    return _of_rows(rows, state.block.shape)
+    return _of_rows(rows, block.shape)
 
 
-def innovation_variance(state: KalmanState) -> np.ndarray:
+def innovation_variance(block: np.ndarray) -> np.ndarray:
     """Diagonal (..., 4) of the innovation covariance HPH' + R."""
-    b = state.block.reshape(-1, 5, NDIM)
+    b = block.reshape(-1, 5, NDIM)
     s = b[:, VAR_POS] + _variance(b[:, POS, 3], _MEASUREMENT)[0].T
-    return s.reshape(state.block.shape[:-2] + (NDIM,))
+    return s.reshape(block.shape[:-2] + (NDIM,))
 
 
-def update(state: KalmanState, z, s=None) -> KalmanState:
+def update(block: np.ndarray, z, s: np.ndarray) -> np.ndarray:
     """Standard Kalman correction with measurements z (..., 4) of (cx, cy, a, h).
 
-    `s` is the state's `innovation_variance`, computed here when not given.
+    `s` is the block's `innovation_variance`.
     """
-    if s is None:
-        s = innovation_variance(state)
     if not s.min() > 0:
         raise ValueError("singular innovation covariance")
-    rows = _rows(state.block)
+    rows = _rows(block)
     pos, vel, var_pos, cov, var_vel = rows
     s = np.ascontiguousarray(s.reshape(-1, NDIM).T)
     residual = np.asarray(z, dtype=float).reshape(-1, NDIM).T - pos
@@ -164,26 +118,23 @@ def update(state: KalmanState, z, s=None) -> KalmanState:
     var_pos -= gain_pos * s * gain_pos
     cov -= gain_pos * s * gain_vel
     var_vel -= gain_vel * s * gain_vel
-    return _of_rows(rows, state.block.shape)
+    return _of_rows(rows, block.shape)
 
 
-def degenerate(state: KalmanState, s=None) -> np.ndarray:
+def degenerate(block: np.ndarray, s: np.ndarray) -> np.ndarray:
     """True where a state has no box or no measurement can correct it.
 
     That is, the mean's aspect or height is not positive, or an innovation
     variance is not positive and finite (a tiny height underflows it to 0,
-    a huge one overflows it). `s` is the state's `innovation_variance`,
-    computed here when not given.
+    a huge one overflows it). `s` is the block's `innovation_variance`.
     """
-    if s is None:
-        s = innovation_variance(state)
     corrects = np.logical_and.reduce((s > 0) & (s < np.inf), axis=-1)
-    return np.logical_or.reduce(state.block[..., POS, 2:] <= 0, axis=-1) | ~corrects
+    return np.logical_or.reduce(block[..., POS, 2:] <= 0, axis=-1) | ~corrects
 
 
-def state_to_xywh(state: KalmanState) -> np.ndarray:
-    """(..., 4) top-left boxes (x, y, w, h) of the means, the fields of a `BBox`."""
-    pos = state.block[..., POS, :]
+def state_to_xywh(block: np.ndarray) -> np.ndarray:
+    """(..., 4) top-left boxes (x, y, w, h) of the states' positions, the fields of a `BBox`."""
+    pos = block[..., POS, :]
     box = np.empty(pos.shape)
     box[..., 2] = pos[..., 2] * pos[..., 3]
     box[..., 3] = pos[..., 3]

@@ -24,7 +24,6 @@ from seltrack import appearance, assignment, gating, motion
 from seltrack.assignment import INFEASIBLE
 from seltrack.gating import GateConfig, SATURATED_COST
 from seltrack.geometry import BBox, as_bboxes, iou_matrix, refused_rows
-from seltrack.motion import KalmanState
 
 TENTATIVE = "tentative"
 CONFIRMED = "confirmed"
@@ -162,10 +161,9 @@ class CountingProvider:
 class TrackTable:
     """Every held track as one row of stacked arrays, in birth order.
 
-    `kalman_block` is `motion`'s stacked state block, which `kalman` views
-    as its four arrays, and `effective_alpha` is the weight the next blend
-    puts on a row's embedding; a row without an embedding holds zeros in
-    both. A committed table (`SelectiveTracker.table`) is never written: a
+    `kalman_block` is `motion`'s stacked state block, and `effective_alpha`
+    is the weight the next blend puts on a row's embedding; a row without
+    an embedding holds zeros in both. A committed table (`SelectiveTracker.table`) is never written: a
     frame writes its own copy of the columns it changes, and that copy is
     committed whole, so a committed table is a snapshot later frames keep
     intact.
@@ -181,19 +179,15 @@ class TrackTable:
     confirmed: np.ndarray
 
     @classmethod
-    def born(cls, ids: np.ndarray, state: KalmanState, dim: int) -> TrackTable:
+    def born(cls, ids: np.ndarray, kalman_block: np.ndarray, dim: int) -> TrackTable:
         """Rows of new tracks: one hit, no embedding yet, not confirmed."""
         zeros = np.zeros(len(ids), dtype=int)
         no = zeros.astype(bool)
-        return cls(ids, state.block, embedding=np.zeros((len(ids), dim)), has_embedding=no,
+        return cls(ids, kalman_block, embedding=np.zeros((len(ids), dim)), has_embedding=no,
                    effective_alpha=zeros.astype(float), hits=zeros + 1, time_since_update=zeros, confirmed=no)
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    @property
-    def kalman(self) -> KalmanState:
-        return KalmanState.of(self.kalman_block)
 
     def keep(self, mask: np.ndarray) -> TrackTable:
         return self if mask.all() else TrackTable(*(getattr(self, f.name)[mask] for f in fields(self)))
@@ -288,10 +282,10 @@ class SelectiveTracker:
         #    frame's own table from here on, written in place: each column the
         #    frame writes is a new array (`keep` may return the table it is given)
         t = self.table
-        kalman = motion.predict(t.kalman)
-        s = motion.innovation_variance(kalman)
-        kept = ~motion.degenerate(kalman, s)
-        t = TrackTable(t.ids, kalman.block, embedding=t.embedding.copy(), has_embedding=t.has_embedding.copy(),
+        block = motion.predict(t.kalman_block)
+        s = motion.innovation_variance(block)
+        kept = ~motion.degenerate(block, s)
+        t = TrackTable(t.ids, block, embedding=t.embedding.copy(), has_embedding=t.has_embedding.copy(),
                        effective_alpha=t.effective_alpha.copy(), hits=t.hits.copy(),
                        time_since_update=t.time_since_update + 1, confirmed=t.confirmed.copy()).keep(kept)
         s = s[kept]
@@ -313,7 +307,7 @@ class SelectiveTracker:
         #    reads it. Risk classification is against confirmed tracks'
         #    boxes (a tentative track's row is 0 for the gate); always_extract
         #    has no gate to run
-        boxes = motion.state_to_xywh(t.kalman)
+        boxes = motion.state_to_xywh(t.kalman_block)
         n_iou = n_dets if m.byte_low else n_high
         ious = iou_matrix(boxes, xywh[:n_iou]) if n_iou else np.zeros((len(t), 0))
         high_iou = ious[:, :n_high]
@@ -337,72 +331,78 @@ class SelectiveTracker:
         #    detection group's columns, with INFEASIBLE outside the stage.
         #    Appearance costs are INFEASIBLE where a track has no embedding or
         #    a detection no feature (a saturated one included); only the fused
-        #    stage prices saturated columns, at SATURATED_COST
+        #    stage prices saturated columns, at SATURATED_COST. The matches
+        #    are (track row, detection row) index arrays, stage after stage
         app = np.full(high_iou.shape, INFEASIBLE)
-        cols = sorted(fetched + copies.tolist())
-        if cols and t.has_embedding.any():
-            vectors = t.embedding[cand[cols]]  # a fetched column's row (cand -1) is overwritten next
-            if fetched:
-                vectors[np.searchsorted(cols, fetched)] = feats
-            app[:, cols] = appearance.cosine_costs(t.embedding, vectors)
+        app_js = np.sort(np.concatenate([fetched, copies]))
+        if len(app_js) and t.has_embedding.any():
+            vectors = t.embedding[cand[app_js]]  # a fetched column's row (cand -1) is overwritten next
+            if len(fetched):
+                vectors[np.searchsorted(app_js, fetched)] = feats
+            app[:, app_js] = appearance.cosine_costs(t.embedding, vectors)
             app[~t.has_embedding] = INFEASIBLE
             app[cand[copies], copies] = 0.0  # a copy is its candidate's own embedding
         iou_cost = np.where(ious >= m.iou_gate, 1.0 - ious, INFEASIBLE)
         high_cost = iou_cost[:, :n_high]
         if m.strategy == STRATEGY_CASCADE:
-            matches = assignment.solve(np.where(t.confirmed[:, None], app, INFEASIBLE), m.appearance_gate).matches
-            left_rows, left_cols = _left(len(t), [i for i, _ in matches]), _left(n_high, [j for _, j in matches])
-            if left_rows.any() and left_cols.any():
-                left = left_rows[:, None] & left_cols
-                matches += assignment.solve(np.where(left, high_cost, INFEASIBLE), 1.0 - m.iou_gate).matches
+            rows, js = assignment.solve(np.where(t.confirmed[:, None], app, INFEASIBLE), m.appearance_gate)
+            left_rows, left_js = _left(len(t), rows), _left(n_high, js)
+            if left_rows.any() and left_js.any():
+                left = left_rows[:, None] & left_js
+                iou_rows, iou_js = assignment.solve(np.where(left, high_cost, INFEASIBLE), 1.0 - m.iou_gate)
+                rows, js = np.concatenate([rows, iou_rows]), np.concatenate([js, iou_js])
         else:
             extra = np.where(saturated, SATURATED_COST, app)
             priced = np.isfinite(high_cost) & np.isfinite(extra)
             high_cost[priced] += m.fused_weight * extra[priced]
-            matches = assignment.solve(high_cost, m.fused_weight * SATURATED_COST + (1.0 - m.iou_gate)).matches
-        left_t = _left(len(t), [i for i, _ in matches])
-        byte_matches = []
+            rows, js = assignment.solve(high_cost, m.fused_weight * SATURATED_COST + (1.0 - m.iou_gate))
+        born_js = np.flatnonzero(_left(n_high, js))
+        left_t = _left(len(t), rows)
         if m.byte_low and n_high < n_dets and left_t.any():
             byte_cost = np.where(left_t[:, None], iou_cost[:, n_high:], INFEASIBLE)
-            byte_matches = assignment.solve(byte_cost, 1.0 - m.iou_gate).matches
+            byte_rows, byte_js = assignment.solve(byte_cost, 1.0 - m.iou_gate)
+            rows, js = np.concatenate([rows, byte_rows]), np.concatenate([js, n_high + byte_js])
 
         # 6. one Kalman update over the matched rows
-        rows = [i for i, _ in matches] + [i for i, _ in byte_matches]
-        det_js = [j for _, j in matches] + [n_high + j for _, j in byte_matches]
-        if rows:
-            t.kalman_block[rows] = motion.update(t.kalman[rows], motion.measurements(xywh[det_js]), s[rows]).block
+        if len(rows):
+            z = motion.measurements(xywh[js])
+            t.kalman_block[rows] = motion.update(t.kalman_block[rows], z, s[rows])
             t.hits[rows] += 1
             t.time_since_update[rows] = 0
 
         # 7. births for unmatched high-confidence detections (eager feature)
-        born_js = np.flatnonzero(_left(n_high, [j for _, j in matches])).tolist()
-        late_js = [j for j in born_js if not risky[j]]
+        late_js = born_js[~risky[born_js]]
         late, late_feats = self._fetch(frame, order, late_js)
-        if late:
-            fetched += late
+        if len(late):
+            fetched = np.concatenate([fetched, late])
             feats = late_feats if feats is None else np.concatenate([feats, late_feats])
-        if born_js:
+        if len(born_js):
             ids = np.arange(self._next_id, self._next_id + len(born_js))
-            state = motion.initiate(motion.measurements(xywh[born_js]))
-            t = t.concat(TrackTable.born(ids, state, t.embedding.shape[1]))
-        born_rows = range(len(t) - len(born_js), len(t))
+            block = motion.initiate(motion.measurements(xywh[born_js]))
+            t = t.concat(TrackTable.born(ids, block, t.embedding.shape[1]))
         np.greater_equal(t.hits, m.min_hits, out=t.confirmed)
+
+        # each row's detection this frame (matched or born), -1 for none
+        det_of = np.full(len(t), -1)
+        det_of[rows] = js
+        det_of[len(t) - len(born_js):] = born_js
+        seen = np.flatnonzero(det_of >= 0)
 
         # 8. appearance: only a fetched vector refreshes the EMA (or seeds a
         #    newborn's); byte/copied/feature-less matches and unmatched tracks decay it
-        feat_of = dict(zip(fetched, range(len(fetched))))  # detection -> its row of `feats`
-        fresh = [(i, feat_of[j]) for i, j in matches + list(zip(born_rows, born_js)) if j in feat_of]
-        self._refresh_appearance(t, fresh, feats)
+        feat_of = np.full(n_dets, -1)  # detection row -> its row of `feats`, -1 when not fetched
+        feat_of[fetched] = np.arange(len(fetched))
+        ks = feat_of[det_of[seen]]
+        self._refresh_appearance(t, seen[ks >= 0], ks[ks >= 0], feats)
 
-        # the confirmed matched and newborn tracks emit, by id
-        is_confirmed = t.confirmed.tolist()
-        shown = [(i, j) for i, j in zip(rows + list(born_rows), det_js + born_js) if is_confirmed[i]]
-        shown_rows = [i for i, _ in shown]
+        # the confirmed matched and newborn tracks emit; rows are in birth
+        # order, so in increasing id order
+        shown = seen[t.confirmed[seen]]
         if m.emit == EMIT_DETECTION:
-            shown_xywh = xywh[[j for _, j in shown]]
+            shown_xywh = xywh[det_of[shown]]
         else:
-            shown_xywh = motion.state_to_xywh(t.kalman[shown_rows])
-        emitted = sorted(zip(t.ids[shown_rows].tolist(), as_bboxes(shown_xywh)), key=lambda pair: pair[0])
+            shown_xywh = motion.state_to_xywh(t.kalman_block[shown])
+        emitted = list(zip(t.ids[shown].tolist(), as_bboxes(shown_xywh)))
 
         # commit, with deletions after max_age consecutive misses
         self.table = t.keep(t.time_since_update <= m.max_age)
@@ -413,7 +413,7 @@ class SelectiveTracker:
         self.stats.late_fetches += len(late_js)
         return emitted
 
-    def _fetch(self, frame: int, order: np.ndarray | None, js: np.ndarray | list[int]) -> tuple[list[int], np.ndarray | None]:
+    def _fetch(self, frame: int, order: np.ndarray | None, js: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """The rows among `js` whose detection the provider has a feature for, and those features.
 
         One provider call asks for every row of `js` (none when it is empty).
@@ -422,23 +422,21 @@ class SelectiveTracker:
         when there are none; raises unless each is unit-norm.
         """
         if not len(js):
-            return [], None
-        js = np.asarray(js)
+            return js, None
         found, vectors = self.provider.fetch(frame, js if order is None else order[js])
-        return js[found].tolist(), appearance.check_unit(vectors) if len(found) else None
+        return js[found], appearance.check_unit(vectors) if len(found) else None
 
-    def _refresh_appearance(self, t: TrackTable, fresh, feats) -> None:
-        """Decay every row's blend weight, then blend in each (row, row of `feats`) of `fresh`; a row without an embedding is seeded.
+    def _refresh_appearance(self, t: TrackTable, rows: np.ndarray, ks: np.ndarray, feats) -> None:
+        """Decay every row's blend weight, then blend row `ks[n]` of `feats` into row `rows[n]`; a row without an embedding is seeded.
 
         `t` is the frame's own table, written in place.
         """
         alpha = self.match.ema_alpha
-        rows = np.array([i for i, _ in fresh], dtype=int)
         weight = t.effective_alpha[rows]  # what this frame's blends put on the old embedding
         t.effective_alpha *= alpha
-        if not fresh:
+        if not len(rows):
             return
-        vectors = feats[[k for _, k in fresh]]
+        vectors = feats[ks]
         if not t.embedding.shape[1]:
             t.embedding = np.zeros((len(t), vectors.shape[1]))
         blend = t.has_embedding[rows]
@@ -449,7 +447,7 @@ class SelectiveTracker:
         t.effective_alpha[rows] = alpha
 
 
-def _left(n: int, taken: list[int]) -> np.ndarray:
+def _left(n: int, taken: np.ndarray) -> np.ndarray:
     """Mask of the indices below n that are not in `taken`."""
     left = np.ones(n, dtype=bool)
     left[taken] = False

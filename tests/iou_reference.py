@@ -5,8 +5,8 @@ from seltrack.geometry import BBox
 
 def iou_reference(a: BBox, b: BBox) -> float:
     """Scalar IoU, written out operation by operation: the matrix must equal it exactly."""
-    ax1, ay1, ax2, ay2 = a.as_xyxy()
-    bx1, by1, bx2, by2 = b.as_xyxy()
+    ax1, ay1, ax2, ay2 = a.x, a.y, a.x + a.w, a.y + a.h
+    bx1, by1, bx2, by2 = b.x, b.y, b.x + b.w, b.y + b.h
     iw = min(ax2, bx2) - max(ax1, bx1)
     ih = min(ay2, by2) - max(ay1, by1)
     if iw <= 0 or ih <= 0:

@@ -8,11 +8,17 @@ from hypothesis.extra.numpy import arrays
 from scipy.optimize import linear_sum_assignment
 
 from seltrack import assignment
-from seltrack.assignment import INFEASIBLE, Assignment, solve
+from seltrack.assignment import INFEASIBLE, solve
 from seltrack.gating import GateConfig
 from seltrack.io import FeatureFileProvider, read_detections
 from seltrack.synth import generate_to_dir, grid_scene
 from seltrack.tracker import STRATEGY_CASCADE, MatchConfig, run_sequence
+
+
+def pairs(costs, gate: float) -> list[tuple[int, int]]:
+    """The (row, column) matches of `solve`, in its row order."""
+    rows, cols = solve(costs, gate)
+    return list(zip(rows.tolist(), cols.tolist()))
 
 
 def brute_force(costs: np.ndarray, gate: float):
@@ -54,7 +60,7 @@ def _full_scan_optimum(feasible: np.ndarray) -> tuple[int, float]:
     return int(used.sum()), float(feasible[rows[used], cols[used]].sum())
 
 
-def full_scan_solve(costs, gate: float) -> Assignment:
+def full_scan_solve(costs, gate: float) -> list[tuple[int, int]]:
     """Reference solver with the same tie rule and one re-solve per feasible cell tried.
 
     Fixes matches row by row, trying every open feasible column from the
@@ -86,14 +92,7 @@ def full_scan_solve(costs, gate: float) -> Assignment:
                     fixed_cost += feasible[r, c]
                     open_cols = np.delete(open_cols, k)
                     break
-
-    matched_rows = {r for r, _ in matches}
-    matched_cols = {c for _, c in matches}
-    return Assignment(
-        matches=matches,
-        unmatched_rows=[r for r in range(n_rows) if r not in matched_rows],
-        unmatched_cols=[c for c in range(n_cols) if c not in matched_cols],
-    )
+    return matches
 
 
 # dyadic costs make float sums exact, so "equal total" has no rounding slack
@@ -113,49 +112,37 @@ def matrices(max_side=6):
 
 class TestExamples:
     def test_single_feasible_cell(self):
-        a = solve(np.array([[0.3]]), gate=0.5)
-        assert a.matches == [(0, 0)]
-        assert a.unmatched_rows == [] and a.unmatched_cols == []
+        assert pairs(np.array([[0.3]]), gate=0.5) == [(0, 0)]
 
     def test_two_by_two_diagonal(self):
-        a = solve(np.array([[1.0, 2.0], [2.0, 1.0]]), gate=10.0)
-        assert a.matches == [(0, 0), (1, 1)]
+        assert pairs(np.array([[1.0, 2.0], [2.0, 1.0]]), gate=10.0) == [(0, 0), (1, 1)]
 
     def test_gated_out(self):
-        a = solve(np.array([[0.9]]), gate=0.5)
-        assert a.matches == []
-        assert a.unmatched_rows == [0] and a.unmatched_cols == [0]
+        assert pairs(np.array([[0.9]]), gate=0.5) == []
 
     def test_empty_matrix(self):
-        a = solve(np.zeros((0, 3)), gate=1.0)
-        assert a == Assignment([], [], [0, 1, 2])
-        a = solve(np.zeros((3, 0)), gate=1.0)
-        assert a == Assignment([], [0, 1, 2], [])
+        for shape in [(0, 3), (3, 0), (0, 0)]:
+            rows, cols = solve(np.zeros(shape), gate=1.0)
+            assert rows.shape == cols.shape == (0,)
+            assert rows.dtype.kind == cols.dtype.kind == "i"
 
     def test_cost_at_gate_is_feasible(self):
-        a = solve(np.array([[0.5]]), gate=0.5)
-        assert a.matches == [(0, 0)]
+        assert pairs(np.array([[0.5]]), gate=0.5) == [(0, 0)]
 
     def test_sentinel_never_matches(self):
-        a = solve(np.array([[np.inf, 0.1], [0.2, np.inf]]), gate=10.0)
-        assert a.matches == [(0, 1), (1, 0)]
+        assert pairs(np.array([[np.inf, 0.1], [0.2, np.inf]]), gate=10.0) == [(0, 1), (1, 0)]
 
     def test_rectangular_padding(self):
-        a = solve(np.array([[5.0, 1.0, 3.0]]), gate=10.0)
-        assert a.matches == [(0, 1)]
-        assert a.unmatched_cols == [0, 2]
+        assert pairs(np.array([[5.0, 1.0, 3.0]]), gate=10.0) == [(0, 1)]
 
     def test_prefers_cardinality_over_cost(self):
         # matching both rows costs 10, matching only row 0 would cost 1
         costs = np.array([[1.0, np.inf], [1.0, 9.0]])
-        a = solve(costs, gate=10.0)
-        assert a.matches == [(0, 0), (1, 1)]
+        assert pairs(costs, gate=10.0) == [(0, 0), (1, 1)]
 
     def test_lexicographic_tie_break(self):
-        a = solve(np.zeros((2, 2)), gate=1.0)
-        assert a.matches == [(0, 0), (1, 1)]
-        a = solve(np.array([[1.0, 0.0], [0.0, 1.0]]), gate=2.0)
-        assert a.matches == [(0, 1), (1, 0)]
+        assert pairs(np.zeros((2, 2)), gate=1.0) == [(0, 0), (1, 1)]
+        assert pairs(np.array([[1.0, 0.0], [0.0, 1.0]]), gate=2.0) == [(0, 1), (1, 0)]
 
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
@@ -176,39 +163,36 @@ class TestExamples:
 
     def test_conflict_free_costs_too_large_to_pad(self):
         # no solve, so no padding: the feasible cells are the answer
-        a = solve(np.array([[1e308, np.inf], [np.inf, 1e308]]), gate=1e308)
-        assert a.matches == [(0, 0), (1, 1)]
+        assert pairs(np.array([[1e308, np.inf], [np.inf, 1e308]]), gate=1e308) == [(0, 0), (1, 1)]
 
     def test_large_costs_below_the_padding_limit(self):
-        a = solve(np.array([[1e306, np.inf], [1e306, 1e306]]), gate=1e306)
-        assert a.matches == [(0, 0), (1, 1)]
+        assert pairs(np.array([[1e306, np.inf], [1e306, 1e306]]), gate=1e306) == [(0, 0), (1, 1)]
 
 
 class TestAgainstBruteForce:
     @settings(max_examples=300, deadline=None)
     @given(matrices(), st.one_of(dyadic, st.just(4.0)))
     def test_matches_exhaustive_optimum(self, costs, gate):
-        a = solve(costs, gate)
+        got = pairs(costs, gate)
         card, cost, lex = brute_force(costs, gate)
-        assert len(a.matches) == card
-        assert sum(costs[r, c] for r, c in a.matches) == cost
-        assert a.matches == lex
+        assert len(got) == card
+        assert sum(costs[r, c] for r, c in got) == cost
+        assert got == lex
 
     @settings(max_examples=200, deadline=None)
     @given(matrices())
     def test_no_match_exceeds_gate(self, costs):
         gate = 2.0
-        a = solve(costs, gate)
-        assert all(costs[r, c] <= gate for r, c in a.matches)
+        assert all(costs[r, c] <= gate for r, c in pairs(costs, gate))
 
     @settings(max_examples=200, deadline=None)
-    @given(matrices())
-    def test_partition_is_exact(self, costs):
-        a = solve(costs, gate=3.0)
-        rows = sorted(r for r, _ in a.matches) + a.unmatched_rows
-        cols = sorted(c for _, c in a.matches) + a.unmatched_cols
-        assert sorted(rows) == list(range(costs.shape[0]))
-        assert sorted(cols) == list(range(costs.shape[1]))
+    @given(matrices(), st.sampled_from([0.0, 1.0, 3.0]))
+    def test_matching_is_well_formed(self, costs, gate):
+        rows, cols = solve(costs, gate)
+        assert rows.shape == cols.shape
+        assert (np.diff(rows) > 0).all()  # strictly increasing: one match a row
+        assert len(np.unique(cols)) == len(cols)  # one match a column
+        assert (costs[rows, cols] <= gate).all()
 
 
 class TestPermutationEquivariance:
@@ -225,16 +209,16 @@ class TestPermutationEquivariance:
     def test_row_permutation(self, costs, rng):
         n = costs.shape[0]
         gate = 100.0
-        base = solve(costs, gate)
+        base = pairs(costs, gate)
         # equivariance is only well-defined when the optimum is unique
         card, cost, lex = brute_force(costs, gate)
         alt = brute_force_count_optima(costs, gate, card, cost)
         assume(alt == 1)
         perm = list(range(n))
         rng.shuffle(perm)
-        permuted = solve(costs[perm, :], gate)
-        expect = sorted((perm.index(r), c) for r, c in base.matches)
-        assert sorted(permuted.matches) == expect
+        permuted = pairs(costs[perm, :], gate)
+        expect = sorted((perm.index(r), c) for r, c in base)
+        assert sorted(permuted) == expect
 
 
 def brute_force_count_optima(costs, gate, card, cost):
@@ -276,7 +260,7 @@ class TestAgainstFullScan:
     @settings(max_examples=200, deadline=None)
     @given(block_sparse(), st.sampled_from(TIED))
     def test_equals_full_scan_solve(self, costs, gate):
-        assert solve(costs, gate) == full_scan_solve(costs, gate)
+        assert pairs(costs, gate) == full_scan_solve(costs, gate)
 
 
 @st.composite
@@ -315,16 +299,10 @@ def with_conflict(data, costs, gate):
 
 
 def assert_optimal(costs, gate):
-    """`solve` equals the full-scan reference and the exhaustive optimum, unmatched lines included."""
-    a = solve(costs, gate)
-    assert a == full_scan_solve(costs, gate)
-    _, _, lex = brute_force(costs, gate)
-    n, m = costs.shape
-    assert a == Assignment(
-        matches=lex,
-        unmatched_rows=sorted(set(range(n)) - {r for r, _ in lex}),
-        unmatched_cols=sorted(set(range(m)) - {c for _, c in lex}),
-    )
+    """`solve` equals the full-scan reference and the exhaustive optimum."""
+    got = pairs(costs, gate)
+    assert got == full_scan_solve(costs, gate)
+    assert got == brute_force(costs, gate)[2]
 
 
 class TestConflictFree:
@@ -344,10 +322,10 @@ class TestConflictFree:
         costs, gate = case
         fast = solve(costs, gate)
         with mock.patch.object(assignment, "conflict_free", return_value=False) as checked:
-            assert solve(costs, gate) == fast
+            slow = solve(costs, gate)
         assert checked.call_count == 1
-        assert all(type(v) is int for pair in fast.matches for v in pair)
-        assert all(type(v) is int for v in fast.unmatched_rows + fast.unmatched_cols)
+        for a, b in zip(fast, slow):
+            assert a.dtype == b.dtype and a.tolist() == b.tolist()
 
     @settings(max_examples=300, deadline=None)
     @given(conflict_free(), st.data())
@@ -377,8 +355,8 @@ class TestInsertedInfeasibleLines:
         out = st.sampled_from([np.inf, gate + 0.25, 100.0])
         big = data.draw(arrays(float, (n + extra_rows, m + extra_cols), elements=out, fill=st.nothing()))
         big[np.ix_(rows, cols)] = costs
-        expect = [(rows[r], cols[c]) for r, c in solve(costs, gate).matches]
-        assert solve(big, gate).matches == expect
+        expect = [(rows[r], cols[c]) for r, c in pairs(costs, gate)]
+        assert pairs(big, gate) == expect
 
 
 @pytest.fixture
@@ -400,7 +378,7 @@ class TestOneSolve:
     def test_diagonal_feasible(self, lsa_calls):
         costs = np.full((25, 25), np.inf)
         np.fill_diagonal(costs, 0.5)
-        assert solve(costs, gate=1.0).matches == [(i, i) for i in range(25)]
+        assert pairs(costs, gate=1.0) == [(i, i) for i in range(25)]
         assert lsa_calls == []
 
     def test_permutation_feasible(self, lsa_calls):
@@ -408,7 +386,7 @@ class TestOneSolve:
         perm = rng.permutation(25)
         costs = np.full((25, 25), np.inf)
         costs[np.arange(25), perm] = rng.integers(0, 8, size=25) / 8.0
-        assert solve(costs, gate=1.0).matches == list(enumerate(perm.tolist()))
+        assert pairs(costs, gate=1.0) == list(enumerate(perm.tolist()))
         assert lsa_calls == []
 
     @pytest.mark.parametrize("extra", [(0, 1), (1, 0)], ids=["row", "column"])
@@ -416,12 +394,12 @@ class TestOneSolve:
         costs = np.full((25, 25), np.inf)
         np.fill_diagonal(costs, 0.5)
         costs[extra] = 0.75  # a second feasible cell in row 0, or in column 0
-        assert solve(costs, gate=1.0).matches == [(i, i) for i in range(25)]
+        assert pairs(costs, gate=1.0) == [(i, i) for i in range(25)]
         assert len(lsa_calls) == 1
 
     @pytest.mark.parametrize("cell", [0.9, np.inf])
     def test_fully_gated_out(self, lsa_calls, cell):
-        assert solve(np.full((6, 4), cell), gate=0.5).matches == []
+        assert pairs(np.full((6, 4), cell), gate=0.5) == []
         assert lsa_calls == []
 
     def test_cascade_stage_matrices_of_a_grid_scene(self, lsa_calls, monkeypatch, tmp_path):

@@ -61,7 +61,8 @@ def test_a_conflicting_matrix_loads_scipy_and_keeps_the_tie_break(tmp_path):
             [0.25, 0.5, 0.5, 0.25],
             [0.5, 0.5, 0.5, 0.25],
         ])
-        print(solve(costs, gate=0.5).matches)
+        rows, cols = solve(costs, gate=0.5)
+        print(list(zip(rows.tolist(), cols.tolist())))
         print("loaded" if "scipy.optimize" in sys.modules else "not loaded")
     """, tmp_path)
     # scipy's own optimum is [(0, 2), (1, 3), (2, 0), (3, 1)], of the same total

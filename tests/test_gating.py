@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seltrack.geometry import BBox, ars, as_xywh, blended_alpha, iou, iou_matrix
+from seltrack.geometry import BBox, ars, as_xywh, blended_alpha, iou_matrix
 from seltrack.gating import (
     GateConfig,
     MODE_ALWAYS_EXTRACT,
@@ -81,7 +81,7 @@ class TestClassify:
         # so alpha ~ 0.83 clears the 0.6 threshold
         d = BBox(0, 0, 10, 8)
         t = BBox(0, 0, 10, 10)
-        assert iou(d, t) == pytest.approx(0.8)
+        assert iou_matrix([d], [t])[0, 0] == pytest.approx(0.8)
         assert candidates_of([d], [t], GateConfig(theta_iou=0.2, theta_alpha=0.6)).tolist() == [0]
 
     def test_two_candidates_is_risky(self):
@@ -89,7 +89,7 @@ class TestClassify:
         t1 = BBox(2, 0, 10, 10)  # iou 0.4 per pixel counting: 80/120 -> 2/3? see oracle
         t2 = BBox(0, 3, 10, 10)
         cfg = GateConfig(theta_iou=0.3, ars_enabled=False)
-        assert iou(d, t1) > 0.3 and iou(d, t2) > 0.3
+        assert iou_matrix([d], [t1])[0, 0] > 0.3 and iou_matrix([d], [t2])[0, 0] > 0.3
         assert candidates_of([d], [t1, t2], cfg).tolist() == [-1]
 
     def test_ars_gate_marks_shape_mismatch_risky(self):
@@ -97,7 +97,7 @@ class TestClassify:
         t = BBox(0, 0, 10, 10)
         wide = BBox(0, 0, 40, 4)  # same area, very different aspect
         cfg = GateConfig(theta_iou=0.05, theta_alpha=0.6)
-        # iou(d, wide) = 40/(100+160-40): only candidate but shape differs
+        # IoU(d, wide) = 40/(100+160-40): only candidate but shape differs
         assert candidates_of([d], [wide], cfg).tolist() == [-1]
         assert candidates_of([d], [t], cfg).tolist() == [0]
 

@@ -164,6 +164,21 @@ class TestTrajectories:
             assert (type(track_id), track_id, type(frame), frame) == (int, value, int, value)
 
     @pytest.mark.parametrize("reader", [read_trajectories, read_detections])
+    @pytest.mark.parametrize("line_parser_only", [False, True], ids=["file", "line parser"])
+    @pytest.mark.parametrize("row, message", [
+        # `float` rounds each of these fractions to an integer below 2**52
+        ("4503599627370494.9,-1,1,1,5,5,0.9", "frame must be an integer, got '4503599627370494.9'"),
+        ("1.0000000000000000001,1,1,1,5,5,0.9", "frame must be an integer, got '1.0000000000000000001'"),
+        ("1,1.0000000000000000001,1,1,5,5,0.9", "id must be an integer, got '1.0000000000000000001'"),
+    ])
+    def test_fraction_that_float_rounds_to_an_integer_is_refused(self, row, message, line_parser_only, reader,
+                                                                 tmp_path):
+        p = tmp_path / "gt.txt"
+        p.write_text(row + "\n")
+        assert mot_io._table(p, reader is read_detections) is None
+        assert read_outcome_text(reader, p, line_parser_only) == f"ValueError: line 1: {message}"
+
+    @pytest.mark.parametrize("reader", [read_trajectories, read_detections])
     @pytest.mark.parametrize("spelling", ["4503599627370496", "9007199254740990.9", "-9007199254740993", "1e300"])
     def test_id_of_2_52_or_more_in_magnitude_is_refused(self, spelling, reader, tmp_path):
         p = tmp_path / "gt.txt"
@@ -176,9 +191,10 @@ class TestTrajectories:
 # alone reads, that neither reads, or whose value a reader refuses
 FIELD_SPELLINGS = {
     "frame": (["1", "2", "3", "4", "5", "6", "7", "2.0", "1e0", "+3", " 2 "],
-              ["1.5", "0", "-1", "1_0", "1e20", "9007199254740993", "nan", "inf", "", "#2", "\u0663"]),
+              ["1.5", "0", "-1", "1_0", "1e20", "9007199254740993", "4503599627370494.9", "1.0000000000000000001",
+               "nan", "inf", "", "#2", "\u0663"]),
     "id": (["1", "2", "3", "4", "5", "+2", "2.0", " 1 "],
-           ["-1", "0", "-1.5", "1_0", "1e20", "nan", "", "x"]),
+           ["-1", "0", "-1.5", "1_0", "1e20", "1.0000000000000000001", "nan", "", "x"]),
     "x": (["0", "10.5", "-3.25", "1e1", " 7 ", "+1", "-0", "1e-320"],
           ["inf", "nan", "-inf", "Infinity", "1_0.5", "", "1e400", "1.5 # c"]),
     "w": (["5", "0.25", "1e1", " 3 ", "+2", "1e-320"],
@@ -245,9 +261,9 @@ class TestArrayPass:
         p = tmp_path / "det.txt"
         p.write_bytes(
             b"\n1,5,10,20,30,40,0.9,-1,-1,-1\r\n"
-            b"\r\n +2 ,2.0,1e1,-0,  3  ,4.5,1\n"
-            b"1.0, +3 ,1,1,5,5,0,extra,,#\n"
-            b"1e0,7,-1e-320,1,1e-320,5,+0.25"
+            b"\r\n +2 , 2 ,1e1,-0,  3  ,4.5,1\n"
+            b"01, +3 ,1,1,5,5,0,extra,,#\n"
+            b"+1,7,-1e-320,1,1e-320,5,+0.25"
         )
         for reader in (read_detections, read_trajectories):
             assert mot_io._table(p, reader is read_detections) is not None
@@ -256,6 +272,15 @@ class TestArrayPass:
         assert [(d.frame, d.index, d.box.x, d.confidence) for d in frames[1]] == [
             (1, 0, 10.0, 0.9), (1, 1, 1.0, 0.0), (1, 2, -1e-320, 0.25)
         ]
+
+    @pytest.mark.parametrize("reader", [read_detections, read_trajectories])
+    @pytest.mark.parametrize("frame, track_id", [("1.0", "2"), ("1e0", "2"), ("1", "2.0"), ("1", " 2e0 ")])
+    def test_integers_spelled_as_floats_are_left_to_the_line_parser(self, frame, track_id, reader, tmp_path):
+        p, plain = tmp_path / "det.txt", tmp_path / "plain.txt"
+        p.write_text(f"{frame},{track_id},1,1,5,5,0.9\n")
+        plain.write_text("1,2,1,1,5,5,0.9\n")
+        assert mot_io._table(p, reader is read_detections) is None
+        assert read_outcome_text(reader, p) == read_outcome_text(reader, plain)
 
     def test_trajectory_confidence_is_not_checked(self, tmp_path):
         p = tmp_path / "gt.txt"

@@ -5,7 +5,10 @@ from hypothesis.extra.numpy import arrays
 
 from seltrack.geometry import BBox
 from seltrack.motion import (
-    KalmanState,
+    COV,
+    POS,
+    VAR_POS,
+    VAR_VEL,
     degenerate,
     initiate,
     innovation_variance,
@@ -16,9 +19,38 @@ from seltrack.motion import (
 )
 
 
-def box_of(state: KalmanState) -> BBox:
+def box_of(block: np.ndarray) -> BBox:
     """One state's box, from its `state_to_xywh` row."""
-    return BBox(*state_to_xywh(state).tolist())
+    return BBox(*state_to_xywh(block).tolist())
+
+
+def mean_of(block: np.ndarray) -> np.ndarray:
+    """The (..., 8) means (cx, cy, a, h, vcx, vcy, va, vh) of a block: its position and velocity rows."""
+    return block[..., POS:VAR_POS, :].reshape(block.shape[:-2] + (8,))
+
+
+def four_arrays(block: np.ndarray):
+    """The block as (mean, var_pos, cov, var_vel)."""
+    return mean_of(block), block[..., VAR_POS, :], block[..., COV, :], block[..., VAR_VEL, :]
+
+
+def block_of(mean, var_pos, cov, var_vel) -> np.ndarray:
+    """The block of the four arrays `four_arrays` gives."""
+    mean = np.asarray(mean, dtype=float)
+    block = np.empty(mean.shape[:-1] + (5, 4))
+    block[..., POS:VAR_POS, :] = mean.reshape(mean.shape[:-1] + (2, 4))
+    block[..., VAR_POS, :], block[..., COV, :], block[..., VAR_VEL, :] = var_pos, cov, var_vel
+    return block
+
+
+def correct(block: np.ndarray, z) -> np.ndarray:
+    """`update` with the block's own innovation variance, as the tracker calls it."""
+    return update(block, z, innovation_variance(block))
+
+
+def has_no_box(block: np.ndarray) -> np.ndarray:
+    """`degenerate` with the block's own innovation variance, as the tracker calls it."""
+    return degenerate(block, innovation_variance(block))
 
 
 class ReferenceFilter:
@@ -50,32 +82,32 @@ class ReferenceFilter:
 
 
 def as_measurement(box: BBox) -> np.ndarray:
-    return np.array([box.cx, box.cy, box.aspect, box.h])
+    return np.array([box.cx, box.cy, box.w / box.h, box.h])
 
 
-def dense(state: KalmanState) -> np.ndarray:
-    """The 8x8 covariance that the per-coordinate arrays stand for."""
-    P = np.diag(np.concatenate([state.var_pos, state.var_vel]))
-    P[range(4), range(4, 8)] = P[range(4, 8), range(4)] = state.cov
+def dense(block: np.ndarray) -> np.ndarray:
+    """The 8x8 covariance that the per-coordinate rows stand for."""
+    P = np.diag(np.concatenate([block[VAR_POS], block[VAR_VEL]]))
+    P[range(4), range(4, 8)] = P[range(4, 8), range(4)] = block[COV]
     return P
 
 
-def from_dense(mean, P) -> KalmanState:
+def from_dense(x, P) -> np.ndarray:
     """A state with covariance P, which must tie each coordinate only to its velocity."""
     var, cov = np.diag(P), np.diag(P, 4)
-    state = KalmanState(np.asarray(mean, dtype=float), var[:4], cov, var[4:])
-    assert np.array_equal(dense(state), P)
-    return state
+    block = block_of(x, var[:4], cov, var[4:])
+    assert np.array_equal(dense(block), P)
+    return block
 
 
 class TestInitiate:
     def test_coordinate_transform(self):
         s = initiate(as_measurement(BBox(0, 0, 10, 20)))
-        assert np.allclose(s.mean, [5, 10, 0.5, 20, 0, 0, 0, 0])
+        assert np.allclose(mean_of(s), [5, 10, 0.5, 20, 0, 0, 0, 0])
 
     def test_zero_velocities(self):
         s = initiate(as_measurement(BBox(37.5, 12.25, 8, 14)))
-        assert np.all(s.mean[4:] == 0)
+        assert np.all(mean_of(s)[4:] == 0)
 
     def test_covariance_diagonal_positive(self):
         s = initiate(as_measurement(BBox(0, 0, 5, 5)))
@@ -86,7 +118,7 @@ class TestPredict:
     def test_zero_velocity_keeps_position(self):
         s = initiate(as_measurement(BBox(10, 10, 10, 10)))
         p = predict(s)
-        assert np.allclose(p.mean[:4], s.mean[:4])
+        assert np.allclose(mean_of(p)[:4], mean_of(s)[:4])
 
     def test_constant_velocity_advances_position(self):
         mean = np.array([0.0, 0.0, 1.0, 10.0, 2.0, 3.0, 0.0, 0.0])
@@ -94,8 +126,8 @@ class TestPredict:
         p = predict(s)
         ref = ReferenceFilter()
         x_ref, P_ref = ref.predict(mean, np.eye(8))
-        assert p.mean[0] == 2.0 and p.mean[1] == 3.0
-        assert np.allclose(p.mean, x_ref)
+        assert mean_of(p)[0] == 2.0 and mean_of(p)[1] == 3.0
+        assert np.allclose(mean_of(p), x_ref)
         assert np.allclose(dense(p), P_ref)
 
     def test_trace_grows_by_q_on_velocity_free_state(self):
@@ -113,28 +145,28 @@ class TestPredict:
 class TestUpdate:
     def test_zero_innovation_keeps_mean(self):
         s = initiate(as_measurement(BBox(0, 0, 10, 20)))
-        u = update(s, as_measurement(BBox(0, 0, 10, 20)))
-        assert np.allclose(u.mean[:4], s.mean[:4], atol=1e-12)
+        u = correct(s, as_measurement(BBox(0, 0, 10, 20)))
+        assert np.allclose(mean_of(u)[:4], mean_of(s)[:4], atol=1e-12)
 
     def test_converges_to_fixed_box(self):
         target = BBox(100, 50, 20, 40)
         s = initiate(as_measurement(BBox(95, 47, 20, 40)))
         ref = ReferenceFilter()
-        x, P = s.mean.copy(), dense(s)
+        x, P = mean_of(s).copy(), dense(s)
         for _ in range(10):
-            s = update(predict(s), as_measurement(target))
+            s = correct(predict(s), as_measurement(target))
             x, P = ref.predict(x, P)
             x, P = ref.update(x, P, as_measurement(target))
-        assert abs(s.mean[0] - target.cx) < 0.1
-        assert abs(s.mean[1] - target.cy) < 0.1
-        assert np.allclose(s.mean, x, atol=1e-8)
+        assert abs(mean_of(s)[0] - target.cx) < 0.1
+        assert abs(mean_of(s)[1] - target.cy) < 0.1
+        assert np.allclose(mean_of(s), x, atol=1e-8)
         assert np.allclose(dense(s), P, atol=1e-8)
 
     def test_update_contracts_position_variance(self):
         s = predict(initiate(as_measurement(BBox(0, 0, 10, 20))))
-        u = update(s, as_measurement(BBox(1, 1, 10, 20)))
-        assert u.var_pos[0] < s.var_pos[0]
-        assert u.var_pos[1] < s.var_pos[1]
+        u = correct(s, as_measurement(BBox(1, 1, 10, 20)))
+        assert u[VAR_POS, 0] < s[VAR_POS, 0]
+        assert u[VAR_POS, 1] < s[VAR_POS, 1]
 
 
 class TestBoxOfState:
@@ -150,11 +182,11 @@ class TestBoxOfState:
 
     def test_negative_height_rejected(self):
         s = from_dense(np.array([5.0, 10, 0.5, -20, 0, 0, 0, 0]), np.eye(8))
-        assert degenerate(s)
+        assert has_no_box(s)
 
     def test_negative_aspect_rejected(self):
         s = from_dense(np.array([5.0, 10, -0.5, 20, 0, 0, 0, 0]), np.eye(8))
-        assert degenerate(s)
+        assert has_no_box(s)
 
 
 class TestInvariants:
@@ -166,18 +198,18 @@ class TestInvariants:
             if rng.random() < 0.7:
                 jitter = rng.normal(0, 2, size=2)
                 b = box_of(s)
-                s = update(s, as_measurement(BBox(b.x + jitter[0], b.y + jitter[1], b.w, b.h)))
-            assert np.all(s.var_pos >= 0) and np.all(s.var_vel >= 0)
-            assert np.all(s.var_pos * s.var_vel - s.cov**2 >= -1e-8)
+                s = correct(s, as_measurement(BBox(b.x + jitter[0], b.y + jitter[1], b.w, b.h)))
+            assert np.all(s[VAR_POS] >= 0) and np.all(s[VAR_VEL] >= 0)
+            assert np.all(s[VAR_POS] * s[VAR_VEL] - s[COV] ** 2 >= -1e-8)
             assert np.linalg.eigvalsh(dense(s)).min() >= -1e-8
 
     def test_stationary_box_is_a_fixed_point(self):
         target = BBox(50, 60, 14, 34)
         s = initiate(as_measurement(target))
         for _ in range(50):
-            s = update(predict(s), as_measurement(target))
-        assert abs(s.mean[0] - target.cx) < 0.5
-        assert abs(s.mean[1] - target.cy) < 0.5
+            s = correct(predict(s), as_measurement(target))
+        assert abs(mean_of(s)[0] - target.cx) < 0.5
+        assert abs(mean_of(s)[1] - target.cy) < 0.5
 
     def test_predict_never_decreases_trace_in_tracking_regime(self):
         rng = np.random.default_rng(3)
@@ -187,7 +219,7 @@ class TestInvariants:
             s = predict(s)
             assert np.trace(dense(s)) >= before
             b = box_of(s)
-            s = update(s, as_measurement(BBox(b.x + rng.normal(0, 1), b.y, b.w, b.h)))
+            s = correct(s, as_measurement(BBox(b.x + rng.normal(0, 1), b.y, b.w, b.h)))
 
 
 boxes = st.builds(
@@ -206,15 +238,15 @@ class TestAgainstDenseReference:
         # None is a predict, a box is an update with it as the measurement
         ref = ReferenceFilter()
         s = initiate(as_measurement(start))
-        x, P = s.mean.copy(), dense(s)
+        x, P = mean_of(s).copy(), dense(s)
         for box in steps:
             if box is None:
                 s = predict(s)
                 x, P = ref.predict(x, P)
             else:
-                s = update(s, as_measurement(box))
+                s = correct(s, as_measurement(box))
                 x, P = ref.update(x, P, as_measurement(box))
-            np.testing.assert_allclose(s.mean, x, rtol=1e-9, atol=1e-9 * np.abs(x).max())
+            np.testing.assert_allclose(mean_of(s), x, rtol=1e-9, atol=1e-9 * np.abs(x).max())
             np.testing.assert_allclose(dense(s), P, rtol=1e-9, atol=1e-9 * np.abs(P).max())
 
 
@@ -223,11 +255,11 @@ class TestDegenerate:
 
     def test_underflowed_innovation_variance_is_degenerate(self):
         # (h / 20)^2 underflows to 0 for h = 1e-200: no measurement can correct it
-        assert degenerate(predict(initiate(as_measurement(self.TINY))))
+        assert has_no_box(predict(initiate(as_measurement(self.TINY))))
 
     def test_update_rejects_zero_innovation_variance(self):
         with pytest.raises(ValueError, match="singular innovation covariance"):
-            update(predict(initiate(as_measurement(self.TINY))), as_measurement(self.TINY))
+            correct(predict(initiate(as_measurement(self.TINY))), as_measurement(self.TINY))
 
 
 class TestStacked:
@@ -238,24 +270,23 @@ class TestStacked:
     def test_rows_equal_single_calls(self, pairs):
         starts = np.stack([as_measurement(a) for a, _ in pairs])
         measured = np.stack([as_measurement(b) for _, b in pairs])
-        stacked = update(predict(initiate(starts)), measured)
+        stacked = correct(predict(initiate(starts)), measured)
         for i in range(len(pairs)):
-            alone = update(predict(initiate(starts[i])), measured[i])
-            for field in ("mean", "var_pos", "cov", "var_vel"):
-                assert getattr(stacked, field)[i].tobytes() == getattr(alone, field).tobytes()
-            assert stacked[i].mean.tobytes() == alone.mean.tobytes()
+            alone = correct(predict(initiate(starts[i])), measured[i])
+            assert stacked[i].tobytes() == alone.tobytes()
+            assert mean_of(stacked)[i].tobytes() == mean_of(alone).tobytes()
             assert state_to_xywh(stacked)[i].tobytes() == state_to_xywh(alone).tobytes()
-        assert degenerate(stacked).tolist() == [bool(degenerate(stacked[i])) for i in range(len(pairs))]
+        assert has_no_box(stacked).tolist() == [bool(has_no_box(stacked[i])) for i in range(len(pairs))]
 
     def test_degenerate_is_a_mask(self):
         ok = as_measurement(BBox(0, 0, 10, 20))
         tiny = as_measurement(TestDegenerate.TINY)
         state = predict(initiate(np.stack([ok, tiny, ok])))
-        assert degenerate(state).tolist() == [False, True, False]
+        assert has_no_box(state).tolist() == [False, True, False]
 
     def test_overflowing_variance_is_degenerate(self):
         # (h / 10)^2 overflows for h = 1e200: no finite gain can correct the state
-        assert degenerate(initiate(as_measurement(BBox(0, 0, 1e200, 1e200))))
+        assert has_no_box(initiate(as_measurement(BBox(0, 0, 1e200, 1e200))))
 
 
 class FourArrays:
@@ -316,9 +347,9 @@ def stacks(columns):
     return st.integers(0, 6).flatmap(lambda n: arrays(float, (n, columns), elements=entries))
 
 
-def assert_same_bytes(state: KalmanState, reference):
-    for name, want in zip(("mean", "var_pos", "cov", "var_vel"), reference):
-        assert getattr(state, name).tobytes() == want.tobytes(), name
+def assert_same_bytes(block: np.ndarray, reference):
+    for name, got, want in zip(("mean", "var_pos", "cov", "var_vel"), four_arrays(block), reference):
+        assert got.tobytes() == want.tobytes(), name
 
 
 class TestBlockAgainstFourArrays:
@@ -335,18 +366,18 @@ class TestBlockAgainstFourArrays:
     def test_predict(self, rows):
         fields = np.split(rows, [8, 12, 16], axis=1)
         with np.errstate(all="ignore"):
-            assert_same_bytes(predict(KalmanState(*fields)), FourArrays.predict(*fields))
+            assert_same_bytes(predict(block_of(*fields)), FourArrays.predict(*fields))
 
     @settings(max_examples=200, deadline=None)
     @given(stacks(20))
     def test_innovation_variance_and_degenerate(self, rows):
         fields = np.split(rows, [8, 12, 16], axis=1)
-        state = KalmanState(*fields)
+        block = block_of(*fields)
         with np.errstate(all="ignore"):
-            s = innovation_variance(state)
+            s = innovation_variance(block)
             assert s.tobytes() == FourArrays.innovation_variance(fields[0], fields[1]).tobytes()
             want = FourArrays.degenerate(fields[0], fields[1])
-            assert degenerate(state).tolist() == degenerate(state, s).tolist() == want.tolist()
+            assert degenerate(block, s).tolist() == want.tolist()
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
@@ -355,22 +386,20 @@ class TestBlockAgainstFourArrays:
         means_and_z, variances_ = rows
         mean, z = np.split(means_and_z, [8], axis=1)
         fields = [mean, *np.split(variances_, [4, 8], axis=1)]
-        state = KalmanState(*fields)
+        block = block_of(*fields)
         with np.errstate(all="ignore"):
-            s = innovation_variance(state)
+            s = innovation_variance(block)
             if not s.min() > 0:
                 with pytest.raises(ValueError, match="singular innovation covariance"):
-                    update(state, z)
+                    update(block, z, s)
                 return
-            want = FourArrays.update(*fields, z)
-            assert_same_bytes(update(state, z), want)
-            assert_same_bytes(update(state, z, s), want)
+            assert_same_bytes(update(block, z, s), FourArrays.update(*fields, z))
 
-    def test_fields_are_views_of_the_block(self):
-        state = initiate(np.array([[5.0, 10.0, 0.5, 20.0], [1.0, 2.0, 3.0, 4.0]]))
-        for name in ("mean", "var_pos", "cov", "var_vel"):
-            assert np.shares_memory(getattr(state, name), state.block), name
-        assert state[1].mean.tolist() == [1.0, 2.0, 3.0, 4.0, 0.0, 0.0, 0.0, 0.0]
+    def test_rows_of_the_block(self):
+        block = initiate(np.array([[5.0, 10.0, 0.5, 20.0], [1.0, 2.0, 3.0, 4.0]]))
+        assert block.shape == (2, 5, 4)
+        assert mean_of(block)[1].tolist() == [1.0, 2.0, 3.0, 4.0, 0.0, 0.0, 0.0, 0.0]
+        assert block[:, COV].tolist() == [[0.0] * 4] * 2
 
 
 class TestMeasurements:
@@ -378,5 +407,5 @@ class TestMeasurements:
     @given(st.lists(boxes, max_size=6))
     def test_rows_are_the_box_properties(self, box_list):
         z = measurements(np.array([(b.x, b.y, b.w, b.h) for b in box_list], dtype=float).reshape(-1, 4))
-        want = np.array([(b.cx, b.cy, b.aspect, b.h) for b in box_list], dtype=float).reshape(-1, 4)
+        want = np.array([(b.cx, b.cy, b.w / b.h, b.h) for b in box_list], dtype=float).reshape(-1, 4)
         assert z.tobytes() == want.tobytes()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from seltrack.geometry import BBox, iou
+from seltrack.geometry import BBox, iou_matrix
 from seltrack.io import read_detections, read_features, read_trajectories
 from seltrack.synth import (
     PRESETS,
@@ -99,7 +99,7 @@ class TestCrossingScene:
         sc = crossing_scene()
         a = sc.targets[0].box_at(26)
         b = sc.targets[1].box_at(26)
-        assert iou(a, b) > 0.5
+        assert iou_matrix([a], [b])[0, 0] > 0.5
 
     def test_features_orthogonal(self):
         sc = crossing_scene()
@@ -111,7 +111,7 @@ class TestCrossingScene:
         sc = crossing_scene()
         small = sc.targets[1].box_at(29)
         big = sc.targets[0].box_at(29)
-        assert iou(small, big) == 0.0
+        assert iou_matrix([small], [big])[0, 0] == 0.0
 
 
 class TestPresets:
@@ -146,14 +146,13 @@ class TestPresets:
         sc = preset("parade")
         for frame in (1, 100, 200):
             boxes = [b for _, b in sc.visible_boxes(frame)]
-            for i in range(len(boxes)):
-                for j in range(i + 1, len(boxes)):
-                    assert iou(boxes[i], boxes[j]) == 0.0
+            overlap = iou_matrix(boxes, boxes)
+            assert (overlap[~np.eye(len(boxes), dtype=bool)] == 0.0).all()
 
     def test_grid_neighbours_overlap(self):
         sc = preset("grid")
         boxes = [b for _, b in sc.visible_boxes(1)]
-        assert iou(boxes[0], boxes[1]) > 0.2
+        assert iou_matrix([boxes[0]], [boxes[1]])[0, 0] > 0.2
 
 
 class TestParserFuzz:

@@ -71,8 +71,10 @@ def table_fields(tracker):
     out = {}
     for f in fields(tracker.table):
         if f.name == "kalman_block":
-            kalman = tracker.table.kalman
-            out.update((name, getattr(kalman, name).tolist()) for name in ("mean", "var_pos", "cov", "var_vel"))
+            block = tracker.table.kalman_block
+            out["mean"] = block[:, motion.POS:motion.VAR_POS].reshape(len(block), 8).tolist()
+            out.update((name, block[:, row].tolist()) for name, row in (
+                ("var_pos", motion.VAR_POS), ("cov", motion.COV), ("var_vel", motion.VAR_VEL)))
         else:
             out[f.name] = getattr(tracker.table, f.name).tolist()
     return out
@@ -225,7 +227,7 @@ class TestStep:
         tracker = SelectiveTracker(ConstantProvider())
         tracker.step(1, frame(1, [BBox(100, 100, 20, 40)]))
         emitted = tracker.step(2, frame(2, [BBox(104, 100, 20, 40)]))
-        assert emitted == [(1, BBox(*motion.state_to_xywh(tracker.table.kalman[0]).tolist()))]
+        assert emitted == [(1, BBox(*motion.state_to_xywh(tracker.table.kalman_block[0]).tolist()))]
 
     def test_emitted_box_can_be_raw_detection(self):
         tracker = SelectiveTracker(
@@ -768,14 +770,15 @@ def streams(draw):
 
 
 configs = st.builds(
-    lambda mode, strategy, byte_low, max_age: (
+    lambda mode, strategy, byte_low, max_age, min_hits: (
         GateConfig(mode=mode),
-        MatchConfig(strategy=strategy, byte_low=byte_low, max_age=max_age),
+        MatchConfig(strategy=strategy, byte_low=byte_low, max_age=max_age, min_hits=min_hits),
     ),
     st.sampled_from(MODES),
     st.sampled_from([STRATEGY_CASCADE, STRATEGY_FUSED]),
     st.booleans(),
     st.integers(1, 4),
+    st.integers(1, 3),
 )
 
 
@@ -788,9 +791,12 @@ class TestStreamProperties:
         tracker = SelectiveTracker(DictProvider(features), gate, match)
         most = max(len(dets) for dets in frames.values())
         for frame in sorted(frames):
-            tracker.step(frame, frames[frame])
+            ids = [tid for tid, _ in tracker.step(frame, frames[frame])]
             # a held track was born or matched within the last max_age + 1 steps
             assert len(tracker.tracks) <= (match.max_age + 1) * most
+            # each emitted id once, in increasing order, and each a held, confirmed track
+            assert all(a < b for a, b in zip(ids, ids[1:]))
+            assert set(ids) <= {t.id for t in tracker.tracks if t.status == CONFIRMED}
 
     @settings(max_examples=100, deadline=None)
     @given(streams(), configs)
