@@ -28,7 +28,9 @@ sides alike; the two must return the same matched (row, column) pairs,
 whichever form each side returns them in. Before the table,
 the first solve of a tied 12x12 matrix is timed in a fresh interpreter for
 each side, apart from the steady state: it includes importing
-`seltrack.assignment` and, where that is deferred, scipy.
+`seltrack.assignment` and, where that is deferred, scipy. Each side then
+solves that matrix once in this process before the table, so that the
+table times steady-state solves only.
 """
 
 import argparse
@@ -157,6 +159,7 @@ def main(argv=None) -> int:
     calls: dict = {}
     for module in sides.values():
         count_lsa(module, calls)
+        module.solve(costs, GATE)  # a conflicting warm-up, so that no cell of the table times scipy's import
 
     print()
     print(f"{'kind':8} {'n':>4}" + "".join(f" {name + ' ms':>12} {'lsa/solve':>10}" for name in sides))

@@ -183,15 +183,14 @@ def _read_stats_file(path) -> dict:
 def cmd_eval(args) -> int:
     gt = mot_io.read_trajectories(args.gt)
     pred = mot_io.read_trajectories(args.pred)
-    gt_frames = {f for traj in gt.values() for f in traj}
-    pred_frames = {f for traj in pred.values() for f in traj}
-    if pred_frames and gt_frames:
-        if min(pred_frames) < min(gt_frames) or max(pred_frames) > max(gt_frames):
+    gt_frames, pred_frames = gt["frame"], pred["frame"]  # each sorted
+    if len(pred_frames) and len(gt_frames):
+        if pred_frames[0] < gt_frames[0] or pred_frames[-1] > gt_frames[-1]:
             raise ValueError(
                 "prediction frames fall outside the ground-truth frame span; "
                 "are these files from the same sequence?"
             )
-    elif pred_frames and not gt_frames:
+    elif len(pred_frames):
         raise ValueError("ground truth is empty but predictions are not")
     report = metrics.evaluate(gt, pred, iou_match=args.iou_match)
     if args.stats:

@@ -8,15 +8,14 @@ detection's order of appearance within its frame in the detection file.
 
 from __future__ import annotations
 
-import itertools
 import struct
 from decimal import Decimal
 
 import numpy as np
 
 from seltrack.appearance import UNIT_NORM_ATOL, norms
-from seltrack.geometry import BBox, as_bboxes, refused_rows
-from seltrack.tracker import Frame, TrackOutput
+from seltrack.geometry import BBox, refused_rows
+from seltrack.tracker import Frame, TrackOutput, trajectory_table
 
 FEATURE_MAGIC = b"FEAB"
 FEATURE_VERSION = 1
@@ -113,15 +112,6 @@ def _table(path, detections: bool) -> np.ndarray | None:
     return table
 
 
-def _rows(path):
-    """`_numbered_rows` of a trajectory file, from its array pass when that accepts it (line number None)."""
-    table = _table(path, detections=False)
-    if table is None:
-        return _numbered_rows(path)
-    return zip(itertools.repeat(None), table["frame"].tolist(), table["id"].tolist(),
-               as_bboxes(table["xywh"]), table["conf"].tolist())
-
-
 def read_detections(path) -> dict[int, Frame]:
     """Detections as one `Frame` per frame; a detection's index is its position in its frame in file order.
 
@@ -149,27 +139,32 @@ def read_detections(path) -> dict[int, Frame]:
     }
 
 
-def read_trajectories(path) -> dict[int, dict[int, BBox]]:
-    """Ground-truth or result file as {track id: {frame: box}}; ids >= 1."""
-    out: dict[int, dict[int, BBox]] = {}
-    for line_no, frame, track_id, box, _ in _rows(path):
-        if track_id < 1:
-            raise ValueError(f"line {line_no}: trajectory id must be >= 1, got {track_id}")
-        frames = out.setdefault(track_id, {})
-        if frame in frames:
-            raise ValueError(f"line {line_no}: duplicate (id={track_id}, frame={frame})")
-        frames[frame] = box
-    return out
+def read_trajectories(path) -> np.ndarray:
+    """Ground-truth or result file as a `tracker.TRAJECTORY` table, sorted by frame, then id; ids >= 1.
+
+    The checked table is the array pass's, or else one of the line parser's
+    rows, which names the line of a bad id or of a repeated (id, frame).
+    """
+    table = _table(path, detections=False)
+    if table is None:
+        rows, seen = [], set()
+        for line_no, frame, track_id, box, conf in _numbered_rows(path):
+            if track_id < 1:
+                raise ValueError(f"line {line_no}: trajectory id must be >= 1, got {track_id}")
+            if (track_id, frame) in seen:
+                raise ValueError(f"line {line_no}: duplicate (id={track_id}, frame={frame})")
+            seen.add((track_id, frame))
+            rows.append((frame, track_id, (box.x, box.y, box.w, box.h), conf))
+        table = np.array(rows, dtype=_ROW)
+    return trajectory_table(table)
 
 
 def write_results(path, output: TrackOutput) -> None:
     """Emit "frame,id,x,y,w,h,1,-1,-1,-1" rows sorted by frame then id."""
-    rows = sorted(output.rows, key=lambda r: (r[0], r[1]))
+    table = output.trajectories()
     with open(path, "w", encoding="utf-8") as fh:
-        for frame, tid, box in rows:
-            fh.write(
-                f"{frame},{tid},{box.x:.6f},{box.y:.6f},{box.w:.6f},{box.h:.6f},1,-1,-1,-1\n"
-            )
+        for frame, tid, (x, y, w, h) in zip(table["frame"].tolist(), table["id"].tolist(), table["xywh"].tolist()):
+            fh.write(f"{frame},{tid},{x:.6f},{y:.6f},{w:.6f},{h:.6f},1,-1,-1,-1\n")
 
 
 def _record_dtype(dim: int) -> np.dtype:
@@ -271,20 +266,11 @@ def _key(table: np.ndarray, row: int) -> tuple[int, int]:
     return int(table["f"][row]), int(table["i"][row])
 
 
-def read_features(path) -> dict[tuple[int, int], np.ndarray]:
-    """Load a feature file as {(frame, det index): f32 vector}, each vector a view of the file buffer.
-
-    The file is checked, and its vectors normalized, as `FeatureFileProvider` reads it.
-    """
-    table = _feature_table(path)[0]
-    return dict(zip(zip(table["f"].tolist(), table["i"].tolist()), table["v"]))
-
-
 class FeatureFileProvider:
     """Feature provider backed by a feature file's checked record table and its sorted key index.
 
-    A fetched vector is the float32 row of the table, as `read_features`
-    returns it; a batch is one search of the sorted keys and one gather.
+    A fetched vector is the table's float32 row; a batch is one search of
+    the sorted keys and one gather.
     """
 
     def __init__(self, path):

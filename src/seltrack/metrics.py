@@ -1,5 +1,6 @@
 """Evaluation: extraction percentage (PDE), IDF1, and ID switches.
 
+Trajectories are `tracker.TRAJECTORY` tables, sorted by frame, then id.
 IDF1 follows the standard identity-measure construction: count, for every
 (gt id, predicted id) pair, the frames where both are present with box
 overlap above the matching threshold, find the identity bijection that
@@ -15,10 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from seltrack import assignment
-from seltrack.geometry import BBox, iou_matrix
+from seltrack.geometry import iou_matrix
 from seltrack.tracker import RunStats
-
-Trajectories = dict[int, dict[int, BBox]]
 
 
 @dataclass
@@ -69,38 +68,38 @@ def _check_iou_match(iou_match: float) -> None:
         raise ValueError(f"iou_match must be in [0, 1], got {iou_match!r}")
 
 
-def _by_frame(trajectories: Trajectories) -> dict[int, tuple[list[int], list[BBox]]]:
-    """Per frame: the positions (in sorted id order) of the ids present, and their boxes."""
-    out: dict[int, tuple[list[int], list[BBox]]] = {}
-    for k, tid in enumerate(sorted(trajectories)):
-        for frame, box in trajectories[tid].items():
-            positions, boxes = out.setdefault(frame, ([], []))
-            positions.append(k)
-            boxes.append(box)
-    return out
+def _by_frame(table: np.ndarray) -> tuple[int, dict[int, tuple[np.ndarray, np.ndarray]]]:
+    """The number of distinct ids, and per frame the positions of its ids among them (sorted) and its boxes."""
+    ids, positions = np.unique(table["id"], return_inverse=True)
+    frames = table["frame"]
+    starts = np.flatnonzero(np.diff(frames, prepend=frames[:1] - 1))  # row 0 starts a frame too
+    stops = [*starts[1:].tolist(), len(table)]
+    return len(ids), {
+        frame: (positions[start:stop], table["xywh"][start:stop])
+        for frame, start, stop in zip(frames[starts].tolist(), starts.tolist(), stops)
+    }
 
 
-def _frame_ious(gt: Trajectories, pred: Trajectories):
+def _frame_ious(gt_frames: dict, pred_frames: dict):
     """(gt positions, pred positions, their IoU matrix) for each frame both have, in order."""
-    gt_frames, pred_frames = _by_frame(gt), _by_frame(pred)
     for frame in sorted(gt_frames.keys() & pred_frames.keys()):
         (rows, gt_boxes), (cols, pred_boxes) = gt_frames[frame], pred_frames[frame]
         yield rows, cols, iou_matrix(gt_boxes, pred_boxes)
 
 
-def _overlap_counts(gt: Trajectories, pred: Trajectories, iou_match: float) -> np.ndarray:
+def _overlap_counts(gt: np.ndarray, pred: np.ndarray, iou_match: float) -> np.ndarray:
     """Frames of above-threshold co-occurrence for every (gt id, pred id), ids sorted."""
-    counts = np.zeros((len(gt), len(pred)), dtype=int)
-    for rows, cols, ious in _frame_ious(gt, pred):
+    (n_gt, gt_frames), (n_pred, pred_frames) = _by_frame(gt), _by_frame(pred)
+    counts = np.zeros((n_gt, n_pred), dtype=int)
+    for rows, cols, ious in _frame_ious(gt_frames, pred_frames):
         counts[np.ix_(rows, cols)] += ious >= iou_match
     return counts
 
 
-def idf1(gt: Trajectories, pred: Trajectories, iou_match: float = 0.5) -> EvalReport:
+def idf1(gt: np.ndarray, pred: np.ndarray, iou_match: float = 0.5) -> EvalReport:
     """Identity F1 over the best global gt-to-prediction id mapping."""
     _check_iou_match(iou_match)
-    n_gt = sum(len(frames) for frames in gt.values())
-    n_pred = sum(len(frames) for frames in pred.values())
+    n_gt, n_pred = len(gt), len(pred)
     if n_gt == 0 and n_pred == 0:
         return EvalReport(None, 1.0, 0, 0, 0, 0)
     if n_gt == 0 or n_pred == 0:
@@ -118,16 +117,15 @@ def idf1(gt: Trajectories, pred: Trajectories, iou_match: float = 0.5) -> EvalRe
     return EvalReport(None, score, 0, idtp, idfp, idfn)
 
 
-def id_switches(gt: Trajectories, pred: Trajectories, iou_match: float = 0.5) -> int:
+def id_switches(gt: np.ndarray, pred: np.ndarray, iou_match: float = 0.5) -> int:
     """Frames where a gt identity's matched prediction id changes."""
     _check_iou_match(iou_match)
     last_match: dict[int, int] = {}
     switches = 0
-    for gt_pos, pred_pos, ious in _frame_ious(gt, pred):
+    for gt_pos, pred_pos, ious in _frame_ious(_by_frame(gt)[1], _by_frame(pred)[1]):
         cost = np.where(ious >= iou_match, 1.0 - ious, np.inf)
         rows, cols = assignment.solve(cost, gate=1.0 - iou_match)
-        for i, j in zip(rows.tolist(), cols.tolist()):
-            g, p = gt_pos[i], pred_pos[j]
+        for g, p in zip(gt_pos[rows].tolist(), pred_pos[cols].tolist()):
             if g in last_match and last_match[g] != p:
                 switches += 1
             last_match[g] = p
@@ -135,8 +133,8 @@ def id_switches(gt: Trajectories, pred: Trajectories, iou_match: float = 0.5) ->
 
 
 def evaluate(
-    gt: Trajectories,
-    pred: Trajectories,
+    gt: np.ndarray,
+    pred: np.ndarray,
     iou_match: float = 0.5,
     stats: RunStats | None = None,
 ) -> EvalReport:

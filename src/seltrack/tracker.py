@@ -203,17 +203,29 @@ class TrackView(NamedTuple):
     status: str
 
 
+# a trajectory table: one record per (frame, track id) with its box
+TRAJECTORY = np.dtype([("frame", "<i8"), ("id", "<i8"), ("xywh", "<f8", (4,))])
+
+
+def trajectory_table(records: np.ndarray) -> np.ndarray:
+    """The frame, id and xywh fields of `records` as a `TRAJECTORY` table sorted by frame, then id.
+
+    The order is part of the form: the metrics solve each frame's matrix
+    in it, and a solve breaks ties by row and column order.
+    """
+    table = records[list(TRAJECTORY.names)].astype(TRAJECTORY, copy=False)
+    return table[np.lexsort((table["id"], table["frame"]))]
+
+
 @dataclass
 class TrackOutput:
-    """All emitted (frame, track id, box) rows of a run."""
+    """All emitted (frame, track id, (x, y, w, h)) rows of a run."""
 
-    rows: list[tuple[int, int, BBox]] = field(default_factory=list)
+    rows: list[tuple[int, int, list[float]]] = field(default_factory=list)
 
-    def trajectories(self) -> dict[int, dict[int, BBox]]:
-        out: dict[int, dict[int, BBox]] = {}
-        for frame, tid, box in self.rows:
-            out.setdefault(tid, {})[frame] = box
-        return out
+    def trajectories(self) -> np.ndarray:
+        """The rows as one `TRAJECTORY` table, sorted by frame, then id."""
+        return trajectory_table(np.array(self.rows, dtype=TRAJECTORY))
 
 
 @dataclass
@@ -251,8 +263,8 @@ class SelectiveTracker:
 
     # -- the frame step ----------------------------------------------------
 
-    def step(self, frame: int, detections: Frame) -> list[tuple[int, BBox]]:
-        """Process one frame and return (track id, box) for tracks matched now, by id."""
+    def step(self, frame: int, detections: Frame) -> list[tuple[int, list[float]]]:
+        """Process one frame and return (track id, [x, y, w, h]) for tracks matched now, by id."""
         if frame <= self.last_frame:
             raise ValueError(
                 f"frames must be strictly increasing: got {frame} after {self.last_frame}"
@@ -402,7 +414,7 @@ class SelectiveTracker:
             shown_xywh = xywh[det_of[shown]]
         else:
             shown_xywh = motion.state_to_xywh(t.kalman_block[shown])
-        emitted = list(zip(t.ids[shown].tolist(), as_bboxes(shown_xywh)))
+        emitted = list(zip(t.ids[shown].tolist(), shown_xywh.tolist()))
 
         # commit, with deletions after max_age consecutive misses
         self.table = t.keep(t.time_since_update <= m.max_age)

@@ -24,7 +24,6 @@ from seltrack.geometry import BBox, ars, as_xywh, blended_alpha, iou_matrix
 from seltrack.io import (
     FeatureFileProvider,
     read_detections,
-    read_features,
     read_trajectories,
     write_features,
     write_results,
@@ -33,7 +32,7 @@ from seltrack.synth import PRESETS, generate_to_dir, preset
 from seltrack.tracker import MatchConfig, NullFeatureProvider, SelectiveTracker, TrackOutput, run_sequence
 
 from iou_reference import iou_reference
-from providers import DictProvider, frame
+from providers import DictProvider, frame, reference_read_features, table
 
 
 def candidates_of(det_boxes, track_boxes, cfg):
@@ -294,7 +293,7 @@ def test_c09_idf1_matches_bijection_search():
             return out
 
         gt, pred = traj(), traj()
-        rep = metrics.idf1(gt, pred)
+        rep = metrics.idf1(table(gt), table(pred))
         best = idf1_oracle(gt, pred)
         assert rep.idtp == best
         n_gt = sum(len(t) for t in gt.values())
@@ -321,7 +320,7 @@ def test_c10_io_round_trips(tmp_path):
             records.append((*key, v32))
         fp = tmp_path / "f.feab"
         write_features(fp, records)
-        back = read_features(fp)
+        back = reference_read_features(fp)
         assert set(back) == keys
         for f, i, v in records:
             assert back[(f, i)].tobytes() == v.tobytes()
@@ -338,7 +337,7 @@ def test_c10_io_round_trips(tmp_path):
                 (
                     key[0],
                     key[1],
-                    BBox(
+                    (
                         round(float(rng.uniform(-500, 500)), 6),
                         round(float(rng.uniform(-500, 500)), 6),
                         round(float(rng.uniform(0.5, 300)), 6),
@@ -350,10 +349,7 @@ def test_c10_io_round_trips(tmp_path):
         write_results(rp1, TrackOutput(rows=rows))
         parsed = read_trajectories(rp1)
         write_results(
-            rp2,
-            TrackOutput(
-                rows=[(f, tid, box) for tid, boxes in parsed.items() for f, box in boxes.items()]
-            ),
+            rp2, TrackOutput(rows=list(zip(parsed["frame"].tolist(), parsed["id"].tolist(), parsed["xywh"].tolist())))
         )
         assert rp1.read_bytes() == rp2.read_bytes()
 

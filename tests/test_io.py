@@ -1,3 +1,4 @@
+import contextlib
 import struct
 import tracemalloc
 from unittest import mock
@@ -13,12 +14,15 @@ from seltrack.io import (
     FEATURE_VERSION,
     FeatureFileProvider,
     read_detections,
-    read_features,
     read_trajectories,
     write_features,
     write_results,
 )
-from seltrack.tracker import TrackOutput
+from seltrack.metrics import id_switches
+from seltrack.synth import generate_to_dir, preset
+from seltrack.tracker import EMIT_DETECTION, TRAJECTORY, MatchConfig, TrackOutput, run_sequence
+
+from providers import reference_read_features
 
 
 class TestReadDetections:
@@ -74,13 +78,33 @@ class TestReadDetections:
         assert frames[1].xywh.base is frames[2].xywh.base  # views of one array of the file
 
 
+def rows_of(table) -> list:
+    """A trajectory table's (frame, id, [x, y, w, h]) rows, as Python ints and floats."""
+    return list(zip(table["frame"].tolist(), table["id"].tolist(), table["xywh"].tolist()))
+
+
 class TestTrajectories:
     def test_gt_round_shape(self, tmp_path):
         p = tmp_path / "gt.txt"
-        p.write_text("1,5,0,0,10,10,1,-1,-1,-1\n2,5,1,0,10,10,1,1,1,0.8\n")
+        p.write_text("2,5,1,0,10,10,1,1,1,0.8\n1,5,0,0,10,10,1,-1,-1,-1\n")
         t = read_trajectories(p)
-        assert set(t) == {5}
-        assert t[5][2] == BBox(1, 0, 10, 10)
+        assert t.dtype == TRAJECTORY
+        assert rows_of(t) == [(1, 5, [0.0, 0.0, 10.0, 10.0]), (2, 5, [1.0, 0.0, 10.0, 10.0])]
+
+    @pytest.mark.parametrize("line_parser_only", [False, True], ids=["file", "line parser"])
+    def test_ids_in_decreasing_order_read_as_the_sorted_file(self, line_parser_only, tmp_path):
+        # in frame 2 predictions 2 and 1 tie for the one ground-truth box; the
+        # solve breaks the tie by column order, so only a table sorted by id
+        # within its frame keeps prediction 1 matched
+        paths = [tmp_path / name for name in ("gt.txt", "listed.txt", "sorted.txt")]
+        paths[0].write_text("1,1,0,0,10,10,1\n2,1,0,0,10,10,1\n")
+        paths[1].write_text("1,1,0,0,10,10,1\n2,2,0,0,10,10,1\n2,1,0,0,10,10,1\n")
+        paths[2].write_text("1,1,0,0,10,10,1\n2,1,0,0,10,10,1\n2,2,0,0,10,10,1\n")
+        line_parser = mock.patch.object(mot_io, "_table", return_value=None)
+        with line_parser if line_parser_only else contextlib.nullcontext():
+            gt, listed, ordered = (read_trajectories(p) for p in paths)
+        assert rows_of(listed) == rows_of(ordered)
+        assert id_switches(gt, listed) == id_switches(gt, ordered) == 0
 
     def test_rejects_non_positive_id(self, tmp_path):
         p = tmp_path / "gt.txt"
@@ -159,8 +183,7 @@ class TestTrajectories:
             (d,) = got[frame]
             assert (type(frame), frame, d.frame) == (int, value, value)
         else:
-            (track_id,) = got
-            (frame,) = got[track_id]
+            ((frame, track_id, _),) = rows_of(got)
             assert (type(track_id), track_id, type(frame), frame) == (int, value, int, value)
 
     @pytest.mark.parametrize("reader", [read_trajectories, read_detections])
@@ -244,14 +267,20 @@ def mot_files(draw):
 
 
 def read_outcome_text(reader, path, line_parser_only=False) -> str:
-    """repr of what `reader` returns (floats and types shown exactly), or its error."""
+    """What `reader` returns, floats and types shown exactly, or its error.
+
+    A trajectory table is shown as its dtype and `rows_of`: numpy's repr
+    of a record array would round its floats to 8 significant digits.
+    """
     try:
         if line_parser_only:
             with mock.patch.object(mot_io, "_table", return_value=None):
-                return repr(reader(path))
-        return repr(reader(path))
+                got = reader(path)
+        else:
+            got = reader(path)
     except ValueError as exc:
         return f"{type(exc).__name__}: {exc}"
+    return repr((got.dtype, rows_of(got))) if isinstance(got, np.ndarray) else repr(got)
 
 
 class TestArrayPass:
@@ -286,7 +315,7 @@ class TestArrayPass:
         p = tmp_path / "gt.txt"
         p.write_text("1,1,0,0,5,5,nan\n2,1,0,0,5,5,-3\n")
         assert mot_io._table(p, detections=False) is not None
-        assert read_trajectories(p) == {1: {1: BBox(0, 0, 5, 5), 2: BBox(0, 0, 5, 5)}}
+        assert rows_of(read_trajectories(p)) == [(1, 1, [0.0, 0.0, 5.0, 5.0]), (2, 1, [0.0, 0.0, 5.0, 5.0])]
 
     @pytest.mark.parametrize("rows", [
         "1,-1,1,1,5,5,0.9\n   \n",  # whitespace-only lines are blank to the line parser
@@ -322,7 +351,7 @@ class TestArrayPass:
 class TestWriteResults:
     def test_single_row_shape(self, tmp_path):
         p = tmp_path / "out.txt"
-        write_results(p, TrackOutput(rows=[(3, 7, BBox(1.5, 2.25, 10, 20))]))
+        write_results(p, TrackOutput(rows=[(3, 7, (1.5, 2.25, 10, 20))]))
         assert p.read_text() == "3,7,1.500000,2.250000,10.000000,20.000000,1,-1,-1,-1\n"
 
     def test_empty_output(self, tmp_path):
@@ -332,18 +361,30 @@ class TestWriteResults:
 
     def test_sorted_by_frame_then_id(self, tmp_path):
         p = tmp_path / "out.txt"
-        rows = [(2, 1, BBox(0, 0, 1, 1)), (1, 9, BBox(0, 0, 1, 1)), (1, 2, BBox(0, 0, 1, 1))]
+        rows = [(2, 1, (0, 0, 1, 1)), (1, 9, (0, 0, 1, 1)), (1, 2, (0, 0, 1, 1))]
         write_results(p, TrackOutput(rows=rows))
         got = [line.split(",")[:2] for line in p.read_text().splitlines()]
         assert got == [["1", "2"], ["1", "9"], ["2", "1"]]
 
     def test_round_trips_through_detection_reader(self, tmp_path):
         p = tmp_path / "out.txt"
-        rows = [(1, 3, BBox(10.125, 20.5, 30.0625, 40.75)), (2, 3, BBox(11, 21, 30, 40))]
+        rows = [(2, 3, (11, 21, 30, 40)), (1, 3, (10.125, 20.5, 30.0625, 40.75))]
         write_results(p, TrackOutput(rows=rows))
-        traj = read_trajectories(p)
-        assert {tid: sorted(boxes) for tid, boxes in traj.items()} == {3: [1, 2]}
-        assert traj[3][1] == BBox(10.125, 20.5, 30.0625, 40.75)
+        assert rows_of(read_trajectories(p)) == [
+            (1, 3, [10.125, 20.5, 30.0625, 40.75]), (2, 3, [11.0, 21.0, 30.0, 40.0])
+        ]
+
+    def test_run_sequence_output_reads_back_as_its_table(self, tmp_path):
+        # emitted detection boxes, read from a file at six decimals or fewer, are written back exactly
+        det, feat, _ = generate_to_dir(preset("crossing"), tmp_path)
+        match = MatchConfig(emit=EMIT_DETECTION)
+        output, _ = run_sequence(read_detections(det), FeatureFileProvider(feat), match=match)
+        p = tmp_path / "out.txt"
+        write_results(p, output)
+        table, back = output.trajectories(), read_trajectories(p)
+        assert len(set(table["id"].tolist())) > 1
+        assert back.dtype == table.dtype == TRAJECTORY
+        assert back.tobytes() == table.tobytes()
 
 
 class TestFeatureFile:
@@ -355,22 +396,23 @@ class TestFeatureFile:
             np.array([0.5, 0.5, 0.5, 0.5], dtype=np.float32),
         ]
         write_features(p, [(1, 0, vecs[0]), (1, 1, vecs[1]), (2, 0, vecs[2])])
-        back = read_features(p)
-        assert set(back) == {(1, 0), (1, 1), (2, 0)}
-        for key, v in zip([(1, 0), (1, 1), (2, 0)], vecs):
-            assert back[key].tobytes() == v.tobytes()
+        provider = FeatureFileProvider(p)
+        found, got = provider.fetch_batch(1, np.array([1, 2, 0]))
+        assert found.tolist() == [0, 2] and got.tobytes() == vecs[1].tobytes() + vecs[0].tobytes()
+        found, got = provider.fetch_batch(2, np.array([0]))
+        assert found.tolist() == [0] and got.tobytes() == vecs[2].tobytes()
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "f.feab"
         p.write_bytes(b"NOPE" + bytes(20))
         with pytest.raises(ValueError, match="bad magic"):
-            read_features(p)
+            FeatureFileProvider(p)
 
     def test_bad_version(self, tmp_path):
         p = tmp_path / "f.feab"
         p.write_bytes(b"FEAB\x02" + bytes(8))
         with pytest.raises(ValueError, match="version"):
-            read_features(p)
+            FeatureFileProvider(p)
 
     def test_truncated_file(self, tmp_path):
         p = tmp_path / "f.feab"
@@ -378,7 +420,7 @@ class TestFeatureFile:
         data = p.read_bytes()
         p.write_bytes(data[:-3])
         with pytest.raises(ValueError, match="truncated"):
-            read_features(p)
+            FeatureFileProvider(p)
 
     def test_duplicate_key_on_write(self, tmp_path):
         p = tmp_path / "f.feab"
@@ -389,8 +431,8 @@ class TestFeatureFile:
     def test_non_unit_vectors_normalized_on_read(self, tmp_path):
         p = tmp_path / "f.feab"
         write_features(p, [(1, 0, np.array([3.0, 4.0], dtype=np.float32))])
-        (v,) = read_features(p).values()
-        assert np.allclose(v, [0.6, 0.8], atol=1e-7)
+        found, got = FeatureFileProvider(p).fetch_batch(1, np.array([0]))
+        assert found.tolist() == [0] and np.allclose(got[0], [0.6, 0.8], atol=1e-7)
 
     @pytest.mark.parametrize(
         "vector, message", [([0.0, 0.0], "zero-norm"), ([1.0, np.nan], "non-finite")]
@@ -399,7 +441,7 @@ class TestFeatureFile:
         p = tmp_path / "f.feab"
         write_features(p, [(1, 0, np.array(vector, dtype=np.float32))])
         with pytest.raises(ValueError, match=message):
-            read_features(p)
+            FeatureFileProvider(p)
 
     @pytest.mark.parametrize("keys, message", [
         ([(1, 0), (2, 0), (1, 0), (2, 0)], r"^duplicate feature key \(1, 0\)$"),
@@ -414,7 +456,7 @@ class TestFeatureFile:
         e = np.eye(2, dtype=np.float32)
         write_raw_features(p, 2, [(f, i, e[n % 2]) for n, (f, i) in enumerate(keys)])
         with pytest.raises(ValueError, match=message):
-            read_features(p)
+            FeatureFileProvider(p)
 
     def test_provider_fetch(self, tmp_path):
         p = tmp_path / "f.feab"
@@ -423,7 +465,7 @@ class TestFeatureFile:
         found, got = provider.fetch_batch(4, np.array([2, 1]))
         # the validated vector as read, not a renormalized copy
         assert found.tolist() == [1] and got.dtype == np.float32
-        assert np.array_equal(got, read_features(p)[(4, 1)][None])
+        assert np.array_equal(got, reference_read_features(p)[(4, 1)][None])
         for frame in (2**32 + 4, 2**64 + 4):  # frames beyond the file's u32 keys
             found, got = provider.fetch_batch(frame, np.array([1]))
             assert found.tolist() == [] and got.shape == (0, 3)
@@ -454,40 +496,6 @@ def write_raw_features(path, dim, records) -> None:
         fh.write(FEATURE_MAGIC + struct.pack("<BII", FEATURE_VERSION, dim, len(records)))
         for f, i, v in records:
             fh.write(struct.pack("<II", f, i) + np.asarray(v, dtype="<f4").tobytes())
-
-
-def reference_read_features(path) -> dict:
-    """`read_features` as a loop over records, each unpacked, checked and normalized alone."""
-    data = open(path, "rb").read()
-    if len(data) < 13:
-        raise ValueError("truncated feature file header")
-    if data[:4] != FEATURE_MAGIC:
-        raise ValueError("bad magic")
-    version = data[4]
-    if version != FEATURE_VERSION:
-        raise ValueError(f"unsupported feature file version {version}")
-    dim, count = struct.unpack_from("<II", data, 5)
-    record_size = 8 + 4 * dim
-    expected = 13 + count * record_size
-    if len(data) != expected:
-        raise ValueError(f"truncated feature file: expected {expected} bytes, got {len(data)}")
-    out = {}
-    offset = 13
-    for _ in range(count):
-        f, i = struct.unpack_from("<II", data, offset)
-        vec = np.frombuffer(data, dtype="<f4", count=dim, offset=offset + 8).copy()
-        offset += record_size
-        if (f, i) in out:
-            raise ValueError(f"duplicate feature key ({f}, {i})")
-        if not np.all(np.isfinite(vec)):
-            raise ValueError(f"non-finite feature vector at key ({f}, {i})")
-        norm = float(np.linalg.norm(vec.astype(np.float64)))
-        if norm == 0.0:
-            raise ValueError(f"zero-norm feature vector at key ({f}, {i})")
-        if abs(norm - 1.0) > 1e-6:
-            vec = (vec.astype(np.float64) / norm).astype(np.float32)
-        out[(f, i)] = vec
-    return out
 
 
 @st.composite
@@ -536,16 +544,12 @@ class TestReadFeaturesAgainstReference:
         dim, records = spec
         p = tmp_path_factory.mktemp("feab") / "f.feab"
         write_raw_features(p, dim, records)
-        got, error = read_outcome(read_features, p)
         want, want_error = read_outcome(reference_read_features, p)
         provider, provider_error = read_outcome(FeatureFileProvider, p)
-        assert error == provider_error == want_error
+        assert provider_error == want_error
         if want is None:
             return
-        assert list(got) == list(want)
-        for key, v in want.items():
-            assert got[key].dtype == np.float32
-            assert got[key].tobytes() == v.tobytes()
+        # every key of the file is asked for, frame by frame, so every vector is compared
         queries = [(f, sorted({i for g, i in want if g == f})) for f in {f for f, _ in want}]
         queries += [(data.draw(query_frames), data.draw(query_indices)) for _ in range(3)]
         for frame, indices in queries:
@@ -599,10 +603,10 @@ class TestRoundTripProperties:
             records.append((f, i, arr))
         p = tmp_path_factory.mktemp("feab") / "f.feab"
         write_features(p, records)
-        back = read_features(p)
-        assert set(back) == {(f, i) for f, i, _ in records}
+        provider = FeatureFileProvider(p)
         for f, i, v in records:
-            assert back[(f, i)].tobytes() == v.tobytes()
+            found, got = provider.fetch_batch(f, np.array([i]))
+            assert found.tolist() == [0] and got.tobytes() == v.tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -625,17 +629,12 @@ class TestRoundTripProperties:
             if (frame, tid) in seen:
                 continue
             seen.add((frame, tid))
-            rows.append((frame, tid, BBox(x, y, w, h)))
+            rows.append((frame, tid, (x, y, w, h)))
         p = tmp_path_factory.mktemp("res") / "r.txt"
         write_results(p, TrackOutput(rows=rows))
-        traj = read_trajectories(p)
-        back = sorted(
-            ((f, tid, b) for tid, boxes in traj.items() for f, b in boxes.items()),
-            key=lambda r: (r[0], r[1]),
-        )
+        back = rows_of(read_trajectories(p))
         expect = sorted(rows, key=lambda r: (r[0], r[1]))
         assert len(back) == len(expect)
         for (f, t, b), (frame, tid, box) in zip(back, expect):
             assert (f, t) == (frame, tid)
-            for got, want in [(b.x, box.x), (b.y, box.y), (b.w, box.w), (b.h, box.h)]:
-                assert got == pytest.approx(want, abs=5e-7)
+            assert b == pytest.approx(box, abs=5e-7)

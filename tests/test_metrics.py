@@ -13,6 +13,7 @@ from seltrack.metrics import EvalReport, evaluate, id_switches, idf1, pde
 from seltrack.tracker import RunStats
 
 from iou_reference import iou_reference
+from providers import table
 
 
 def box(x, y=0.0, size=10.0):
@@ -54,7 +55,7 @@ class TestIdf1:
     def test_perfect_tracking(self):
         gt = {1: {f: box(f) for f in range(1, 11)}}
         pred = {7: {f: box(f) for f in range(1, 11)}}
-        r = idf1(gt, pred)
+        r = idf1(table(gt), table(pred))
         assert r.idf1 == 1.0 and r.idtp == 10 and r.idfp == 0 and r.idfn == 0
 
     def test_six_four_split(self):
@@ -63,27 +64,27 @@ class TestIdf1:
             1: {f: box(f) for f in range(1, 7)},
             2: {f: box(f) for f in range(7, 11)},
         }
-        r = idf1(gt, pred)
+        r = idf1(table(gt), table(pred))
         assert (r.idtp, r.idfp, r.idfn) == (6, 4, 4)
         assert r.idf1 == pytest.approx(0.6)
 
     def test_both_empty(self):
-        assert idf1({}, {}).idf1 == 1.0
+        assert idf1(table({}), table({})).idf1 == 1.0
 
     def test_one_side_empty(self):
         gt = {1: {1: box(0)}}
-        assert idf1(gt, {}).idf1 == 0.0
-        assert idf1({}, gt).idf1 == 0.0
+        assert idf1(table(gt), table({})).idf1 == 0.0
+        assert idf1(table({}), table(gt)).idf1 == 0.0
 
     def test_symmetric_for_perfect_match(self):
         gt = {1: {f: box(f) for f in range(1, 6)}, 2: {f: box(f, 50) for f in range(1, 6)}}
         pred = {9: {f: box(f) for f in range(1, 6)}, 8: {f: box(f, 50) for f in range(1, 6)}}
-        assert idf1(gt, pred).idf1 == idf1(pred, gt).idf1 == 1.0
+        assert idf1(table(gt), table(pred)).idf1 == idf1(table(pred), table(gt)).idf1 == 1.0
 
     def test_overlap_below_threshold_does_not_count(self):
         gt = {1: {1: box(0)}}
         pred = {1: {1: box(8)}}  # iou = 2/18 < 0.5
-        r = idf1(gt, pred)
+        r = idf1(table(gt), table(pred))
         assert r.idtp == 0 and r.idf1 == 0.0
 
     def test_agrees_with_bijection_search_on_random_instances(self):
@@ -100,7 +101,7 @@ class TestIdf1:
                 return out
 
             gt, pred = random_traj(), random_traj()
-            r = idf1(gt, pred)
+            r = idf1(table(gt), table(pred))
             assert r.idtp == idtp_brute_force(gt, pred)
             n_gt = sum(len(t) for t in gt.values())
             n_pred = sum(len(t) for t in pred.values())
@@ -108,7 +109,7 @@ class TestIdf1:
 
 
 def trajectories_of(counts):
-    """gt and pred trajectories whose overlap count matrix is `counts`.
+    """gt and pred trajectory tables whose overlap count matrix is `counts`.
 
     Each count is frames of its own in which only that gt id and that pred
     id are present, on the same box; each id also gets one frame alone.
@@ -123,7 +124,7 @@ def trajectories_of(counts):
             gt[g + 1][f] = pred[p + 1][f] = box(0.0)
     for traj in (*gt.values(), *pred.values()):
         traj[next(frames)] = box(0.0)
-    return gt, pred
+    return table(gt), table(pred)
 
 
 def conflicting(counts) -> bool:
@@ -163,7 +164,7 @@ class TestIdSwitches:
     def test_perfect_tracking_has_none(self):
         gt = {1: {f: box(f) for f in range(1, 11)}}
         pred = {3: {f: box(f) for f in range(1, 11)}}
-        assert id_switches(gt, pred) == 0
+        assert id_switches(table(gt), table(pred)) == 0
 
     def test_six_four_split_switches_once(self):
         gt = {1: {f: box(f) for f in range(1, 11)}}
@@ -171,7 +172,7 @@ class TestIdSwitches:
             1: {f: box(f) for f in range(1, 7)},
             2: {f: box(f) for f in range(7, 11)},
         }
-        assert id_switches(gt, pred) == 1
+        assert id_switches(table(gt), table(pred)) == 1
 
     def test_simultaneous_swap_counts_twice(self):
         # two targets swap predicted ids at frame 6
@@ -183,12 +184,12 @@ class TestIdSwitches:
             1: {f: box(f, 0) for f in range(1, 6)} | {f: box(f, 50) for f in range(6, 11)},
             2: {f: box(f, 50) for f in range(1, 6)} | {f: box(f, 0) for f in range(6, 11)},
         }
-        assert id_switches(gt, pred) == 2
+        assert id_switches(table(gt), table(pred)) == 2
 
     def test_gap_without_change_is_not_a_switch(self):
         gt = {1: {f: box(f) for f in range(1, 11)}}
         pred = {4: {f: box(f) for f in range(1, 11) if f != 5}}
-        assert id_switches(gt, pred) == 0
+        assert id_switches(table(gt), table(pred)) == 0
 
 
 class TestIouMatchRange:
@@ -197,13 +198,13 @@ class TestIouMatchRange:
     def test_outside_zero_one_is_an_error(self, metric, iou_match):
         gt = {1: {1: box(0)}}
         with pytest.raises(ValueError, match=r"iou_match must be in \[0, 1\]"):
-            metric(gt, gt, iou_match=iou_match)
+            metric(table(gt), table(gt), iou_match=iou_match)
 
     @pytest.mark.parametrize("iou_match", [0.0, 1.0])
     def test_bounds_are_valid(self, iou_match):
         gt = {1: {1: box(0), 2: box(1)}}
-        assert idf1(gt, gt, iou_match).idf1 == 1.0
-        assert id_switches(gt, gt, iou_match) == 0
+        assert idf1(table(gt), table(gt), iou_match).idf1 == 1.0
+        assert id_switches(table(gt), table(gt), iou_match) == 0
 
 
 class TestEvaluate:
@@ -214,7 +215,7 @@ class TestEvaluate:
             2: {f: box(f) for f in range(7, 11)},
         }
         stats = RunStats(fetches=3, high_detections=10)
-        r = evaluate(gt, pred, stats=stats)
+        r = evaluate(table(gt), table(pred), stats=stats)
         assert r.idf1 == pytest.approx(0.6)
         assert r.id_switches == 1
         assert r.pde == pytest.approx(30.0)

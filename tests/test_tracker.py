@@ -227,16 +227,15 @@ class TestStep:
         tracker = SelectiveTracker(ConstantProvider())
         tracker.step(1, frame(1, [BBox(100, 100, 20, 40)]))
         emitted = tracker.step(2, frame(2, [BBox(104, 100, 20, 40)]))
-        assert emitted == [(1, BBox(*motion.state_to_xywh(tracker.table.kalman_block[0]).tolist()))]
+        assert emitted == [(1, motion.state_to_xywh(tracker.table.kalman_block[0]).tolist())]
 
     def test_emitted_box_can_be_raw_detection(self):
         tracker = SelectiveTracker(
             ConstantProvider(), match=MatchConfig(emit=EMIT_DETECTION)
         )
         tracker.step(1, frame(1, [BBox(100, 100, 20, 40)]))
-        box = BBox(104, 100, 20, 40)
-        emitted = tracker.step(2, frame(2, [box]))
-        assert emitted == [(1, box)]
+        emitted = tracker.step(2, frame(2, [BBox(104, 100, 20, 40)]))
+        assert emitted == [(1, [104.0, 100.0, 20.0, 40.0])]
 
     def test_low_confidence_detections_skip_the_mechanism(self):
         tracker = SelectiveTracker(ConstantProvider())
@@ -441,7 +440,7 @@ class TestCommittedTable:
 def frames_without_high_detections(tracker):
     """Two targets in frames 1-3 and 6; frame 4 holds one low-confidence detection, frame 5 none.
 
-    Returns every emitted row and the final track table.
+    Returns every emitted row, its box a `BBox`, and the final track table.
     """
     emitted = []
     for f in range(1, 7):
@@ -451,7 +450,7 @@ def frames_without_high_detections(tracker):
             dets = frame(f, [])
         else:
             dets = frame(f, [BBox(100 + 2 * f, 100, 20, 40), BBox(300, 100, 20, 40)])
-        emitted.append(tracker.step(f, dets))
+        emitted.append([(tid, BBox(*box)) for tid, box in tracker.step(f, dets)])
     return emitted, table_fields(tracker)
 
 
