@@ -33,8 +33,7 @@ def check_unit(v) -> np.ndarray:
 
 
 def ema_update(embedding: np.ndarray, weight, f) -> np.ndarray:
-    """The unit embeddings blended with fresh features f, `weight` on the old average."""
-    f = check_unit(f)
+    """The unit embeddings blended with fresh unit features f (checked where they enter), `weight` on the old average."""
     alpha = np.asarray(weight)[..., None]
     blended = alpha * embedding + (1.0 - alpha) * f
     norm = norms(blended)

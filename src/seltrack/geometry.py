@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
-from operator import attrgetter
 
 import numpy as np
 
@@ -38,48 +36,19 @@ class BBox:
         return self.y + self.h / 2.0
 
 
-_XYWH = attrgetter("x", "y", "w", "h")
-
-
-def as_xywh(boxes) -> np.ndarray:
-    """(n, 4) rows of (x, y, w, h) of a sequence of `BBox`, or of such an array itself."""
-    if not isinstance(boxes, np.ndarray):
-        boxes = np.fromiter(chain.from_iterable(map(_XYWH, boxes)), float, 4 * len(boxes))
-    return boxes.reshape(-1, 4)
-
-
 def refused_rows(xywh: np.ndarray) -> np.ndarray:
     """Mask of the (x, y, w, h) rows of an (n, 4) array that `BBox` refuses: a non-finite field, or w or h <= 0."""
     return ~np.isfinite(xywh).all(axis=1) | (xywh[:, 2] <= 0) | (xywh[:, 3] <= 0)
 
 
-def as_bboxes(xywh) -> list[BBox]:
-    """The `BBox` of each (x, y, w, h) row of an (n, 4) array: the inverse of `as_xywh`.
-
-    The rows are checked in one array pass, and the boxes are then built
-    without `BBox.__init__`, whose frozen fields are each set through
-    `object.__setattr__`. A refused row goes to `BBox` itself, so the first
-    one raises `BBox`'s own error.
-    """
-    xywh = np.asarray(xywh, dtype=float).reshape(-1, 4)
-    refused = refused_rows(xywh)
-    if refused.any():
-        BBox(*xywh[np.argmax(refused)].tolist())  # raises
-    boxes = [object.__new__(BBox) for _ in range(len(xywh))]
-    for box, (x, y, w, h) in zip(boxes, xywh.tolist()):
-        fields = box.__dict__
-        fields["x"], fields["y"], fields["w"], fields["h"] = x, y, w, h
-    return boxes
-
-
-def _corners(boxes) -> np.ndarray:
-    """(4, n) rows x1, y1, x2, y2 of the boxes `as_xywh` takes.
+def _corners(xywh: np.ndarray) -> np.ndarray:
+    """(4, n) rows x1, y1, x2, y2 of the (x, y, w, h) rows of an (n, 4) array.
 
     Each row is contiguous, so the calls of `_inter_union` walk whole
     (rows, columns) planes, several times faster than (rows, columns, 2)
     corner pairs.
     """
-    xywh = as_xywh(boxes).T
+    xywh = xywh.T
     corners = np.empty(xywh.shape)
     corners[:2] = xywh[:2]
     np.add(xywh[:2], xywh[2:], out=corners[2:])
@@ -96,11 +65,10 @@ def _inter_union(ca: np.ndarray, cb: np.ndarray):
     return inter, size_a[0] * size_a[1] + size_b[0] * size_b[1] - inter
 
 
-def iou_matrix(a, b) -> np.ndarray:
-    """IoU of every box of `a` (rows) with every box of `b` (columns), in [0, 1].
+def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of every (x, y, w, h) row of `a` (rows) with every row of `b` (columns), in [0, 1].
 
-    Either side is a sequence of `BBox` or an (n, 4) array of their (x, y, w, h).
-    Touching edges count as disjoint; disjoint cells are exactly 0.
+    Each side is an (n, 4) float array. Touching edges count as disjoint; disjoint cells are exactly 0.
     """
     ca, cb = _corners(a), _corners(b)
     with np.errstate(over="ignore", invalid="ignore"):  # overflowed pairs are recomputed below
@@ -127,7 +95,7 @@ def ars(a, b):
     stay below pi/2.
     """
     if isinstance(a, BBox):
-        return float(ars(as_xywh([a]), as_xywh([b]))[0])
+        return float(ars(np.array([[a.x, a.y, a.w, a.h]], float), np.array([[b.x, b.y, b.w, b.h]], float))[0])
     with np.errstate(over="ignore"):  # a ratio beyond float64 is inf, whose atan is pi/2
         d = np.arctan(a[:, 2] / a[:, 3]) - np.arctan(b[:, 2] / b[:, 3])
     return 1.0 - (4.0 / math.pi**2) * d * d

@@ -46,12 +46,15 @@ def _parse_int(text: str, what: str) -> int:
     return int(v)
 
 
-def _numbered_rows(path):
-    """(line number, frame, id, box, confidence) for every non-blank line of a MOT-style CSV.
+def _numbered_rows(path, detections: bool):
+    """(frame, id, (x, y, w, h), confidence) of every non-blank line of a MOT-style CSV.
 
-    The one definition of a valid row; each reader leaves a file to it
-    whenever the file's array pass refuses one.
+    The one definition of a valid row, and of the reader's rule: conf in
+    [0, 1] for `detections`, else id >= 1 and no repeated (id, frame). Each
+    reader leaves a file to it whenever the file's array pass refuses one;
+    the first bad line raises, named by its line number.
     """
+    seen = set()
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
@@ -65,19 +68,27 @@ def _numbered_rows(path):
                 x, y, w, h, conf = (float(p) for p in parts[2:7])
                 if frame < 1:
                     raise ValueError(f"frame must be >= 1, got {frame}")
-                box = BBox(x, y, w, h)
+                BBox(x, y, w, h)  # raises for a refused box
+                if detections:
+                    if not 0.0 <= conf <= 1.0:
+                        raise ValueError(f"confidence out of range: {conf!r}")
+                elif track_id < 1:
+                    raise ValueError(f"trajectory id must be >= 1, got {track_id}")
+                elif (track_id, frame) in seen:
+                    raise ValueError(f"duplicate (id={track_id}, frame={frame})")
+                else:
+                    seen.add((track_id, frame))
             except ValueError as exc:
                 raise ValueError(f"line {line_no}: {exc}") from None
-            yield line_no, frame, track_id, box, conf
+            yield frame, track_id, (x, y, w, h), conf
 
 
 def _table(path, detections: bool) -> np.ndarray | None:
     """Fields frame..conf of each non-blank line as one `_ROW` record array, or None.
 
     One `np.loadtxt` parses the file, frame and id as int64 and the rest as
-    float64, then boolean passes run the checks of `_numbered_rows` and of
-    the reader (conf in [0, 1] for `detections`; else id >= 1 and no
-    repeated (id, frame)). loadtxt skips only empty lines, so an accepted
+    float64, then boolean passes run the checks of `_numbered_rows` (the
+    reader's rule included). loadtxt skips only empty lines, so an accepted
     table holds the non-blank lines in file order. None leaves the file to
     the line parser: it holds a bad value, a frame or id of 2**52 or more,
     a frame or id not spelled as a plain integer (`2.0`, `1e0`), or a line
@@ -112,6 +123,12 @@ def _table(path, detections: bool) -> np.ndarray | None:
     return table
 
 
+def _checked_table(path, detections: bool) -> np.ndarray:
+    """The checked `_ROW` table of a MOT-style CSV: the array pass's, or else the line parser's rows stacked."""
+    table = _table(path, detections)
+    return np.array(list(_numbered_rows(path, detections)), dtype=_ROW) if table is None else table
+
+
 def read_detections(path) -> dict[int, Frame]:
     """Detections as one `Frame` per frame; a detection's index is its position in its frame in file order.
 
@@ -119,14 +136,7 @@ def read_detections(path) -> dict[int, Frame]:
     sorted by frame once, stably, and each frame's arrays are views of the
     sorted table's, built into a `Frame` without checking them again.
     """
-    table = _table(path, detections=True)
-    if table is None:
-        rows = []
-        for line_no, frame, track_id, box, conf in _numbered_rows(path):
-            if not 0.0 <= conf <= 1.0:
-                raise ValueError(f"line {line_no}: confidence out of range: {conf!r}")
-            rows.append((frame, track_id, (box.x, box.y, box.w, box.h), conf))
-        table = np.array(rows, dtype=_ROW)
+    table = _checked_table(path, detections=True)
     if not len(table):
         return {}
     order = np.argsort(table["frame"], kind="stable")
@@ -145,18 +155,7 @@ def read_trajectories(path) -> np.ndarray:
     The checked table is the array pass's, or else one of the line parser's
     rows, which names the line of a bad id or of a repeated (id, frame).
     """
-    table = _table(path, detections=False)
-    if table is None:
-        rows, seen = [], set()
-        for line_no, frame, track_id, box, conf in _numbered_rows(path):
-            if track_id < 1:
-                raise ValueError(f"line {line_no}: trajectory id must be >= 1, got {track_id}")
-            if (track_id, frame) in seen:
-                raise ValueError(f"line {line_no}: duplicate (id={track_id}, frame={frame})")
-            seen.add((track_id, frame))
-            rows.append((frame, track_id, (box.x, box.y, box.w, box.h), conf))
-        table = np.array(rows, dtype=_ROW)
-    return trajectory_table(table)
+    return trajectory_table(_checked_table(path, detections=False))
 
 
 def write_results(path, output: TrackOutput) -> None:

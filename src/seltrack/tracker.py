@@ -23,7 +23,7 @@ import numpy as np
 from seltrack import appearance, assignment, gating, motion
 from seltrack.assignment import INFEASIBLE
 from seltrack.gating import GateConfig, SATURATED_COST
-from seltrack.geometry import BBox, as_bboxes, iou_matrix, refused_rows
+from seltrack.geometry import BBox, iou_matrix, refused_rows
 
 TENTATIVE = "tentative"
 CONFIRMED = "confirmed"
@@ -39,11 +39,11 @@ EMITS = (EMIT_KALMAN, EMIT_DETECTION)
 
 
 class Detection(NamedTuple):
-    """One detection of a `Frame`, as iterating the frame yields it; `index` is its row."""
+    """One detection of a `Frame`, as iterating the frame yields it; `index` is its row, `box` its (x, y, w, h)."""
 
     frame: int
     index: int
-    box: BBox
+    box: tuple[float, float, float, float]
     confidence: float
 
 
@@ -83,8 +83,8 @@ class Frame:
         return len(self.confidence)
 
     def __iter__(self):
-        """The `Detection` of each row, the boxes built by one `as_bboxes` call."""
-        return map(Detection, repeat(self.frame), count(), as_bboxes(self.xywh), self.confidence.tolist())
+        """The `Detection` of each row."""
+        return map(Detection, repeat(self.frame), count(), map(tuple, self.xywh.tolist()), self.confidence.tolist())
 
     def __repr__(self) -> str:
         return f"Frame(frame={self.frame!r}, detections={list(self)!r})"
@@ -174,17 +174,15 @@ class TrackTable:
     embedding: np.ndarray  # (n, d); d is 0 until the first feature
     has_embedding: np.ndarray
     effective_alpha: np.ndarray
-    hits: np.ndarray
+    hits: np.ndarray  # a row is confirmed from `MatchConfig.min_hits` hits on
     time_since_update: np.ndarray
-    confirmed: np.ndarray
 
     @classmethod
     def born(cls, ids: np.ndarray, kalman_block: np.ndarray, dim: int) -> TrackTable:
-        """Rows of new tracks: one hit, no embedding yet, not confirmed."""
+        """Rows of new tracks: one hit, no embedding yet."""
         zeros = np.zeros(len(ids), dtype=int)
-        no = zeros.astype(bool)
-        return cls(ids, kalman_block, embedding=np.zeros((len(ids), dim)), has_embedding=no,
-                   effective_alpha=zeros.astype(float), hits=zeros + 1, time_since_update=zeros, confirmed=no)
+        return cls(ids, kalman_block, embedding=np.zeros((len(ids), dim)), has_embedding=zeros.astype(bool),
+                   effective_alpha=zeros.astype(float), hits=zeros + 1, time_since_update=zeros)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -258,8 +256,8 @@ class SelectiveTracker:
     @property
     def tracks(self) -> list[TrackView]:
         """Each held track's id and status, in birth order."""
-        t = self.table
-        return [TrackView(i, CONFIRMED if c else TENTATIVE) for i, c in zip(t.ids.tolist(), t.confirmed.tolist())]
+        t, min_hits = self.table, self.match.min_hits
+        return [TrackView(i, CONFIRMED if h >= min_hits else TENTATIVE) for i, h in zip(t.ids.tolist(), t.hits.tolist())]
 
     # -- the frame step ----------------------------------------------------
 
@@ -299,8 +297,9 @@ class SelectiveTracker:
         kept = ~motion.degenerate(block, s)
         t = TrackTable(t.ids, block, embedding=t.embedding.copy(), has_embedding=t.has_embedding.copy(),
                        effective_alpha=t.effective_alpha.copy(), hits=t.hits.copy(),
-                       time_since_update=t.time_since_update + 1, confirmed=t.confirmed.copy()).keep(kept)
+                       time_since_update=t.time_since_update + 1).keep(kept)
         s = s[kept]
+        confirmed = t.hits >= m.min_hits  # the rows the gate and the cascade's first stage see
 
         # 2. confidence split; the selective mechanism sees only the high
         #    half. The frame's boxes are one array, the high rows first, each
@@ -324,7 +323,7 @@ class SelectiveTracker:
         ious = iou_matrix(boxes, xywh[:n_iou]) if n_iou else np.zeros((len(t), 0))
         high_iou = ious[:, :n_high]
         if n_high and self.gate.mode != gating.MODE_ALWAYS_EXTRACT:
-            gate_iou = high_iou if t.confirmed.all() else np.where(t.confirmed[:, None], high_iou, 0.0)
+            gate_iou = high_iou if confirmed.all() else np.where(confirmed[:, None], high_iou, 0.0)
             cand = gating.candidates(gate_iou, xywh[:n_high], boxes, self.gate)
         else:
             cand = np.full(n_high, -1)
@@ -357,7 +356,7 @@ class SelectiveTracker:
         iou_cost = np.where(ious >= m.iou_gate, 1.0 - ious, INFEASIBLE)
         high_cost = iou_cost[:, :n_high]
         if m.strategy == STRATEGY_CASCADE:
-            rows, js = assignment.solve(np.where(t.confirmed[:, None], app, INFEASIBLE), m.appearance_gate)
+            rows, js = assignment.solve(np.where(confirmed[:, None], app, INFEASIBLE), m.appearance_gate)
             left_rows, left_js = _left(len(t), rows), _left(n_high, js)
             if left_rows.any() and left_js.any():
                 left = left_rows[:, None] & left_js
@@ -392,7 +391,6 @@ class SelectiveTracker:
             ids = np.arange(self._next_id, self._next_id + len(born_js))
             block = motion.initiate(motion.measurements(xywh[born_js]))
             t = t.concat(TrackTable.born(ids, block, t.embedding.shape[1]))
-        np.greater_equal(t.hits, m.min_hits, out=t.confirmed)
 
         # each row's detection this frame (matched or born), -1 for none
         det_of = np.full(len(t), -1)
@@ -409,7 +407,7 @@ class SelectiveTracker:
 
         # the confirmed matched and newborn tracks emit; rows are in birth
         # order, so in increasing id order
-        shown = seen[t.confirmed[seen]]
+        shown = seen[t.hits[seen] >= m.min_hits]
         if m.emit == EMIT_DETECTION:
             shown_xywh = xywh[det_of[shown]]
         else:

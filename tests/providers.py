@@ -4,14 +4,18 @@ import struct
 
 import numpy as np
 
-from seltrack.geometry import as_xywh
 from seltrack.io import FEATURE_MAGIC, FEATURE_VERSION
 from seltrack.tracker import TRAJECTORY, Frame, trajectory_table
 
 
+def xywh(boxes) -> np.ndarray:
+    """The (n, 4) array of the (x, y, w, h) of a `BBox` list."""
+    return np.array([(b.x, b.y, b.w, b.h) for b in boxes], dtype=float).reshape(-1, 4)
+
+
 def frame(f, boxes, conf=0.9):
     """The `Frame` of `boxes` in frame f, detection k being boxes[k]; `conf` is one confidence, or one per box."""
-    return Frame(f, as_xywh(boxes), np.full(len(boxes), conf, dtype=float))
+    return Frame(f, xywh(boxes), np.full(len(boxes), conf, dtype=float))
 
 
 def batch(frame, indices, lookup):

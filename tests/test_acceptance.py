@@ -20,7 +20,7 @@ from seltrack.gating import (
     MODE_SELECTIVE,
     candidates,
 )
-from seltrack.geometry import BBox, ars, as_xywh, blended_alpha, iou_matrix
+from seltrack.geometry import BBox, ars, blended_alpha, iou_matrix
 from seltrack.io import (
     FeatureFileProvider,
     read_detections,
@@ -32,12 +32,13 @@ from seltrack.synth import PRESETS, generate_to_dir, preset
 from seltrack.tracker import MatchConfig, NullFeatureProvider, SelectiveTracker, TrackOutput, run_sequence
 
 from iou_reference import iou_reference
-from providers import DictProvider, frame, reference_read_features, table
+from providers import DictProvider, frame, reference_read_features, table, xywh
 
 
 def candidates_of(det_boxes, track_boxes, cfg):
     """`candidates` with its IoU matrix and box arrays built from the boxes."""
-    return candidates(iou_matrix(track_boxes, det_boxes), as_xywh(det_boxes), as_xywh(track_boxes), cfg)
+    tracks, dets = xywh(track_boxes), xywh(det_boxes)
+    return candidates(iou_matrix(tracks, dets), dets, tracks, cfg)
 
 
 def normalized(values) -> np.ndarray:
@@ -129,8 +130,8 @@ def test_c03_ars_iou_floor():
     # possible candidate is its own track, as in a separate 1 x 1 call
     block = 100
     for start in range(0, len(dets), block):
-        d, t = dets[start:start + block], tracks[start:start + block]
-        cand = candidates(np.diag(np.diag(iou_matrix(t, d))), as_xywh(d), as_xywh(t), cfg)
+        d, t = xywh(dets[start:start + block]), xywh(tracks[start:start + block])
+        cand = candidates(np.diag(np.diag(iou_matrix(t, d))), d, t, cfg)
         for c, a, b in zip(cand.tolist(), d, t):
             assert c == -1, (a, b)
     report(3, f"{len(dets)} low-overlap pairs all classified risky at theta_alpha=0.6")
@@ -373,7 +374,7 @@ def test_c10_io_round_trips(tmp_path):
         assert len(flat) == len(det_vals)
         for d, (frame, x, y, w, h, conf) in zip(flat, by_frame):
             assert d.frame == frame
-            assert (d.box.x, d.box.y, d.box.w, d.box.h) == (x, y, w, h)
+            assert d.box == (x, y, w, h)
             assert d.confidence == conf
     report(10, "500 randomized feature/result/detection round-trips exact")
 

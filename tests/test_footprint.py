@@ -1,7 +1,7 @@
-"""What a process loads: scipy only once a matrix conflicts.
+"""What a run builds and loads: no `BBox` below the public API, and scipy only once a matrix conflicts.
 
-Each test runs a fresh interpreter, since the test process itself has
-long since imported scipy.
+Each scipy test runs a fresh interpreter, since the test process itself
+has long since imported scipy.
 """
 
 import os
@@ -11,6 +11,11 @@ import textwrap
 from pathlib import Path
 
 import seltrack
+from seltrack import metrics
+from seltrack.geometry import BBox
+from seltrack.io import FeatureFileProvider, read_detections, read_trajectories, write_results
+from seltrack.synth import generate_to_dir, preset
+from seltrack.tracker import run_sequence
 
 # the directory this test process imports seltrack from
 PACKAGE_ROOT = str(Path(seltrack.__file__).resolve().parents[1])
@@ -67,3 +72,24 @@ def test_a_conflicting_matrix_loads_scipy_and_keeps_the_tie_break(tmp_path):
     """, tmp_path)
     # scipy's own optimum is [(0, 2), (1, 3), (2, 0), (3, 1)], of the same total
     assert out.splitlines() == ["[(0, 1), (1, 0), (2, 2), (3, 3)]", "loaded"]
+
+
+def test_a_run_from_files_to_metrics_builds_no_bbox(tmp_path, monkeypatch):
+    det, feat, gt = generate_to_dir(preset("crossing"), tmp_path)
+    checked = []
+
+    def counting(box, real=BBox.__post_init__):
+        checked.append(box)
+        real(box)
+
+    monkeypatch.setattr(BBox, "__post_init__", counting)
+    frames = read_detections(det)
+    # iterating the frames, as perfbench does to count high-confidence detections
+    detections = [d for f in frames.values() for d in f]
+    output, stats = run_sequence(frames, FeatureFileProvider(feat))
+    write_results(tmp_path / "pred.txt", output)
+    report = metrics.evaluate(read_trajectories(gt), read_trajectories(tmp_path / "pred.txt"), stats=stats)
+    assert detections and report.idf1 > 0.9
+    assert checked == [] and not any(isinstance(d.box, BBox) for d in detections)
+    BBox(0, 0, 1, 1)  # the counter sees a box built
+    assert len(checked) == 1

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seltrack.geometry import BBox, ars, as_xywh, blended_alpha, iou_matrix
+from seltrack.geometry import BBox, ars, blended_alpha, iou_matrix
 from seltrack.gating import (
     GateConfig,
     MODE_ALWAYS_EXTRACT,
@@ -10,11 +10,13 @@ from seltrack.gating import (
 )
 
 from iou_reference import iou_reference
+from providers import xywh
 
 
 def candidates_of(det_boxes, track_boxes, cfg):
     """`candidates` with its IoU matrix and box arrays built from the boxes."""
-    return candidates(iou_matrix(track_boxes, det_boxes), as_xywh(det_boxes), as_xywh(track_boxes), cfg)
+    tracks, dets = xywh(track_boxes), xywh(det_boxes)
+    return candidates(iou_matrix(tracks, dets), dets, tracks, cfg)
 
 
 def candidates_oracle(det_boxes, track_boxes, cfg):
@@ -81,7 +83,7 @@ class TestClassify:
         # so alpha ~ 0.83 clears the 0.6 threshold
         d = BBox(0, 0, 10, 8)
         t = BBox(0, 0, 10, 10)
-        assert iou_matrix([d], [t])[0, 0] == pytest.approx(0.8)
+        assert iou_matrix(xywh([d]), xywh([t]))[0, 0] == pytest.approx(0.8)
         assert candidates_of([d], [t], GateConfig(theta_iou=0.2, theta_alpha=0.6)).tolist() == [0]
 
     def test_two_candidates_is_risky(self):
@@ -89,7 +91,7 @@ class TestClassify:
         t1 = BBox(2, 0, 10, 10)  # iou 0.4 per pixel counting: 80/120 -> 2/3? see oracle
         t2 = BBox(0, 3, 10, 10)
         cfg = GateConfig(theta_iou=0.3, ars_enabled=False)
-        assert iou_matrix([d], [t1])[0, 0] > 0.3 and iou_matrix([d], [t2])[0, 0] > 0.3
+        assert iou_matrix(xywh([d]), xywh([t1, t2])).min() > 0.3
         assert candidates_of([d], [t1, t2], cfg).tolist() == [-1]
 
     def test_ars_gate_marks_shape_mismatch_risky(self):
@@ -189,6 +191,6 @@ class TestMonotonicity:
         dets = random_boxes(rng, 5)
         tracks = random_boxes(rng, 8)
 
-        ious = iou_matrix(tracks, dets)
+        ious = iou_matrix(xywh(tracks), xywh(dets))
         counts = [(ious > thr / 10).sum(axis=0) for thr in range(10)]
         assert all((a >= b).all() for a, b in zip(counts, counts[1:]))

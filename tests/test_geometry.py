@@ -1,13 +1,13 @@
 import math
-import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seltrack.geometry import BBox, ars, as_bboxes, as_xywh, blended_alpha, iou_matrix
+from seltrack.geometry import BBox, ars, blended_alpha, iou_matrix
 
 from iou_reference import iou_reference
+from providers import xywh
 
 
 def iou_pixel_oracle(a: BBox, b: BBox) -> float:
@@ -63,33 +63,9 @@ class TestBBox:
         assert (b.cx, b.cy) == (5, 10)
 
 
-class TestAsBboxes:
-    @given(st.lists(boxes, max_size=8))
-    def test_inverse_of_as_xywh(self, rows):
-        built = as_bboxes(as_xywh(rows))
-        assert built == [BBox(*row) for row in as_xywh(rows).tolist()] == rows
-        assert repr(built) == repr(rows)
-        assert all(type(b) is BBox and vars(b) == vars(r) for b, r in zip(built, rows))
-
-    def test_empty(self):
-        assert as_bboxes(np.zeros((0, 4))) == []
-
-    @pytest.mark.parametrize("bad", [
-        (math.nan, 0.0, 1.0, 1.0), (0.0, math.inf, 1.0, 1.0), (0.0, 0.0, -math.inf, 1.0),
-        (0.0, 0.0, 0.0, 1.0), (0.0, 0.0, 1.0, -2.0), (0.0, 0.0, -0.0, math.nan),
-    ])
-    def test_first_refused_row_raises_the_bbox_error(self, bad):
-        with pytest.raises(ValueError) as expected:
-            BBox(*bad)
-        # a later refused row of another kind does not change the message
-        rows = [(1.0, 2.0, 3.0, 4.0), bad, (0.0, 0.0, 0.0, -1.0), (math.nan, 0.0, 1.0, 1.0)]
-        with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
-            as_bboxes(np.array(rows))
-
-
 def iou(a: BBox, b: BBox) -> float:
     """The IoU of one pair: the one cell of its `iou_matrix`."""
-    return float(iou_matrix([a], [b])[0, 0])
+    return float(iou_matrix(xywh([a]), xywh([b]))[0, 0])
 
 
 class TestIou:
@@ -136,7 +112,7 @@ class TestIouMatrix:
     @settings(max_examples=300, deadline=None)
     @given(any_boxes, any_boxes)
     def test_equals_scalar_reference_exactly(self, rows, cols):
-        m = iou_matrix(rows, cols)
+        m = iou_matrix(xywh(rows), xywh(cols))
         assert m.shape == (len(rows), len(cols)) and m.dtype == np.float64
         for i, a in enumerate(rows):
             for j, b in enumerate(cols):
@@ -145,24 +121,24 @@ class TestIouMatrix:
     @given(st.lists(grid_boxes, min_size=1, max_size=5))
     def test_contained_and_shared_edge_boxes(self, rows):
         cols = [BBox(b.x, b.y, b.w / 2, b.h) for b in rows] + [BBox(b.x + b.w, b.y, 1, 1) for b in rows]
-        assert (iou_matrix(rows, cols) == [[iou_reference(a, b) for b in cols] for a in rows]).all()
+        assert (iou_matrix(xywh(rows), xywh(cols)) == [[iou_reference(a, b) for b in cols] for a in rows]).all()
 
     @pytest.mark.parametrize("n", [0, 1, 3])
     def test_empty_sides(self, n):
-        some = [BBox(k, 0, 2, 2) for k in range(n)]
-        assert iou_matrix([], some).shape == (0, n)
-        assert iou_matrix(some, []).shape == (n, 0)
+        some = xywh([BBox(k, 0, 2, 2) for k in range(n)])
+        assert iou_matrix(xywh([]), some).shape == (0, n)
+        assert iou_matrix(some, xywh([])).shape == (n, 0)
 
     def test_boxes_thinner_than_their_coordinate_spacing(self):
         # x + w rounds back to x: zero corner area, so IoU is 0, not 0/0
         thin = BBox(1e16, 0.0, 1e-3, 1.0)
-        assert iou_matrix([thin, thin], [thin]).tolist() == [[0.0], [0.0]]
+        assert iou_matrix(xywh([thin, thin]), xywh([thin])).tolist() == [[0.0], [0.0]]
         assert iou_reference(thin, thin) == 0.0
 
     def test_overflowing_areas_are_rescaled(self):
         # w * h overflows float64: the pair is recomputed at an exact power-of-two scale
         huge, half, small = BBox(0, 0, 1e250, 1e100), BBox(0, 0, 5e249, 1e100), BBox(0, 0, 10, 10)
-        m = iou_matrix([huge, small], [huge, half, small])
+        m = iou_matrix(xywh([huge, small]), xywh([huge, half, small]))
         np.testing.assert_allclose(m, [[1.0, 0.5, 0.0], [0.0, 0.0, 1.0]], rtol=1e-12, atol=0.0)
         assert m[0, 0] == 1.0
 
@@ -171,8 +147,8 @@ class TestIouMatrix:
            st.lists(st.one_of(grid_boxes, scaled_boxes, boxes, huge_boxes), max_size=8), st.data())
     def test_column_slice_equals_the_matrix_of_those_columns(self, rows, cols, data):
         picked = data.draw(st.lists(st.integers(0, len(cols) - 1), unique=True) if cols else st.just([]))
-        sub = iou_matrix(rows, [cols[j] for j in picked])
-        assert iou_matrix(rows, cols)[:, picked].tobytes() == sub.tobytes()
+        sub = iou_matrix(xywh(rows), xywh([cols[j] for j in picked]))
+        assert iou_matrix(xywh(rows), xywh(cols))[:, picked].tobytes() == sub.tobytes()
         for i, a in enumerate(rows):
             for k, j in enumerate(picked):
                 if a.w * a.h < 1e300 and cols[j].w * cols[j].h < 1e300:  # the reference has no rescale
@@ -181,16 +157,10 @@ class TestIouMatrix:
     def test_column_slice_of_overflowing_pairs(self):
         huge, half, small = BBox(0, 0, 1e250, 1e100), BBox(0, 0, 5e249, 1e100), BBox(0, 0, 10, 10)
         rows, cols = [huge, small], [small, half, huge, BBox(2, 2, 6, 6)]
-        full = iou_matrix(rows, cols)
+        full = iou_matrix(xywh(rows), xywh(cols))
         for picked in ([2, 1], [1], [3, 0], []):
-            assert full[:, picked].tobytes() == iou_matrix(rows, [cols[j] for j in picked]).tobytes()
+            assert full[:, picked].tobytes() == iou_matrix(xywh(rows), xywh([cols[j] for j in picked])).tobytes()
         assert full[1, 3] == iou_reference(small, cols[3])
-
-    @settings(max_examples=100, deadline=None)
-    @given(any_boxes, any_boxes)
-    def test_xywh_array_equals_boxes(self, rows, cols):
-        xywh = np.array([(b.x, b.y, b.w, b.h) for b in rows], dtype=float).reshape(-1, 4)
-        assert iou_matrix(xywh, cols).tobytes() == iou_matrix(rows, cols).tobytes()
 
 
 class TestArs:
@@ -219,7 +189,7 @@ class TestArs:
         v = ars(a, b)
         assert 0.0 < v <= 1.0
         assert v == ars(b, a)
-        stacked = ars(as_xywh([a, b]), as_xywh([b, a]))
+        stacked = ars(xywh([a, b]), xywh([b, a]))
         assert stacked.tobytes() == np.array([v, ars(b, a)]).tobytes()
 
 

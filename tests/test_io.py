@@ -8,7 +8,6 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from seltrack import io as mot_io
-from seltrack.geometry import BBox
 from seltrack.io import (
     FEATURE_MAGIC,
     FEATURE_VERSION,
@@ -32,7 +31,7 @@ class TestReadDetections:
         frames = read_detections(p)
         assert list(frames) == [1]
         (d,) = frames[1]
-        assert d.box == BBox(10, 20, 30, 40)
+        assert d.box == (10.0, 20.0, 30.0, 40.0)
         assert d.confidence == 0.9
         assert d.index == 0
 
@@ -73,7 +72,7 @@ class TestReadDetections:
             "2,-1,3,3,5,5,0.7,-1,-1,-1\n"
         )
         frames = read_detections(p)
-        assert [(d.index, d.box.x) for d in frames[2]] == [(0, 1.0), (1, 3.0)]
+        assert [(d.index, d.box[0]) for d in frames[2]] == [(0, 1.0), (1, 3.0)]
         assert list(frames) == [1, 2]
         assert frames[1].xywh.base is frames[2].xywh.base  # views of one array of the file
 
@@ -298,7 +297,7 @@ class TestArrayPass:
             assert mot_io._table(p, reader is read_detections) is not None
             assert read_outcome_text(reader, p) == read_outcome_text(reader, p, line_parser_only=True)
         frames = read_detections(p)
-        assert [(d.frame, d.index, d.box.x, d.confidence) for d in frames[1]] == [
+        assert [(d.frame, d.index, d.box[0], d.confidence) for d in frames[1]] == [
             (1, 0, 10.0, 0.9), (1, 1, 1.0, 0.0), (1, 2, -1e-320, 0.25)
         ]
 

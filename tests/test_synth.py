@@ -14,7 +14,7 @@ from seltrack.synth import (
 )
 from seltrack.appearance import cosine_costs
 
-from providers import reference_read_features
+from providers import reference_read_features, xywh
 
 
 def normalized(values) -> np.ndarray:
@@ -102,7 +102,7 @@ class TestCrossingScene:
         sc = crossing_scene()
         a = sc.targets[0].box_at(26)
         b = sc.targets[1].box_at(26)
-        assert iou_matrix([a], [b])[0, 0] > 0.5
+        assert iou_matrix(xywh([a]), xywh([b]))[0, 0] > 0.5
 
     def test_features_orthogonal(self):
         sc = crossing_scene()
@@ -114,7 +114,7 @@ class TestCrossingScene:
         sc = crossing_scene()
         small = sc.targets[1].box_at(29)
         big = sc.targets[0].box_at(29)
-        assert iou_matrix([small], [big])[0, 0] == 0.0
+        assert iou_matrix(xywh([small]), xywh([big]))[0, 0] == 0.0
 
 
 class TestPresets:
@@ -148,14 +148,14 @@ class TestPresets:
     def test_parade_lanes_never_overlap(self, tmp_path):
         sc = preset("parade")
         for frame in (1, 100, 200):
-            boxes = [b for _, b in sc.visible_boxes(frame)]
+            boxes = xywh([b for _, b in sc.visible_boxes(frame)])
             overlap = iou_matrix(boxes, boxes)
             assert (overlap[~np.eye(len(boxes), dtype=bool)] == 0.0).all()
 
     def test_grid_neighbours_overlap(self):
         sc = preset("grid")
-        boxes = [b for _, b in sc.visible_boxes(1)]
-        assert iou_matrix([boxes[0]], [boxes[1]])[0, 0] > 0.2
+        boxes = xywh([b for _, b in sc.visible_boxes(1)])
+        assert iou_matrix(boxes[:1], boxes[1:2])[0, 0] > 0.2
 
 
 class TestParserFuzz:

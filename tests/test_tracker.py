@@ -15,7 +15,7 @@ from seltrack.gating import (
     MODE_SELECTIVE,
     MODES,
 )
-from seltrack.geometry import BBox, as_xywh
+from seltrack.geometry import BBox
 from seltrack.io import FeatureFileProvider, read_detections
 from seltrack.metrics import evaluate, pde
 from seltrack.synth import crossing_scene, generate_to_dir, grid_scene, preset
@@ -77,6 +77,8 @@ def table_fields(tracker):
                 ("var_pos", motion.VAR_POS), ("cov", motion.COV), ("var_vel", motion.VAR_VEL)))
         else:
             out[f.name] = getattr(tracker.table, f.name).tolist()
+    # the column the table held before each status was derived from its hits
+    out["confirmed"] = (tracker.table.hits >= tracker.match.min_hits).tolist()
     return out
 
 
@@ -95,6 +97,15 @@ class TestFrame:
         ([[0, 0, 10, 10]], [0.9, 0.9], r"^expected \(n, 4\) boxes and \(n,\) confidences"),
         ([0, 0, 10, 10], [0.9], r"^expected \(n, 4\) boxes"),
         ([[0, 0, 10]], [0.9], r"^expected \(n, 4\) boxes"),
+        # a later refused row of another kind does not change the message
+        *[([[1, 2, 3, 4], bad, [0, 0, 0, -1], [np.nan, 0, 1, 1]], [0.9] * 4, message) for bad, message in [
+            ([np.nan, 0, 1, 1], r"^non-finite bbox field x=nan$"),
+            ([0, np.inf, 1, 1], r"^non-finite bbox field y=inf$"),
+            ([0, 0, -np.inf, 1], r"^non-finite bbox field w=-inf$"),
+            ([0, 0, 0, 1], r"^non-positive bbox size w=0\.0, h=1\.0$"),
+            ([0, 0, 1, -2], r"^non-positive bbox size w=1\.0, h=-2\.0$"),
+            ([0, 0, -0.0, np.nan], r"^non-finite bbox field h=nan$"),
+        ]],
     ])
     def test_refused_rows(self, xywh, confidence, message):
         with pytest.raises(ValueError, match=message):
@@ -107,10 +118,11 @@ class TestFrame:
     def test_iterates_detections_by_row(self):
         dets = Frame(3, [[1, 2, 3, 4], [5.5, 6, 7, 8]], [0.5, 1])
         assert len(dets) == 2
-        assert list(dets) == [Detection(3, 0, BBox(1, 2, 3, 4), 0.5), Detection(3, 1, BBox(5.5, 6, 7, 8), 1.0)]
+        assert list(dets) == [Detection(3, 0, (1.0, 2.0, 3.0, 4.0), 0.5), Detection(3, 1, (5.5, 6.0, 7.0, 8.0), 1.0)]
+        assert all(type(d.box) is tuple and all(type(v) is float for v in d.box) for d in dets)
         assert repr(dets) == (
-            "Frame(frame=3, detections=[Detection(frame=3, index=0, box=BBox(x=1.0, y=2.0, w=3.0, h=4.0), confidence=0.5),"
-            " Detection(frame=3, index=1, box=BBox(x=5.5, y=6.0, w=7.0, h=8.0), confidence=1.0)])"
+            "Frame(frame=3, detections=[Detection(frame=3, index=0, box=(1.0, 2.0, 3.0, 4.0), confidence=0.5),"
+            " Detection(frame=3, index=1, box=(5.5, 6.0, 7.0, 8.0), confidence=1.0)])"
         )
 
 
@@ -350,7 +362,7 @@ class TestStackedCalls:
         calls = []
 
         def counting(*args, real=tracker_module.iou_matrix):
-            calls.append(len(as_xywh(args[1])))
+            calls.append(len(args[1]))
             return real(*args)
 
         monkeypatch.setattr(tracker_module, "iou_matrix", counting)
@@ -466,7 +478,7 @@ class TestNoHighDetection:
         columns, gate_calls = [], []
 
         def recording_iou(tracks, dets, real=tracker_module.iou_matrix):
-            columns.append(len(as_xywh(dets)))
+            columns.append(len(dets))
             return real(tracks, dets)
 
         def counting_candidates(*args, real=gating.candidates):
