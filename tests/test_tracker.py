@@ -125,6 +125,20 @@ class TestFrame:
             " Detection(frame=3, index=1, box=(5.5, 6.0, 7.0, 8.0), confidence=1.0)])"
         )
 
+    def test_empty_frame_iterates_nothing(self):
+        dets = Frame(3, np.zeros((0, 4)), np.zeros(0))
+        assert len(dets) == 0 and list(dets) == []
+        assert repr(dets) == "Frame(frame=3, detections=[])"
+
+    @given(st.lists(st.tuples(*[st.floats(-1e4, 1e4, allow_nan=False)] * 2, *[st.floats(0.1, 1e4)] * 2), max_size=8),
+           st.floats(0.0, 1.0))
+    def test_iterated_boxes_rebuild_the_frame(self, rows, conf):
+        dets = Frame(2, np.array(rows, dtype=float).reshape(-1, 4), np.full(len(rows), conf))
+        assert [d.box for d in dets] == rows
+        assert [(d.frame, d.index, d.confidence) for d in dets] == [(2, k, conf) for k in range(len(rows))]
+        again = Frame(2, np.array([d.box for d in dets], dtype=float).reshape(-1, 4), [d.confidence for d in dets])
+        assert again.xywh.tobytes() == dets.xywh.tobytes() and repr(again) == repr(dets)
+
 
 class TestStep:
     def test_empty_frame_ages_tracks(self):
