@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Per-frame timing of `SelectiveTracker.step`, or load timing, on the benchmark's workloads.
+"""Per-frame timing of `SelectiveTracker.step`, or load or evaluation timing, on the benchmark's workloads.
 
 Generates each seeded workload of `perfbench/workloads.py` into a temporary
 directory, loads it through `seltrack.io` and steps fresh trackers over it
@@ -27,6 +27,13 @@ own each side's fastest `read_detections` and fastest provider build, so a
 change to one of them shows on its own:
 
     PYTHONPATH=src python scripts/bench_frame.py --setup --against ../parent --passes 60
+
+`--eval` times `metrics.evaluate` instead: each side scores the ground
+truth against its own tracker's selective results, with the run's stats,
+the sides alternating call by call, and the table gives each side's
+fastest call in milliseconds and whether the two reports are identical:
+
+    PYTHONPATH=src python scripts/bench_frame.py --eval --against ../parent --passes 60
 """
 
 from __future__ import annotations
@@ -50,7 +57,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from seltrack import gating, io, tracker
+from seltrack import gating, io, metrics, tracker
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import measure  # noqa: E402
@@ -64,7 +71,7 @@ def _package_modules() -> dict:
 
 
 def load_against(root: Path) -> SimpleNamespace:
-    """The `gating`, `io` and `tracker` modules of the checkout at `root`, kept apart from this one's.
+    """The `gating`, `io`, `metrics` and `tracker` modules of the checkout at `root`, kept apart from this one's.
 
     The checkout's package is imported under its own name while this one's
     modules are out of `sys.modules`, which then get their entries back;
@@ -75,7 +82,7 @@ def load_against(root: Path) -> SimpleNamespace:
         del sys.modules[name]
     sys.path.insert(0, str(root / "src"))
     try:
-        names = ("gating", "io", "tracker")
+        names = ("gating", "io", "metrics", "tracker")
         return SimpleNamespace(**{name: importlib.import_module(f"seltrack.{name}") for name in names})
     finally:
         sys.path.remove(str(root / "src"))
@@ -147,24 +154,53 @@ def fastest_loads(sides: list, workload, passes: int) -> list[dict[str, float]]:
     return best
 
 
+def fastest_evaluates(sides: list, workload, passes: int) -> tuple[list[float], list[tuple]]:
+    """Each side's fastest `metrics.evaluate` of its selective results in ms, and its report's fields.
+
+    Each side tracks the workload in selective mode once and scores that
+    output against the ground truth it reads itself; which side is timed
+    first alternates pass by pass.
+    """
+    inputs = []
+    for modules in sides:
+        gate = modules.gating.GateConfig(mode=gating.MODE_SELECTIVE)
+        match = modules.tracker.MatchConfig(**dataclasses.asdict(workload.match))
+        provider = modules.io.FeatureFileProvider(workload.features)
+        output, stats = modules.tracker.run_sequence(modules.io.read_detections(workload.det), provider, gate, match)
+        inputs.append((modules.io.read_trajectories(workload.gt), output.trajectories(), stats))
+    best, reports = [math.inf] * len(sides), [None] * len(sides)
+    for n in range(passes):
+        for k in range(len(sides))[:: 1 if n % 2 == 0 else -1]:
+            gt, pred, stats = inputs[k]
+            gc.collect()
+            measure.pin_fastest_cpu()
+            started = perf_counter()
+            report = sides[k].metrics.evaluate(gt, pred, stats=stats)
+            best[k] = min(best[k], 1e3 * (perf_counter() - started))
+            reports[k] = dataclasses.astuple(report)
+    return best, reports
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", default="all", choices=workloads.NAMES + ("all",))
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--passes", type=int, default=24,
-                    help="passes per side, workload and mode (with --setup, loads per side and workload)")
+                    help="passes per side, workload and mode (with --setup or --eval, calls per side and workload)")
     ap.add_argument("--against", type=Path, help="another checkout to time alongside this one")
-    ap.add_argument("--setup", action="store_true", help="time the loads of the inputs, not the frames")
+    timed = ap.add_mutually_exclusive_group()
+    timed.add_argument("--setup", action="store_true", help="time the loads of the inputs, not the frames")
+    timed.add_argument("--eval", action="store_true", help="time metrics.evaluate of the results, not the frames")
     args = ap.parse_args(argv)
 
-    sides = {"this": SimpleNamespace(gating=gating, io=io, tracker=tracker)}
+    sides = {"this": SimpleNamespace(gating=gating, io=io, metrics=metrics, tracker=tracker)}
     if args.against is not None:
         sides["against"] = load_against(args.against.resolve())
     names = workloads.NAMES if args.workload == "all" else (args.workload,)
 
     cpus = os.sched_getaffinity(0)  # `pin_fastest_cpu` narrows it
     header = f"{'workload':8} {'mode':15}" + "".join(f" {name + ' ms':>10}" for name in sides)
-    columns = f" {'change':>8}" + ("" if args.setup else f" {'rows':>9}")
+    columns = f" {'change':>8}" + ("" if args.setup else f" {'report' if args.eval else 'rows':>9}")
     print(header + (columns if len(sides) > 1 else ""))
     try:
         with tempfile.TemporaryDirectory() as tmp:
@@ -176,6 +212,14 @@ def main(argv=None) -> int:
                         ms = [side[part] for side in best]
                         line = f"{name:8} {part:15}" + "".join(f" {v:>10.3f}" for v in ms)
                         print(line + (f" {100.0 * (ms[0] / ms[1] - 1.0):>+7.1f}%" if len(ms) > 1 else ""), flush=True)
+                    continue
+                if args.eval:
+                    ms, reports = fastest_evaluates(list(sides.values()), workload, args.passes)
+                    line = f"{name:8} {'evaluate':15}" + "".join(f" {v:>10.3f}" for v in ms)
+                    if len(ms) > 1:
+                        same = all(r == reports[0] for r in reports)
+                        line += f" {100.0 * (ms[0] / ms[1] - 1.0):>+7.1f}% {'identical' if same else 'DIFFER':>9}"
+                    print(line, flush=True)
                     continue
                 loaded = [Side(modules, workload) for modules in sides.values()]
                 for n in range(args.passes):

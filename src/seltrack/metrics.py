@@ -1,11 +1,14 @@
-"""Evaluation: extraction percentage (PDE), IDF1, and ID switches.
+"""Evaluation: extraction percentage (PDE), IDF1, and ID switches, all from `evaluate`.
 
 Trajectories are `tracker.TRAJECTORY` tables, sorted by frame, then id.
-IDF1 follows the standard identity-measure construction: count, for every
-(gt id, predicted id) pair, the frames where both are present with box
-overlap above the matching threshold, find the identity bijection that
-maximizes the total, and score the harmonic mean of identity precision
-and recall. PDE is the share of high-confidence detections whose features
+`evaluate` walks the frames both tables have once and builds each frame's
+IoU matrix once. IDF1 follows the standard identity-measure construction:
+count, for every (gt id, predicted id) pair, the frames where both are
+present with box overlap above the matching threshold, find the identity
+bijection that maximizes the total, and score the harmonic mean of
+identity precision and recall. ID switches count the frames where a gt
+identity's matched prediction id changes, over each frame's gated
+matching. PDE is the share of high-confidence detections whose features
 were actually extracted.
 """
 
@@ -62,12 +65,6 @@ def pde(stats: RunStats) -> float | None:
     return 100.0 * stats.fetches / stats.high_detections
 
 
-def _check_iou_match(iou_match: float) -> None:
-    """The matching threshold is an IoU, so it must lie in [0, 1] (NaN does not)."""
-    if not 0.0 <= iou_match <= 1.0:
-        raise ValueError(f"iou_match must be in [0, 1], got {iou_match!r}")
-
-
 def _by_frame(table: np.ndarray) -> tuple[int, dict[int, tuple[np.ndarray, np.ndarray]]]:
     """The number of distinct ids, and per frame the positions of its ids among them (sorted) and its boxes."""
     ids, positions = np.unique(table["id"], return_inverse=True)
@@ -80,31 +77,28 @@ def _by_frame(table: np.ndarray) -> tuple[int, dict[int, tuple[np.ndarray, np.nd
     }
 
 
-def _frame_ious(gt_frames: dict, pred_frames: dict):
-    """(gt positions, pred positions, their IoU matrix) for each frame both have, in order."""
-    for frame in sorted(gt_frames.keys() & pred_frames.keys()):
-        (rows, gt_boxes), (cols, pred_boxes) = gt_frames[frame], pred_frames[frame]
-        yield rows, cols, iou_matrix(gt_boxes, pred_boxes)
-
-
-def _overlap_counts(gt: np.ndarray, pred: np.ndarray, iou_match: float) -> np.ndarray:
-    """Frames of above-threshold co-occurrence for every (gt id, pred id), ids sorted."""
-    (n_gt, gt_frames), (n_pred, pred_frames) = _by_frame(gt), _by_frame(pred)
-    counts = np.zeros((n_gt, n_pred), dtype=int)
-    for rows, cols, ious in _frame_ious(gt_frames, pred_frames):
-        counts[np.ix_(rows, cols)] += ious >= iou_match
-    return counts
-
-
-def idf1(gt: np.ndarray, pred: np.ndarray, iou_match: float = 0.5) -> EvalReport:
-    """Identity F1 over the best global gt-to-prediction id mapping."""
-    _check_iou_match(iou_match)
+def _identity(gt: np.ndarray, pred: np.ndarray, iou_match: float) -> EvalReport:
+    """IDF1 fields and ID switches, from one IoU matrix per frame both tables have."""
     n_gt, n_pred = len(gt), len(pred)
     if n_gt == 0 and n_pred == 0:
         return EvalReport(None, 1.0, 0, 0, 0, 0)
     if n_gt == 0 or n_pred == 0:
         return EvalReport(None, 0.0, 0, 0, n_pred, n_gt)
-    counts = _overlap_counts(gt, pred, iou_match)
+    (n_gt_ids, gt_frames), (n_pred_ids, pred_frames) = _by_frame(gt), _by_frame(pred)
+    counts = np.zeros((n_gt_ids, n_pred_ids), dtype=int)
+    last_match: dict[int, int] = {}
+    switches = 0
+    for frame in sorted(gt_frames.keys() & pred_frames.keys()):
+        (gt_pos, gt_boxes), (pred_pos, pred_boxes) = gt_frames[frame], pred_frames[frame]
+        ious = iou_matrix(gt_boxes, pred_boxes)
+        above = ious >= iou_match
+        counts[np.ix_(gt_pos, pred_pos)] += above
+        # the frame's matches: a gt identity whose matched prediction id changes switches
+        rows, cols = assignment.solve(np.where(above, 1.0 - ious, np.inf), gate=1.0 - iou_match)
+        for g, p in zip(gt_pos[rows].tolist(), pred_pos[cols].tolist()):
+            if last_match.get(g, p) != p:
+                switches += 1
+            last_match[g] = p
     if assignment.conflict_free(counts > 0):
         idtp = int(counts.sum())  # every count is in the optimal mapping
     else:
@@ -114,22 +108,7 @@ def idf1(gt: np.ndarray, pred: np.ndarray, iou_match: float = 0.5) -> EvalReport
     idfp = n_pred - idtp
     idfn = n_gt - idtp
     score = 2.0 * idtp / (2.0 * idtp + idfp + idfn)
-    return EvalReport(None, score, 0, idtp, idfp, idfn)
-
-
-def id_switches(gt: np.ndarray, pred: np.ndarray, iou_match: float = 0.5) -> int:
-    """Frames where a gt identity's matched prediction id changes."""
-    _check_iou_match(iou_match)
-    last_match: dict[int, int] = {}
-    switches = 0
-    for gt_pos, pred_pos, ious in _frame_ious(_by_frame(gt)[1], _by_frame(pred)[1]):
-        cost = np.where(ious >= iou_match, 1.0 - ious, np.inf)
-        rows, cols = assignment.solve(cost, gate=1.0 - iou_match)
-        for g, p in zip(gt_pos[rows].tolist(), pred_pos[cols].tolist()):
-            if g in last_match and last_match[g] != p:
-                switches += 1
-            last_match[g] = p
-    return switches
+    return EvalReport(None, score, switches, idtp, idfp, idfn)
 
 
 def evaluate(
@@ -139,8 +118,9 @@ def evaluate(
     stats: RunStats | None = None,
 ) -> EvalReport:
     """Full report: IDF1 fields, switch count, and PDE when stats are given."""
-    report = idf1(gt, pred, iou_match)
-    report.id_switches = id_switches(gt, pred, iou_match)
+    if not 0.0 <= iou_match <= 1.0:  # the matching threshold is an IoU; NaN fails too
+        raise ValueError(f"iou_match must be in [0, 1], got {iou_match!r}")
+    report = _identity(gt, pred, iou_match)
     if stats is not None:
         report.pde = pde(stats)
         report.fetches = stats.fetches

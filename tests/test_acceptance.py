@@ -294,7 +294,7 @@ def test_c09_idf1_matches_bijection_search():
             return out
 
         gt, pred = traj(), traj()
-        rep = metrics.idf1(table(gt), table(pred))
+        rep = metrics.evaluate(table(gt), table(pred))
         best = idf1_oracle(gt, pred)
         assert rep.idtp == best
         n_gt = sum(len(t) for t in gt.values())

@@ -17,7 +17,7 @@ from seltrack.io import (
     write_features,
     write_results,
 )
-from seltrack.metrics import id_switches
+from seltrack.metrics import evaluate
 from seltrack.synth import generate_to_dir, preset
 from seltrack.tracker import EMIT_DETECTION, TRAJECTORY, MatchConfig, TrackOutput, run_sequence
 
@@ -103,7 +103,7 @@ class TestTrajectories:
         with line_parser if line_parser_only else contextlib.nullcontext():
             gt, listed, ordered = (read_trajectories(p) for p in paths)
         assert rows_of(listed) == rows_of(ordered)
-        assert id_switches(gt, listed) == id_switches(gt, ordered) == 0
+        assert evaluate(gt, listed).id_switches == evaluate(gt, ordered).id_switches == 0
 
     def test_rejects_non_positive_id(self, tmp_path):
         p = tmp_path / "gt.txt"

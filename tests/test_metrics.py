@@ -7,9 +7,9 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 from scipy.optimize import linear_sum_assignment
 
-from seltrack import assignment
-from seltrack.geometry import BBox
-from seltrack.metrics import EvalReport, evaluate, id_switches, idf1, pde
+from seltrack import assignment, metrics
+from seltrack.geometry import BBox, iou_matrix
+from seltrack.metrics import EvalReport, evaluate, pde
 from seltrack.tracker import RunStats
 
 from iou_reference import iou_reference
@@ -55,7 +55,7 @@ class TestIdf1:
     def test_perfect_tracking(self):
         gt = {1: {f: box(f) for f in range(1, 11)}}
         pred = {7: {f: box(f) for f in range(1, 11)}}
-        r = idf1(table(gt), table(pred))
+        r = evaluate(table(gt), table(pred))
         assert r.idf1 == 1.0 and r.idtp == 10 and r.idfp == 0 and r.idfn == 0
 
     def test_six_four_split(self):
@@ -64,27 +64,28 @@ class TestIdf1:
             1: {f: box(f) for f in range(1, 7)},
             2: {f: box(f) for f in range(7, 11)},
         }
-        r = idf1(table(gt), table(pred))
+        r = evaluate(table(gt), table(pred))
         assert (r.idtp, r.idfp, r.idfn) == (6, 4, 4)
         assert r.idf1 == pytest.approx(0.6)
 
     def test_both_empty(self):
-        assert idf1(table({}), table({})).idf1 == 1.0
+        r = evaluate(table({}), table({}))
+        assert r.idf1 == 1.0 and r.id_switches == 0
 
     def test_one_side_empty(self):
         gt = {1: {1: box(0)}}
-        assert idf1(table(gt), table({})).idf1 == 0.0
-        assert idf1(table({}), table(gt)).idf1 == 0.0
+        for r in (evaluate(table(gt), table({})), evaluate(table({}), table(gt))):
+            assert r.idf1 == 0.0 and r.id_switches == 0
 
     def test_symmetric_for_perfect_match(self):
         gt = {1: {f: box(f) for f in range(1, 6)}, 2: {f: box(f, 50) for f in range(1, 6)}}
         pred = {9: {f: box(f) for f in range(1, 6)}, 8: {f: box(f, 50) for f in range(1, 6)}}
-        assert idf1(table(gt), table(pred)).idf1 == idf1(table(pred), table(gt)).idf1 == 1.0
+        assert evaluate(table(gt), table(pred)).idf1 == evaluate(table(pred), table(gt)).idf1 == 1.0
 
     def test_overlap_below_threshold_does_not_count(self):
         gt = {1: {1: box(0)}}
         pred = {1: {1: box(8)}}  # iou = 2/18 < 0.5
-        r = idf1(table(gt), table(pred))
+        r = evaluate(table(gt), table(pred))
         assert r.idtp == 0 and r.idf1 == 0.0
 
     def test_agrees_with_bijection_search_on_random_instances(self):
@@ -101,7 +102,7 @@ class TestIdf1:
                 return out
 
             gt, pred = random_traj(), random_traj()
-            r = idf1(table(gt), table(pred))
+            r = evaluate(table(gt), table(pred))
             assert r.idtp == idtp_brute_force(gt, pred)
             n_gt = sum(len(t) for t in gt.values())
             n_pred = sum(len(t) for t in pred.values())
@@ -143,7 +144,7 @@ class TestIdf1Solve:
     @example(np.array([[3, 2], [2, 0]]))  # a row and a column with two counts
     def test_idtp_is_the_optimal_total(self, counts):
         rows, cols = linear_sum_assignment(counts, maximize=True)
-        r = idf1(*trajectories_of(counts))
+        r = evaluate(*trajectories_of(counts))
         assert r.idtp == counts[rows, cols].sum()
         assert (r.idfp, r.idfn) == (counts.sum() + counts.shape[1] - r.idtp,
                                     counts.sum() + counts.shape[0] - r.idtp)
@@ -156,7 +157,7 @@ class TestIdf1Solve:
         gt, pred = trajectories_of(counts)
         with mock.patch.object(assignment, "linear_sum_assignment",
                                wraps=assignment.linear_sum_assignment) as lsa:
-            idf1(gt, pred)
+            evaluate(gt, pred)
         assert lsa.call_count == (1 if conflicting(counts) else 0)
 
 
@@ -164,7 +165,7 @@ class TestIdSwitches:
     def test_perfect_tracking_has_none(self):
         gt = {1: {f: box(f) for f in range(1, 11)}}
         pred = {3: {f: box(f) for f in range(1, 11)}}
-        assert id_switches(table(gt), table(pred)) == 0
+        assert evaluate(table(gt), table(pred)).id_switches == 0
 
     def test_six_four_split_switches_once(self):
         gt = {1: {f: box(f) for f in range(1, 11)}}
@@ -172,7 +173,7 @@ class TestIdSwitches:
             1: {f: box(f) for f in range(1, 7)},
             2: {f: box(f) for f in range(7, 11)},
         }
-        assert id_switches(table(gt), table(pred)) == 1
+        assert evaluate(table(gt), table(pred)).id_switches == 1
 
     def test_simultaneous_swap_counts_twice(self):
         # two targets swap predicted ids at frame 6
@@ -184,30 +185,43 @@ class TestIdSwitches:
             1: {f: box(f, 0) for f in range(1, 6)} | {f: box(f, 50) for f in range(6, 11)},
             2: {f: box(f, 50) for f in range(1, 6)} | {f: box(f, 0) for f in range(6, 11)},
         }
-        assert id_switches(table(gt), table(pred)) == 2
+        assert evaluate(table(gt), table(pred)).id_switches == 2
 
     def test_gap_without_change_is_not_a_switch(self):
         gt = {1: {f: box(f) for f in range(1, 11)}}
         pred = {4: {f: box(f) for f in range(1, 11) if f != 5}}
-        assert id_switches(table(gt), table(pred)) == 0
+        assert evaluate(table(gt), table(pred)).id_switches == 0
 
 
 class TestIouMatchRange:
     @pytest.mark.parametrize("iou_match", [-0.1, 1.5, float("nan")])
-    @pytest.mark.parametrize("metric", [idf1, id_switches, evaluate])
-    def test_outside_zero_one_is_an_error(self, metric, iou_match):
+    def test_outside_zero_one_is_an_error(self, iou_match):
         gt = {1: {1: box(0)}}
         with pytest.raises(ValueError, match=r"iou_match must be in \[0, 1\]"):
-            metric(table(gt), table(gt), iou_match=iou_match)
+            evaluate(table(gt), table(gt), iou_match=iou_match)
 
     @pytest.mark.parametrize("iou_match", [0.0, 1.0])
     def test_bounds_are_valid(self, iou_match):
         gt = {1: {1: box(0), 2: box(1)}}
-        assert idf1(table(gt), table(gt), iou_match).idf1 == 1.0
-        assert id_switches(table(gt), table(gt), iou_match) == 0
+        r = evaluate(table(gt), table(gt), iou_match)
+        assert r.idf1 == 1.0 and r.id_switches == 0
 
 
 class TestEvaluate:
+    def test_one_iou_matrix_per_shared_frame(self, monkeypatch):
+        calls = []
+
+        def counting(gt_boxes, pred_boxes):
+            calls.append((len(gt_boxes), len(pred_boxes)))
+            return iou_matrix(gt_boxes, pred_boxes)
+
+        monkeypatch.setattr(metrics, "iou_matrix", counting)
+        gt = {1: {f: box(f) for f in range(1, 4)}}
+        pred = {1: {f: box(f) for f in range(2, 5)}}
+        r = evaluate(table(gt), table(pred))
+        assert calls == [(1, 1), (1, 1)]  # frames 2 and 3
+        assert (r.idtp, r.idfp, r.idfn, r.id_switches) == (2, 1, 1, 0)
+
     def test_combines_fields(self):
         gt = {1: {f: box(f) for f in range(1, 11)}}
         pred = {
