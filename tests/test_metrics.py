@@ -195,10 +195,14 @@ class TestIdSwitches:
 
 class TestIouMatchRange:
     @pytest.mark.parametrize("iou_match", [-0.1, 1.5, float("nan")])
-    def test_outside_zero_one_is_an_error(self, iou_match):
-        gt = {1: {1: box(0)}}
+    # the check comes before the early returns for empty tables
+    @pytest.mark.parametrize("sides", ["both", "gt_only", "pred_only", "neither"])
+    def test_outside_zero_one_is_an_error(self, sides, iou_match):
+        one = {1: {1: box(0)}}
+        gt = one if sides in ("both", "gt_only") else {}
+        pred = one if sides in ("both", "pred_only") else {}
         with pytest.raises(ValueError, match=r"iou_match must be in \[0, 1\]"):
-            evaluate(table(gt), table(gt), iou_match=iou_match)
+            evaluate(table(gt), table(pred), iou_match=iou_match)
 
     @pytest.mark.parametrize("iou_match", [0.0, 1.0])
     def test_bounds_are_valid(self, iou_match):
