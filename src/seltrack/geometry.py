@@ -70,17 +70,19 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Each side is an (n, 4) float array. Touching edges count as disjoint; disjoint cells are exactly 0.
     """
-    ca, cb = _corners(a), _corners(b)
     with np.errstate(over="ignore", invalid="ignore"):  # overflowed pairs are recomputed below
+        ca, cb = _corners(a), _corners(b)
         inter, union = _inter_union(ca[:, :, None], cb[:, None, :])
     overflowed = ~np.isfinite(union)
     if overflowed.any():
-        # an area beyond float64: IoU is scale-free, so recompute the pair
-        # with both boxes scaled by one exact power of two below unit size
+        # an edge (x + w) or an area beyond float64: IoU is scale-free, so
+        # rebuild the pair's corners with both boxes scaled by one exact
+        # power of two below unit size
         rows, cols = np.nonzero(overflowed)
-        pa, pb = ca[:, rows], cb[:, cols]
-        _, exp = np.frexp(np.maximum(np.abs(pa).max(axis=0), np.abs(pb).max(axis=0)))
-        inter[overflowed], union[overflowed] = _inter_union(np.ldexp(pa, -exp), np.ldexp(pb, -exp))
+        pa, pb = a[rows], b[cols]
+        _, exp = np.frexp(np.maximum(np.abs(pa).max(axis=1), np.abs(pb).max(axis=1)))
+        exp = exp[:, None]
+        inter[overflowed], union[overflowed] = _inter_union(_corners(np.ldexp(pa, -exp)), _corners(np.ldexp(pb, -exp)))
     # only overlapping cells are divided: the others are exactly 0, also for
     # two boxes narrower than their coordinates' spacing (zero corner area)
     return np.divide(inter, union, out=np.zeros_like(inter), where=inter > 0)

@@ -253,11 +253,38 @@ def grid_scene(seed: int = 4, side: int = 3, frames: int = 60) -> Scenario:
     return Scenario(seed=seed, frames=frames, targets=targets, box_noise=0.2, feature_noise=0.03)
 
 
+def receding_scene(seed: int = 5, n_targets: int = 4, frames: int = 90) -> Scenario:
+    """Targets walk away towards a vanishing point and are lost while small.
+
+    Target i is seen from frame 1 + 10 i for 40 frames, shrinking at a steady
+    rate from 48x120 to 9.6x24 px as it recedes, with a fixed aspect. Its
+    track's coasting prediction keeps shrinking after the last detection, so
+    the predicted height reaches 0 within about ten frames and the track ends
+    as degenerate, long before `MatchConfig.max_age` misses would end it.
+    """
+    dim = max(n_targets, 2)
+    targets = []
+    for i in range(n_targets):
+        first = 1 + 10 * i
+        cx = 100.0 + 600.0 * i / max(n_targets - 1, 1)
+        targets.append(
+            Target(
+                feature_dir=_basis(dim, i),
+                keyframes=[
+                    (first, center_box(cx, 480, 48, 120)),
+                    (first + 39, center_box(400 + (cx - 400) / 5, 200, 9.6, 24)),
+                ],
+            )
+        )
+    return Scenario(seed=seed, frames=frames, targets=targets, box_noise=0.3, feature_noise=0.03)
+
+
 PRESETS = {
     "crossing": crossing_scene,
     "parade": parade_scene,
     "enter_exit": enter_exit_scene,
     "grid": grid_scene,
+    "receding": receding_scene,
 }
 
 

@@ -154,6 +154,14 @@ class TestIouMatrix:
                 if a.w * a.h < 1e300 and cols[j].w * cols[j].h < 1e300:  # the reference has no rescale
                     assert sub[i, k] == iou_reference(a, cols[j]), (a, cols[j])
 
+    def test_overflowing_edges_are_rescaled(self):
+        # x + w overflows float64 although every field is finite: the pair's
+        # corners are rebuilt at an exact power-of-two scale, with no warning
+        edge, shifted, small = BBox(1e308, 0, 1e308, 10), BBox(1.5e308, 0, 1e308, 10), BBox(0, 0, 10, 10)
+        m = iou_matrix(xywh([edge, small]), xywh([edge, shifted, small]))
+        np.testing.assert_allclose(m, [[1.0, 1 / 3, 0.0], [0.0, 0.0, 1.0]], rtol=1e-12, atol=0.0)
+        assert m[0, 0] == 1.0 and m[1, 2] == 1.0
+
     def test_column_slice_of_overflowing_pairs(self):
         huge, half, small = BBox(0, 0, 1e250, 1e100), BBox(0, 0, 5e249, 1e100), BBox(0, 0, 10, 10)
         rows, cols = [huge, small], [small, half, huge, BBox(2, 2, 6, 6)]

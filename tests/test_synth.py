@@ -119,7 +119,7 @@ class TestCrossingScene:
 
 class TestPresets:
     def test_catalog_names(self):
-        assert set(PRESETS) == {"crossing", "parade", "enter_exit", "grid"}
+        assert set(PRESETS) == {"crossing", "parade", "enter_exit", "grid", "receding"}
 
     def test_unknown_preset(self):
         with pytest.raises(ValueError, match="unknown preset"):

@@ -294,6 +294,36 @@ class TestBoundedState:
         assert tracker.tracks == []
         assert tracker.last_frame == 79
 
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("strategy", [STRATEGY_CASCADE, STRATEGY_FUSED])
+    def test_receding_preset_drops_coasting_tracks_as_degenerate(self, strategy, mode, tmp_path):
+        # each target of the scene is lost while it shrinks; its track must end
+        # at its degenerate prediction, not after max_age misses
+        det_path, feat_path, _ = generate_to_dir(preset("receding"), tmp_path)
+        frames = read_detections(det_path)
+        match = MatchConfig(strategy=strategy)
+        tracker = SelectiveTracker(FeatureFileProvider(feat_path), GateConfig(mode=mode), match)
+        misses_at_drop = []
+        for f in range(1, preset("receding").frames + 1):
+            before = dict(zip(tracker.table.ids.tolist(), tracker.table.time_since_update.tolist()))
+            tracker.step(f, frames.get(f, Frame(f, np.zeros((0, 4)), np.zeros(0))))
+            misses_at_drop += [tsu + 1 for i, tsu in before.items() if i not in set(tracker.table.ids.tolist())]
+        assert len(misses_at_drop) == len(preset("receding").targets)
+        assert max(misses_at_drop) < match.max_age
+        assert tracker.tracks == []
+
+    @pytest.mark.parametrize("strategy", [STRATEGY_CASCADE, STRATEGY_FUSED])
+    def test_box_whose_edge_overflows_keeps_its_track(self, strategy):
+        # every field is finite, but x + w overflows float64: its IoU with its
+        # own prediction must be a number, so both boxes keep their ids
+        tracker = SelectiveTracker(NullFeatureProvider(), match=MatchConfig(strategy=strategy))
+        ids = set()
+        for f in range(1, 6):
+            emitted = tracker.step(f, frame(f, [BBox(1e308, 0, 1e308, 10), BBox(0, 0, 10, 10)]))
+            ids.update(tid for tid, _ in emitted)
+        assert ids == {1, 2}
+        assert [t.id for t in tracker.tracks] == [1, 2]
+
     @pytest.mark.parametrize("strategy", [STRATEGY_CASCADE, STRATEGY_FUSED])
     def test_tiny_box_never_raises(self, strategy):
         # below h of about 4e-161 the height-scaled variances underflow to 0,
