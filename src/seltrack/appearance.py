@@ -44,4 +44,6 @@ def ema_update(embedding: np.ndarray, weight, f) -> np.ndarray:
 
 def cosine_costs(embeddings, features) -> np.ndarray:
     """1 - e.f for unit track embeddings (rows) against unit features (columns), clipped to [0, 2]."""
-    return np.clip(1.0 - np.asarray(embeddings, dtype=float) @ np.asarray(features, dtype=float).T, 0.0, 2.0)
+    costs = 1.0 - np.asarray(embeddings, dtype=float) @ np.asarray(features, dtype=float).T
+    np.maximum(costs, 0.0, out=costs)
+    return np.minimum(costs, 2.0, out=costs)

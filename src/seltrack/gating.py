@@ -51,11 +51,11 @@ def candidates(ious: np.ndarray, det_xywh: np.ndarray, track_xywh: np.ndarray, c
         return np.full(n_dets, -1)
     above = ious > cfg.theta_iou
     sole = above.sum(axis=0) == 1
-    if not np.count_nonzero(sole):  # every detection is risky: the aspect check has no pair
+    dets = sole.nonzero()[0]
+    if not len(dets):  # every detection is risky: the aspect check has no pair
         return np.full(n_dets, -1)
     cand = np.where(sole, above.argmax(axis=0), -1)
     if cfg.ars_enabled:
-        dets = np.flatnonzero(cand >= 0)
         tracks = cand[dets]
         alpha = blended_alpha(ious[tracks, dets], ars(det_xywh[dets], track_xywh[tracks]))
         cand[dets[alpha < cfg.theta_alpha]] = -1

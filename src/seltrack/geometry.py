@@ -70,22 +70,25 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Each side is an (n, 4) float array. Touching edges count as disjoint; disjoint cells are exactly 0.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # overflowed pairs are recomputed below
+    # overflowed pairs are recomputed, and cells without overlap set to 0, below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         ca, cb = _corners(a), _corners(b)
         inter, union = _inter_union(ca[:, :, None], cb[:, None, :])
-    overflowed = ~np.isfinite(union)
-    if overflowed.any():
-        # an edge (x + w) or an area beyond float64: IoU is scale-free, so
-        # rebuild the pair's corners with both boxes scaled by one exact
-        # power of two below unit size
-        rows, cols = np.nonzero(overflowed)
-        pa, pb = a[rows], b[cols]
-        _, exp = np.frexp(np.maximum(np.abs(pa).max(axis=1), np.abs(pb).max(axis=1)))
-        exp = exp[:, None]
-        inter[overflowed], union[overflowed] = _inter_union(_corners(np.ldexp(pa, -exp)), _corners(np.ldexp(pb, -exp)))
-    # only overlapping cells are divided: the others are exactly 0, also for
-    # two boxes narrower than their coordinates' spacing (zero corner area)
-    return np.divide(inter, union, out=np.zeros_like(inter), where=inter > 0)
+        overflowed = ~np.isfinite(union)
+        if overflowed.any():
+            # an edge (x + w) or an area beyond float64: IoU is scale-free, so
+            # rebuild the pair's corners with both boxes scaled by one exact
+            # power of two below unit size
+            rows, cols = overflowed.nonzero()
+            pa, pb = a[rows], b[cols]
+            _, exp = np.frexp(np.maximum(np.abs(pa).max(axis=1), np.abs(pb).max(axis=1)))
+            exp = exp[:, None]
+            inter[overflowed], union[overflowed] = _inter_union(_corners(np.ldexp(pa, -exp)), _corners(np.ldexp(pb, -exp)))
+        iou = inter / union
+    # cells without overlap are exactly 0, also for two boxes narrower than
+    # their coordinates' spacing (zero corner area, 0 / 0)
+    iou[~(inter > 0)] = 0.0
+    return iou
 
 
 def ars(a, b):
@@ -121,5 +124,5 @@ def blended_alpha(iou_value, v):
     if not _in_unit_interval(v):
         raise ValueError(f"v out of range: {v!r}")
     denom = (1.0 - iou_value) + v
-    alpha = np.divide(v, denom, out=np.zeros_like(denom), where=denom != 0.0)
+    alpha = v / np.where(denom != 0.0, denom, 1.0)  # the 0/0 corner: v is 0 there
     return alpha if alpha.ndim else float(alpha)

@@ -5,14 +5,20 @@ scale and both noise models can be expressed relative to it (position std
 h/20, velocity std h/160). Time step is one frame. Motion, measurement,
 noise and initial spread tie each coordinate only to its own velocity, so
 the filter is four independent (position, velocity) filters in closed form,
-with a diagonal innovation covariance. A state is one (..., 5, 4) block
-whose rows hold, for (cx, cy, a, h), the position, the velocity, the
-position variance, the position-velocity covariance and the velocity
-variance, so the rows of a stack are taken with one index. Every
-operation is elementwise along the last axis, so leading axes stack
-independent tracks and a stacked call gives each row the bytes a call on
-that row alone would give. All operations return fresh blocks; nothing is
-mutated in place.
+with a diagonal innovation covariance.
+
+A state is one (5, 4) block whose rows hold, for (cx, cy, a, h), the
+position, the velocity, the position variance, the position-velocity
+covariance and the velocity variance. A stack of n states is one
+(5, 4, n) block, with the tracks on its last axis: each of its 20 rows is
+one contiguous (n,) array, which a numpy call walks several times faster
+than the strided rows of an (n, 5, 4) stack, and a subset of tracks is
+taken with one index, `block[..., tracks]`. Every operation is
+elementwise along the tracks, so a stacked call gives each track the bytes
+a call on that track alone would give. Measurements and boxes stay rows,
+one (4,) row per track, as `geometry` takes them, and the innovation
+variances are (4, n) like the rows they come from. All operations return
+fresh blocks; nothing is mutated in place.
 """
 
 from __future__ import annotations
@@ -48,77 +54,58 @@ _MEASUREMENT = np.array([[STD_WEIGHT_POSITION] * NDIM]), np.array([1e-1])
 
 
 def _variance(h: np.ndarray, noise) -> np.ndarray:
-    """Squared stds (k, 4, n) of (cx, cy, a, h) under a noise model of k rows, for heights h (n,)."""
+    """Squared stds (k, 4) or (k, 4, n) of (cx, cy, a, h) under a noise model of k rows, for one height or n."""
     weights, aspect_stds = noise
-    std = weights[:, :, None] * h
-    std[:, 2] = aspect_stds[:, None]
+    std = np.multiply.outer(weights, h)
+    std[:, 2].T[...] = aspect_stds  # row i of the aspect stds is aspect_stds[i], for one track or n
     with np.errstate(over="ignore"):  # an inf variance marks the state `degenerate`
         return np.square(std, out=std)
 
 
-def _rows(block: np.ndarray) -> np.ndarray:
-    """The block's rows as one (5, 4, n) array over its n states: a transposed copy.
-
-    `predict` and `update` work on these contiguous (4, n) rows, which a
-    numpy call goes through several times faster than the strided (n, 4)
-    rows of a block.
-    """
-    return block.reshape(-1, 5, NDIM).transpose(1, 2, 0).copy()
-
-
-def _of_rows(rows: np.ndarray, shape) -> np.ndarray:
-    """The block of shape `shape` whose `_rows` are `rows`."""
-    return np.ascontiguousarray(rows.transpose(2, 0, 1)).reshape(shape)
-
-
 def initiate(z) -> np.ndarray:
-    """Start states at measurements z (..., 4) with zero velocity and height-scaled spread."""
-    z = np.asarray(z, dtype=float)
-    coords = z.reshape(-1, NDIM).T
-    rows = np.zeros((5,) + coords.shape)
-    rows[POS] = coords
-    rows[VAR_POS::2] = _variance(coords[3], _INITIAL)  # the var_pos and var_vel rows
-    return _of_rows(rows, z.shape[:-1] + (5, NDIM))
+    """Start states at measurements z, one (4,) row or (n, 4) rows, with zero velocity and height-scaled spread."""
+    coords = np.asarray(z, dtype=float).T
+    block = np.zeros((5,) + coords.shape)
+    block[POS] = coords
+    block[VAR_POS::2] = _variance(coords[3], _INITIAL)  # the var_pos and var_vel rows
+    return block
 
 
 def predict(block: np.ndarray) -> np.ndarray:
     """Advance one frame: position += velocity, covariance FPF' + Q."""
-    rows = _rows(block)
-    pos, vel, var_pos, cov, var_vel = rows
+    block = block.copy()
+    pos, vel, var_pos, cov, var_vel = block
     q = _variance(pos[3], _PROCESS)  # from the height before the step
     pos += vel
     var_pos += cov
     cov += var_vel
     var_pos += cov
-    rows[VAR_POS::2] += q
-    return _of_rows(rows, block.shape)
+    block[VAR_POS::2] += q
+    return block
 
 
 def innovation_variance(block: np.ndarray) -> np.ndarray:
-    """Diagonal (..., 4) of the innovation covariance HPH' + R."""
-    b = block.reshape(-1, 5, NDIM)
-    s = b[:, VAR_POS] + _variance(b[:, POS, 3], _MEASUREMENT)[0].T
-    return s.reshape(block.shape[:-2] + (NDIM,))
+    """Diagonal (4,) or (4, n) of the innovation covariance HPH' + R."""
+    return block[VAR_POS] + _variance(block[POS, 3], _MEASUREMENT)[0]
 
 
 def update(block: np.ndarray, z, s: np.ndarray) -> np.ndarray:
-    """Standard Kalman correction with measurements z (..., 4) of (cx, cy, a, h).
+    """Standard Kalman correction with measurements z of (cx, cy, a, h), one (4,) row or (n, 4) rows.
 
     `s` is the block's `innovation_variance`.
     """
     if not s.min() > 0:
         raise ValueError("singular innovation covariance")
-    rows = _rows(block)
-    pos, vel, var_pos, cov, var_vel = rows
-    s = np.ascontiguousarray(s.reshape(-1, NDIM).T)
-    residual = np.asarray(z, dtype=float).reshape(-1, NDIM).T - pos
+    block = block.copy()
+    pos, vel, var_pos, cov, var_vel = block
+    residual = np.asarray(z, dtype=float).T - pos
     gain_pos, gain_vel = var_pos / s, cov / s
     pos += gain_pos * residual
     vel += gain_vel * residual
     var_pos -= gain_pos * s * gain_pos
     cov -= gain_pos * s * gain_vel
     var_vel -= gain_vel * s * gain_vel
-    return _of_rows(rows, block.shape)
+    return block
 
 
 def degenerate(block: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -128,15 +115,15 @@ def degenerate(block: np.ndarray, s: np.ndarray) -> np.ndarray:
     variance is not positive and finite (a tiny height underflows it to 0,
     a huge one overflows it). `s` is the block's `innovation_variance`.
     """
-    corrects = np.logical_and.reduce((s > 0) & (s < np.inf), axis=-1)
-    return np.logical_or.reduce(block[..., POS, 2:] <= 0, axis=-1) | ~corrects
+    corrects = np.logical_and.reduce((s > 0) & (s < np.inf), axis=0)
+    return np.logical_or.reduce(block[POS, 2:] <= 0, axis=0) | ~corrects
 
 
 def state_to_xywh(block: np.ndarray) -> np.ndarray:
-    """(..., 4) top-left boxes (x, y, w, h) of the states' positions, the fields of a `BBox`."""
-    pos = block[..., POS, :]
+    """The top-left box (x, y, w, h) of each state's position, the fields of a `BBox`: (4,) or (n, 4) rows."""
+    pos = block[POS]
     box = np.empty(pos.shape)
-    box[..., 2] = pos[..., 2] * pos[..., 3]
-    box[..., 3] = pos[..., 3]
-    box[..., :2] = pos[..., :2] - box[..., 2:] / 2.0
-    return box
+    np.multiply(pos[2], pos[3], out=box[2, ...])
+    box[3] = pos[3]
+    np.subtract(pos[:2], box[2:] / 2.0, out=box[:2])
+    return box.T

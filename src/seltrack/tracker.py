@@ -14,7 +14,7 @@ every stage that reads it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from itertools import count, repeat
 from typing import NamedTuple, Protocol
 
@@ -161,16 +161,16 @@ class CountingProvider:
 class TrackTable:
     """Every held track as one row of stacked arrays, in birth order.
 
-    `kalman_block` is `motion`'s stacked state block, and `effective_alpha`
-    is the weight the next blend puts on a row's embedding; a row without
-    an embedding holds zeros in both. A committed table (`SelectiveTracker.table`) is never written: a
+    `kalman_block` is `motion`'s stacked state block, whose last axis runs
+    over the rows, and `effective_alpha` is the weight the next blend puts
+    on a row's embedding; a row without an embedding holds zeros in both. A committed table (`SelectiveTracker.table`) is never written: a
     frame writes its own copy of the columns it changes, and that copy is
     committed whole, so a committed table is a snapshot later frames keep
     intact.
     """
 
     ids: np.ndarray
-    kalman_block: np.ndarray  # (n, 5, 4)
+    kalman_block: np.ndarray  # (5, 4, n)
     embedding: np.ndarray  # (n, d); d is 0 until the first feature
     has_embedding: np.ndarray
     effective_alpha: np.ndarray
@@ -188,10 +188,20 @@ class TrackTable:
         return len(self.ids)
 
     def keep(self, mask: np.ndarray) -> TrackTable:
-        return self if mask.all() else TrackTable(*(getattr(self, f.name)[mask] for f in fields(self)))
+        """The rows where `mask` is True; the table itself when that is every row."""
+        if mask.all():
+            return self
+        rows = mask.nonzero()[0]
+        return TrackTable(kalman_block=self.kalman_block[..., rows], **{c: getattr(self, c)[rows] for c in _ROW_COLUMNS})
 
     def concat(self, other: TrackTable) -> TrackTable:
-        return TrackTable(*(np.concatenate([getattr(self, f.name), getattr(other, f.name)]) for f in fields(self)))
+        """This table's rows, then `other`'s."""
+        return TrackTable(kalman_block=np.concatenate([self.kalman_block, other.kalman_block], axis=-1),
+                          **{c: np.concatenate([getattr(self, c), getattr(other, c)]) for c in _ROW_COLUMNS})
+
+
+# the `TrackTable` columns that hold one row per track on their first axis: all but `kalman_block`
+_ROW_COLUMNS = ("ids", "embedding", "has_embedding", "effective_alpha", "hits", "time_since_update")
 
 
 class TrackView(NamedTuple):
@@ -298,7 +308,7 @@ class SelectiveTracker:
         t = TrackTable(t.ids, block, embedding=t.embedding.copy(), has_embedding=t.has_embedding.copy(),
                        effective_alpha=t.effective_alpha.copy(), hits=t.hits.copy(),
                        time_since_update=t.time_since_update + 1).keep(kept)
-        s = s[kept]
+        s = s[:, kept]
         confirmed = t.hits >= m.min_hits  # the rows the gate and the cascade's first stage see
 
         # 2. confidence split; the selective mechanism sees only the high
@@ -332,10 +342,10 @@ class SelectiveTracker:
         # 4. features: fetched for risky detections; a non-risky one copies
         #    its candidate's embedding, if it has one, or is saturated (priced
         #    out of appearance matching) under the base-gate ablation
-        risky_js = np.flatnonzero(risky)
+        risky_js = risky.nonzero()[0]
         fetched, feats = self._fetch(frame, order, risky_js)
         saturated = ~risky & (self.gate.mode == gating.MODE_BASE_GATE)
-        copies = np.flatnonzero(~risky & ~saturated)
+        copies = (~risky & ~saturated).nonzero()[0]
         copies = copies[t.has_embedding[cand[copies]]]
 
         # 5. association: each stage is one solve over every live row and its
@@ -367,17 +377,18 @@ class SelectiveTracker:
             priced = np.isfinite(high_cost) & np.isfinite(extra)
             high_cost[priced] += m.fused_weight * extra[priced]
             rows, js = assignment.solve(high_cost, m.fused_weight * SATURATED_COST + (1.0 - m.iou_gate))
-        born_js = np.flatnonzero(_left(n_high, js))
+        born_js = _left(n_high, js).nonzero()[0]
         left_t = _left(len(t), rows)
         if m.byte_low and n_high < n_dets and left_t.any():
             byte_cost = np.where(left_t[:, None], iou_cost[:, n_high:], INFEASIBLE)
             byte_rows, byte_js = assignment.solve(byte_cost, 1.0 - m.iou_gate)
             rows, js = np.concatenate([rows, byte_rows]), np.concatenate([js, n_high + byte_js])
 
-        # 6. one Kalman update over the matched rows
+        # 6. one Kalman update over the matched rows, from the frame's one
+        #    measurement pass, which the births read too
+        z = motion.measurements(xywh)
         if len(rows):
-            z = motion.measurements(xywh[js])
-            t.kalman_block[rows] = motion.update(t.kalman_block[rows], z, s[rows])
+            t.kalman_block[..., rows] = motion.update(t.kalman_block[..., rows], z[js], s[:, rows])
             t.hits[rows] += 1
             t.time_since_update[rows] = 0
 
@@ -389,14 +400,14 @@ class SelectiveTracker:
             feats = late_feats if feats is None else np.concatenate([feats, late_feats])
         if len(born_js):
             ids = np.arange(self._next_id, self._next_id + len(born_js))
-            block = motion.initiate(motion.measurements(xywh[born_js]))
+            block = motion.initiate(z[born_js])
             t = t.concat(TrackTable.born(ids, block, t.embedding.shape[1]))
 
         # each row's detection this frame (matched or born), -1 for none
         det_of = np.full(len(t), -1)
         det_of[rows] = js
         det_of[len(t) - len(born_js):] = born_js
-        seen = np.flatnonzero(det_of >= 0)
+        seen = (det_of >= 0).nonzero()[0]
 
         # 8. appearance: only a fetched vector refreshes the EMA (or seeds a
         #    newborn's); byte/copied/feature-less matches and unmatched tracks decay it
@@ -411,7 +422,7 @@ class SelectiveTracker:
         if m.emit == EMIT_DETECTION:
             shown_xywh = xywh[det_of[shown]]
         else:
-            shown_xywh = motion.state_to_xywh(t.kalman_block[shown])
+            shown_xywh = motion.state_to_xywh(t.kalman_block[..., shown])
         emitted = list(zip(t.ids[shown].tolist(), shown_xywh.tolist()))
 
         # commit, with deletions after max_age consecutive misses

@@ -25,21 +25,21 @@ def box_of(block: np.ndarray) -> BBox:
 
 
 def mean_of(block: np.ndarray) -> np.ndarray:
-    """The (..., 8) means (cx, cy, a, h, vcx, vcy, va, vh) of a block: its position and velocity rows."""
-    return block[..., POS:VAR_POS, :].reshape(block.shape[:-2] + (8,))
+    """The means (cx, cy, a, h, vcx, vcy, va, vh) of a block, (8,) or (n, 8): its position and velocity rows."""
+    return block[POS:VAR_POS].reshape((8,) + block.shape[2:]).T
 
 
 def four_arrays(block: np.ndarray):
-    """The block as (mean, var_pos, cov, var_vel)."""
-    return mean_of(block), block[..., VAR_POS, :], block[..., COV, :], block[..., VAR_VEL, :]
+    """The block as (mean, var_pos, cov, var_vel), one row per state."""
+    return mean_of(block), block[VAR_POS].T, block[COV].T, block[VAR_VEL].T
 
 
 def block_of(mean, var_pos, cov, var_vel) -> np.ndarray:
     """The block of the four arrays `four_arrays` gives."""
     mean = np.asarray(mean, dtype=float)
-    block = np.empty(mean.shape[:-1] + (5, 4))
-    block[..., POS:VAR_POS, :] = mean.reshape(mean.shape[:-1] + (2, 4))
-    block[..., VAR_POS, :], block[..., COV, :], block[..., VAR_VEL, :] = var_pos, cov, var_vel
+    block = np.empty((5, 4) + mean.shape[:-1])
+    block[POS:VAR_POS] = mean.T.reshape((2, 4) + mean.shape[:-1])
+    block[VAR_POS], block[COV], block[VAR_VEL] = np.asarray(var_pos).T, np.asarray(cov).T, np.asarray(var_vel).T
     return block
 
 
@@ -273,10 +273,10 @@ class TestStacked:
         stacked = correct(predict(initiate(starts)), measured)
         for i in range(len(pairs)):
             alone = correct(predict(initiate(starts[i])), measured[i])
-            assert stacked[i].tobytes() == alone.tobytes()
+            assert stacked[..., i].tobytes() == alone.tobytes()
             assert mean_of(stacked)[i].tobytes() == mean_of(alone).tobytes()
             assert state_to_xywh(stacked)[i].tobytes() == state_to_xywh(alone).tobytes()
-        assert has_no_box(stacked).tolist() == [bool(has_no_box(stacked[i])) for i in range(len(pairs))]
+        assert has_no_box(stacked).tolist() == [bool(has_no_box(stacked[..., i])) for i in range(len(pairs))]
 
     def test_degenerate_is_a_mask(self):
         ok = as_measurement(BBox(0, 0, 10, 20))
@@ -375,7 +375,7 @@ class TestBlockAgainstFourArrays:
         block = block_of(*fields)
         with np.errstate(all="ignore"):
             s = innovation_variance(block)
-            assert s.tobytes() == FourArrays.innovation_variance(fields[0], fields[1]).tobytes()
+            assert s.T.tobytes() == FourArrays.innovation_variance(fields[0], fields[1]).tobytes()
             want = FourArrays.degenerate(fields[0], fields[1])
             assert degenerate(block, s).tolist() == want.tolist()
 
@@ -397,9 +397,9 @@ class TestBlockAgainstFourArrays:
 
     def test_rows_of_the_block(self):
         block = initiate(np.array([[5.0, 10.0, 0.5, 20.0], [1.0, 2.0, 3.0, 4.0]]))
-        assert block.shape == (2, 5, 4)
+        assert block.shape == (5, 4, 2)
         assert mean_of(block)[1].tolist() == [1.0, 2.0, 3.0, 4.0, 0.0, 0.0, 0.0, 0.0]
-        assert block[:, COV].tolist() == [[0.0] * 4] * 2
+        assert block[COV].T.tolist() == [[0.0] * 4] * 2
 
 
 class TestMeasurements:

@@ -72,8 +72,8 @@ def table_fields(tracker):
     for f in fields(tracker.table):
         if f.name == "kalman_block":
             block = tracker.table.kalman_block
-            out["mean"] = block[:, motion.POS:motion.VAR_POS].reshape(len(block), 8).tolist()
-            out.update((name, block[:, row].tolist()) for name, row in (
+            out["mean"] = block[motion.POS:motion.VAR_POS].transpose(2, 0, 1).reshape(-1, 8).tolist()
+            out.update((name, block[row].T.tolist()) for name, row in (
                 ("var_pos", motion.VAR_POS), ("cov", motion.COV), ("var_vel", motion.VAR_VEL)))
         else:
             out[f.name] = getattr(tracker.table, f.name).tolist()
@@ -253,7 +253,7 @@ class TestStep:
         tracker = SelectiveTracker(ConstantProvider())
         tracker.step(1, frame(1, [BBox(100, 100, 20, 40)]))
         emitted = tracker.step(2, frame(2, [BBox(104, 100, 20, 40)]))
-        assert emitted == [(1, motion.state_to_xywh(tracker.table.kalman_block[0]).tolist())]
+        assert emitted == [(1, motion.state_to_xywh(tracker.table.kalman_block[..., 0]).tolist())]
 
     def test_emitted_box_can_be_raw_detection(self):
         tracker = SelectiveTracker(
@@ -491,6 +491,70 @@ class TestCommittedTable:
         assert not np.array_equal(tracker.table.embedding[0], before["embedding"][0])
         for name, a in held.items():
             assert a.tobytes() == before[name].tobytes(), name
+
+
+def track_axis(name: str) -> int:
+    """The axis of a `TrackTable` column that runs over its rows."""
+    return -1 if name == "kalman_block" else 0
+
+
+@st.composite
+def track_tables(draw, dim=None):
+    """A `TrackTable` of random columns, each of its own dtype, with up to 5 rows and embeddings of dim entries."""
+    n = draw(st.integers(0, 5))
+    dim = draw(st.integers(0, 3)) if dim is None else dim
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    return tracker_module.TrackTable(
+        ids=rng.integers(1, 1000, n), kalman_block=rng.normal(size=(5, 4, n)), embedding=rng.normal(size=(n, dim)),
+        has_embedding=rng.random(n) < 0.5, effective_alpha=rng.random(n), hits=rng.integers(1, 9, n),
+        time_since_update=rng.integers(0, 9, n))
+
+
+def assert_same_column(got: np.ndarray, want: np.ndarray, name: str):
+    assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), name
+
+
+class TestTrackTableColumns:
+    """`keep`, `concat` and `born` carry every column of the table, the Kalman block on its track axis."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(track_tables(), st.data())
+    def test_keep_masks_every_column(self, table, data):
+        mask = np.array(data.draw(st.lists(st.booleans(), min_size=len(table), max_size=len(table))), dtype=bool)
+        kept = table.keep(mask)
+        for f in fields(tracker_module.TrackTable):
+            column = getattr(table, f.name)
+            assert_same_column(getattr(kept, f.name), np.compress(mask, column, axis=track_axis(f.name)), f.name)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 3).flatmap(lambda dim: st.tuples(track_tables(dim=dim), track_tables(dim=dim))))
+    def test_concat_joins_every_column(self, pair):
+        first, second = pair
+        joined = first.concat(second)
+        for f in fields(tracker_module.TrackTable):
+            axis = track_axis(f.name)
+            want = np.concatenate([getattr(first, f.name), getattr(second, f.name)], axis=axis)
+            assert_same_column(getattr(joined, f.name), want, f.name)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 5), st.integers(0, 3), st.integers(0, 2**32 - 1))
+    def test_born_fills_every_column(self, n, dim, seed):
+        ids = np.arange(1, n + 1)
+        block = motion.initiate(np.random.default_rng(seed).uniform(1.0, 100.0, size=(n, 4)))
+        born = tracker_module.TrackTable.born(ids, block, dim)
+        for f in fields(tracker_module.TrackTable):
+            column = getattr(born, f.name)
+            assert column.shape[track_axis(f.name)] == n, f.name
+        assert born.ids is ids and born.kalman_block is block
+        assert born.embedding.shape == (n, dim) and not born.embedding.any() and not born.has_embedding.any()
+        assert born.effective_alpha.tolist() == [0.0] * n and born.time_since_update.tolist() == [0] * n
+        assert born.hits.tolist() == [1] * n
+
+    @settings(max_examples=10, deadline=None)
+    @given(track_tables())
+    def test_keep_of_every_row_is_the_table(self, table):
+        assert table.keep(np.ones(len(table), dtype=bool)) is table
 
 
 def frames_without_high_detections(tracker):
