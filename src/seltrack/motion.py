@@ -57,7 +57,7 @@ def _variance(h: np.ndarray, noise) -> np.ndarray:
     """Squared stds (k, 4) or (k, 4, n) of (cx, cy, a, h) under a noise model of k rows, for one height or n."""
     weights, aspect_stds = noise
     std = np.multiply.outer(weights, h)
-    std[:, 2].T[...] = aspect_stds  # row i of the aspect stds is aspect_stds[i], for one track or n
+    std[:, 2].T[...] = aspect_stds  # model row i's aspect std, for one track or each of n
     with np.errstate(over="ignore"):  # an inf variance marks the state `degenerate`
         return np.square(std, out=std)
 

@@ -7,9 +7,9 @@ risky ones, in one provider batch (non-risky reuse their candidate's
 embedding), associate, then update motion, appearance, and lifecycle.
 All per-track state lives in one `TrackTable` of stacked arrays, so each
 of those per-track steps is one call over the rows it concerns, and each
-per-frame quantity (the detections' box array, the IoU matrix, the
-innovation variances, the fetched features) is built once and sliced by
-every stage that reads it.
+per-frame quantity (the detections' box array and their Kalman
+measurements, the IoU matrix, the innovation variances, the fetched
+features) is built once and sliced by every stage that reads it.
 """
 
 from __future__ import annotations
@@ -163,8 +163,9 @@ class TrackTable:
 
     `kalman_block` is `motion`'s stacked state block, whose last axis runs
     over the rows, and `effective_alpha` is the weight the next blend puts
-    on a row's embedding; a row without an embedding holds zeros in both. A committed table (`SelectiveTracker.table`) is never written: a
-    frame writes its own copy of the columns it changes, and that copy is
+    on a row's embedding; a row without an embedding holds zeros in both.
+    A committed table (`SelectiveTracker.table`) is never written: a frame
+    writes its own copy of the columns it changes, and that copy is
     committed whole, so a committed table is a snapshot later frames keep
     intact.
     """
