@@ -82,8 +82,8 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             rows, cols = overflowed.nonzero()
             pa, pb = a[rows], b[cols]
             _, exp = np.frexp(np.maximum(np.abs(pa).max(axis=1), np.abs(pb).max(axis=1)))
-            exp = exp[:, None]
-            inter[overflowed], union[overflowed] = _inter_union(_corners(np.ldexp(pa, -exp)), _corners(np.ldexp(pb, -exp)))
+            ca, cb = _corners(np.ldexp(pa, -exp[:, None])), _corners(np.ldexp(pb, -exp[:, None]))
+            inter[overflowed], union[overflowed] = _inter_union(ca, cb)
         iou = inter / union
     # cells without overlap are exactly 0, also for two boxes narrower than
     # their coordinates' spacing (zero corner area, 0 / 0)

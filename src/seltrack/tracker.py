@@ -193,7 +193,8 @@ class TrackTable:
         if mask.all():
             return self
         rows = mask.nonzero()[0]
-        return TrackTable(kalman_block=self.kalman_block[..., rows], **{c: getattr(self, c)[rows] for c in _ROW_COLUMNS})
+        return TrackTable(kalman_block=self.kalman_block[..., rows],
+                          **{c: getattr(self, c)[rows] for c in _ROW_COLUMNS})
 
     def concat(self, other: TrackTable) -> TrackTable:
         """This table's rows, then `other`'s."""

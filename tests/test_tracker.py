@@ -299,16 +299,18 @@ class TestBoundedState:
     def test_receding_preset_drops_coasting_tracks_as_degenerate(self, strategy, mode, tmp_path):
         # each target of the scene is lost while it shrinks; its track must end
         # at its degenerate prediction, not after max_age misses
-        det_path, feat_path, _ = generate_to_dir(preset("receding"), tmp_path)
+        scene = preset("receding")
+        det_path, feat_path, _ = generate_to_dir(scene, tmp_path)
         frames = read_detections(det_path)
         match = MatchConfig(strategy=strategy)
         tracker = SelectiveTracker(FeatureFileProvider(feat_path), GateConfig(mode=mode), match)
         misses_at_drop = []
-        for f in range(1, preset("receding").frames + 1):
+        for f in range(1, scene.frames + 1):
             before = dict(zip(tracker.table.ids.tolist(), tracker.table.time_since_update.tolist()))
             tracker.step(f, frames.get(f, Frame(f, np.zeros((0, 4)), np.zeros(0))))
-            misses_at_drop += [tsu + 1 for i, tsu in before.items() if i not in set(tracker.table.ids.tolist())]
-        assert len(misses_at_drop) == len(preset("receding").targets)
+            held = set(tracker.table.ids.tolist())
+            misses_at_drop += [tsu + 1 for i, tsu in before.items() if i not in held]
+        assert len(misses_at_drop) == len(scene.targets)
         assert max(misses_at_drop) < match.max_age
         assert tracker.tracks == []
 
