@@ -24,11 +24,10 @@ generator, so two checkouts time the same inputs:
 `--against PATH` loads the `seltrack/assignment.py` of the checkout at
 PATH into the same process under another module name and times both on
 each matrix, alternating which goes first, so that host drift hits both
-sides alike; the two must return the same matched (row, column) pairs,
-whichever form each side returns them in. Before the table,
-the first solve of a tied 12x12 matrix is timed in a fresh interpreter for
-each side, apart from the steady state: it includes importing
-`seltrack.assignment` and, where that is deferred, scipy. Each side then
+sides alike; the two must return the same matched (row, column) pairs.
+Before the table, the first solve of a tied 12x12 matrix is timed in a
+fresh interpreter for each side, apart from the steady state: it includes
+importing `seltrack.assignment` and, where that is deferred, scipy. Each side then
 solves that matrix once in this process before the table, so that the
 table times steady-state solves only.
 """
@@ -112,13 +111,7 @@ def load_against(root: Path):
 
 
 def matched_pairs(result) -> list[tuple[int, int]]:
-    """The (row, column) matches of a `solve` result.
-
-    That is a (rows, columns) pair of int arrays, or, from a checkout that
-    predates it, an object whose `matches` lists the pairs.
-    """
-    if hasattr(result, "matches"):
-        return [(int(r), int(c)) for r, c in result.matches]
+    """The (row, column) matches of a `solve` result, a (rows, columns) pair of int arrays."""
     rows, cols = result
     return list(zip(rows.tolist(), cols.tolist()))
 

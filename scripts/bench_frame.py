@@ -91,11 +91,6 @@ def load_against(root: Path) -> SimpleNamespace:
         sys.modules.update(ours)
 
 
-def xywh_of(box) -> tuple:
-    """An emitted box's (x, y, w, h): a `BBox`, from a checkout that emits them, or an (x, y, w, h) sequence."""
-    return (box.x, box.y, box.w, box.h) if hasattr(box, "x") else tuple(box)
-
-
 class Side:
     """One checkout's tracker on one workload: its own loaded inputs and configs, and its timings."""
 
@@ -120,7 +115,7 @@ class Side:
             emitted = step(frame, self.frames[frame])
             ms = 1e3 * (perf_counter() - started)
             best[frame] = min(ms, best.get(frame, ms))
-            rows.extend((frame, tid, *xywh_of(box)) for tid, box in emitted)
+            rows.extend((frame, tid, *box) for tid, box in emitted)
         self.rows.setdefault(mode, rows)
 
     def median_ms(self, mode: str) -> float:

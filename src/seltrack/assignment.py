@@ -79,27 +79,6 @@ def _incumbent(feasible: np.ndarray) -> tuple[int, float, np.ndarray]:
     return int(used.sum()), float(feasible[rows[used], cols[used]].sum()), col_of
 
 
-def _first_challenger_row(feasible: np.ndarray, col_of: np.ndarray) -> int:
-    """First row with a challenger while every earlier row keeps its incumbent column.
-
-    A challenger of row r is a feasible column left of r's incumbent column
-    (any feasible column when r is unmatched) that no earlier row holds.
-    Only rows up to the incumbent's last match count: after it the optimum's
-    cardinality is reached. Returns the row count when no row has one.
-    """
-    n, m = feasible.shape
-    matched = np.flatnonzero(col_of != UNMATCHED)
-    if matched.size == 0:
-        return n
-    head = col_of[: matched[-1] + 1]
-    holder = np.full(m, n)  # the row holding each column, n when none does
-    holder[col_of[matched]] = matched
-    still_open = holder >= np.arange(head.size)[:, None]
-    left = np.arange(m) < np.where(head == UNMATCHED, m, head)[:, None]
-    rows = np.flatnonzero((np.isfinite(feasible[: head.size]) & still_open & left).any(axis=1))
-    return int(rows[0]) if rows.size else n
-
-
 def _costs_equal(a: float, b: float) -> bool:
     return abs(a - b) <= 1e-9 * max(1.0, abs(a), abs(b))
 
@@ -107,15 +86,8 @@ def _costs_equal(a: float, b: float) -> bool:
 def _break_ties(feasible, col_of, target_card: int, target_cost: float) -> None:
     """Turn the incumbent `col_of` into the lexicographically smallest optimum, in place."""
     n_rows, n_cols = feasible.shape
-    start = _first_challenger_row(feasible, col_of)
-    if start == n_rows:
-        return
-    fixed = [(r, c) for r, c in enumerate(col_of[:start].tolist()) if c != UNMATCHED]
-    n_fixed, fixed_cost = len(fixed), 0.0
-    for r, c in fixed:
-        fixed_cost += feasible[r, c]
-    open_cols = np.delete(np.arange(n_cols), [c for _, c in fixed])
-    for r in range(start, n_rows):
+    n_fixed, fixed_cost, open_cols = 0, 0.0, np.arange(n_cols)
+    for r in range(n_rows):
         if n_fixed == target_card:
             break
         challengers = np.flatnonzero(np.isfinite(feasible[r, open_cols]))
@@ -153,12 +125,12 @@ def solve(costs, gate: float) -> tuple[np.ndarray, np.ndarray]:
     a row the incumbent leaves unmatched. A challenger wins when the
     remainder, re-solved without it, still reaches the optimum's
     cardinality and total; that re-solve becomes the new incumbent. A row
-    without a winning challenger keeps its incumbent column, unsolved, and
-    rows before the first challenger are fixed in one vectorized pass.
-    Totals within a relative 1e-9 of each other count as tied, so costs
-    need coarser granularity than that for the tie-break to be meaningful.
-    Returns the matches as two int arrays: the matched rows, increasing,
-    and the column of each. Output is reproducible bit-for-bit across runs.
+    without a challenger, or without a winning one, keeps its incumbent
+    column, unsolved. Totals within a relative 1e-9 of each other count as
+    tied, so costs need coarser granularity than that for the tie-break to
+    be meaningful. Returns the matches as two int arrays: the matched rows,
+    increasing, and the column of each. Output is reproducible bit-for-bit
+    across runs.
     """
     m = _validate(costs, gate)
     mask = m <= gate  # the feasible cells

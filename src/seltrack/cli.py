@@ -18,7 +18,7 @@ from pathlib import Path
 from seltrack import io as mot_io
 from seltrack import metrics, synth
 from seltrack.gating import MODE_ALWAYS_EXTRACT, MODE_BASE_GATE, MODE_SELECTIVE, GateConfig
-from seltrack.tracker import EMITS, STRATEGIES, MatchConfig, NullFeatureProvider, run_sequence
+from seltrack.tracker import EMITS, STRATEGIES, MatchConfig, NullFeatureProvider, RunStats, run_sequence
 
 MODE_ALIASES = {
     "selective": MODE_SELECTIVE,
@@ -164,10 +164,10 @@ def cmd_track(args) -> int:
     output, stats = run_sequence(frames, _make_provider(args.features), gate, match)
     mot_io.write_results(args.out, output)
     stats_path = args.stats or (args.out + ".stats")
-    Path(stats_path).write_text("\n".join(_stats_lines(stats, cfg, match)) + "\n")
-    value = metrics.pde(stats)
+    lines = _stats_lines(stats, cfg, match)
+    Path(stats_path).write_text("\n".join(lines) + "\n")
     print(f"wrote {args.out} ({len(output.rows)} rows), stats {stats_path}")
-    print(f"pde={'n/a' if value is None else f'{value:.4f}'} fetches={stats.fetches}")
+    print(*lines[:2])  # pde=... fetches=...
     return 0
 
 
@@ -192,13 +192,11 @@ def cmd_eval(args) -> int:
             )
     elif len(pred_frames):
         raise ValueError("ground truth is empty but predictions are not")
-    report = metrics.evaluate(gt, pred, iou_match=args.iou_match)
+    stats = None
     if args.stats:
         kv = _read_stats_file(args.stats)
-        if kv.get("pde", "n/a") != "n/a":
-            report.pde = float(kv["pde"])
-        report.fetches = int(kv.get("fetches", 0))
-        report.detections = int(kv.get("high_detections", 0))
+        stats = RunStats(fetches=int(kv.get("fetches", 0)), high_detections=int(kv.get("high_detections", 0)))
+    report = metrics.evaluate(gt, pred, iou_match=args.iou_match, stats=stats)
     text = "\n".join(report.kv_lines()) if args.format == "kv" else report.table()
     print(text)
     if args.out:

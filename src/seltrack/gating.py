@@ -46,8 +46,8 @@ def candidates(ious: np.ndarray, det_xywh: np.ndarray, track_xywh: np.ndarray, c
     `ious[i, j]` is the IoU of track i with detection j, and the box arrays
     hold (x, y, w, h) rows; a track whose row of `ious` is 0 is no candidate.
     """
-    n_tracks, n_dets = ious.shape
-    if cfg.mode == MODE_ALWAYS_EXTRACT or not n_tracks:
+    n_dets = ious.shape[1]
+    if cfg.mode == MODE_ALWAYS_EXTRACT:
         return np.full(n_dets, -1)
     above = ious > cfg.theta_iou
     sole = above.sum(axis=0) == 1

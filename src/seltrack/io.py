@@ -184,8 +184,8 @@ def write_features(path, records) -> None:
     seen = set()
     dim = records[0][2].size if records else 0
     for f, i, v in records:
-        if f < 0 or i < 0:
-            raise ValueError(f"negative key ({f}, {i})")
+        if not (0 <= f < 2**32 and 0 <= i < 2**32):
+            raise ValueError(f"feature key ({f}, {i}) outside [0, 2**32)")
         if (f, i) in seen:
             raise ValueError(f"duplicate feature key ({f}, {i})")
         seen.add((f, i))

@@ -53,8 +53,8 @@ class Frame:
     A detection's index is its row: its position within the frame in file
     order, the key of its feature. The constructor checks the arrays in one
     pass and raises the errors of `BBox` and of the frame and confidence
-    checks for the first refused row: the frame is >= 1, each box is finite
-    with a positive size and each confidence is in [0, 1].
+    checks for the first refused row: the frame is an integer >= 1, each
+    box is finite with a positive size and each confidence is in [0, 1].
     """
 
     __slots__ = ("frame", "xywh", "confidence")
@@ -63,6 +63,8 @@ class Frame:
         xywh, confidence = np.asarray(xywh, dtype=float), np.asarray(confidence, dtype=float)
         if xywh.ndim != 2 or xywh.shape[1] != 4 or confidence.shape != xywh.shape[:1]:
             raise ValueError(f"expected (n, 4) boxes and (n,) confidences, got {xywh.shape} and {confidence.shape}")
+        if not isinstance(frame, (int, np.integer)):
+            raise ValueError(f"frame must be an integer, got {frame!r}")
         if frame < 1:
             raise ValueError(f"frame must be >= 1, got {frame}")
         refused = refused_rows(xywh) | ~((0.0 <= confidence) & (confidence <= 1.0))
@@ -328,13 +330,13 @@ class SelectiveTracker:
         # 3. one IoU matrix of the predicted boxes with the high detections,
         #    and with the low ones when the byte stage may run; every stage
         #    reads it. Risk classification is against confirmed tracks'
-        #    boxes (a tentative track's row is 0 for the gate); always_extract
-        #    has no gate to run
+        #    boxes (a tentative track's row is 0 for the gate); a frame with
+        #    no high detection has no gate to run
         boxes = motion.state_to_xywh(t.kalman_block)
         n_iou = n_dets if m.byte_low else n_high
         ious = iou_matrix(boxes, xywh[:n_iou]) if n_iou else np.zeros((len(t), 0))
         high_iou = ious[:, :n_high]
-        if n_high and self.gate.mode != gating.MODE_ALWAYS_EXTRACT:
+        if n_high:
             gate_iou = high_iou if confirmed.all() else np.where(confirmed[:, None], high_iou, 0.0)
             cand = gating.candidates(gate_iou, xywh[:n_high], boxes, self.gate)
         else:

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import linear_sum_assignment
 
@@ -259,6 +259,9 @@ def block_sparse(draw, max_side=14):
 class TestAgainstFullScan:
     @settings(max_examples=200, deadline=None)
     @given(block_sparse(), st.sampled_from(TIED))
+    # rows 0 and 1 have no challenger; the incumbent puts row 2 on column 3, so column 2 challenges it, and wins
+    @example(np.array([[0, INFEASIBLE, INFEASIBLE, INFEASIBLE], [INFEASIBLE, 0, INFEASIBLE, INFEASIBLE],
+                       [INFEASIBLE, INFEASIBLE, 0.5, 0.25], [INFEASIBLE, INFEASIBLE, 0.25, 0]]), 0.5)
     def test_equals_full_scan_solve(self, costs, gate):
         assert pairs(costs, gate) == full_scan_solve(costs, gate)
 

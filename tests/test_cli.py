@@ -4,10 +4,10 @@ from dataclasses import fields
 
 import pytest
 
-from seltrack.cli import DEFAULTS, SETTINGS, SWEEP_SETS, build_parser, main
+from seltrack.cli import DEFAULTS, SETTINGS, SWEEP_SETS, _stats_lines, build_parser, main
 from seltrack.gating import GateConfig
 from seltrack.io import read_trajectories
-from seltrack.tracker import MatchConfig
+from seltrack.tracker import MatchConfig, RunStats
 
 
 @pytest.fixture(scope="module")
@@ -176,6 +176,15 @@ class TestEval:
         assert kv["idf1"] == "1.000000"
         assert kv["id_switches"] == "0"
         assert kv["pde"] != "n/a"
+
+    def test_stats_pde_is_rounded_once(self, tmp_path, crossing_dir, capsys):
+        # 1 fetch of 741 is 0.13495 %: the stats file holds 0.1350, which rounded again reads 0.14
+        stats = tmp_path / "r.stats"
+        stats.write_text("\n".join(_stats_lines(RunStats(fetches=1, high_detections=741), DEFAULTS, MatchConfig())))
+        gt = str(crossing_dir / "gt.txt")
+        for fmt, line in [("table", f"{'PDE (%)':<14}{'0.13':>10}"), ("kv", "pde=0.1350")]:
+            assert main(["eval", "--gt", gt, "--pred", gt, "--stats", str(stats), "--format", fmt]) == 0
+            assert line in capsys.readouterr().out.splitlines()
 
     def test_table_format(self, tmp_path, crossing_dir, capsys):
         out, _ = run_track(tmp_path, crossing_dir)

@@ -427,6 +427,18 @@ class TestFeatureFile:
         with pytest.raises(ValueError, match="duplicate"):
             write_features(p, [(1, 0, v), (1, 0, v)])
 
+    @pytest.mark.parametrize("key", [(2**32, 0), (0, 2**32), (-1, 0), (0, -1)])
+    def test_key_out_of_range_on_write(self, tmp_path, key):
+        v = np.eye(2, dtype=np.float32)[0]
+        with pytest.raises(ValueError, match=rf"^feature key \({key[0]}, {key[1]}\) outside \[0, 2\*\*32\)$"):
+            write_features(tmp_path / "f.feab", [(1, 0, v), (*key, v)])
+
+    def test_largest_key_round_trips(self, tmp_path):
+        p = tmp_path / "f.feab"
+        write_features(p, [(2**32 - 1, 2**32 - 1, np.array([0.0, 1.0], dtype=np.float32))])
+        found, got = FeatureFileProvider(p).fetch_batch(2**32 - 1, np.array([2**32 - 1]))
+        assert found.tolist() == [0] and got.tolist() == [[0.0, 1.0]]
+
     def test_non_unit_vectors_normalized_on_read(self, tmp_path):
         p = tmp_path / "f.feab"
         write_features(p, [(1, 0, np.array([3.0, 4.0], dtype=np.float32))])

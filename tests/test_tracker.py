@@ -115,6 +115,22 @@ class TestFrame:
         with pytest.raises(ValueError, match=r"^frame must be >= 1, got 0$"):
             Frame(0, np.zeros((0, 4)), np.zeros(0))
 
+    @pytest.mark.parametrize("number", [2.5, 2.0, np.float64(3.0)])
+    def test_refused_fractional_frame(self, number):
+        with pytest.raises(ValueError, match=r"^frame must be an integer, got "):
+            Frame(number, np.zeros((0, 4)), np.zeros(0))
+
+    def test_fractional_step_frame_matches_no_frame(self):
+        # a fractional step frame matches no `Frame`, so frames 2.5 and 2.7 cannot both emit as frame 2
+        tracker = SelectiveTracker(NullFeatureProvider())
+        tracker.step(1, Frame(1, [[0, 0, 10, 10]], [0.9]))
+        with pytest.raises(ValueError, match=r"^detection frame 2 does not match step frame 2\.5$"):
+            tracker.step(2.5, Frame(2, [[0, 0, 10, 10]], [0.9]))
+        assert tracker.stats.frames == 1 and tracker.last_frame == 1
+
+    def test_numpy_integer_frame(self):
+        assert Frame(np.int64(3), np.zeros((0, 4)), np.zeros(0)).frame == 3
+
     def test_iterates_detections_by_row(self):
         dets = Frame(3, [[1, 2, 3, 4], [5.5, 6, 7, 8]], [0.5, 1])
         assert len(dets) == 2
