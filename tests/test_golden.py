@@ -211,6 +211,57 @@ WORKLOAD_GOLDEN = {
 }
 
 
+# The files synth writes: the sha256 of det.txt, features.feab and gt.txt,
+# for each preset at its default seed and each benchmark workload at
+# WORKLOAD_SEED. The result pins above see a changed input file only when
+# it changes the tracker's output; these pin the files themselves, noise
+# draws included.
+SYNTH_GOLDEN = {
+    "crossing": (
+        "61a33761a0468340772654125cb010757e524d79554fbdf88f9d691d438e6c77",
+        "0b7f8e321e95e58eafac4dacf30ef398ea41f21d3476c98b202423b0834b19eb",
+        "cf9b994c3fa46145eab4a37d7325f048489135eeb6f9f14b41cce90893bd8bba",
+    ),
+    "enter_exit": (
+        "3d7af2be6ad90ef89df0c8ac1fa1fbda828adf60022a41ed6586e4be1e2f2af6",
+        "ef1653a7f6c8ae0c7d89fbb08c3033a53d9b6cc2580175d2ddfe1332a7a8f438",
+        "5f69cd814ecb194ec338ad81ca05ca9a54405523948be99a4ed7f517fe245979",
+    ),
+    "grid": (
+        "318607bbb5cdb0ce8dab71a4d88da7dc1710e1533a60d5f42a76ab03d107cfa1",
+        "3a452a1aeec292db9484b84b889787c00aa6041dd545a28ab60c1d5182ce601b",
+        "a205d9f072e5a10783f79f7f2d63cf70cf1f7083fed1df2ab0bfcbb5c5f0338d",
+    ),
+    "parade": (
+        "c318b5bbcd14adf898519d69a41a0523fb7b39ea7b34da3dbd73301feb5f096f",
+        "ff2e01f09a3260c90f8c574007f2c5230c39bc3223bd9c0ed01e39a819724cd9",
+        "62b97870e18818f4054ddc0a9001de9bf3db223f65e6cc63012fdf7f606b8006",
+    ),
+    "receding": (
+        "79c0c4dab8e3bba6258bd6ce5b8de21933aa5229d9f16a3e796c61223dacc28f",
+        "90f3e45e16a521912d4f2a40753d0db33ed87f276c7eaad745f90a1b39b77aa7",
+        "72d4a8cb211d1a9e012ddd372fd601eaeb6b1010d953748011d98f71f53c360a",
+    ),
+}
+WORKLOAD_FILES_GOLDEN = {
+    "parade": (
+        "aed9147728bab5b5c623db79d5d1c6d8ce5e329dcf286c931943bb7797c997a9",
+        "d342cf8bbf80bcca642a073010817fc355fb64cfd1490092789abf07bb57eed7",
+        "3ed7a8cac0549b0e2a3aa2838538e9e31522f049b37645c9ffc717dbafea145d",
+    ),
+    "grid": (
+        "5ddb3f25d5c00c5337ce661d787d622914cfbbd504db53fafafa16e148dc7a5c",
+        "dbc3cc49f5a5f3b1232df1e3eec4132653eb4f0a620c9a1efcbb45b37cea92b5",
+        "9629cc4a0ae034fe1e2ca624dff123e69a0f0b0498a000cf42e9b3ff54ed3294",
+    ),
+    "churn": (
+        "c7534e7db1dbe82a3b57c7ac8bf0c2d1ba8f73723ca485fa9a7c5f41c4496d08",
+        "7244e818da94b33f55392917ec7a1c96e408d21c1880567dabcceea5f1ec49ee",
+        "7fabd7133603dbd6ab3628af972ee361285c59995c09de87daa78ab1dec15803",
+    ),
+}
+
+
 def benchmark_workloads():
     """`perfbench/workloads.py`, imported from its file under a name of its own; nothing there is written."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
@@ -303,6 +354,21 @@ def test_benchmark_workload_matches_golden_hash(name, mode, workload_dirs, tmp_p
         read_detections(workload.det), FeatureFileProvider(workload.features), GateConfig(mode=mode), workload.match
     )
     assert sha256_of_results(output, tmp_path) == WORKLOAD_GOLDEN[(name, mode)]
+
+
+def sha256_of_files(paths) -> tuple[str, ...]:
+    return tuple(hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in paths)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_synth_files_match_golden_hash(name, tmp_path):
+    assert sha256_of_files(generate_to_dir(preset(name), tmp_path)) == SYNTH_GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", ["parade", "grid", "churn"])
+def test_benchmark_workload_files_match_golden_hash(name, workload_dirs):
+    workload = workload_dirs[name]
+    assert sha256_of_files((workload.det, workload.features, workload.gt)) == WORKLOAD_FILES_GOLDEN[name]
 
 
 def test_swap_scene_separates_the_modes():
