@@ -143,16 +143,9 @@ def _add_tracking_options(p: argparse.ArgumentParser, omit=()):
 
 
 def _stats_lines(stats, cfg, match) -> list[str]:
-    value = metrics.pde(stats)
-    pde_text = "n/a" if value is None else f"{value:.4f}"
     return [
-        f"pde={pde_text}",
-        f"fetches={stats.fetches}",
-        f"batches={stats.batches}",
-        f"late_fetches={stats.late_fetches}",
-        f"detections={stats.detections}",
-        f"high_detections={stats.high_detections}",
-        f"frames={stats.frames}",
+        f"pde={metrics.pde_text(metrics.pde(stats), 4)}",
+        *(f"{f.name}={getattr(stats, f.name)}" for f in fields(stats)),
         *_config_lines(cfg, match),
     ]
 
@@ -234,9 +227,8 @@ def cmd_sweep(args) -> int:
 
     lines = [f"{'theta_iou':>10} {'pde':>8} {'idf1':>10} {'id_switches':>12}"]
     for label, report in rows:
-        pde_text = "n/a" if report.pde is None else f"{report.pde:.2f}"
         lines.append(
-            f"{label:>10} {pde_text:>8} {report.idf1:>10.6f} {report.id_switches:>12}"
+            f"{label:>10} {metrics.pde_text(report.pde, 2):>8} {report.idf1:>10.6f} {report.id_switches:>12}"
         )
     text = "\n".join(lines)
     print(text)

@@ -158,12 +158,19 @@ def read_trajectories(path) -> np.ndarray:
     return trajectory_table(_checked_table(path, detections=False))
 
 
+def write_rows(path, frames, ids, xywh, tail: str) -> None:
+    """Write one MOT row "frame,id,x,y,w,h" + `tail` per row, in the given order, the box to six decimals."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(
+            f"{frame},{tid},{x:.6f},{y:.6f},{w:.6f},{h:.6f}{tail}\n"
+            for frame, tid, (x, y, w, h) in zip(frames.tolist(), ids.tolist(), xywh.tolist())
+        )
+
+
 def write_results(path, output: TrackOutput) -> None:
     """Emit "frame,id,x,y,w,h,1,-1,-1,-1" rows sorted by frame then id."""
     table = output.trajectories()
-    with open(path, "w", encoding="utf-8") as fh:
-        for frame, tid, (x, y, w, h) in zip(table["frame"].tolist(), table["id"].tolist(), table["xywh"].tolist()):
-            fh.write(f"{frame},{tid},{x:.6f},{y:.6f},{w:.6f},{h:.6f},1,-1,-1,-1\n")
+    write_rows(path, table["frame"], table["id"], table["xywh"], ",1,-1,-1,-1")
 
 
 def _record_dtype(dim: int) -> np.dtype:

@@ -32,25 +32,23 @@ class EvalReport:
     idfp: int
     idfn: int
     fetches: int = 0
-    detections: int = 0
+    high_detections: int = 0
 
     def kv_lines(self) -> list[str]:
-        pde = "n/a" if self.pde is None else f"{self.pde:.4f}"
         return [
-            f"pde={pde}",
+            f"pde={pde_text(self.pde, 4)}",
             f"idf1={self.idf1:.6f}",
             f"id_switches={self.id_switches}",
             f"idtp={self.idtp}",
             f"idfp={self.idfp}",
             f"idfn={self.idfn}",
             f"fetches={self.fetches}",
-            f"detections={self.detections}",
+            f"high_detections={self.high_detections}",
         ]
 
     def table(self) -> str:
-        pde = "n/a" if self.pde is None else f"{self.pde:.2f}"
         lines = [
-            f"{'PDE (%)':<14}{pde:>10}",
+            f"{'PDE (%)':<14}{pde_text(self.pde, 2):>10}",
             f"{'IDF1':<14}{self.idf1:>10.4f}",
             f"{'ID switches':<14}{self.id_switches:>10}",
             f"{'IDTP/IDFP/IDFN':<14}{self.idtp:>6}/{self.idfp}/{self.idfn}",
@@ -63,6 +61,11 @@ def pde(stats: RunStats) -> float | None:
     if stats.high_detections == 0:
         return None
     return 100.0 * stats.fetches / stats.high_detections
+
+
+def pde_text(value: float | None, decimals: int) -> str:
+    """A PDE as written out: "n/a" when there is none, else fixed-point to `decimals`."""
+    return "n/a" if value is None else f"{value:.{decimals}f}"
 
 
 def _by_frame(table: np.ndarray) -> tuple[int, dict[int, tuple[np.ndarray, np.ndarray]]]:
@@ -124,5 +127,5 @@ def evaluate(
     if stats is not None:
         report.pde = pde(stats)
         report.fetches = stats.fetches
-        report.detections = stats.high_detections
+        report.high_detections = stats.high_detections
     return report

@@ -2,20 +2,22 @@
 
 Targets follow piecewise-linear box trajectories with a fixed identity
 feature direction each; occlusion windows drop their detections (and gt
-rows) for a frame interval. All randomness comes from numpy's PCG64
-generator seeded from the scenario, so identical scenarios produce
-byte-identical files on any platform.
+rows) for a frame interval. A scene's ground truth is one (frames, targets,
+4) array, and its detections and features are drawn from it frame by frame.
+All randomness comes from numpy's PCG64 generator seeded from the scenario,
+so identical scenarios produce byte-identical files on any platform.
 """
 
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from seltrack import io as mot_io
+from seltrack.appearance import norms
 from seltrack.geometry import BBox
 
 
@@ -36,20 +38,28 @@ class Target:
         if not frames or frames != sorted(set(frames)):
             raise ValueError("keyframes must be non-empty with increasing frames")
 
-    def box_at(self, frame: int) -> BBox | None:
-        ks = self.keyframes
-        if frame < ks[0][0] or frame > ks[-1][0]:
-            return None
-        for (f0, b0), (f1, b1) in zip(ks, ks[1:]):
-            if f0 <= frame <= f1:
-                u = (frame - f0) / (f1 - f0)
-                return center_box(
-                    b0.cx + u * (b1.cx - b0.cx),
-                    b0.cy + u * (b1.cy - b0.cy),
-                    b0.w + u * (b1.w - b0.w),
-                    b0.h + u * (b1.h - b0.h),
-                )
-        return ks[-1][1]  # single-keyframe target
+    def boxes(self, frames) -> np.ndarray:
+        """(x, y, w, h) rows of the keyframe path at `frames`; NaN outside the keyframe span.
+
+        Centre and size move linearly between keyframes. A frame on an
+        interior keyframe takes the earlier segment's end (u = 1), which need
+        not be bit-equal to the keyframe box; a one-keyframe path is its box.
+        """
+        frames = np.asarray(frames)
+        kf = np.array([f for f, _ in self.keyframes])
+        out = np.full((len(frames), 4), np.nan)
+        seen = (kf[0] <= frames) & (frames <= kf[-1])
+        if len(kf) == 1:
+            out[seen] = astuple(self.keyframes[0][1])
+            return out
+        f = frames[seen]
+        seg = np.maximum(kf.searchsorted(f) - 1, 0)
+        u = ((f - kf[seg]) / (kf[seg + 1] - kf[seg]))[:, None]
+        centred = np.array([(b.cx, b.cy, b.w, b.h) for _, b in self.keyframes])
+        c = centred[seg] + u * (centred[seg + 1] - centred[seg])
+        c[:, :2] -= c[:, 2:] / 2.0
+        out[seen] = c
+        return out
 
 
 @dataclass
@@ -66,89 +76,80 @@ class Scenario:
     def __post_init__(self):
         if self.frames < 1:
             raise ValueError("scenario needs at least one frame")
-        dirs = [t.feature_dir / np.linalg.norm(t.feature_dir) for t in self.targets]
-        for i in range(len(dirs)):
-            for j in range(i + 1, len(dirs)):
-                if dirs[i].shape == dirs[j].shape and np.allclose(dirs[i], dirs[j]):
-                    raise ValueError(f"targets {i} and {j} share a feature direction")
+        dirs = self._directions()
+        dirs = dirs / norms(dirs)[:, None]
+        for i in range(len(dirs) - 1):
+            same = np.isclose(dirs[i], dirs[i + 1:]).all(axis=1)
+            if same.any():
+                raise ValueError(f"targets {i} and {i + 1 + int(np.argmax(same))} share a feature direction")
         for t, first, last in self.occlusions:
             if not 0 <= t < len(self.targets) or first > last:
                 raise ValueError(f"bad occlusion window ({t}, {first}, {last})")
 
-    def occluded(self, target: int, frame: int) -> bool:
-        return any(
-            t == target and first <= frame <= last for t, first, last in self.occlusions
-        )
+    def _directions(self) -> np.ndarray:
+        """(targets, dim): each target's feature direction, flattened; all must have one length."""
+        sizes = [t.feature_dir.size for t in self.targets]
+        if len(set(sizes)) > 1:
+            raise ValueError(f"feature directions must share one length, got lengths {sizes}")
+        return np.array([t.feature_dir.ravel() for t in self.targets]).reshape(len(sizes), sizes[0] if sizes else 0)
 
-    def visible_boxes(self, frame: int) -> list[tuple[int, BBox]]:
-        """(target index, gt box) for every visible target at this frame."""
-        out = []
+    def boxes(self) -> np.ndarray:
+        """(frames, targets, 4) gt array: row [f - 1, t] is target t's (x, y, w, h) at frame f, NaN where unseen."""
+        frames = np.arange(1, self.frames + 1)
+        out = np.empty((self.frames, len(self.targets), 4))
         for i, target in enumerate(self.targets):
-            if self.occluded(i, frame):
-                continue
-            box = target.box_at(frame)
-            if box is not None:
-                out.append((i, box))
+            out[:, i] = target.boxes(frames)
+        for t, first, last in self.occlusions:
+            out[(first <= frames) & (frames <= last), t] = np.nan
         return out
 
 
-def generate(
-    scenario: Scenario, det_path, feature_path, gt_path
-) -> tuple[Path, Path, Path]:
-    """Write the three files for the scenario; byte-identical per seed."""
+def generate(scenario: Scenario, det_path, feature_path, gt_path) -> tuple[Path, Path, Path]:
+    """Write the three files for the scenario; byte-identical per seed.
+
+    Each frame's seen targets, in target order, are its detections. One
+    normal draw per frame gives each detection its row of 4 box jitters,
+    then its feature noise; a block whose noise is 0 is not drawn.
+    """
+    gt = scenario.boxes()
+    seen = ~np.isnan(gt[..., 0])
+    frame_ix, tids = np.nonzero(seen)  # by frame, then target
+    gt = gt[seen]
+    outside = (gt[:, :2] < 0).any(axis=1) | (gt[:, :2] + gt[:, 2:] > scenario.bounds).any(axis=1)
+    if outside.any():
+        n = int(np.argmax(outside))
+        raise ValueError(f"target {tids[n]} leaves scene bounds at frame {frame_ix[n] + 1}: {BBox(*gt[n].tolist())}")
+    dirs = scenario._directions()
+    box_cols = 4 if scenario.box_noise else 0
+    noise_cols = dirs.shape[1] if scenario.feature_noise else 0
+    scales = np.repeat([scenario.box_noise, scenario.feature_noise], [box_cols, noise_cols])
     rng = np.random.default_rng(scenario.seed)
-    width, height = scenario.bounds
-    det_lines: list[str] = []
-    gt_lines: list[str] = []
-    feature_records = []
-    for frame in range(1, scenario.frames + 1):
-        visible = scenario.visible_boxes(frame)
-        for index, (tid, gt_box) in enumerate(visible):
-            if gt_box.x < 0 or gt_box.y < 0 or gt_box.x + gt_box.w > width or gt_box.y + gt_box.h > height:
-                raise ValueError(
-                    f"target {tid} leaves scene bounds at frame {frame}: {gt_box}"
-                )
-            jitter = rng.normal(0.0, scenario.box_noise, size=4) if scenario.box_noise else np.zeros(4)
-            det_box = BBox(
-                gt_box.x + jitter[0],
-                gt_box.y + jitter[1],
-                max(gt_box.w + jitter[2], 1.0),
-                max(gt_box.h + jitter[3], 1.0),
-            )
-            direction = scenario.targets[tid].feature_dir
-            noise = (
-                rng.normal(0.0, scenario.feature_noise, size=direction.shape)
-                if scenario.feature_noise
-                else 0.0
-            )
-            vec = direction + noise
-            norm = np.linalg.norm(vec)
-            if norm == 0.0:
-                raise ValueError(f"feature collapsed to zero at frame {frame}")
-            feature_records.append(
-                (frame, index, (vec / norm).astype(np.float32))
-            )
-            det_lines.append(
-                f"{frame},-1,{det_box.x:.6f},{det_box.y:.6f},{det_box.w:.6f},"
-                f"{det_box.h:.6f},{scenario.confidence:.6f},-1,-1,-1\n"
-            )
-            gt_lines.append(
-                f"{frame},{tid + 1},{gt_box.x:.6f},{gt_box.y:.6f},{gt_box.w:.6f},"
-                f"{gt_box.h:.6f},1,1,1\n"
-            )
+    jitter = np.zeros((len(gt), 4))
+    features = np.empty((len(gt), dirs.shape[1]), dtype=np.float32)
+    for frame, rows in enumerate(np.split(np.arange(len(gt)), np.cumsum(seen.sum(axis=1))[:-1]), start=1):
+        draws = rng.normal(0.0, scales, size=(len(rows), len(scales)))
+        if box_cols:
+            jitter[rows] = draws[:, :4]
+        vec = dirs[tids[rows]] + (draws[:, box_cols:] if noise_cols else 0.0)
+        norm = norms(vec)
+        if (norm == 0.0).any():
+            raise ValueError(f"feature collapsed to zero at frame {frame}")
+        features[rows] = vec / norm[:, None]
+    det = gt + jitter
+    np.maximum(det[:, 2:], 1.0, out=det[:, 2:])
+    frames = frame_ix + 1
+    index = seen.cumsum(axis=1)[seen] - 1  # a detection's position in its frame
     det_path, feature_path, gt_path = Path(det_path), Path(feature_path), Path(gt_path)
-    det_path.write_text("".join(det_lines), encoding="utf-8")
-    gt_path.write_text("".join(gt_lines), encoding="utf-8")
-    mot_io.write_features(feature_path, feature_records)
+    mot_io.write_rows(det_path, frames, np.full(len(det), -1), det, f",{scenario.confidence:.6f},-1,-1,-1")
+    mot_io.write_rows(gt_path, frames, tids + 1, gt, ",1,1,1")
+    mot_io.write_features(feature_path, zip(frames.tolist(), index.tolist(), features))
     return det_path, feature_path, gt_path
 
 
 def generate_to_dir(scenario: Scenario, out_dir) -> tuple[Path, Path, Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return generate(
-        scenario, out / "det.txt", out / "features.feab", out / "gt.txt"
-    )
+    return generate(scenario, out / "det.txt", out / "features.feab", out / "gt.txt")
 
 
 def _basis(dim: int, index: int) -> np.ndarray:
@@ -179,14 +180,7 @@ def crossing_scene(seed: int = 1) -> Scenario:
             (60, center_box(610, 380, 52, 64)),
         ],
     )
-    return Scenario(
-        seed=seed,
-        frames=60,
-        targets=[big, small],
-        occlusions=[(1, 24, 28)],
-        box_noise=0.0,
-        feature_noise=0.0,
-    )
+    return Scenario(seed=seed, frames=60, targets=[big, small], occlusions=[(1, 24, 28)])
 
 
 def parade_scene(seed: int = 2, n_targets: int = 10, frames: int = 200) -> Scenario:
@@ -204,13 +198,7 @@ def parade_scene(seed: int = 2, n_targets: int = 10, frames: int = 200) -> Scena
                 ],
             )
         )
-    return Scenario(
-        seed=seed,
-        frames=frames,
-        targets=targets,
-        box_noise=0.3,
-        feature_noise=0.03,
-    )
+    return Scenario(seed=seed, frames=frames, targets=targets, box_noise=0.3, feature_noise=0.03)
 
 
 def enter_exit_scene(seed: int = 3) -> Scenario:

@@ -186,6 +186,19 @@ class TestEval:
             assert main(["eval", "--gt", gt, "--pred", gt, "--stats", str(stats), "--format", fmt]) == 0
             assert line in capsys.readouterr().out.splitlines()
 
+    def test_kv_keys_mean_what_the_stats_file_means(self, tmp_path, crossing_dir, capsys):
+        # 4 detections, 2 of them high-confidence: eval must not print the 2 as `detections`
+        stats = tmp_path / "r.stats"
+        lines = _stats_lines(RunStats(fetches=1, detections=4, high_detections=2), DEFAULTS, MatchConfig())
+        stats.write_text("\n".join(lines) + "\n")
+        gt = str(crossing_dir / "gt.txt")
+        assert main(["eval", "--gt", gt, "--pred", gt, "--stats", str(stats), "--format", "kv"]) == 0
+        kv = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+        written = dict(line.split("=", 1) for line in lines)
+        assert kv["high_detections"] == "2"
+        shared = kv.keys() & written
+        assert {key: kv[key] for key in shared} == {key: written[key] for key in shared}
+
     def test_table_format(self, tmp_path, crossing_dir, capsys):
         out, _ = run_track(tmp_path, crossing_dir)
         code = main(["eval", "--gt", str(crossing_dir / "gt.txt"), "--pred", str(out)])

@@ -1,4 +1,5 @@
-"""What a run builds and loads: no `BBox` below the public API, and scipy only once a matrix conflicts.
+"""What a run builds and loads: no `BBox` below the public API, scipy only once a matrix conflicts,
+and a small heap while a scene is generated.
 
 Each scipy test runs a fresh interpreter, since the test process itself
 has long since imported scipy.
@@ -8,6 +9,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import seltrack
@@ -16,6 +18,8 @@ from seltrack.geometry import BBox
 from seltrack.io import FeatureFileProvider, read_detections, read_trajectories, write_results
 from seltrack.synth import generate_to_dir, preset
 from seltrack.tracker import run_sequence
+
+from test_golden import benchmark_workloads
 
 # the directory this test process imports seltrack from
 PACKAGE_ROOT = str(Path(seltrack.__file__).resolve().parents[1])
@@ -93,3 +97,17 @@ def test_a_run_from_files_to_metrics_builds_no_bbox(tmp_path, monkeypatch):
     assert checked == [] and not any(isinstance(d.box, BBox) for d in detections)
     BBox(0, 0, 1, 1)  # the counter sees a box built
     assert len(checked) == 1
+
+
+def test_generating_churn_keeps_a_small_heap(tmp_path):
+    # the benchmark generates each workload in the process whose peak RSS it
+    # reports; churn's features have 128 dimensions, so drawing the whole
+    # scene's noise at once would hold about 20 MB of temporaries
+    workloads = benchmark_workloads()
+    tracemalloc.start()
+    try:
+        workloads.generate("churn", 1, tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6

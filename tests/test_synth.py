@@ -14,7 +14,7 @@ from seltrack.synth import (
 )
 from seltrack.appearance import cosine_costs
 
-from providers import reference_read_features, xywh
+from providers import reference_read_features
 
 
 def normalized(values) -> np.ndarray:
@@ -85,24 +85,86 @@ class TestGenerate:
                 ],
             )
 
+    def test_feature_directions_of_different_lengths_rejected(self):
+        # refused where the scene is built, not later where its feature file is written
+        with pytest.raises(ValueError, match="one length"):
+            Scenario(
+                seed=0,
+                frames=3,
+                targets=[
+                    Target(np.array([1.0, 0, 0]), [(1, BBox(0, 0, 5, 5))]),
+                    Target(np.array([0, 1.0]), [(1, BBox(20, 20, 5, 5))]),
+                ],
+            )
+
     def test_degenerate_keyframe_box_rejected(self):
         with pytest.raises(ValueError):
             Target(np.array([1.0, 0]), [(1, BBox(0, 0, 0, 5))])
 
 
+def reference_box_at(target, frame):
+    """The keyframe path at one frame, as a loop over its segments: the first that holds it, u = 1 at its end."""
+    ks = target.keyframes
+    if frame < ks[0][0] or frame > ks[-1][0]:
+        return None
+    for (f0, b0), (f1, b1) in zip(ks, ks[1:]):
+        if f0 <= frame <= f1:
+            u = (frame - f0) / (f1 - f0)
+            return center_box(
+                b0.cx + u * (b1.cx - b0.cx),
+                b0.cy + u * (b1.cy - b0.cy),
+                b0.w + u * (b1.w - b0.w),
+                b0.h + u * (b1.h - b0.h),
+            )
+    return ks[-1][1]
+
+
+class TestBoxes:
+    def test_paths_equal_the_segment_loop_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            n = int(rng.integers(1, 6))
+            frames = np.sort(rng.choice(np.arange(-5, 40), size=n, replace=False))
+            keyframes = [
+                (int(f), center_box(*rng.uniform(0, 500, size=2), *rng.uniform(1, 80, size=2))) for f in frames
+            ]
+            target = Target(np.array([1.0]), keyframes)
+            at = np.arange(-8, 44)
+            want = [reference_box_at(target, int(f)) for f in at]
+            want = [[np.nan] * 4 if b is None else [b.x, b.y, b.w, b.h] for b in want]
+            np.testing.assert_array_equal(target.boxes(at), want)
+
+    def test_path_is_nan_outside_its_keyframe_span(self):
+        t = Target(np.array([1.0]), [(2, BBox(0, 0, 4, 4)), (4, BBox(4, 0, 4, 8))])
+        rows = t.boxes([1, 2, 3, 4, 5])
+        assert np.isnan(rows[[0, 4]]).all()
+        assert rows[1:4].tolist() == [[0, 0, 4, 4], [2, 0, 4, 6], [4, 0, 4, 8]]
+
+    def test_one_keyframe_path_is_its_box(self):
+        t = Target(np.array([1.0]), [(3, BBox(0.1, 0.2, 0.3, 0.7))])
+        rows = t.boxes([2, 3, 4])
+        assert np.isnan(rows[[0, 2]]).all() and rows[1].tolist() == [0.1, 0.2, 0.3, 0.7]
+
+    def test_occlusion_windows_clamped_to_the_scene(self):
+        gt = tiny_scenario(occlusions=[(0, -2, 2), (1, 4, 9)]).boxes()
+        assert gt.shape == (5, 2, 4)
+        seen = ~np.isnan(gt).any(axis=2)
+        assert seen.T.tolist() == [[False, False, True, True, True], [True, True, True, False, False]]
+
+
 class TestCrossingScene:
     def test_both_targets_present_before_and_after(self):
-        sc = crossing_scene()
+        seen = ~np.isnan(crossing_scene().boxes()[..., 0])
         for frame in (1, 23, 29, 60):
-            assert len(sc.visible_boxes(frame)) == 2
+            assert seen[frame - 1].sum() == 2
         for frame in range(24, 29):
-            assert [t for t, _ in sc.visible_boxes(frame)] == [0]
+            assert np.flatnonzero(seen[frame - 1]).tolist() == [0]
 
     def test_mid_crossing_overlap_exceeds_half(self):
         sc = crossing_scene()
-        a = sc.targets[0].box_at(26)
-        b = sc.targets[1].box_at(26)
-        assert iou_matrix(xywh([a]), xywh([b]))[0, 0] > 0.5
+        a = sc.targets[0].boxes([26])
+        b = sc.targets[1].boxes([26])
+        assert iou_matrix(a, b)[0, 0] > 0.5
 
     def test_features_orthogonal(self):
         sc = crossing_scene()
@@ -112,9 +174,9 @@ class TestCrossingScene:
 
     def test_reappearance_is_clear_of_both_predictions(self):
         sc = crossing_scene()
-        small = sc.targets[1].box_at(29)
-        big = sc.targets[0].box_at(29)
-        assert iou_matrix(xywh([small]), xywh([big]))[0, 0] == 0.0
+        small = sc.targets[1].boxes([29])
+        big = sc.targets[0].boxes([29])
+        assert iou_matrix(small, big)[0, 0] == 0.0
 
 
 class TestPresets:
@@ -146,15 +208,14 @@ class TestPresets:
         assert len(read_trajectories(gt))
 
     def test_parade_lanes_never_overlap(self, tmp_path):
-        sc = preset("parade")
+        gt = preset("parade").boxes()
         for frame in (1, 100, 200):
-            boxes = xywh([b for _, b in sc.visible_boxes(frame)])
+            boxes = gt[frame - 1][~np.isnan(gt[frame - 1, :, 0])]
             overlap = iou_matrix(boxes, boxes)
             assert (overlap[~np.eye(len(boxes), dtype=bool)] == 0.0).all()
 
     def test_grid_neighbours_overlap(self):
-        sc = preset("grid")
-        boxes = xywh([b for _, b in sc.visible_boxes(1)])
+        boxes = preset("grid").boxes()[0]
         assert iou_matrix(boxes[:1], boxes[1:2])[0, 0] > 0.2
 
 
