@@ -945,6 +945,20 @@ class TestStreamProperties:
         assert first_stats == second_stats
 
     @settings(max_examples=100, deadline=None)
+    @given(streams(), configs)
+    def test_committed_tables_are_never_written(self, stream, config):
+        # a frame that fetches nothing, births nothing or drops nothing leaves
+        # some columns of the table it commits shared with the one before
+        frames, features = stream
+        tracker = SelectiveTracker(DictProvider(features), *config)
+        held = []
+        for f in sorted(frames):
+            tracker.step(f, frames[f])
+            held += [(f, c.name, a, a.tobytes()) for c in fields(tracker.table) for a in [getattr(tracker.table, c.name)]]
+        for f, name, a, before in held:
+            assert a.tobytes() == before, (f, name)
+
+    @settings(max_examples=100, deadline=None)
     @given(streams(), st.sampled_from([STRATEGY_CASCADE, STRATEGY_FUSED]))
     def test_full_iou_threshold_equals_always_extract(self, stream, strategy):
         frames, features = stream
