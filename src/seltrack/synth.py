@@ -77,6 +77,9 @@ class Scenario:
         if self.frames < 1:
             raise ValueError("scenario needs at least one frame")
         dirs = self._directions()
+        refused = ~(np.isfinite(dirs).all(axis=1) & dirs.any(axis=1))
+        if refused.any():
+            raise ValueError(f"target {int(np.argmax(refused))} has a zero or non-finite feature direction")
         dirs = dirs / norms(dirs)[:, None]
         for i in range(len(dirs) - 1):
             same = np.isclose(dirs[i], dirs[i + 1:]).all(axis=1)

@@ -97,6 +97,19 @@ class TestGenerate:
                 ],
             )
 
+    @pytest.mark.parametrize("direction", [[0.0, 0.0, 0.0], [np.nan, 1.0, 0.0], [np.inf, 0.0, 0.0], [1.0, -np.inf, 0.0]])
+    def test_zero_or_non_finite_feature_direction_rejected(self, direction):
+        # refused by name, before its norm is taken (a zero norm would warn in the divide)
+        with pytest.raises(ValueError, match="target 1 .*direction"):
+            Scenario(
+                seed=0,
+                frames=3,
+                targets=[
+                    Target(np.array([1.0, 0, 0]), [(1, BBox(0, 0, 5, 5))]),
+                    Target(np.array(direction), [(1, BBox(20, 20, 5, 5))]),
+                ],
+            )
+
     def test_degenerate_keyframe_box_rejected(self):
         with pytest.raises(ValueError):
             Target(np.array([1.0, 0]), [(1, BBox(0, 0, 0, 5))])
