@@ -9,7 +9,9 @@ All per-track state lives in one `TrackTable` of stacked arrays, so each
 of those per-track steps is one call over the rows it concerns, and each
 per-frame quantity (the detections' box array and their Kalman
 measurements, the IoU matrix, the innovation variances, the fetched
-features) is built once and sliced by every stage that reads it.
+features) is built once and sliced by every stage that reads it. A frame
+copies a track column only when it writes it, and builds a stage's cost
+matrix only when that stage runs.
 """
 
 from __future__ import annotations
@@ -166,10 +168,11 @@ class TrackTable:
     `kalman_block` is `motion`'s stacked state block, whose last axis runs
     over the rows, and `effective_alpha` is the weight the next blend puts
     on a row's embedding; a row without an embedding holds zeros in both.
-    A committed table (`SelectiveTracker.table`) is never written: a frame
-    writes its own copy of the columns it changes, and that copy is
-    committed whole, so a committed table is a snapshot later frames keep
-    intact.
+    A committed table (`SelectiveTracker.table`) is never written. A frame's
+    table shares each column with it until the frame writes that column: it
+    copies `hits` up front, `embedding` and `has_embedding` only to blend a
+    fetched feature, and builds its other changed columns anew. A committed
+    table is thus a snapshot later frames keep intact.
     """
 
     ids: np.ndarray
@@ -303,17 +306,18 @@ class SelectiveTracker:
         # 1. motion prediction; a track whose predicted aspect or height is
         #    no longer positive has no box, so it ends here. The innovation
         #    variances that tell so are kept for the update. `t` is the
-        #    frame's own table from here on, written in place: each column the
-        #    frame writes is a new array (`keep` may return the table it is given)
+        #    frame's own table from here on; it shares each column with the
+        #    committed table until it writes it (see `TrackTable`)
         t = self.table
         block = motion.predict(t.kalman_block)
         s = motion.innovation_variance(block)
         kept = ~motion.degenerate(block, s)
-        t = TrackTable(t.ids, block, embedding=t.embedding.copy(), has_embedding=t.has_embedding.copy(),
-                       effective_alpha=t.effective_alpha.copy(), hits=t.hits.copy(),
-                       time_since_update=t.time_since_update + 1).keep(kept)
-        s = s[:, kept]
+        t = TrackTable(t.ids, block, t.embedding, t.has_embedding, t.effective_alpha, hits=t.hits.copy(),
+                       time_since_update=t.time_since_update + 1)
+        if not kept.all():
+            t, s = t.keep(kept), s[:, kept]
         confirmed = t.hits >= m.min_hits  # the rows the gate and the cascade's first stage see
+        all_confirmed = confirmed.all()
 
         # 2. confidence split; the selective mechanism sees only the high
         #    half. The frame's boxes are one array, the high rows first, each
@@ -337,7 +341,7 @@ class SelectiveTracker:
         ious = iou_matrix(boxes, xywh[:n_iou]) if n_iou else np.zeros((len(t), 0))
         high_iou = ious[:, :n_high]
         if n_high:
-            gate_iou = high_iou if confirmed.all() else np.where(confirmed[:, None], high_iou, 0.0)
+            gate_iou = high_iou if all_confirmed else np.where(confirmed[:, None], high_iou, 0.0)
             cand = gating.candidates(gate_iou, xywh[:n_high], boxes, self.gate)
         else:
             cand = np.full(n_high, -1)
@@ -348,8 +352,8 @@ class SelectiveTracker:
         #    out of appearance matching) under the base-gate ablation
         risky_js = risky.nonzero()[0]
         fetched, feats = self._fetch(frame, order, risky_js)
-        saturated = ~risky & (self.gate.mode == gating.MODE_BASE_GATE)
-        copies = (~risky & ~saturated).nonzero()[0]
+        base_gate = self.gate.mode == gating.MODE_BASE_GATE
+        copies = risky_js[:0] if base_gate else (~risky).nonzero()[0]
         copies = copies[t.has_embedding[cand[copies]]]
 
         # 5. association: each stage is one solve over every live row and its
@@ -357,9 +361,10 @@ class SelectiveTracker:
         #    Appearance costs are INFEASIBLE where a track has no embedding or
         #    a detection no feature (a saturated one included); only the fused
         #    stage prices saturated columns, at SATURATED_COST. The matches
-        #    are (track row, detection row) index arrays, stage after stage
+        #    are (track row, detection row) index arrays, stage after stage;
+        #    `left_rows` and `left_js` mask the rows and columns left unmatched
         app = np.full(high_iou.shape, INFEASIBLE)
-        app_js = np.sort(np.concatenate([fetched, copies]))
+        app_js = np.sort(np.concatenate([fetched, copies])) if len(fetched) else copies
         if len(app_js) and t.has_embedding.any():
             vectors = t.embedding[cand[app_js]]  # a fetched column's row (cand -1) is overwritten next
             if len(fetched):
@@ -367,24 +372,26 @@ class SelectiveTracker:
             app[:, app_js] = appearance.cosine_costs(t.embedding, vectors)
             app[~t.has_embedding] = INFEASIBLE
             app[cand[copies], copies] = 0.0  # a copy is its candidate's own embedding
-        iou_cost = np.where(ious >= m.iou_gate, 1.0 - ious, INFEASIBLE)
-        high_cost = iou_cost[:, :n_high]
         if m.strategy == STRATEGY_CASCADE:
-            rows, js = assignment.solve(np.where(confirmed[:, None], app, INFEASIBLE), m.appearance_gate)
+            rows, js = assignment.solve(app if all_confirmed else np.where(confirmed[:, None], app, INFEASIBLE),
+                                        m.appearance_gate)
             left_rows, left_js = _left(len(t), rows), _left(n_high, js)
             if left_rows.any() and left_js.any():
-                left = left_rows[:, None] & left_js
-                iou_rows, iou_js = assignment.solve(np.where(left, high_cost, INFEASIBLE), 1.0 - m.iou_gate)
-                rows, js = np.concatenate([rows, iou_rows]), np.concatenate([js, iou_js])
+                iou_rows, iou_js = assignment.solve(
+                    _iou_cost(high_iou, m.iou_gate, left_rows[:, None] & left_js), 1.0 - m.iou_gate)
+                if len(iou_rows):
+                    rows, js = np.concatenate([rows, iou_rows]), np.concatenate([js, iou_js])
+                    left_rows[iou_rows], left_js[iou_js] = False, False
         else:
-            extra = np.where(saturated, SATURATED_COST, app)
+            high_cost = _iou_cost(high_iou, m.iou_gate)
+            extra = np.where(~risky, SATURATED_COST, app) if base_gate else app
             priced = np.isfinite(high_cost) & np.isfinite(extra)
             high_cost[priced] += m.fused_weight * extra[priced]
             rows, js = assignment.solve(high_cost, m.fused_weight * SATURATED_COST + (1.0 - m.iou_gate))
-        born_js = _left(n_high, js).nonzero()[0]
-        left_t = _left(len(t), rows)
-        if m.byte_low and n_high < n_dets and left_t.any():
-            byte_cost = np.where(left_t[:, None], iou_cost[:, n_high:], INFEASIBLE)
+            left_rows, left_js = _left(len(t), rows), _left(n_high, js)
+        born_js = left_js.nonzero()[0]
+        if m.byte_low and n_high < n_dets and left_rows.any():
+            byte_cost = _iou_cost(ious[:, n_high:], m.iou_gate, left_rows[:, None])
             byte_rows, byte_js = assignment.solve(byte_cost, 1.0 - m.iou_gate)
             rows, js = np.concatenate([rows, byte_rows]), np.concatenate([js, n_high + byte_js])
 
@@ -397,12 +404,13 @@ class SelectiveTracker:
             t.time_since_update[rows] = 0
 
         # 7. births for unmatched high-confidence detections (eager feature)
-        late_js = born_js[~risky[born_js]]
-        late, late_feats = self._fetch(frame, order, late_js)
-        if len(late):
-            fetched = np.concatenate([fetched, late])
-            feats = late_feats if feats is None else np.concatenate([feats, late_feats])
+        late_js = born_js
         if len(born_js):
+            late_js = born_js[~risky[born_js]]
+            late, late_feats = self._fetch(frame, order, late_js)
+            if len(late):
+                fetched = np.concatenate([fetched, late])
+                feats = late_feats if feats is None else np.concatenate([feats, late_feats])
             ids = np.arange(self._next_id, self._next_id + len(born_js))
             block = motion.initiate(z[born_js])
             t = t.concat(TrackTable.born(ids, block, t.embedding.shape[1]))
@@ -415,14 +423,17 @@ class SelectiveTracker:
 
         # 8. appearance: only a fetched vector refreshes the EMA (or seeds a
         #    newborn's); byte/copied/feature-less matches and unmatched tracks decay it
-        feat_of = np.full(n_dets, -1)  # detection row -> its row of `feats`, -1 when not fetched
-        feat_of[fetched] = np.arange(len(fetched))
-        ks = feat_of[det_of[seen]]
-        self._refresh_appearance(t, seen[ks >= 0], ks[ks >= 0], feats)
+        blended = ks = seen[:0]
+        if len(fetched):
+            feat_of = np.full(n_dets, -1)  # detection row -> its row of `feats`, -1 when not fetched
+            feat_of[fetched] = np.arange(len(fetched))
+            ks = feat_of[det_of[seen]]
+            blended, ks = seen[ks >= 0], ks[ks >= 0]
+        self._refresh_appearance(t, blended, ks, feats)
 
         # the confirmed matched and newborn tracks emit; rows are in birth
         # order, so in increasing id order
-        shown = seen[t.hits[seen] >= m.min_hits]
+        shown = seen if m.min_hits == 1 else seen[t.hits[seen] >= m.min_hits]
         if m.emit == EMIT_DETECTION:
             shown_xywh = xywh[det_of[shown]]
         else:
@@ -454,22 +465,27 @@ class SelectiveTracker:
     def _refresh_appearance(self, t: TrackTable, rows: np.ndarray, ks: np.ndarray, feats) -> None:
         """Decay every row's blend weight, then blend row `ks[n]` of `feats` into row `rows[n]`; a row without an embedding is seeded.
 
-        `t` is the frame's own table, written in place.
+        `t` is the frame's own table; a column is replaced by a new array before it is written.
         """
         alpha = self.match.ema_alpha
         weight = t.effective_alpha[rows]  # what this frame's blends put on the old embedding
-        t.effective_alpha *= alpha
+        t.effective_alpha = t.effective_alpha * alpha
         if not len(rows):
             return
         vectors = feats[ks]
-        if not t.embedding.shape[1]:
-            t.embedding = np.zeros((len(t), vectors.shape[1]))
         blend = t.has_embedding[rows]
         if blend.any():
             vectors[blend] = appearance.ema_update(t.embedding[rows[blend]], weight[blend], vectors[blend])
+        t.embedding = t.embedding.copy() if t.embedding.shape[1] else np.zeros((len(t), vectors.shape[1]))
+        t.has_embedding = t.has_embedding.copy()
         t.embedding[rows] = vectors
         t.has_embedding[rows] = True
         t.effective_alpha[rows] = alpha
+
+
+def _iou_cost(ious: np.ndarray, iou_gate: float, within=True) -> np.ndarray:
+    """1 - IoU where the IoU clears `iou_gate` and `within` holds, INFEASIBLE elsewhere."""
+    return np.where(within & (ious >= iou_gate), 1.0 - ious, INFEASIBLE)
 
 
 def _left(n: int, taken: np.ndarray) -> np.ndarray:

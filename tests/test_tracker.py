@@ -510,6 +510,33 @@ class TestCommittedTable:
         for name, a in held.items():
             assert a.tobytes() == before[name].tobytes(), name
 
+    def test_frame_that_fetches_nothing_shares_the_embedding(self):
+        # two parallel lanes: frame 1 fetches both births, frame 2 copies both
+        # (each detection has a sole candidate), and in frame 3 target 0 jumps
+        # off its track's box, so it is risky, fetched and matched by appearance
+        features = {(f, i): e(4, i) for f in range(1, 4) for i in range(2)}
+        tracker = SelectiveTracker(DictProvider(features), GateConfig(mode=MODE_SELECTIVE))
+        tracker.step(1, frame(1, [BBox(102, 100, 20, 40), BBox(102, 300, 20, 40)]))
+        first = tracker.table.embedding
+        tracker.step(2, frame(2, [BBox(104, 100, 20, 40), BBox(104, 300, 20, 40)]))
+        assert tracker.stats.fetches == 2
+        assert np.shares_memory(tracker.table.embedding, first)
+        second = tracker.table.embedding
+        emitted = tracker.step(3, frame(3, [BBox(160, 100, 20, 40), BBox(106, 300, 20, 40)]))
+        assert tracker.stats.fetches == 3
+        assert [tid for tid, _ in emitted] == [1, 2] and tracker.table.ids.tolist() == [1, 2]
+        assert tracker.table.effective_alpha.tolist() == [0.9, 0.9 ** 3]  # row 0 blended, row 1 decayed
+        assert not np.shares_memory(tracker.table.embedding, second)
+
+    def test_track_seeded_after_its_birth_leaves_the_committed_mask(self):
+        # born without a feature in frame 1, seeded in frame 2, which has no birth or deletion
+        tracker = SelectiveTracker(DictProvider({(2, 0): e(4, 0)}), GateConfig(mode=MODE_ALWAYS_EXTRACT))
+        tracker.step(1, frame(1, [BBox(100, 100, 20, 40)]))
+        first = tracker.table
+        tracker.step(2, frame(2, [BBox(102, 100, 20, 40)]))
+        assert tracker.table.has_embedding.tolist() == [True]
+        assert first.has_embedding.tolist() == [False]
+
 
 def track_axis(name: str) -> int:
     """The axis of a `TrackTable` column that runs over its rows."""
