@@ -34,6 +34,15 @@ the sides alternating call by call, and the table gives each side's
 fastest call in milliseconds and whether the two reports are identical:
 
     PYTHONPATH=src python scripts/bench_frame.py --eval --against ../parent --passes 60
+
+`--calls` counts calls instead of timing them: after one pass that warms
+up lazy imports, each side steps a fresh tracker over every frame under
+cProfile, and the table gives the total calls it saw over that pass
+divided by the frames, per workload and mode. The count repeats exactly
+from run to run, so it shows a change in the number of calls a frame
+makes without the host's noise:
+
+    PYTHONPATH=src python scripts/bench_frame.py --calls --against ../parent
 """
 
 from __future__ import annotations
@@ -45,10 +54,12 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse
+import cProfile
 import dataclasses
 import gc
 import importlib
 import math
+import pstats
 import sys
 import tempfile
 from pathlib import Path
@@ -118,6 +129,19 @@ class Side:
             rows.extend((frame, tid, *box) for tid, box in emitted)
         self.rows.setdefault(mode, rows)
 
+    def calls_per_frame(self, mode: str) -> float:
+        """cProfile's total calls over one pass of a fresh tracker, per frame, after an unprofiled pass."""
+        self.run_pass(mode)
+        gate = self.modules.gating.GateConfig(mode=mode)
+        step = self.modules.tracker.SelectiveTracker(self.provider, gate, self.match).step
+        frames = sorted(self.frames)
+        profile = cProfile.Profile()
+        profile.enable()
+        for frame in frames:
+            step(frame, self.frames[frame])
+        profile.disable()
+        return pstats.Stats(profile).total_calls / len(frames)
+
     def median_ms(self, mode: str) -> float:
         return float(np.median(list(self.best[mode].values())))
 
@@ -186,6 +210,7 @@ def main(argv=None) -> int:
     timed = ap.add_mutually_exclusive_group()
     timed.add_argument("--setup", action="store_true", help="time the loads of the inputs, not the frames")
     timed.add_argument("--eval", action="store_true", help="time metrics.evaluate of the results, not the frames")
+    timed.add_argument("--calls", action="store_true", help="count the calls per frame under cProfile, not the time")
     args = ap.parse_args(argv)
 
     sides = {"this": SimpleNamespace(gating=gating, io=io, metrics=metrics, tracker=tracker)}
@@ -194,7 +219,8 @@ def main(argv=None) -> int:
     names = workloads.NAMES if args.workload == "all" else (args.workload,)
 
     cpus = os.sched_getaffinity(0)  # `pin_fastest_cpu` narrows it
-    header = f"{'workload':8} {'mode':15}" + "".join(f" {name + ' ms':>10}" for name in sides)
+    unit = " calls" if args.calls else " ms"
+    header = f"{'workload':8} {'mode':15}" + "".join(f" {name + unit:>13}" for name in sides)
     columns = f" {'change':>8}" + ("" if args.setup else f" {'report' if args.eval else 'rows':>9}")
     print(header + (columns if len(sides) > 1 else ""))
     try:
@@ -205,25 +231,28 @@ def main(argv=None) -> int:
                     best = fastest_loads(list(sides.values()), workload, args.passes)
                     for part in LOAD_PARTS:
                         ms = [side[part] for side in best]
-                        line = f"{name:8} {part:15}" + "".join(f" {v:>10.3f}" for v in ms)
+                        line = f"{name:8} {part:15}" + "".join(f" {v:>13.3f}" for v in ms)
                         print(line + (f" {100.0 * (ms[0] / ms[1] - 1.0):>+7.1f}%" if len(ms) > 1 else ""), flush=True)
                     continue
                 if args.eval:
                     ms, reports = fastest_evaluates(list(sides.values()), workload, args.passes)
-                    line = f"{name:8} {'evaluate':15}" + "".join(f" {v:>10.3f}" for v in ms)
+                    line = f"{name:8} {'evaluate':15}" + "".join(f" {v:>13.3f}" for v in ms)
                     if len(ms) > 1:
                         same = all(r == reports[0] for r in reports)
                         line += f" {100.0 * (ms[0] / ms[1] - 1.0):>+7.1f}% {'identical' if same else 'DIFFER':>9}"
                     print(line, flush=True)
                     continue
                 loaded = [Side(modules, workload) for modules in sides.values()]
-                for n in range(args.passes):
+                for n in range(0 if args.calls else args.passes):
                     for mode in MODES:
                         for side in loaded[:: 1 if n % 2 == 0 else -1]:
                             side.run_pass(mode)
                 for mode in MODES:
-                    ms = [side.median_ms(mode) for side in loaded]
-                    line = f"{name:8} {mode:15}" + "".join(f" {v:>10.3f}" for v in ms)
+                    if args.calls:
+                        ms = [side.calls_per_frame(mode) for side in loaded]
+                    else:
+                        ms = [side.median_ms(mode) for side in loaded]
+                    line = f"{name:8} {mode:15}" + "".join(f" {v:>13.{1 if args.calls else 3}f}" for v in ms)
                     if len(loaded) > 1:
                         same = all(side.rows[mode] == loaded[0].rows[mode] for side in loaded)
                         line += f" {100.0 * (ms[0] / ms[1] - 1.0):>+7.1f}% {'identical' if same else 'DIFFER':>9}"
