@@ -205,7 +205,8 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", default="all", choices=workloads.NAMES + ("all",))
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--passes", type=int, default=24,
-                    help="passes per side, workload and mode (with --setup or --eval, calls per side and workload)")
+                    help="passes per side, workload and mode (with --setup or --eval, calls per side and workload; "
+                         "--calls makes one)")
     ap.add_argument("--against", type=Path, help="another checkout to time alongside this one")
     timed = ap.add_mutually_exclusive_group()
     timed.add_argument("--setup", action="store_true", help="time the loads of the inputs, not the frames")

@@ -4,7 +4,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from seltrack import gating, motion
 from seltrack import tracker as tracker_module
@@ -528,15 +528,6 @@ class TestCommittedTable:
         assert tracker.table.effective_alpha.tolist() == [0.9, 0.9 ** 3]  # row 0 blended, row 1 decayed
         assert not np.shares_memory(tracker.table.embedding, second)
 
-    def test_track_seeded_after_its_birth_leaves_the_committed_mask(self):
-        # born without a feature in frame 1, seeded in frame 2, which has no birth or deletion
-        tracker = SelectiveTracker(DictProvider({(2, 0): e(4, 0)}), GateConfig(mode=MODE_ALWAYS_EXTRACT))
-        tracker.step(1, frame(1, [BBox(100, 100, 20, 40)]))
-        first = tracker.table
-        tracker.step(2, frame(2, [BBox(102, 100, 20, 40)]))
-        assert tracker.table.has_embedding.tolist() == [True]
-        assert first.has_embedding.tolist() == [False]
-
 
 def track_axis(name: str) -> int:
     """The axis of a `TrackTable` column that runs over its rows."""
@@ -973,6 +964,10 @@ class TestStreamProperties:
 
     @settings(max_examples=100, deadline=None)
     @given(streams(), configs)
+    # a track born without a feature, then seeded in a frame with no birth or
+    # deletion: its `has_embedding` is shared until that write
+    @example(({1: frame(1, [BBox(100, 100, 20, 40)]), 2: frame(2, [BBox(102, 100, 20, 40)])}, {(2, 0): PALETTE[0]}),
+             (GateConfig(mode=MODE_ALWAYS_EXTRACT), MatchConfig()))
     def test_committed_tables_are_never_written(self, stream, config):
         # a frame that fetches nothing, births nothing or drops nothing leaves
         # some columns of the table it commits shared with the one before
