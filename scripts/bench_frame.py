@@ -40,7 +40,10 @@ up lazy imports, each side steps a fresh tracker over every frame under
 cProfile, and the table gives the total calls it saw over that pass
 divided by the frames, per workload and mode. The count repeats exactly
 from run to run, so it shows a change in the number of calls a frame
-makes without the host's noise:
+makes without the host's noise. With `--against`, each workload and mode
+is followed by the functions whose calls per frame changed most between
+the two sides, this side's count, the other's and the change, so a
+change shows where its calls went:
 
     PYTHONPATH=src python scripts/bench_frame.py --calls --against ../parent
 """
@@ -54,6 +57,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse
+import collections
 import cProfile
 import dataclasses
 import gc
@@ -129,8 +133,12 @@ class Side:
             rows.extend((frame, tid, *box) for tid, box in emitted)
         self.rows.setdefault(mode, rows)
 
-    def calls_per_frame(self, mode: str) -> float:
-        """cProfile's total calls over one pass of a fresh tracker, per frame, after an unprofiled pass."""
+    def calls_per_frame(self, mode: str) -> dict[str, float]:
+        """cProfile's calls of each function over one pass of a fresh tracker, per frame, after an unprofiled pass.
+
+        A function is keyed by its file's last two path parts and its name,
+        which two checkouts share however far their line numbers moved.
+        """
         self.run_pass(mode)
         gate = self.modules.gating.GateConfig(mode=mode)
         step = self.modules.tracker.SelectiveTracker(self.provider, gate, self.match).step
@@ -140,10 +148,26 @@ class Side:
         for frame in frames:
             step(frame, self.frames[frame])
         profile.disable()
-        return pstats.Stats(profile).total_calls / len(frames)
+        calls = collections.Counter()
+        for (file, _, name), (_, n_calls, *_) in pstats.Stats(profile).stats.items():
+            calls["/".join(Path(file).parts[-2:]) + ":" + name if file != "~" else name] += n_calls / len(frames)
+        return calls
 
     def median_ms(self, mode: str) -> float:
         return float(np.median(list(self.best[mode].values())))
+
+
+MOVED_FUNCTIONS = 15  # the functions listed under each `--calls --against` line
+
+
+def print_moved_calls(counts: list[dict[str, float]]) -> None:
+    """The functions whose calls per frame differ most between two sides' counts, with both counts and the change."""
+    this, other = counts
+    moved = sorted(this.keys() | other.keys(), key=lambda f: (-abs(this.get(f, 0.0) - other.get(f, 0.0)), f))
+    for f in moved[:MOVED_FUNCTIONS]:
+        before, after = other.get(f, 0.0), this.get(f, 0.0)
+        if before != after:
+            print(f"{'':24} {after:>13.1f} {before:>13.1f} {after - before:>+8.1f}  {f}")
 
 
 LOAD_PARTS = ("setup", "read_detections", "provider")
@@ -250,7 +274,8 @@ def main(argv=None) -> int:
                             side.run_pass(mode)
                 for mode in MODES:
                     if args.calls:
-                        ms = [side.calls_per_frame(mode) for side in loaded]
+                        counts = [side.calls_per_frame(mode) for side in loaded]
+                        ms = [sum(c.values()) for c in counts]
                     else:
                         ms = [side.median_ms(mode) for side in loaded]
                     line = f"{name:8} {mode:15}" + "".join(f" {v:>13.{1 if args.calls else 3}f}" for v in ms)
@@ -258,6 +283,8 @@ def main(argv=None) -> int:
                         same = all(side.rows[mode] == loaded[0].rows[mode] for side in loaded)
                         line += f" {100.0 * (ms[0] / ms[1] - 1.0):>+7.1f}% {'identical' if same else 'DIFFER':>9}"
                     print(line, flush=True)
+                    if args.calls and len(loaded) > 1:
+                        print_moved_calls(counts)
     finally:
         os.sched_setaffinity(0, cpus)
     return 0

@@ -25,14 +25,26 @@ def linear_sum_assignment(cost, maximize: bool = False):
     return _scipy_lsa(cost, maximize)
 
 
-def conflict_free(mask: np.ndarray) -> bool:
-    """True when no row and no column of the boolean `mask` holds two True cells.
+def cells(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows and the columns of the True cells of a 2-D boolean `mask`, in row-major order."""
+    return np.divmod(mask.ravel().nonzero()[0], mask.shape[1])
 
-    Then the True cells are the one maximum matching of `mask`: every one
-    of them is in it, as many cells as rows and as columns holding one.
+
+def conflict_free(rows: np.ndarray, cols: np.ndarray, n_cols: int) -> bool:
+    """True when no two of the `cells` of a mask of `n_cols` columns share a row or a column.
+
+    The cells are (rows[k], cols[k]) in row-major order, as `cells` gives
+    them. When they share none, they are the one maximum matching of the
+    mask: every one of them is in it, as many cells as rows and as columns
+    holding one.
     """
-    n = np.count_nonzero(mask)
-    return n <= 1 or n == np.count_nonzero(mask.any(axis=0)) == np.count_nonzero(mask.any(axis=1))
+    if len(rows) <= 1:
+        return True
+    if np.logical_or.reduce(rows[1:] == rows[:-1]):
+        return False
+    taken = np.zeros(n_cols, dtype=bool)
+    taken[cols] = True
+    return np.add.reduce(taken) == len(cols)
 
 
 def _padding(feasible: np.ndarray, mask: np.ndarray) -> float:
@@ -134,9 +146,9 @@ def solve(costs, gate: float) -> tuple[np.ndarray, np.ndarray]:
     """
     m = _validate(costs, gate)
     mask = m <= gate  # the feasible cells
-    if conflict_free(mask):
-        # the feasible cells in row-major order, each cell the match of its row and its column
-        return np.divmod(mask.ravel().nonzero()[0], m.shape[1])
+    rows, cols = cells(mask)
+    if conflict_free(rows, cols, m.shape[1]):
+        return rows, cols  # each feasible cell the match of its row and its column
     feasible = np.where(mask, m, INFEASIBLE)
     target_card, target_cost, col_of = _incumbent(feasible)
     _break_ties(feasible, col_of, target_card, target_cost)

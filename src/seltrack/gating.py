@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from seltrack.geometry import ars, blended_alpha
+from seltrack.geometry import ars, blend
 
 MODE_SELECTIVE = "selective"
 MODE_BASE_GATE = "base_gate"
@@ -50,13 +50,14 @@ def candidates(ious: np.ndarray, det_xywh: np.ndarray, track_xywh: np.ndarray, c
     if cfg.mode == MODE_ALWAYS_EXTRACT:
         return np.full(n_dets, -1)
     above = ious > cfg.theta_iou
-    sole = above.sum(axis=0) == 1
+    sole = np.add.reduce(above, axis=0) == 1
     dets = sole.nonzero()[0]
     if not len(dets):  # every detection is risky: the aspect check has no pair
         return np.full(n_dets, -1)
     cand = np.where(sole, above.argmax(axis=0), -1)
     if cfg.ars_enabled:
+        # the sole pairs' IoUs and aspect similarities are in [0, 1], so `blend` needs no range check
         tracks = cand[dets]
-        alpha = blended_alpha(ious[tracks, dets], ars(det_xywh[dets], track_xywh[tracks]))
+        alpha = blend(ious[tracks, dets], ars(det_xywh[dets], track_xywh[tracks]))
         cand[dets[alpha < cfg.theta_alpha]] = -1
     return cand

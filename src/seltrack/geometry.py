@@ -84,11 +84,9 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             _, exp = np.frexp(np.maximum(np.abs(pa).max(axis=1), np.abs(pb).max(axis=1)))
             ca, cb = _corners(np.ldexp(pa, -exp[:, None])), _corners(np.ldexp(pb, -exp[:, None]))
             inter[overflowed], union[overflowed] = _inter_union(ca, cb)
-        iou = inter / union
     # cells without overlap are exactly 0, also for two boxes narrower than
-    # their coordinates' spacing (zero corner area, 0 / 0)
-    iou[~(inter > 0)] = 0.0
-    return iou
+    # their coordinates' spacing (zero corner area, 0 / 0), which are not divided
+    return np.divide(inter, union, out=np.zeros(inter.shape), where=inter > 0)
 
 
 def ars(a, b):
@@ -111,6 +109,12 @@ def _in_unit_interval(a: np.ndarray) -> bool:
     return a.min(initial=0.0) >= 0.0 and a.max(initial=1.0) <= 1.0
 
 
+def blend(iou_value: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """`blended_alpha` of float arrays already in [0, 1], with no range check: V / ((1 - IoU) + V)."""
+    denom = (1.0 - iou_value) + v
+    return v / (denom + (denom == 0.0))  # the 0/0 corner divides by 1: v is 0 there
+
+
 def blended_alpha(iou_value, v):
     """IoU-adaptive blending of the aspect similarity: V / ((1 - IoU) + V).
 
@@ -123,6 +127,5 @@ def blended_alpha(iou_value, v):
         raise ValueError(f"iou out of range: {iou_value!r}")
     if not _in_unit_interval(v):
         raise ValueError(f"v out of range: {v!r}")
-    denom = (1.0 - iou_value) + v
-    alpha = v / np.where(denom != 0.0, denom, 1.0)  # the 0/0 corner: v is 0 there
+    alpha = blend(iou_value, v)
     return alpha if alpha.ndim else float(alpha)

@@ -102,7 +102,7 @@ def _identity(gt: np.ndarray, pred: np.ndarray, iou_match: float) -> EvalReport:
             if last_match.get(g, p) != p:
                 switches += 1
             last_match[g] = p
-    if assignment.conflict_free(counts > 0):
+    if assignment.conflict_free(*assignment.cells(counts > 0), n_pred_ids):
         idtp = int(counts.sum())  # every count is in the optimal mapping
     else:
         # only the optimal total matters, so no tie-break among optimal mappings

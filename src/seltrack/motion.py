@@ -39,9 +39,9 @@ def measurements(xywh) -> np.ndarray:
     Each is computed as `BBox.cx`, `cy` and `h` compute it, and a as w / h.
     """
     xywh = np.asarray(xywh, dtype=float).reshape(-1, NDIM)
-    z = np.empty_like(xywh)
-    z[:, :2] = xywh[:, :2] + xywh[:, 2:] / 2.0
-    z[:, 2] = xywh[:, 2] / xywh[:, 3]
+    z = np.empty(xywh.shape)
+    np.add(xywh[:, :2], xywh[:, 2:] / 2.0, out=z[:, :2])
+    np.divide(xywh[:, 2], xywh[:, 3], out=z[:, 2])
     z[:, 3] = xywh[:, 3]
     return z
 
@@ -54,12 +54,20 @@ _MEASUREMENT = np.array([[STD_WEIGHT_POSITION] * NDIM]), np.array([1e-1])
 
 
 def _variance(h: np.ndarray, noise) -> np.ndarray:
-    """Squared stds (k, 4) or (k, 4, n) of (cx, cy, a, h) under a noise model of k rows, for one height or n."""
+    """Squared stds (k, 4) or (k, 4, n) of (cx, cy, a, h) under a noise model of k rows, for one height or n.
+
+    The caller ignores overflow: a variance beyond float64 is inf, which
+    marks the state `degenerate`.
+    """
     weights, aspect_stds = noise
-    std = np.multiply.outer(weights, h)
+    std = (weights[..., None] if h.ndim else weights) * h  # n heights broadcast along the last axis
     std[:, 2].T[...] = aspect_stds  # model row i's aspect std, for one track or each of n
-    with np.errstate(over="ignore"):  # an inf variance marks the state `degenerate`
-        return np.square(std, out=std)
+    return np.square(std, out=std)
+
+
+def _innovation_variance(block: np.ndarray) -> np.ndarray:
+    """`innovation_variance`, with overflow left to the caller."""
+    return block[VAR_POS] + _variance(block[POS, 3], _MEASUREMENT)[0]
 
 
 def initiate(z) -> np.ndarray:
@@ -67,26 +75,31 @@ def initiate(z) -> np.ndarray:
     coords = np.asarray(z, dtype=float).T
     block = np.zeros((5,) + coords.shape)
     block[POS] = coords
-    block[VAR_POS::2] = _variance(coords[3], _INITIAL)  # the var_pos and var_vel rows
+    with np.errstate(over="ignore"):  # an inf variance marks the state `degenerate`
+        block[VAR_POS::2] = _variance(coords[3], _INITIAL)  # the var_pos and var_vel rows
     return block
 
 
-def predict(block: np.ndarray) -> np.ndarray:
-    """Advance one frame: position += velocity, covariance FPF' + Q."""
-    block = block.copy()
-    pos, vel, var_pos, cov, var_vel = block
-    q = _variance(pos[3], _PROCESS)  # from the height before the step
+def predict(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Advance one frame: position += velocity, covariance FPF' + Q.
+
+    Returns the new states and their `innovation_variance`, taken in the same pass.
+    """
+    new = block.copy()
+    pos, vel, var_pos, cov, var_vel = new
     pos += vel
     var_pos += cov
     cov += var_vel
     var_pos += cov
-    block[VAR_POS::2] += q
-    return block
+    with np.errstate(over="ignore"):  # an inf variance marks the state `degenerate`
+        new[VAR_POS::2] += _variance(block[POS, 3], _PROCESS)  # from the height before the step
+        return new, _innovation_variance(new)
 
 
 def innovation_variance(block: np.ndarray) -> np.ndarray:
     """Diagonal (4,) or (4, n) of the innovation covariance HPH' + R."""
-    return block[VAR_POS] + _variance(block[POS, 3], _MEASUREMENT)[0]
+    with np.errstate(over="ignore"):  # an inf variance marks the state `degenerate`
+        return _innovation_variance(block)
 
 
 def update(block: np.ndarray, z, s: np.ndarray) -> np.ndarray:
@@ -96,16 +109,17 @@ def update(block: np.ndarray, z, s: np.ndarray) -> np.ndarray:
     """
     if not s.min() > 0:
         raise ValueError("singular innovation covariance")
-    block = block.copy()
-    pos, vel, var_pos, cov, var_vel = block
+    new = block.copy()
+    pos, vel, var_pos, cov, var_vel = new
     residual = np.asarray(z, dtype=float).T - pos
     gain_pos, gain_vel = var_pos / s, cov / s
+    gain_pos_s = gain_pos * s
     pos += gain_pos * residual
     vel += gain_vel * residual
-    var_pos -= gain_pos * s * gain_pos
-    cov -= gain_pos * s * gain_vel
+    var_pos -= gain_pos_s * gain_pos
+    cov -= gain_pos_s * gain_vel
     var_vel -= gain_vel * s * gain_vel
-    return block
+    return new
 
 
 def degenerate(block: np.ndarray, s: np.ndarray) -> np.ndarray:

@@ -77,10 +77,14 @@ class Scenario:
         if self.frames < 1:
             raise ValueError("scenario needs at least one frame")
         dirs = self._directions()
-        refused = ~(np.isfinite(dirs).all(axis=1) & dirs.any(axis=1))
+        with np.errstate(over="ignore"):  # a norm beyond float64 is inf, refused below
+            norm = norms(dirs)
+        # a zero or non-finite direction, or a finite one whose norm overflows
+        # or whose squared norm underflows to 0
+        refused = ~((0.0 < norm) & (norm < np.inf))
         if refused.any():
-            raise ValueError(f"target {int(np.argmax(refused))} has a zero or non-finite feature direction")
-        dirs = dirs / norms(dirs)[:, None]
+            raise ValueError(f"target {int(np.argmax(refused))} has a feature direction whose norm is 0 or not finite")
+        dirs = dirs / norm[:, None]
         for i in range(len(dirs) - 1):
             same = np.isclose(dirs[i], dirs[i + 1:]).all(axis=1)
             if same.any():

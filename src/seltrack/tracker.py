@@ -171,7 +171,8 @@ class TrackTable:
     A committed table (`SelectiveTracker.table`) is never written. A frame's
     table shares each column with it until the frame writes that column: it
     copies `hits` up front, `embedding` and `has_embedding` only to blend a
-    fetched feature, and builds its other changed columns anew. A committed
+    fetched feature into them while it still shares them, and builds its
+    other changed columns anew. A committed
     table is thus a snapshot later frames keep intact.
     """
 
@@ -254,7 +255,11 @@ class RunStats:
 
 
 class SelectiveTracker:
-    """Stateful per-sequence tracker; frames must arrive in increasing order."""
+    """Stateful per-sequence tracker; frames must arrive in increasing order.
+
+    A frame number left out between two steps is a frame without
+    detections: the later step first ages and predicts every track over it.
+    """
 
     def __init__(
         self,
@@ -305,19 +310,21 @@ class SelectiveTracker:
 
         # 1. motion prediction; a track whose predicted aspect or height is
         #    no longer positive has no box, so it ends here. The innovation
-        #    variances that tell so are kept for the update. `t` is the
-        #    frame's own table from here on; it shares each column with the
-        #    committed table until it writes it (see `TrackTable`)
+        #    variances that tell so are kept for the update. Frames left out
+        #    since the last step were frames without detections (`_missed`).
+        #    `t` is the frame's own table from here on; it shares each column
+        #    with the committed table until it writes it (see `TrackTable`)
         t = self.table
-        block = motion.predict(t.kalman_block)
-        s = motion.innovation_variance(block)
+        if frame - self.last_frame > 1 and len(t):
+            t = self._missed(t, frame - self.last_frame - 1)
+        block, s = motion.predict(t.kalman_block)
         kept = ~motion.degenerate(block, s)
         t = TrackTable(t.ids, block, t.embedding, t.has_embedding, t.effective_alpha, hits=t.hits.copy(),
                        time_since_update=t.time_since_update + 1)
         if not kept.all():
             t, s = t.keep(kept), s[:, kept]
         confirmed = t.hits >= m.min_hits  # the rows the gate and the cascade's first stage see
-        all_confirmed = confirmed.all()
+        all_confirmed = m.min_hits == 1 or confirmed.all()  # every held row has a hit
 
         # 2. confidence split; the selective mechanism sees only the high
         #    half. The frame's boxes are one array, the high rows first, each
@@ -361,8 +368,8 @@ class SelectiveTracker:
         #    Appearance costs are INFEASIBLE where a track has no embedding or
         #    a detection no feature (a saturated one included); only the fused
         #    stage prices saturated columns, at SATURATED_COST. The matches
-        #    are (track row, detection row) index arrays, stage after stage;
-        #    `left_rows` and `left_js` mask the rows and columns left unmatched
+        #    are (track row, detection row) index arrays, stage after stage; a
+        #    later stage runs only while rows and columns are left unmatched
         app = np.full(high_iou.shape, INFEASIBLE)
         app_js = np.sort(np.concatenate([fetched, copies])) if len(fetched) else copies
         if len(app_js) and t.has_embedding.any():
@@ -375,23 +382,21 @@ class SelectiveTracker:
         if m.strategy == STRATEGY_CASCADE:
             rows, js = assignment.solve(app if all_confirmed else np.where(confirmed[:, None], app, INFEASIBLE),
                                         m.appearance_gate)
-            left_rows, left_js = _left(len(t), rows), _left(n_high, js)
-            if left_rows.any() and left_js.any():
+            if len(rows) < len(t) and len(js) < n_high:
                 iou_rows, iou_js = assignment.solve(
-                    _iou_cost(high_iou, m.iou_gate, left_rows[:, None] & left_js), 1.0 - m.iou_gate)
+                    _iou_cost(high_iou, m.iou_gate, _left(len(t), rows)[:, None] & _left(n_high, js)),
+                    1.0 - m.iou_gate)
                 if len(iou_rows):
                     rows, js = np.concatenate([rows, iou_rows]), np.concatenate([js, iou_js])
-                    left_rows[iou_rows], left_js[iou_js] = False, False
         else:
             high_cost = _iou_cost(high_iou, m.iou_gate)
             extra = np.where(~risky, SATURATED_COST, app) if base_gate else app
             priced = np.isfinite(high_cost) & np.isfinite(extra)
             high_cost[priced] += m.fused_weight * extra[priced]
             rows, js = assignment.solve(high_cost, m.fused_weight * SATURATED_COST + (1.0 - m.iou_gate))
-            left_rows, left_js = _left(len(t), rows), _left(n_high, js)
-        born_js = left_js.nonzero()[0]
-        if m.byte_low and n_high < n_dets and left_rows.any():
-            byte_cost = _iou_cost(ious[:, n_high:], m.iou_gate, left_rows[:, None])
+        born_js = _left(n_high, js).nonzero()[0] if len(js) < n_high else js[:0]
+        if m.byte_low and n_high < n_dets and len(rows) < len(t):
+            byte_cost = _iou_cost(ious[:, n_high:], m.iou_gate, _left(len(t), rows)[:, None])
             byte_rows, byte_js = assignment.solve(byte_cost, 1.0 - m.iou_gate)
             rows, js = np.concatenate([rows, byte_rows]), np.concatenate([js, n_high + byte_js])
 
@@ -437,7 +442,7 @@ class SelectiveTracker:
         if m.emit == EMIT_DETECTION:
             shown_xywh = xywh[det_of[shown]]
         else:
-            shown_xywh = motion.state_to_xywh(t.kalman_block[..., shown])
+            shown_xywh = motion.state_to_xywh(t.kalman_block)[shown]
         emitted = list(zip(t.ids[shown].tolist(), shown_xywh.tolist()))
 
         # commit, with deletions after max_age consecutive misses
@@ -448,6 +453,22 @@ class SelectiveTracker:
         self.stats.batches += (len(risky_js) > 0) + (len(late_js) > 0)
         self.stats.late_fetches += len(late_js)
         return emitted
+
+    def _missed(self, t: TrackTable, frames: int) -> TrackTable:
+        """`t` after `frames` frames without detections, as steps of empty frames leave it.
+
+        Each such frame predicts and ages every row and decays its blend
+        weight, then drops the rows left without a box or past `max_age`
+        misses. After `max_age + 1` of them no row is left, so at most that
+        many are stepped.
+        """
+        m = self.match
+        for _ in range(min(frames, m.max_age + 1)):
+            block, s = motion.predict(t.kalman_block)
+            t = TrackTable(t.ids, block, t.embedding, t.has_embedding, t.effective_alpha * m.ema_alpha, t.hits,
+                           t.time_since_update + 1)
+            t = t.keep(~motion.degenerate(block, s) & (t.time_since_update <= m.max_age))
+        return t
 
     def _fetch(self, frame: int, order: np.ndarray | None, js: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """The rows among `js` whose detection the provider has a feature for, and those features.
@@ -465,7 +486,8 @@ class SelectiveTracker:
     def _refresh_appearance(self, t: TrackTable, rows: np.ndarray, ks: np.ndarray, feats) -> None:
         """Decay every row's blend weight, then blend row `ks[n]` of `feats` into row `rows[n]`; a row without an embedding is seeded.
 
-        `t` is the frame's own table; a column is replaced by a new array before it is written.
+        `t` is the frame's own table; a column it still shares with the
+        committed table is replaced by a copy before it is written.
         """
         alpha = self.match.ema_alpha
         weight = t.effective_alpha[rows]  # what this frame's blends put on the old embedding
@@ -476,8 +498,12 @@ class SelectiveTracker:
         blend = t.has_embedding[rows]
         if blend.any():
             vectors[blend] = appearance.ema_update(t.embedding[rows[blend]], weight[blend], vectors[blend])
-        t.embedding = t.embedding.copy() if t.embedding.shape[1] else np.zeros((len(t), vectors.shape[1]))
-        t.has_embedding = t.has_embedding.copy()
+        if not t.embedding.shape[1]:
+            t.embedding = np.zeros((len(t), vectors.shape[1]))
+        elif t.embedding is self.table.embedding:
+            t.embedding = t.embedding.copy()
+        if t.has_embedding is self.table.has_embedding:
+            t.has_embedding = t.has_embedding.copy()
         t.embedding[rows] = vectors
         t.has_embedding[rows] = True
         t.effective_alpha[rows] = alpha

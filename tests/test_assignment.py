@@ -312,6 +312,16 @@ class TestConflictFree:
     """A matrix whose feasible cells share no row or column is returned with no solve."""
 
     @settings(max_examples=300, deadline=None)
+    # masks of up to 6 x 6, sparse beyond 8 cells so that conflict-free ones occur
+    @given(st.integers(0, 6).flatmap(lambda n: st.integers(0, 6).flatmap(lambda m: arrays(
+        bool, (n, m), elements=st.booleans() if n * m < 9 else st.sampled_from([False] * 5 + [True])))))
+    def test_cells_test_equals_the_mask_count(self, mask):
+        rows, cols = assignment.cells(mask)
+        assert list(zip(rows.tolist(), cols.tolist())) == [tuple(cell) for cell in np.argwhere(mask).tolist()]
+        want = bool((mask.sum(axis=0) <= 1).all() and (mask.sum(axis=1) <= 1).all())
+        assert bool(assignment.conflict_free(rows, cols, mask.shape[1])) == want
+
+    @settings(max_examples=300, deadline=None)
     @given(conflict_free())
     def test_equals_references_without_a_solve(self, case):
         costs, gate = case

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from seltrack.geometry import BBox, ars, blended_alpha, iou_matrix
 from seltrack.gating import (
     GateConfig,
     MODE_ALWAYS_EXTRACT,
+    MODES,
     candidates,
 )
 
@@ -38,6 +40,46 @@ def candidates_oracle(det_boxes, track_boxes, cfg):
                     continue
             out.append(c)
     return np.array(out, dtype=int)
+
+
+def candidates_loop(ious, det_xywh, track_xywh, cfg):
+    """The rule per detection, on `candidates`' own inputs, through the public, checked `ars` and `blended_alpha`."""
+    out = []
+    for j in range(ious.shape[1]):
+        found = [i for i in range(ious.shape[0]) if ious[i, j] > cfg.theta_iou]
+        if cfg.mode == MODE_ALWAYS_EXTRACT or len(found) != 1:
+            out.append(-1)
+            continue
+        c = found[0]
+        if cfg.ars_enabled:
+            v = ars(BBox(*det_xywh[j].tolist()), BBox(*track_xywh[c].tolist()))
+            if blended_alpha(float(ious[c, j]), v) < cfg.theta_alpha:
+                out.append(-1)
+                continue
+        out.append(c)
+    return np.array(out, dtype=int)
+
+
+# IoUs drawn apart from the boxes, so that a column often holds several
+# candidates, and IoU 1 meets any aspect; sides from 1e-150 to 1e150 give
+# aspects from 1e-300 to 1e300, whose `ars` reaches 0 (the 0/0 corner at IoU 1)
+iou_entries = st.one_of(st.sampled_from([0.0, 0.2, 0.5, 1.0]), st.floats(0.0, 1.0))
+sides = st.one_of(st.sampled_from([1e-150, 1.0, 1e150]), st.floats(1e-150, 1e150))
+
+
+@st.composite
+def gate_inputs(draw):
+    """(ious, det_xywh, track_xywh, cfg) for `candidates`, up to 5 tracks and 5 detections."""
+    n_tracks, n_dets = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    ious = draw(arrays(float, (n_tracks, n_dets), elements=iou_entries))
+    det_xywh, track_xywh = (
+        np.column_stack([draw(arrays(float, (n, 2), elements=st.floats(-1e3, 1e3))),
+                         draw(arrays(float, (n, 2), elements=sides))]).reshape(n, 4)
+        for n in (n_dets, n_tracks))
+    cfg = GateConfig(theta_iou=draw(st.one_of(st.sampled_from([0.0, 0.2, 0.5]), st.floats(0.0, 1.0))),
+                     theta_alpha=draw(st.one_of(st.sampled_from([0.0, 0.6, 1.0]), st.floats(0.0, 1.0))),
+                     ars_enabled=draw(st.booleans()), mode=draw(st.sampled_from(MODES)))
+    return ious, det_xywh, track_xywh, cfg
 
 
 def random_boxes(rng, n):
@@ -144,6 +186,21 @@ class TestOracleEquivalence:
             tracks = [BBox(d.x + dx * d.w, d.y + dy * d.h, d.w * sw, d.h * sh) for d, (dx, dy, sw, sh) in zip(dets, jitter)]
             cfg = GateConfig(theta_iou=float(rng.uniform(0, 0.9)), theta_alpha=float(rng.uniform(0, 1)))
             assert np.array_equal(candidates_of(dets, tracks, cfg), candidates_oracle(dets, tracks, cfg))
+
+    @settings(max_examples=500, deadline=None)
+    @given(gate_inputs())
+    # the 0/0 corner: a sole candidate at IoU 1 whose aspect is the detection's
+    # inverse at 1e300, so V is 0 and alpha is 0, kept only at theta_alpha 0
+    @example((np.array([[1.0]]), np.array([[0.0, 0.0, 1e150, 1e-150]]), np.array([[0.0, 0.0, 1e-150, 1e150]]),
+              GateConfig(theta_alpha=0.0)))
+    @example((np.array([[1.0]]), np.array([[0.0, 0.0, 1e150, 1e-150]]), np.array([[0.0, 0.0, 1e-150, 1e150]]),
+              GateConfig(theta_alpha=1e-300)))
+    # several candidates in the first column, one in the second
+    @example((np.array([[0.9, 0.0], [0.5, 0.7], [0.3, 0.1]]), np.array([[0.0, 0.0, 2.0, 1.0]] * 2),
+              np.array([[0.0, 0.0, 1.0, 1.0]] * 3), GateConfig(theta_iou=0.2)))
+    def test_equals_the_checked_loop(self, inputs):
+        ious, det_xywh, track_xywh, cfg = inputs
+        assert candidates(ious, det_xywh, track_xywh, cfg).tolist() == candidates_loop(*inputs).tolist()
 
 
 class TestIouFloor:

@@ -48,6 +48,13 @@ def correct(block: np.ndarray, z) -> np.ndarray:
     return update(block, z, innovation_variance(block))
 
 
+def advanced(block: np.ndarray) -> np.ndarray:
+    """`predict`'s new states; the innovation variances it returns with them must be theirs."""
+    new, s = predict(block)
+    assert s.tobytes() == innovation_variance(new).tobytes()
+    return new
+
+
 def has_no_box(block: np.ndarray) -> np.ndarray:
     """`degenerate` with the block's own innovation variance, as the tracker calls it."""
     return degenerate(block, innovation_variance(block))
@@ -117,13 +124,13 @@ class TestInitiate:
 class TestPredict:
     def test_zero_velocity_keeps_position(self):
         s = initiate(as_measurement(BBox(10, 10, 10, 10)))
-        p = predict(s)
+        p = advanced(s)
         assert np.allclose(mean_of(p)[:4], mean_of(s)[:4])
 
     def test_constant_velocity_advances_position(self):
         mean = np.array([0.0, 0.0, 1.0, 10.0, 2.0, 3.0, 0.0, 0.0])
         s = from_dense(mean, np.eye(8))
-        p = predict(s)
+        p = advanced(s)
         ref = ReferenceFilter()
         x_ref, P_ref = ref.predict(mean, np.eye(8))
         assert mean_of(p)[0] == 2.0 and mean_of(p)[1] == 3.0
@@ -135,7 +142,7 @@ class TestPredict:
         # trace unchanged and only Q adds to it
         mean = np.array([0.0, 0.0, 1.0, 10.0, 0.0, 0.0, 0.0, 0.0])
         P = np.diag([1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0])
-        p = predict(from_dense(mean, P))
+        p = advanced(from_dense(mean, P))
         ref = ReferenceFilter()
         assert np.trace(dense(p)) == pytest.approx(
             np.trace(P) + np.trace(ref.q(10.0)), rel=1e-12
@@ -154,7 +161,7 @@ class TestUpdate:
         ref = ReferenceFilter()
         x, P = mean_of(s).copy(), dense(s)
         for _ in range(10):
-            s = correct(predict(s), as_measurement(target))
+            s = correct(advanced(s), as_measurement(target))
             x, P = ref.predict(x, P)
             x, P = ref.update(x, P, as_measurement(target))
         assert abs(mean_of(s)[0] - target.cx) < 0.1
@@ -163,7 +170,7 @@ class TestUpdate:
         assert np.allclose(dense(s), P, atol=1e-8)
 
     def test_update_contracts_position_variance(self):
-        s = predict(initiate(as_measurement(BBox(0, 0, 10, 20))))
+        s = advanced(initiate(as_measurement(BBox(0, 0, 10, 20))))
         u = correct(s, as_measurement(BBox(1, 1, 10, 20)))
         assert u[VAR_POS, 0] < s[VAR_POS, 0]
         assert u[VAR_POS, 1] < s[VAR_POS, 1]
@@ -194,7 +201,7 @@ class TestInvariants:
         rng = np.random.default_rng(7)
         s = initiate(as_measurement(BBox(100, 100, 20, 40)))
         for _ in range(1000):
-            s = predict(s)
+            s = advanced(s)
             if rng.random() < 0.7:
                 jitter = rng.normal(0, 2, size=2)
                 b = box_of(s)
@@ -207,7 +214,7 @@ class TestInvariants:
         target = BBox(50, 60, 14, 34)
         s = initiate(as_measurement(target))
         for _ in range(50):
-            s = correct(predict(s), as_measurement(target))
+            s = correct(advanced(s), as_measurement(target))
         assert abs(mean_of(s)[0] - target.cx) < 0.5
         assert abs(mean_of(s)[1] - target.cy) < 0.5
 
@@ -216,7 +223,7 @@ class TestInvariants:
         s = initiate(as_measurement(BBox(0, 0, 10, 30)))
         for _ in range(200):
             before = np.trace(dense(s))
-            s = predict(s)
+            s = advanced(s)
             assert np.trace(dense(s)) >= before
             b = box_of(s)
             s = correct(s, as_measurement(BBox(b.x + rng.normal(0, 1), b.y, b.w, b.h)))
@@ -241,7 +248,7 @@ class TestAgainstDenseReference:
         x, P = mean_of(s).copy(), dense(s)
         for box in steps:
             if box is None:
-                s = predict(s)
+                s = advanced(s)
                 x, P = ref.predict(x, P)
             else:
                 s = correct(s, as_measurement(box))
@@ -255,11 +262,11 @@ class TestDegenerate:
 
     def test_underflowed_innovation_variance_is_degenerate(self):
         # (h / 20)^2 underflows to 0 for h = 1e-200: no measurement can correct it
-        assert has_no_box(predict(initiate(as_measurement(self.TINY))))
+        assert has_no_box(advanced(initiate(as_measurement(self.TINY))))
 
     def test_update_rejects_zero_innovation_variance(self):
         with pytest.raises(ValueError, match="singular innovation covariance"):
-            correct(predict(initiate(as_measurement(self.TINY))), as_measurement(self.TINY))
+            correct(advanced(initiate(as_measurement(self.TINY))), as_measurement(self.TINY))
 
 
 class TestStacked:
@@ -270,9 +277,9 @@ class TestStacked:
     def test_rows_equal_single_calls(self, pairs):
         starts = np.stack([as_measurement(a) for a, _ in pairs])
         measured = np.stack([as_measurement(b) for _, b in pairs])
-        stacked = correct(predict(initiate(starts)), measured)
+        stacked = correct(advanced(initiate(starts)), measured)
         for i in range(len(pairs)):
-            alone = correct(predict(initiate(starts[i])), measured[i])
+            alone = correct(advanced(initiate(starts[i])), measured[i])
             assert stacked[..., i].tobytes() == alone.tobytes()
             assert mean_of(stacked)[i].tobytes() == mean_of(alone).tobytes()
             assert state_to_xywh(stacked)[i].tobytes() == state_to_xywh(alone).tobytes()
@@ -281,7 +288,7 @@ class TestStacked:
     def test_degenerate_is_a_mask(self):
         ok = as_measurement(BBox(0, 0, 10, 20))
         tiny = as_measurement(TestDegenerate.TINY)
-        state = predict(initiate(np.stack([ok, tiny, ok])))
+        state = advanced(initiate(np.stack([ok, tiny, ok])))
         assert has_no_box(state).tolist() == [False, True, False]
 
     def test_overflowing_variance_is_degenerate(self):
@@ -347,6 +354,13 @@ def stacks(columns):
     return st.integers(0, 6).flatmap(lambda n: arrays(float, (n, columns), elements=entries))
 
 
+def stacked_and_alone(arrays_):
+    """The arrays of n states, (n, k) each, then those of the first state alone, (k,) each, when n > 0."""
+    yield arrays_
+    if len(arrays_[0]):
+        yield [a[0] for a in arrays_]
+
+
 def assert_same_bytes(block: np.ndarray, reference):
     for name, got, want in zip(("mean", "var_pos", "cov", "var_vel"), four_arrays(block), reference):
         assert got.tobytes() == want.tobytes(), name
@@ -364,36 +378,40 @@ class TestBlockAgainstFourArrays:
     @settings(max_examples=200, deadline=None)
     @given(stacks(20))
     def test_predict(self, rows):
-        fields = np.split(rows, [8, 12, 16], axis=1)
-        with np.errstate(all="ignore"):
-            assert_same_bytes(predict(block_of(*fields)), FourArrays.predict(*fields))
+        for fields in stacked_and_alone(np.split(rows, [8, 12, 16], axis=1)):
+            with np.errstate(all="ignore"):
+                block, s = predict(block_of(*fields))
+                want = FourArrays.predict(*fields)
+                assert_same_bytes(block, want)
+                assert s.T.tobytes() == FourArrays.innovation_variance(want[0], want[1]).tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(stacks(20))
     def test_innovation_variance_and_degenerate(self, rows):
-        fields = np.split(rows, [8, 12, 16], axis=1)
-        block = block_of(*fields)
-        with np.errstate(all="ignore"):
-            s = innovation_variance(block)
-            assert s.T.tobytes() == FourArrays.innovation_variance(fields[0], fields[1]).tobytes()
-            want = FourArrays.degenerate(fields[0], fields[1])
-            assert degenerate(block, s).tolist() == want.tolist()
+        for fields in stacked_and_alone(np.split(rows, [8, 12, 16], axis=1)):
+            block = block_of(*fields)
+            with np.errstate(all="ignore"):
+                s = innovation_variance(block)
+                assert s.T.tobytes() == FourArrays.innovation_variance(fields[0], fields[1]).tobytes()
+                want = FourArrays.degenerate(fields[0], fields[1])
+                assert degenerate(block, s).tolist() == want.tolist()
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
         arrays(float, (n, 12), elements=entries), arrays(float, (n, 12), elements=variances))))
     def test_update(self, rows):
         means_and_z, variances_ = rows
-        mean, z = np.split(means_and_z, [8], axis=1)
-        fields = [mean, *np.split(variances_, [4, 8], axis=1)]
-        block = block_of(*fields)
-        with np.errstate(all="ignore"):
-            s = innovation_variance(block)
-            if not s.min() > 0:
-                with pytest.raises(ValueError, match="singular innovation covariance"):
-                    update(block, z, s)
-                return
-            assert_same_bytes(update(block, z, s), FourArrays.update(*fields, z))
+        for mean, z, *variances_of in stacked_and_alone([*np.split(means_and_z, [8], axis=1),
+                                                         *np.split(variances_, [4, 8], axis=1)]):
+            fields = [mean, *variances_of]
+            block = block_of(*fields)
+            with np.errstate(all="ignore"):
+                s = innovation_variance(block)
+                if not s.min() > 0:
+                    with pytest.raises(ValueError, match="singular innovation covariance"):
+                        update(block, z, s)
+                    continue
+                assert_same_bytes(update(block, z, s), FourArrays.update(*fields, z))
 
     def test_rows_of_the_block(self):
         block = initiate(np.array([[5.0, 10.0, 0.5, 20.0], [1.0, 2.0, 3.0, 4.0]]))

@@ -97,9 +97,12 @@ class TestGenerate:
                 ],
             )
 
-    @pytest.mark.parametrize("direction", [[0.0, 0.0, 0.0], [np.nan, 1.0, 0.0], [np.inf, 0.0, 0.0], [1.0, -np.inf, 0.0]])
+    # the last two are finite, but the norm of the first overflows float64 and
+    # the squared norm of the second underflows to 0
+    @pytest.mark.parametrize("direction", [[0.0, 0.0, 0.0], [np.nan, 1.0, 0.0], [np.inf, 0.0, 0.0], [1.0, -np.inf, 0.0],
+                                           [1e200, 1e200, 0.0], [1e-200, 0.0, 0.0]])
     def test_zero_or_non_finite_feature_direction_rejected(self, direction):
-        # refused by name, before its norm is taken (a zero norm would warn in the divide)
+        # refused by name, before any division by its norm (which would warn)
         with pytest.raises(ValueError, match="target 1 .*direction"):
             Scenario(
                 seed=0,

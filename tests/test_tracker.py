@@ -29,6 +29,7 @@ from seltrack.tracker import (
     STRATEGY_CASCADE,
     STRATEGY_FUSED,
     SelectiveTracker,
+    TrackTable,
     run_sequence,
 )
 
@@ -445,7 +446,7 @@ class TestStackedCalls:
 
     def test_no_sole_candidate_makes_no_aspect_check(self, monkeypatch):
         calls = collections.Counter()
-        for name in ("ars", "blended_alpha"):
+        for name in ("ars", "blend"):
 
             def counting(*args, real=getattr(gating, name), name=name):
                 calls[name] += 1
@@ -462,7 +463,7 @@ class TestStackedCalls:
         assert calls == {}
         # frame 3: the track born there is a sole candidate, checked once for the frame
         tracker.step(3, frame(3, [BBox(402, 100, 20, 40)]))
-        assert calls == {"ars": 1, "blended_alpha": 1}
+        assert calls == {"ars": 1, "blend": 1}
 
     @pytest.mark.parametrize("provider, solves", [(ConstantProvider(), 1), (NullFeatureProvider(), 2)])
     def test_iou_stage_runs_only_with_rows_and_columns_left(self, provider, solves, monkeypatch):
@@ -993,3 +994,50 @@ class TestStreamProperties:
         )
         assert gated.rows == always.rows
         assert gated_stats.fetches == always_stats.fetches
+
+
+class TestFrameGap:
+    """A frame number left out between two steps is a frame without detections."""
+
+    def test_left_out_frames_outlast_max_age(self):
+        # one still box at frames 1-10 and again at 41: frames 11-40, stepped
+        # empty or left out, are 30 misses, past max_age, so the box is born again
+        box = BBox(30, 30, 20, 40)
+        for stepped in (True, False):
+            tracker = SelectiveTracker(ConstantProvider(), match=MatchConfig(max_age=5))
+            for f in range(1, 41):
+                if f <= 10 or stepped:
+                    tracker.step(f, frame(f, [box] if f <= 10 else []))
+            assert [tid for tid, _ in tracker.step(41, frame(41, [box]))] == [2], stepped
+
+    def test_a_huge_gap_predicts_at_most_max_age_plus_one_times(self, monkeypatch):
+        calls = []
+
+        def counting(block, real=motion.predict):
+            calls.append(block.shape[-1])
+            return real(block)
+
+        monkeypatch.setattr(motion, "predict", counting)
+        tracker = SelectiveTracker(ConstantProvider(), match=MatchConfig(max_age=3))
+        tracker.step(1, frame(1, [BBox(30, 30, 20, 40)]))
+        calls.clear()
+        assert [tid for tid, _ in tracker.step(10**15, frame(10**15, [BBox(30, 30, 20, 40)]))] == [2]
+        # the frame's own predict comes last, on a table the missed frames emptied
+        assert calls == [1, 1, 1, 1, 0]
+
+    @settings(max_examples=150, deadline=None)
+    @given(streams(), configs)
+    def test_left_out_frames_equal_empty_frames(self, stream, config):
+        frames, features = stream
+        gapped = SelectiveTracker(DictProvider(features), *config)
+        stepped = SelectiveTracker(DictProvider(features), *config)
+        last = 0
+        for f in sorted(frames):
+            for empty in range(last + 1, f):
+                assert stepped.step(empty, frame(empty, [])) == []
+            last = f
+            assert gapped.step(f, frames[f]) == stepped.step(f, frames[f])
+            for c in fields(TrackTable):
+                got, want = getattr(gapped.table, c.name), getattr(stepped.table, c.name)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), (f, c.name)
+        assert gapped.stats.fetches == stepped.stats.fetches
