@@ -46,6 +46,16 @@ the two sides, this side's count, the other's and the change, so a
 change shows where its calls went:
 
     PYTHONPATH=src python scripts/bench_frame.py --calls --against ../parent
+
+A call count is not a time. cProfile counts calls of Python functions and
+of builtins and methods, such as `ndarray.all`, but not numpy's indexing,
+ufuncs or operators (`a[rows]`, `a[:, js] = b`, `a * b`), which run no
+profiled call: a change that builds a column whole instead of gathering
+a subset and scattering it back removes work the count never saw, and
+may add the calls that choose between the two. Building the Kalman
+block, the embeddings and the appearance costs whole when a frame covers
+every row took parade's selective frames from 138.2 to 139.2 calls while
+their time fell 8 %.
 """
 
 from __future__ import annotations
@@ -235,7 +245,9 @@ def main(argv=None) -> int:
     timed = ap.add_mutually_exclusive_group()
     timed.add_argument("--setup", action="store_true", help="time the loads of the inputs, not the frames")
     timed.add_argument("--eval", action="store_true", help="time metrics.evaluate of the results, not the frames")
-    timed.add_argument("--calls", action="store_true", help="count the calls per frame under cProfile, not the time")
+    timed.add_argument("--calls", action="store_true",
+                       help="count the calls per frame under cProfile, not the time; numpy indexing, ufuncs and "
+                            "operators make no counted call, so a count is not a time")
     args = ap.parse_args(argv)
 
     sides = {"this": SimpleNamespace(gating=gating, io=io, metrics=metrics, tracker=tracker)}

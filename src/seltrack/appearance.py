@@ -27,7 +27,7 @@ def norms(v: np.ndarray) -> np.ndarray:
 def check_unit(v) -> np.ndarray:
     """`v` as a float array; raises unless every vector on its last axis is finite and unit-norm."""
     v = np.asarray(v, dtype=float)
-    if not np.all(np.abs(norms(v) - 1.0) <= UNIT_NORM_ATOL):
+    if not np.abs(norms(v) - 1.0).max(initial=0.0) <= UNIT_NORM_ATOL:  # a NaN norm makes the max NaN
         raise ValueError("feature vector must be unit-norm")
     return v
 
@@ -37,7 +37,7 @@ def ema_update(embedding: np.ndarray, weight, f) -> np.ndarray:
     alpha = np.asarray(weight)[..., None]
     blended = alpha * embedding + (1.0 - alpha) * f
     norm = norms(blended)
-    if np.any(norm == 0.0):
+    if not norm.all():
         raise ValueError("blended embedding cancelled to zero")
     return blended / norm[..., None]
 

@@ -11,7 +11,9 @@ per-frame quantity (the detections' box array and their Kalman
 measurements, the IoU matrix, the innovation variances, the fetched
 features) is built once and sliced by every stage that reads it. A frame
 copies a track column only when it writes it, and builds a stage's cost
-matrix only when that stage runs.
+matrix only when that stage runs. A frame that writes every row of a
+column (every track matched or blended, every high detection priced)
+builds that column new from its own arrays, with no gather or scatter.
 """
 
 from __future__ import annotations
@@ -133,9 +135,9 @@ class MatchConfig:
 class FeatureProvider(Protocol):
     """Source of appearance embeddings, deterministic per (frame, index), answered a batch at a time.
 
-    `fetch_batch` returns the positions in `indices` that have a feature and
-    one (k, d) array of their features in that order, as a ReID network
-    embeds a frame's crops in one forward pass.
+    `fetch_batch` returns the positions in `indices` that have a feature,
+    in increasing order, and one (k, d) array of their features in that
+    order, as a ReID network embeds a frame's crops in one forward pass.
     """
 
     def fetch_batch(self, frame: int, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]: ...
@@ -172,7 +174,9 @@ class TrackTable:
     table shares each column with it until the frame writes that column: it
     copies `hits` up front, `embedding` and `has_embedding` only to blend a
     fetched feature into them while it still shares them, and builds its
-    other changed columns anew. A committed
+    other changed columns anew. A frame that writes every row of a column
+    builds that column new: the Kalman block when every row matched, the
+    embeddings and blend weights when every row blends. A committed
     table is thus a snapshot later frames keep intact.
     """
 
@@ -369,16 +373,28 @@ class SelectiveTracker:
         #    a detection no feature (a saturated one included); only the fused
         #    stage prices saturated columns, at SATURATED_COST. The matches
         #    are (track row, detection row) index arrays, stage after stage; a
-        #    later stage runs only while rows and columns are left unmatched
-        app = np.full(high_iou.shape, INFEASIBLE)
-        app_js = np.sort(np.concatenate([fetched, copies])) if len(fetched) else copies
-        if len(app_js) and t.has_embedding.any():
+        #    later stage runs only while rows and columns are left unmatched.
+        #    When every high detection is priced, the appearance costs are
+        #    `cosine_costs`' own matrix
+        if len(copies):  # a copy's candidate has an embedding, so the costs below are built
+            app_js = np.sort(np.concatenate([fetched, copies])) if len(fetched) else copies
             vectors = t.embedding[cand[app_js]]  # a fetched column's row (cand -1) is overwritten next
             if len(fetched):
                 vectors[np.searchsorted(app_js, fetched)] = feats
-            app[:, app_js] = appearance.cosine_costs(t.embedding, vectors)
-            app[~t.has_embedding] = INFEASIBLE
+        else:
+            app_js, vectors = fetched, feats  # the fetched rows increase, as the columns do
+        if len(app_js) and t.has_embedding.any():
+            costs = appearance.cosine_costs(t.embedding, vectors)
+            if len(app_js) == n_high:
+                app = costs
+            else:
+                app = np.full(high_iou.shape, INFEASIBLE)
+                app[:, app_js] = costs
+            if not t.has_embedding.all():
+                app[~t.has_embedding] = INFEASIBLE
             app[cand[copies], copies] = 0.0  # a copy is its candidate's own embedding
+        else:
+            app = np.full(high_iou.shape, INFEASIBLE)
         if m.strategy == STRATEGY_CASCADE:
             rows, js = assignment.solve(app if all_confirmed else np.where(confirmed[:, None], app, INFEASIBLE),
                                         m.appearance_gate)
@@ -401,9 +417,17 @@ class SelectiveTracker:
             rows, js = np.concatenate([rows, byte_rows]), np.concatenate([js, n_high + byte_js])
 
         # 6. one Kalman update over the matched rows, from the frame's one
-        #    measurement pass, which the births read too
+        #    measurement pass, which the births read too; when every row
+        #    matched, the update's block is the frame's block. `det_of` is
+        #    each row's detection this frame (matched or born), -1 for none
         z = motion.measurements(xywh)
-        if len(rows):
+        det_of = np.full(len(t), -1)
+        det_of[rows] = js
+        if 0 < len(rows) == len(t):
+            t.kalman_block = motion.update(t.kalman_block, z[det_of], s)
+            t.hits += 1
+            t.time_since_update[:] = 0
+        elif len(rows):
             t.kalman_block[..., rows] = motion.update(t.kalman_block[..., rows], z[js], s[:, rows])
             t.hits[rows] += 1
             t.time_since_update[rows] = 0
@@ -419,11 +443,7 @@ class SelectiveTracker:
             ids = np.arange(self._next_id, self._next_id + len(born_js))
             block = motion.initiate(z[born_js])
             t = t.concat(TrackTable.born(ids, block, t.embedding.shape[1]))
-
-        # each row's detection this frame (matched or born), -1 for none
-        det_of = np.full(len(t), -1)
-        det_of[rows] = js
-        det_of[len(t) - len(born_js):] = born_js
+            det_of = np.concatenate([det_of, born_js])
         seen = (det_of >= 0).nonzero()[0]
 
         # 8. appearance: only a fetched vector refreshes the EMA (or seeds a
@@ -459,11 +479,15 @@ class SelectiveTracker:
 
         Each such frame predicts and ages every row and decays its blend
         weight, then drops the rows left without a box or past `max_age`
-        misses. After `max_age + 1` of them no row is left, so at most that
-        many are stepped.
+        misses. A gap that takes every row past `max_age` leaves an empty
+        table, returned at once without a predict; a shorter gap, at most
+        `max_age` frames, still costs one predict per frame, as stepping
+        those frames empty does.
         """
         m = self.match
-        for _ in range(min(frames, m.max_age + 1)):
+        if frames > m.max_age - t.time_since_update.min():
+            return t.keep(np.zeros(len(t), dtype=bool))
+        for _ in range(frames):
             block, s = motion.predict(t.kalman_block)
             t = TrackTable(t.ids, block, t.embedding, t.has_embedding, t.effective_alpha * m.ema_alpha, t.hits,
                            t.time_since_update + 1)
@@ -476,20 +500,32 @@ class SelectiveTracker:
         One provider call asks for every row of `js` (none when it is empty).
         Row j is the detection of index `order[j]`, or of index j when
         `order` is None. The features are one (k, d) float64 matrix, None
-        when there are none; raises unless each is unit-norm.
+        when there are none; raises unless each is unit-norm and, once the
+        table's embeddings have a width, of that width.
         """
         if not len(js):
             return js, None
         found, vectors = self.provider.fetch(frame, js if order is None else order[js])
-        return js[found], appearance.check_unit(vectors) if len(found) else None
+        if not len(found):
+            return js[found], None
+        vectors = appearance.check_unit(vectors)
+        dim = self.table.embedding.shape[1]
+        if dim and vectors.shape[-1] != dim:
+            raise ValueError(f"feature dimension {vectors.shape[-1]} does not match the embedding dimension {dim}")
+        return js[found], vectors
 
     def _refresh_appearance(self, t: TrackTable, rows: np.ndarray, ks: np.ndarray, feats) -> None:
         """Decay every row's blend weight, then blend row `ks[n]` of `feats` into row `rows[n]`; a row without an embedding is seeded.
 
         `t` is the frame's own table; a column it still shares with the
-        committed table is replaced by a copy before it is written.
+        committed table is replaced by a copy before it is written. When
+        every row blends, the blend's result is the new `embedding` whole.
         """
         alpha = self.match.ema_alpha
+        if 0 < len(rows) == len(t) and t.has_embedding.all():
+            t.embedding = appearance.ema_update(t.embedding, t.effective_alpha, feats[ks])
+            t.effective_alpha = np.full(len(t), alpha)
+            return
         weight = t.effective_alpha[rows]  # what this frame's blends put on the old embedding
         t.effective_alpha = t.effective_alpha * alpha
         if not len(rows):

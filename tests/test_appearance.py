@@ -242,3 +242,9 @@ class TestCheckUnit:
     def test_non_finite_vector_is_an_error(self, bad):
         with pytest.raises(ValueError, match="unit-norm"):
             check_unit(np.stack([e1, np.array([bad, 0.0, 0.0])]))
+
+    @pytest.mark.parametrize("bad", [[np.nan, 0.0, 0.0], [0.0, -np.inf, 0.0], [0.0, 0.0, 0.0], [1.0, 1.0, 0.0]])
+    def test_one_refused_vector_is_an_error(self, bad):
+        with pytest.raises(ValueError, match="unit-norm"):
+            check_unit(np.array(bad))
+        assert check_unit(e1).tobytes() == e1.tobytes()

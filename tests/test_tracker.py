@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from seltrack import gating, motion
+from seltrack import appearance, gating, motion
 from seltrack import tracker as tracker_module
 from seltrack.gating import (
     GateConfig,
@@ -233,6 +233,29 @@ class TestStep:
         assert table_fields(tracker) == before
         assert tracker.last_frame == 2
         assert tracker.provider.fetches == fetches
+
+    @pytest.mark.parametrize("case", ["copy and fetch", "newborn after every track died"])
+    def test_feature_of_another_dimension_is_rejected_and_rolls_back(self, case):
+        # track 1 holds a 3-d embedding; a later 1-d unit feature must not be
+        # broadcast into a 3-d row, whether it is a cost column next to a
+        # copied one or the seed of a track born into a table emptied by max_age
+        features = {(1, 0): e(3, 0), (2, 1): np.array([1.0]), (4, 0): np.array([1.0])}
+        tracker = SelectiveTracker(DictProvider(features), GateConfig(mode=MODE_SELECTIVE), MatchConfig(max_age=1))
+        tracker.step(1, frame(1, [BBox(100, 100, 20, 40)]))
+        if case == "copy and fetch":
+            # detection 0 copies track 1's embedding, detection 1 overlaps no track and is fetched
+            f, dets = 2, frame(2, [BBox(102, 100, 20, 40), BBox(400, 100, 20, 40)])
+        else:
+            for empty in (2, 3):
+                tracker.step(empty, frame(empty, []))
+            assert len(tracker.table) == 0 and tracker.table.embedding.shape == (0, 3)
+            f, dets = 4, frame(4, [BBox(100, 100, 20, 40)])
+        before, fetches, last = table_fields(tracker), tracker.provider.fetches, tracker.last_frame
+        with pytest.raises(ValueError, match="dimension 1 .* dimension 3"):
+            tracker.step(f, dets)
+        assert table_fields(tracker) == before
+        assert tracker.provider.fetches == fetches
+        assert tracker.last_frame == last
 
     @pytest.mark.parametrize("strategy", [STRATEGY_CASCADE, STRATEGY_FUSED])
     def test_nan_feature_is_rejected_and_rolls_back(self, strategy):
@@ -528,6 +551,39 @@ class TestCommittedTable:
         assert [tid for tid, _ in emitted] == [1, 2] and tracker.table.ids.tolist() == [1, 2]
         assert tracker.table.effective_alpha.tolist() == [0.9, 0.9 ** 3]  # row 0 blended, row 1 decayed
         assert not np.shares_memory(tracker.table.embedding, second)
+
+    def test_frame_that_matches_every_row_commits_the_updated_block(self, monkeypatch):
+        returned = []
+
+        def recording(*args, real=motion.update):
+            returned.append(real(*args))
+            return returned[-1]
+
+        monkeypatch.setattr(motion, "update", recording)
+        tracker = SelectiveTracker(ConstantProvider())
+        for f in (1, 2):
+            emitted = tracker.step(f, frame(f, [BBox(100 + 200 * i + 2 * f, 100, 20, 40) for i in range(2)]))
+        assert [tid for tid, _ in emitted] == [1, 2] and len(returned) == 1
+        assert tracker.table.kalman_block is returned[0]
+
+    def test_frame_that_blends_every_row_commits_the_blend(self, monkeypatch):
+        returned = []
+
+        def recording(*args, real=appearance.ema_update):
+            returned.append(real(*args))
+            return returned[-1]
+
+        monkeypatch.setattr(appearance, "ema_update", recording)
+        # each frame's features are new, so frame 2 blends both rows
+        rng = np.random.default_rng(0)
+        features = {(f, i): v / np.linalg.norm(v) for f in (1, 2) for i in range(2)
+                    for v in [np.eye(4)[i] + 0.2 * rng.normal(size=4)]}
+        tracker = SelectiveTracker(DictProvider(features), GateConfig(mode=MODE_ALWAYS_EXTRACT))
+        for f in (1, 2):
+            tracker.step(f, frame(f, [BBox(100 + 200 * i + 2 * f, 100, 20, 40) for i in range(2)]))
+        assert len(returned) == 1 and returned[0].shape == (2, 4)
+        assert tracker.table.embedding is returned[0]
+        assert tracker.table.effective_alpha.tolist() == [0.9, 0.9]
 
 
 def track_axis(name: str) -> int:
@@ -969,6 +1025,12 @@ class TestStreamProperties:
     # deletion: its `has_embedding` is shared until that write
     @example(({1: frame(1, [BBox(100, 100, 20, 40)]), 2: frame(2, [BBox(102, 100, 20, 40)])}, {(2, 0): PALETTE[0]}),
              (GateConfig(mode=MODE_ALWAYS_EXTRACT), MatchConfig()))
+    # two tracks matched without a feature in frame 2, so their blend weights
+    # decay, then matched and blended in frame 3, which writes `hits`,
+    # `time_since_update` and `effective_alpha` of its own table whole
+    @example(({f: frame(f, [BBox(100 + 2 * f, 100, 20, 40), BBox(300 + 2 * f, 100, 20, 40)]) for f in (1, 2, 3)},
+              {(1, 0): PALETTE[0], (3, 0): PALETTE[2], (1, 1): PALETTE[3], (3, 1): PALETTE[3]}),
+             (GateConfig(mode=MODE_ALWAYS_EXTRACT), MatchConfig()))
     def test_committed_tables_are_never_written(self, stream, config):
         # a frame that fetches nothing, births nothing or drops nothing leaves
         # some columns of the table it commits shared with the one before
@@ -1022,8 +1084,27 @@ class TestFrameGap:
         tracker.step(1, frame(1, [BBox(30, 30, 20, 40)]))
         calls.clear()
         assert [tid for tid, _ in tracker.step(10**15, frame(10**15, [BBox(30, 30, 20, 40)]))] == [2]
-        # the frame's own predict comes last, on a table the missed frames emptied
-        assert calls == [1, 1, 1, 1, 0]
+        # the gap outlives every row, so the missed frames empty the table
+        # without a predict; the one predict is the frame's own
+        assert calls == [0]
+
+    def test_a_gap_past_a_large_max_age_predicts_nothing(self, monkeypatch):
+        # at max_age 20000, stepping each missed frame took 20001 predicts (about 0.5 s)
+        calls = []
+
+        def counting(block, real=motion.predict):
+            calls.append(block.shape[-1])
+            return real(block)
+
+        monkeypatch.setattr(motion, "predict", counting)
+        tracker = SelectiveTracker(ConstantProvider(), match=MatchConfig(max_age=20000))
+        tracker.step(1, frame(1, [BBox(30, 30, 20, 40), BBox(300, 30, 20, 40)]))
+        calls.clear()
+        tracker.step(3, frame(3, [BBox(30, 30, 20, 40)]))  # one missed frame: one predict of both rows
+        assert calls == [2, 2]
+        calls.clear()
+        assert [tid for tid, _ in tracker.step(10**9, frame(10**9, [BBox(30, 30, 20, 40)]))] == [3]
+        assert calls == [0]
 
     @settings(max_examples=150, deadline=None)
     @given(streams(), configs)
