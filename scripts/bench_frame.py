@@ -47,6 +47,17 @@ change shows where its calls went:
 
     PYTHONPATH=src python scripts/bench_frame.py --calls --against ../parent
 
+`--stages` times each top-level statement of `SelectiveTracker._step_inner`
+instead, on this checkout only, in the mode `--mode` names: it compiles an
+`ast` copy of the method with a `perf_counter` mark after each statement
+(the marks add their own cost to the statement before them), steps fresh
+trackers over every frame with that copy, and gives each statement's µs
+per frame, the fastest over the passes for each frame, then the mean over
+frames. A compound statement counts whole, and each stage, the comment
+above its first statement, is followed by its statements:
+
+    PYTHONPATH=src python scripts/bench_frame.py --stages --mode always_extract --passes 12
+
 A call count is not a time. cProfile counts calls of Python functions and
 of builtins and methods, such as `ndarray.all`, but not numpy's indexing,
 ufuncs or operators (`a[rows]`, `a[:, js] = b`, `a * b`), which run no
@@ -67,18 +78,22 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse
+import ast
 import collections
 import cProfile
 import dataclasses
 import gc
 import importlib
+import inspect
 import math
 import pstats
+import re
 import sys
 import tempfile
+import textwrap
 from pathlib import Path
 from time import perf_counter
-from types import SimpleNamespace
+from types import MethodType, SimpleNamespace
 
 import numpy as np
 
@@ -167,6 +182,64 @@ class Side:
         return float(np.median(list(self.best[mode].values())))
 
 
+def staged_step_inner(tracker_module) -> tuple:
+    """An `ast` copy of `SelectiveTracker._step_inner` that appends a `perf_counter` mark after each top-level statement.
+
+    Returns the copy, the list its marks go to (one at entry, then one per
+    timed statement), and each timed statement's stage (the first clause
+    of the last comment above it), line number and first source line.
+    """
+    lines, first = inspect.getsourcelines(tracker_module.SelectiveTracker._step_inner)
+    tree = ast.parse(textwrap.dedent("".join(lines)))
+    ast.increment_lineno(tree, first - 1)
+    method = tree.body[0]
+    body, timed, stage, end = [ast.parse("_marks.append(_clock())").body[0]], [], "entry", method.body[0].end_lineno
+    for stmt in method.body[1:]:  # the docstring is the first
+        comments = [line.strip()[2:] for line in lines[end - first + 1:stmt.lineno - first] if line.strip()[:1] == "#"]
+        stage, end = (re.split("[;:,]", comments[0])[0] if comments else stage), stmt.end_lineno
+        if isinstance(stmt, ast.Return):
+            body.append(stmt)
+            continue
+        body += [stmt, ast.parse("_marks.append(_clock())").body[0]]
+        timed.append((stage, stmt.lineno, lines[stmt.lineno - first].strip()))
+    method.body = body
+    marks = []
+    namespace = dict(vars(tracker_module), _marks=marks, _clock=perf_counter)
+    exec(compile(ast.fix_missing_locations(tree), tracker_module.__file__, "exec"), namespace)
+    return namespace[method.name], marks, timed
+
+
+def stage_times(side: Side, mode: str, passes: int) -> tuple[list, np.ndarray]:
+    """Each top-level statement of `_step_inner` and its µs per frame: the fastest over the passes, then the mean."""
+    staged, marks, timed = staged_step_inner(side.modules.tracker)
+    frames = sorted(side.frames)
+    best = np.full((len(frames), len(timed)), np.inf)
+    for _ in range(passes):
+        tracker = side.modules.tracker.SelectiveTracker(side.provider, side.modules.gating.GateConfig(mode=mode),
+                                                         side.match)
+        tracker._step_inner = MethodType(staged, tracker)
+        gc.collect()
+        for n, frame in enumerate(frames):
+            if n % measure.PROBE_EVERY_FRAMES == 0:
+                measure.pin_fastest_cpu()
+            marks.clear()
+            tracker.step(frame, side.frames[frame])
+            np.minimum(best[n], np.diff(marks), out=best[n])
+    return timed, 1e6 * best.mean(axis=0)
+
+
+def print_stages(timed: list, us: list[np.ndarray], names) -> None:
+    """One row per stage with its statements' sum, its statements under it, and the frame's sum, one column per workload."""
+    print(f"{'stage / statement':64} {'line':>5}" + "".join(f" {name + ' µs':>11}" for name in names))
+    stages = list(dict.fromkeys(stage for stage, _, _ in timed))
+    for stage in stages:
+        rows = [k for k, (s, _, _) in enumerate(timed) if s == stage]
+        print(f"{stage[:64]:64} {'':5}" + "".join(f" {u[rows].sum():>11.1f}" for u in us))
+        for k in rows:
+            print(f"  {timed[k][2][:62]:62} {timed[k][1]:>5}" + "".join(f" {u[k]:>11.1f}" for u in us))
+    print(f"{'frame':64} {'':5}" + "".join(f" {u.sum():>11.1f}" for u in us))
+
+
 MOVED_FUNCTIONS = 15  # the functions listed under each `--calls --against` line
 
 
@@ -248,7 +321,12 @@ def main(argv=None) -> int:
     timed.add_argument("--calls", action="store_true",
                        help="count the calls per frame under cProfile, not the time; numpy indexing, ufuncs and "
                             "operators make no counted call, so a count is not a time")
+    timed.add_argument("--stages", action="store_true",
+                       help="time each top-level statement of SelectiveTracker._step_inner in --mode, not the frames")
+    ap.add_argument("--mode", default=gating.MODE_SELECTIVE, choices=MODES, help="the mode --stages times")
     args = ap.parse_args(argv)
+    if args.stages and args.against is not None:
+        ap.error("--stages times this checkout only")
 
     sides = {"this": SimpleNamespace(gating=gating, io=io, metrics=metrics, tracker=tracker)}
     if args.against is not None:
@@ -256,6 +334,15 @@ def main(argv=None) -> int:
     names = workloads.NAMES if args.workload == "all" else (args.workload,)
 
     cpus = os.sched_getaffinity(0)  # `pin_fastest_cpu` narrows it
+    if args.stages:
+        try:
+            with tempfile.TemporaryDirectory() as tmp:
+                sides = [Side(sides["this"], workloads.generate(name, args.seed, Path(tmp) / name)) for name in names]
+                times = [stage_times(side, args.mode, args.passes) for side in sides]
+        finally:
+            os.sched_setaffinity(0, cpus)
+        print_stages(times[0][0], [us for _, us in times], names)
+        return 0
     unit = " calls" if args.calls else " ms"
     header = f"{'workload':8} {'mode':15}" + "".join(f" {name + unit:>13}" for name in sides)
     columns = f" {'change':>8}" + ("" if args.setup else f" {'report' if args.eval else 'rows':>9}")

@@ -39,6 +39,11 @@ class GateConfig:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
 
+    @property
+    def reads_iou(self) -> bool:
+        """Whether `candidates` looks at the IoUs: not under always_extract, where every detection is risky."""
+        return self.mode != MODE_ALWAYS_EXTRACT
+
 
 def candidates(ious: np.ndarray, det_xywh: np.ndarray, track_xywh: np.ndarray, cfg: GateConfig) -> np.ndarray:
     """Each detection's sole candidate track, or -1 where the detection is risky.
@@ -47,7 +52,7 @@ def candidates(ious: np.ndarray, det_xywh: np.ndarray, track_xywh: np.ndarray, c
     hold (x, y, w, h) rows; a track whose row of `ious` is 0 is no candidate.
     """
     n_dets = ious.shape[1]
-    if cfg.mode == MODE_ALWAYS_EXTRACT:
+    if not cfg.reads_iou:
         return np.full(n_dets, -1)
     above = ious > cfg.theta_iou
     sole = np.add.reduce(above, axis=0) == 1

@@ -9,11 +9,15 @@ All per-track state lives in one `TrackTable` of stacked arrays, so each
 of those per-track steps is one call over the rows it concerns, and each
 per-frame quantity (the detections' box array and their Kalman
 measurements, the IoU matrix, the innovation variances, the fetched
-features) is built once and sliced by every stage that reads it. A frame
-copies a track column only when it writes it, and builds a stage's cost
-matrix only when that stage runs. A frame that writes every row of a
-column (every track matched or blended, every high detection priced)
-builds that column new from its own arrays, with no gather or scatter.
+features) is built once and sliced by every stage that reads it. The IoU
+matrix is built on first read: by the gate, the fused stage, the cascade's
+IoU stage or the byte stage, so a frame that none of them reads, such as
+an always_extract cascade frame whose appearance stage matches every row,
+builds no boxes and no IoU. A frame copies a track column only when it
+writes it, and builds a stage's cost matrix only when that stage runs. A
+frame that writes every row of a column (every track matched or blended,
+every high detection priced) builds that column new from its own arrays,
+with no gather or scatter.
 """
 
 from __future__ import annotations
@@ -122,6 +126,9 @@ class MatchConfig:
             raise ValueError("fused_weight must be finite and non-negative")
         if not 0.0 <= self.conf_high <= 1.0:
             raise ValueError("conf_high must be in [0, 1]")
+        for name in ("min_hits", "max_age"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.min_hits < 1:
             raise ValueError("min_hits must be >= 1")
         if self.max_age < 1:
@@ -343,15 +350,18 @@ class SelectiveTracker:
             xywh = detections.xywh[order]
 
         # 3. one IoU matrix of the predicted boxes with the high detections,
-        #    and with the low ones when the byte stage may run; every stage
-        #    reads it. Risk classification is against confirmed tracks'
-        #    boxes (a tentative track's row is 0 for the gate); a frame with
-        #    no high detection has no gate to run
-        boxes = motion.state_to_xywh(t.kalman_block)
+        #    and with the low ones when the byte stage may run, built by the
+        #    first stage that reads it (`ious` is None until then): the gate,
+        #    the fused stage, the cascade's IoU stage or the byte stage. Risk
+        #    classification is against confirmed tracks' boxes (a tentative
+        #    track's row is 0 for the gate); a frame with no high detection
+        #    has no gate to run, and always_extract's gate reads no IoU
         n_iou = n_dets if m.byte_low else n_high
-        ious = iou_matrix(boxes, xywh[:n_iou]) if n_iou else np.zeros((len(t), 0))
-        high_iou = ious[:, :n_high]
-        if n_high:
+        ious = None
+        if n_high and self.gate.reads_iou:
+            boxes = motion.state_to_xywh(t.kalman_block)
+            ious = iou_matrix(boxes, xywh[:n_iou])
+            high_iou = ious[:, :n_high]
             gate_iou = high_iou if all_confirmed else np.where(confirmed[:, None], high_iou, 0.0)
             cand = gating.candidates(gate_iou, xywh[:n_high], boxes, self.gate)
         else:
@@ -364,8 +374,11 @@ class SelectiveTracker:
         risky_js = risky.nonzero()[0]
         fetched, feats = self._fetch(frame, order, risky_js)
         base_gate = self.gate.mode == gating.MODE_BASE_GATE
-        copies = risky_js[:0] if base_gate else (~risky).nonzero()[0]
-        copies = copies[t.has_embedding[cand[copies]]]
+        if base_gate or len(risky_js) == n_high:
+            copies = risky_js[:0]
+        else:
+            copies = (~risky).nonzero()[0]
+            copies = copies[t.has_embedding[cand[copies]]]
 
         # 5. association: each stage is one solve over every live row and its
         #    detection group's columns, with INFEASIBLE outside the stage.
@@ -388,30 +401,36 @@ class SelectiveTracker:
             if len(app_js) == n_high:
                 app = costs
             else:
-                app = np.full(high_iou.shape, INFEASIBLE)
+                app = np.full((len(t), n_high), INFEASIBLE)
                 app[:, app_js] = costs
             if not t.has_embedding.all():
                 app[~t.has_embedding] = INFEASIBLE
             app[cand[copies], copies] = 0.0  # a copy is its candidate's own embedding
         else:
-            app = np.full(high_iou.shape, INFEASIBLE)
+            app = np.full((len(t), n_high), INFEASIBLE)
         if m.strategy == STRATEGY_CASCADE:
             rows, js = assignment.solve(app if all_confirmed else np.where(confirmed[:, None], app, INFEASIBLE),
                                         m.appearance_gate)
             if len(rows) < len(t) and len(js) < n_high:
+                if ious is None:
+                    ious = _frame_ious(t.kalman_block, xywh, n_iou)
                 iou_rows, iou_js = assignment.solve(
-                    _iou_cost(high_iou, m.iou_gate, _left(len(t), rows)[:, None] & _left(n_high, js)),
+                    _iou_cost(ious[:, :n_high], m.iou_gate, _left(len(t), rows)[:, None] & _left(n_high, js)),
                     1.0 - m.iou_gate)
                 if len(iou_rows):
                     rows, js = np.concatenate([rows, iou_rows]), np.concatenate([js, iou_js])
         else:
-            high_cost = _iou_cost(high_iou, m.iou_gate)
+            if ious is None:
+                ious = _frame_ious(t.kalman_block, xywh, n_iou)
+            high_cost = _iou_cost(ious[:, :n_high], m.iou_gate)
             extra = np.where(~risky, SATURATED_COST, app) if base_gate else app
             priced = np.isfinite(high_cost) & np.isfinite(extra)
             high_cost[priced] += m.fused_weight * extra[priced]
             rows, js = assignment.solve(high_cost, m.fused_weight * SATURATED_COST + (1.0 - m.iou_gate))
         born_js = _left(n_high, js).nonzero()[0] if len(js) < n_high else js[:0]
         if m.byte_low and n_high < n_dets and len(rows) < len(t):
+            if ious is None:
+                ious = _frame_ious(t.kalman_block, xywh, n_iou)
             byte_cost = _iou_cost(ious[:, n_high:], m.iou_gate, _left(len(t), rows)[:, None])
             byte_rows, byte_js = assignment.solve(byte_cost, 1.0 - m.iou_gate)
             rows, js = np.concatenate([rows, byte_rows]), np.concatenate([js, n_high + byte_js])
@@ -543,6 +562,11 @@ class SelectiveTracker:
         t.embedding[rows] = vectors
         t.has_embedding[rows] = True
         t.effective_alpha[rows] = alpha
+
+
+def _frame_ious(kalman_block: np.ndarray, xywh: np.ndarray, n: int) -> np.ndarray:
+    """The IoU matrix of the block's predicted boxes with the first `n` rows of `xywh`; no columns when `n` is 0."""
+    return iou_matrix(motion.state_to_xywh(kalman_block), xywh[:n]) if n else np.zeros((kalman_block.shape[-1], 0))
 
 
 def _iou_cost(ious: np.ndarray, iou_gate: float, within=True) -> np.ndarray:

@@ -157,6 +157,20 @@ class TestFrame:
         assert again.xywh.tobytes() == dets.xywh.tobytes() and repr(again) == repr(dets)
 
 
+class TestMatchConfig:
+    # a NaN max_age dropped every track at each commit, an infinite one
+    # never dropped any, and a NaN min_hits confirmed no track
+    @pytest.mark.parametrize("name", ["max_age", "min_hits"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 2.5, 2.0, np.float64(3.0)])
+    def test_refused_count_that_is_not_an_integer(self, name, value):
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got "):
+            MatchConfig(**{name: value})
+
+    def test_numpy_integer_counts(self):
+        match = MatchConfig(max_age=np.int64(3), min_hits=np.int32(2))
+        assert (match.max_age, match.min_hits) == (3, 2)
+
+
 class TestStep:
     def test_empty_frame_ages_tracks(self):
         tracker = SelectiveTracker(ConstantProvider())
@@ -699,6 +713,49 @@ class TestNoHighDetection:
         assert digest == self.EXPECTED[strategy]
 
 
+class TestIouOnFirstRead:
+    """A frame builds its IoU matrix when a stage first reads it, and at most once."""
+
+    @staticmethod
+    def iou_calls_per_frame(monkeypatch, gate, match, unfetchable=()):
+        """`iou_matrix` calls in each of 5 frames of 3 targets apart, each with its own feature but at `unfetchable`."""
+        calls = []
+
+        def counting_iou(tracks, dets, real=tracker_module.iou_matrix):
+            calls.append(len(dets))
+            return real(tracks, dets)
+
+        monkeypatch.setattr(tracker_module, "iou_matrix", counting_iou)
+        frames = {f: frame(f, [BBox(100 + 200 * k + 2 * f, 100, 20, 40) for k in range(3)]) for f in range(1, 6)}
+        features = {(f, k): PALETTE[(0, 1, 3)[k]] for f in frames for k in range(3) if (f, k) not in unfetchable}
+        tracker = SelectiveTracker(DictProvider(features), gate, match)
+        counts = []
+        for f in sorted(frames):
+            before = len(calls)
+            assert len(tracker.step(f, frames[f])) == 3
+            counts.append(len(calls) - before)
+        assert tracker.table.ids.tolist() == [1, 2, 3]
+        return counts
+
+    def test_always_extract_cascade_reads_iou_only_in_its_iou_stage(self, monkeypatch):
+        always = GateConfig(mode=MODE_ALWAYS_EXTRACT)
+        # appearance matches every row from frame 2 on; frame 1 has no track to match
+        assert self.iou_calls_per_frame(monkeypatch, always, MatchConfig()) == [0] * 5
+        # frame 3's second detection has no feature, so its track is left to the IoU stage
+        assert self.iou_calls_per_frame(monkeypatch, always, MatchConfig(), unfetchable={(3, 1)}) == [0, 0, 1, 0, 0]
+
+    @pytest.mark.parametrize("unfetchable", [(), {(3, 1)}])
+    def test_the_gate_builds_the_matrix_the_iou_stage_reads(self, monkeypatch, unfetchable):
+        # the gate reads the IoUs of every frame with a high detection, the first one included
+        counts = self.iou_calls_per_frame(monkeypatch, GateConfig(), MatchConfig(), unfetchable)
+        assert counts == [1] * 5
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_the_fused_stage_reads_iou_in_every_frame(self, monkeypatch, mode):
+        fused = MatchConfig(strategy=STRATEGY_FUSED)
+        assert self.iou_calls_per_frame(monkeypatch, GateConfig(mode=mode), fused) == [1] * 5
+
+
 class TestByteStage:
     def test_low_confidence_detection_rescues_track(self):
         match = MatchConfig(byte_low=True)
@@ -1043,11 +1100,22 @@ class TestStreamProperties:
         for f, name, a, before in held:
             assert a.tobytes() == before, (f, name)
 
-    @settings(max_examples=100, deadline=None)
-    @given(streams(), st.sampled_from([STRATEGY_CASCADE, STRATEGY_FUSED]))
-    def test_full_iou_threshold_equals_always_extract(self, stream, strategy):
+    @settings(max_examples=400, deadline=None)
+    @given(streams(), configs)
+    # an always_extract cascade frame whose IoU stage runs: frame 2's
+    # detection has no feature, so appearance leaves its track unmatched
+    @example(({1: frame(1, [BBox(100, 100, 20, 40)]), 2: frame(2, [BBox(102, 100, 20, 40)])}, {(1, 0): PALETTE[0]}),
+             (GateConfig(), MatchConfig()))
+    # the cascade's byte stage on frame 2's low detection, after an IoU
+    # stage for its high one, which has no feature: the matrix that stage
+    # builds holds the low column too
+    @example(({1: frame(1, [BBox(100, 100, 20, 40), BBox(300, 100, 20, 40)]),
+               2: frame(2, [BBox(102, 100, 20, 40), BBox(302, 100, 20, 40)], conf=[0.9, 0.3])},
+              {(1, 0): PALETTE[0], (1, 1): PALETTE[1]}), (GateConfig(), MatchConfig(byte_low=True)))
+    def test_full_iou_threshold_equals_always_extract(self, stream, config):
+        # the gate reads the IoUs and finds no candidate; always_extract reads none
         frames, features = stream
-        match = MatchConfig(strategy=strategy)
+        _, match = config
         gated, gated_stats = run_sequence(
             frames, DictProvider(features), GateConfig(theta_iou=1.0), match
         )
@@ -1055,7 +1123,7 @@ class TestStreamProperties:
             frames, DictProvider(features), GateConfig(mode=MODE_ALWAYS_EXTRACT), match
         )
         assert gated.rows == always.rows
-        assert gated_stats.fetches == always_stats.fetches
+        assert gated_stats == always_stats
 
 
 class TestFrameGap:
