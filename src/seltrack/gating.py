@@ -36,6 +36,8 @@ class GateConfig:
             raise ValueError(f"theta_iou out of range: {self.theta_iou!r}")
         if not 0.0 <= self.theta_alpha <= 1.0:
             raise ValueError(f"theta_alpha out of range: {self.theta_alpha!r}")
+        if not isinstance(self.ars_enabled, (bool, np.bool_)):
+            raise ValueError(f"ars_enabled must be a bool, got {self.ars_enabled!r}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
 

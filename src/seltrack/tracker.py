@@ -55,6 +55,11 @@ class Detection(NamedTuple):
     confidence: float
 
 
+def _is_count(value) -> bool:
+    """Whether `value` is a Python or NumPy integer, and not a bool, which Python counts as one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 class Frame:
     """One frame's detections as arrays: row k of `xywh` (n, 4) and of `confidence` (n,) is detection k.
 
@@ -71,7 +76,7 @@ class Frame:
         xywh, confidence = np.asarray(xywh, dtype=float), np.asarray(confidence, dtype=float)
         if xywh.ndim != 2 or xywh.shape[1] != 4 or confidence.shape != xywh.shape[:1]:
             raise ValueError(f"expected (n, 4) boxes and (n,) confidences, got {xywh.shape} and {confidence.shape}")
-        if not isinstance(frame, (int, np.integer)):
+        if not _is_count(frame):
             raise ValueError(f"frame must be an integer, got {frame!r}")
         if frame < 1:
             raise ValueError(f"frame must be >= 1, got {frame}")
@@ -118,6 +123,8 @@ class MatchConfig:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.byte_low is None:
             self.byte_low = self.strategy == STRATEGY_FUSED
+        elif not isinstance(self.byte_low, (bool, np.bool_)):
+            raise ValueError(f"byte_low must be a bool or None, got {self.byte_low!r}")
         if not 0.0 <= self.appearance_gate <= 2.0:
             raise ValueError("appearance_gate must be in [0, 2]")
         if not 0.0 <= self.iou_gate <= 1.0:
@@ -127,7 +134,7 @@ class MatchConfig:
         if not 0.0 <= self.conf_high <= 1.0:
             raise ValueError("conf_high must be in [0, 1]")
         for name in ("min_hits", "max_age"):
-            if not isinstance(getattr(self, name), (int, np.integer)):
+            if not _is_count(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.min_hits < 1:
             raise ValueError("min_hits must be >= 1")
@@ -179,9 +186,9 @@ class TrackTable:
     on a row's embedding; a row without an embedding holds zeros in both.
     A committed table (`SelectiveTracker.table`) is never written. A frame's
     table shares each column with it until the frame writes that column: it
-    copies `hits` up front, `embedding` and `has_embedding` only to blend a
-    fetched feature into them while it still shares them, and builds its
-    other changed columns anew. A frame that writes every row of a column
+    copies `embedding` and `has_embedding` only to blend a fetched feature
+    into them while it still shares them, and builds its other changed
+    columns anew. A frame that writes every row of a column
     builds that column new: the Kalman block when every row matched, the
     embeddings and blend weights when every row blends. A committed
     table is thus a snapshot later frames keep intact.
@@ -300,7 +307,7 @@ class SelectiveTracker:
             raise ValueError(
                 f"frames must be strictly increasing: got {frame} after {self.last_frame}"
             )
-        if detections.frame != frame:
+        if detections.frame != frame or isinstance(frame, bool):  # a `Frame` refuses a bool
             raise ValueError(f"detection frame {detections.frame} does not match step frame {frame}")
 
         fetches = self.provider.fetches
@@ -328,12 +335,7 @@ class SelectiveTracker:
         t = self.table
         if frame - self.last_frame > 1 and len(t):
             t = self._missed(t, frame - self.last_frame - 1)
-        block, s = motion.predict(t.kalman_block)
-        kept = ~motion.degenerate(block, s)
-        t = TrackTable(t.ids, block, t.embedding, t.has_embedding, t.effective_alpha, hits=t.hits.copy(),
-                       time_since_update=t.time_since_update + 1)
-        if not kept.all():
-            t, s = t.keep(kept), s[:, kept]
+        t, s = _predicted(t)
         confirmed = t.hits >= m.min_hits  # the rows the gate and the cascade's first stage see
         all_confirmed = m.min_hits == 1 or confirmed.all()  # every held row has a hit
 
@@ -444,12 +446,12 @@ class SelectiveTracker:
         det_of[rows] = js
         if 0 < len(rows) == len(t):
             t.kalman_block = motion.update(t.kalman_block, z[det_of], s)
-            t.hits += 1
             t.time_since_update[:] = 0
         elif len(rows):
             t.kalman_block[..., rows] = motion.update(t.kalman_block[..., rows], z[js], s[:, rows])
-            t.hits[rows] += 1
             t.time_since_update[rows] = 0
+        if len(rows):
+            t.hits = t.hits + (det_of >= 0)
 
         # 7. births for unmatched high-confidence detections (eager feature)
         late_js = born_js
@@ -507,10 +509,9 @@ class SelectiveTracker:
         if frames > m.max_age - t.time_since_update.min():
             return t.keep(np.zeros(len(t), dtype=bool))
         for _ in range(frames):
-            block, s = motion.predict(t.kalman_block)
-            t = TrackTable(t.ids, block, t.embedding, t.has_embedding, t.effective_alpha * m.ema_alpha, t.hits,
-                           t.time_since_update + 1)
-            t = t.keep(~motion.degenerate(block, s) & (t.time_since_update <= m.max_age))
+            t, _ = _predicted(t)
+            t.effective_alpha = t.effective_alpha * m.ema_alpha
+            t = t.keep(t.time_since_update <= m.max_age)
         return t
 
     def _fetch(self, frame: int, order: np.ndarray | None, js: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
@@ -562,6 +563,21 @@ class SelectiveTracker:
         t.embedding[rows] = vectors
         t.has_embedding[rows] = True
         t.effective_alpha[rows] = alpha
+
+
+def _predicted(t: TrackTable) -> tuple[TrackTable, np.ndarray]:
+    """`t` one frame on, and the innovation variances of the rows it keeps.
+
+    Every row is predicted and aged; a row whose predicted aspect or height
+    is no longer positive has no box and is dropped. The new table shares
+    every column but the Kalman block and `time_since_update` with `t`.
+    """
+    block, s = motion.predict(t.kalman_block)
+    kept = ~motion.degenerate(block, s)
+    t = TrackTable(t.ids, block, t.embedding, t.has_embedding, t.effective_alpha, t.hits, t.time_since_update + 1)
+    if kept.all():
+        return t, s
+    return t.keep(kept), s[:, kept]
 
 
 def _frame_ious(kalman_block: np.ndarray, xywh: np.ndarray, n: int) -> np.ndarray:

@@ -1,10 +1,11 @@
-"""Feature providers, a feature-file reader, and detection and trajectory builders for tests."""
+"""Feature providers, detection and trajectory builders, and the benchmark's workload module, for tests."""
 
-import struct
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 
-from seltrack.io import FEATURE_MAGIC, FEATURE_VERSION
 from seltrack.tracker import TRAJECTORY, Frame, trajectory_table
 
 
@@ -44,38 +45,14 @@ def table(trajectories):
     return trajectory_table(np.array(rows, dtype=TRAJECTORY))
 
 
-def reference_read_features(path) -> dict:
-    """A feature file as {(frame, det index): f32 vector}, each record unpacked, checked and normalized alone.
 
-    The reference that `FeatureFileProvider` is compared with, byte for byte.
-    """
-    data = open(path, "rb").read()
-    if len(data) < 13:
-        raise ValueError("truncated feature file header")
-    if data[:4] != FEATURE_MAGIC:
-        raise ValueError("bad magic")
-    version = data[4]
-    if version != FEATURE_VERSION:
-        raise ValueError(f"unsupported feature file version {version}")
-    dim, count = struct.unpack_from("<II", data, 5)
-    record_size = 8 + 4 * dim
-    expected = 13 + count * record_size
-    if len(data) != expected:
-        raise ValueError(f"truncated feature file: expected {expected} bytes, got {len(data)}")
-    out = {}
-    offset = 13
-    for _ in range(count):
-        f, i = struct.unpack_from("<II", data, offset)
-        vec = np.frombuffer(data, dtype="<f4", count=dim, offset=offset + 8).copy()
-        offset += record_size
-        if (f, i) in out:
-            raise ValueError(f"duplicate feature key ({f}, {i})")
-        if not np.all(np.isfinite(vec)):
-            raise ValueError(f"non-finite feature vector at key ({f}, {i})")
-        norm = float(np.linalg.norm(vec.astype(np.float64)))
-        if norm == 0.0:
-            raise ValueError(f"zero-norm feature vector at key ({f}, {i})")
-        if abs(norm - 1.0) > 1e-6:
-            vec = (vec.astype(np.float64) / norm).astype(np.float32)
-        out[(f, i)] = vec
-    return out
+def benchmark_workloads():
+    """`perfbench/workloads.py`, imported from its file under a name of its own; nothing there is written."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    name = "perfbench_workloads"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module  # its dataclasses look their module up while they are built
+        spec.loader.exec_module(module)
+    return sys.modules[name]

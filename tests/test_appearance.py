@@ -8,13 +8,8 @@ from seltrack.gating import GateConfig, MODE_ALWAYS_EXTRACT
 from seltrack.geometry import BBox
 from seltrack.tracker import MatchConfig, SelectiveTracker
 
+from oracles import normalized
 from providers import DictProvider, frame
-
-
-def normalized(values) -> np.ndarray:
-    """Test vectors scaled to unit norm, the form every embedding arrives in."""
-    v = np.asarray(values, dtype=float).ravel()
-    return v / np.linalg.norm(v)
 
 
 def unit(*values) -> np.ndarray:

@@ -1,4 +1,3 @@
-import itertools
 from unittest import mock
 
 import numpy as np
@@ -14,37 +13,13 @@ from seltrack.io import FeatureFileProvider, read_detections
 from seltrack.synth import generate_to_dir, grid_scene
 from seltrack.tracker import STRATEGY_CASCADE, MatchConfig, run_sequence
 
+from oracles import assignment_oracle, matchings
+
 
 def pairs(costs, gate: float) -> list[tuple[int, int]]:
     """The (row, column) matches of `solve`, in its row order."""
     rows, cols = solve(costs, gate)
     return list(zip(rows.tolist(), cols.tolist()))
-
-
-def brute_force(costs: np.ndarray, gate: float):
-    """Exhaustive search over all partial injective row->col mappings.
-
-    Returns (cardinality, total cost, lexicographically smallest match list)
-    of the max-cardinality min-cost feasible matching.
-    """
-    n, m = costs.shape
-    best = None
-
-    def rec(r, used, cur, cost):
-        nonlocal best
-        if r == n:
-            key = (-len(cur), cost, cur)
-            if best is None or key < best:
-                best = key
-            return
-        rec(r + 1, used, cur, cost)  # leave row r unmatched
-        for c in range(m):
-            if c in used or not np.isfinite(costs[r, c]) or costs[r, c] > gate:
-                continue
-            rec(r + 1, used | {c}, cur + [(r, c)], cost + costs[r, c])
-
-    rec(0, frozenset(), [], 0.0)
-    return -best[0], best[1], best[2]
 
 
 def _full_scan_optimum(feasible: np.ndarray) -> tuple[int, float]:
@@ -148,6 +123,11 @@ class TestExamples:
         with pytest.raises(ValueError):
             solve(np.array([[np.nan]]), gate=1.0)
 
+    @pytest.mark.parametrize("shape", [(3,), (1, 1, 1)])
+    def test_rejects_a_matrix_that_is_not_2d(self, shape):
+        with pytest.raises(ValueError, match=r"^cost matrix must be 2-D, got shape "):
+            solve(np.zeros(shape), gate=1.0)
+
     def test_rejects_negative_infinity(self):
         with pytest.raises(ValueError, match=r"finite or \+inf"):
             solve(np.array([[0.0, -np.inf]]), gate=1.0)
@@ -174,7 +154,7 @@ class TestAgainstBruteForce:
     @given(matrices(), st.one_of(dyadic, st.just(4.0)))
     def test_matches_exhaustive_optimum(self, costs, gate):
         got = pairs(costs, gate)
-        card, cost, lex = brute_force(costs, gate)
+        card, cost, lex = assignment_oracle(costs, gate)
         assert len(got) == card
         assert sum(costs[r, c] for r, c in got) == cost
         assert got == lex
@@ -211,30 +191,14 @@ class TestPermutationEquivariance:
         gate = 100.0
         base = pairs(costs, gate)
         # equivariance is only well-defined when the optimum is unique
-        card, cost, lex = brute_force(costs, gate)
-        alt = brute_force_count_optima(costs, gate, card, cost)
-        assume(alt == 1)
+        card, cost, _ = assignment_oracle(costs, gate)
+        optima = [p for p in matchings(costs, gate) if len(p) == card and sum(costs[r, c] for r, c in p) == cost]
+        assume(len(optima) == 1)
         perm = list(range(n))
         rng.shuffle(perm)
         permuted = pairs(costs[perm, :], gate)
         expect = sorted((perm.index(r), c) for r, c in base)
         assert sorted(permuted) == expect
-
-
-def brute_force_count_optima(costs, gate, card, cost):
-    n, m = costs.shape
-    count = 0
-    for k in range(card, card + 1):
-        for rows in itertools.combinations(range(n), k):
-            for cols in itertools.permutations(range(m), k):
-                if all(
-                    np.isfinite(costs[r, c]) and costs[r, c] <= gate
-                    for r, c in zip(rows, cols)
-                ):
-                    total = sum(costs[r, c] for r, c in zip(rows, cols))
-                    if total == cost:
-                        count += 1
-    return count
 
 
 # few distinct values, so equal-cost optima are common
@@ -305,7 +269,7 @@ def assert_optimal(costs, gate):
     """`solve` equals the full-scan reference and the exhaustive optimum."""
     got = pairs(costs, gate)
     assert got == full_scan_solve(costs, gate)
-    assert got == brute_force(costs, gate)[2]
+    assert got == assignment_oracle(costs, gate)[2]
 
 
 class TestConflictFree:

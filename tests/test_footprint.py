@@ -19,7 +19,7 @@ from seltrack.io import FeatureFileProvider, read_detections, read_trajectories,
 from seltrack.synth import generate_to_dir, preset
 from seltrack.tracker import run_sequence
 
-from test_golden import benchmark_workloads
+from providers import benchmark_workloads
 
 # the directory this test process imports seltrack from
 PACKAGE_ROOT = str(Path(seltrack.__file__).resolve().parents[1])

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from seltrack.geometry import BBox, ars, blended_alpha, iou_matrix
+from seltrack.geometry import BBox, blended_alpha, iou_matrix
 from seltrack.gating import (
     GateConfig,
     MODE_ALWAYS_EXTRACT,
@@ -11,53 +11,8 @@ from seltrack.gating import (
     candidates,
 )
 
-from iou_reference import iou_reference
+from oracles import candidates_of, candidates_oracle, gate_oracle, iou_reference
 from providers import xywh
-
-
-def candidates_of(det_boxes, track_boxes, cfg):
-    """`candidates` with its IoU matrix and box arrays built from the boxes."""
-    tracks, dets = xywh(track_boxes), xywh(det_boxes)
-    return candidates(iou_matrix(tracks, dets), dets, tracks, cfg)
-
-
-def candidates_oracle(det_boxes, track_boxes, cfg):
-    """Naive re-statement of the rule, kept deliberately independent."""
-    out = []
-    for d in det_boxes:
-        found = []
-        for i, t in enumerate(track_boxes):
-            if iou_reference(d, t) > cfg.theta_iou:
-                found.append(i)
-        if len(found) != 1:
-            out.append(-1)
-        else:
-            c = found[0]
-            if cfg.ars_enabled:
-                a = blended_alpha(iou_reference(d, track_boxes[c]), ars(d, track_boxes[c]))
-                if a < cfg.theta_alpha:
-                    out.append(-1)
-                    continue
-            out.append(c)
-    return np.array(out, dtype=int)
-
-
-def candidates_loop(ious, det_xywh, track_xywh, cfg):
-    """The rule per detection, on `candidates`' own inputs, through the public, checked `ars` and `blended_alpha`."""
-    out = []
-    for j in range(ious.shape[1]):
-        found = [i for i in range(ious.shape[0]) if ious[i, j] > cfg.theta_iou]
-        if cfg.mode == MODE_ALWAYS_EXTRACT or len(found) != 1:
-            out.append(-1)
-            continue
-        c = found[0]
-        if cfg.ars_enabled:
-            v = ars(BBox(*det_xywh[j].tolist()), BBox(*track_xywh[c].tolist()))
-            if blended_alpha(float(ious[c, j]), v) < cfg.theta_alpha:
-                out.append(-1)
-                continue
-        out.append(c)
-    return np.array(out, dtype=int)
 
 
 # IoUs drawn apart from the boxes, so that a column often holds several
@@ -101,7 +56,9 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"theta_iou": -0.1}, {"theta_iou": 1.1}, {"theta_alpha": 2.0}, {"mode": "x"}],
+        [{"theta_iou": -0.1}, {"theta_iou": 1.1}, {"theta_alpha": 2.0}, {"mode": "x"},
+         # a truthy string or number kept the aspect check on
+         {"ars_enabled": "no"}, {"ars_enabled": 1}],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
@@ -200,7 +157,7 @@ class TestOracleEquivalence:
               np.array([[0.0, 0.0, 1.0, 1.0]] * 3), GateConfig(theta_iou=0.2)))
     def test_equals_the_checked_loop(self, inputs):
         ious, det_xywh, track_xywh, cfg = inputs
-        assert candidates(ious, det_xywh, track_xywh, cfg).tolist() == candidates_loop(*inputs).tolist()
+        assert candidates(ious, det_xywh, track_xywh, cfg).tolist() == gate_oracle(*inputs).tolist()
 
 
 class TestIouFloor:

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from seltrack.geometry import BBox, ars, blended_alpha, iou_matrix
 
-from iou_reference import iou_reference
+from oracles import iou_reference
 from providers import xywh
 
 

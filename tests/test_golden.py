@@ -9,8 +9,6 @@ claim. A deliberate behaviour change must re-record the table and say why.
 """
 
 import hashlib
-import importlib.util
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +26,7 @@ from seltrack.tracker import (
     run_sequence,
 )
 
-from providers import frame
+from providers import benchmark_workloads, frame
 
 GOLDEN = {
     ("crossing", "cascade", "selective"):
@@ -260,18 +258,6 @@ WORKLOAD_FILES_GOLDEN = {
         "7fabd7133603dbd6ab3628af972ee361285c59995c09de87daa78ab1dec15803",
     ),
 }
-
-
-def benchmark_workloads():
-    """`perfbench/workloads.py`, imported from its file under a name of its own; nothing there is written."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    name = "perfbench_workloads"
-    if name not in sys.modules:
-        spec = importlib.util.spec_from_file_location(name, path)
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[name] = module  # its dataclasses look their module up while they are built
-        spec.loader.exec_module(module)
-    return sys.modules[name]
 
 
 def sha256_of_results(output, tmp_path) -> str:

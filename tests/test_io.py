@@ -21,7 +21,7 @@ from seltrack.metrics import evaluate
 from seltrack.synth import generate_to_dir, preset
 from seltrack.tracker import EMIT_DETECTION, TRAJECTORY, MatchConfig, TrackOutput, run_sequence
 
-from providers import reference_read_features
+from oracles import reference_read_features
 
 
 class TestReadDetections:

@@ -12,29 +12,11 @@ from seltrack.geometry import BBox, iou_matrix
 from seltrack.metrics import EvalReport, evaluate, pde
 from seltrack.tracker import RunStats
 
-from iou_reference import iou_reference
 from providers import table
 
 
 def box(x, y=0.0, size=10.0):
     return BBox(x, y, size, size)
-
-
-def idtp_brute_force(gt, pred, iou_match=0.5):
-    """Try every injective gt->pred identity mapping; keep the best total."""
-    gt_ids, pred_ids = sorted(gt), sorted(pred)
-
-    def count(g, p):
-        shared = gt[g].keys() & pred[p].keys()
-        return sum(1 for f in shared if iou_reference(gt[g][f], pred[p][f]) >= iou_match)
-
-    best = 0
-    k = min(len(gt_ids), len(pred_ids))
-    for r in range(k + 1):
-        for gs in itertools.combinations(gt_ids, r):
-            for ps in itertools.permutations(pred_ids, r):
-                best = max(best, sum(count(g, p) for g, p in zip(gs, ps)))
-    return best
 
 
 class TestPde:
@@ -87,26 +69,6 @@ class TestIdf1:
         pred = {1: {1: box(8)}}  # iou = 2/18 < 0.5
         r = evaluate(table(gt), table(pred))
         assert r.idtp == 0 and r.idf1 == 0.0
-
-    def test_agrees_with_bijection_search_on_random_instances(self):
-        rng = np.random.default_rng(5)
-        for _ in range(200):
-            def random_traj():
-                out = {}
-                for tid in range(1, int(rng.integers(1, 6)) + 1):
-                    frames = rng.choice(range(1, 11), size=rng.integers(1, 8), replace=False)
-                    out[tid] = {
-                        int(f): box(float(rng.integers(0, 6) * 4), float(rng.integers(0, 3) * 4))
-                        for f in frames
-                    }
-                return out
-
-            gt, pred = random_traj(), random_traj()
-            r = evaluate(table(gt), table(pred))
-            assert r.idtp == idtp_brute_force(gt, pred)
-            n_gt = sum(len(t) for t in gt.values())
-            n_pred = sum(len(t) for t in pred.values())
-            assert r.idf1 == pytest.approx(2 * r.idtp / (n_gt + n_pred))
 
 
 def trajectories_of(counts):

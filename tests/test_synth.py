@@ -14,13 +14,7 @@ from seltrack.synth import (
 )
 from seltrack.appearance import cosine_costs
 
-from providers import reference_read_features
-
-
-def normalized(values) -> np.ndarray:
-    """Test vectors scaled to unit norm, the form every embedding arrives in."""
-    v = np.asarray(values, dtype=float).ravel()
-    return v / np.linalg.norm(v)
+from oracles import normalized, reference_read_features
 
 
 def tiny_scenario(seed=0, **overrides):
