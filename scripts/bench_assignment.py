@@ -19,7 +19,7 @@ For each it prints the median milliseconds per solve and the number of
 `linear_sum_assignment` calls per solve. Matrices come from a seeded
 generator, so two checkouts time the same inputs:
 
-    PYTHONPATH=src python scripts/bench_assignment.py --sizes 10,30,60,100
+    python scripts/bench_assignment.py --sizes 10,30,60,100
 
 `--against PATH` loads the `seltrack/assignment.py` of the checkout at
 PATH into the same process under another module name and times both on
@@ -43,7 +43,8 @@ from pathlib import Path
 
 import numpy as np
 
-from seltrack import assignment
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))  # this checkout's package
+from seltrack import assignment  # noqa: E402
 
 GATE = 1.0
 BLOCK = 5

@@ -65,11 +65,6 @@ def _variance(h: np.ndarray, noise) -> np.ndarray:
     return np.square(std, out=std)
 
 
-def _innovation_variance(block: np.ndarray) -> np.ndarray:
-    """`innovation_variance`, with overflow left to the caller."""
-    return block[VAR_POS] + _variance(block[POS, 3], _MEASUREMENT)[0]
-
-
 def initiate(z) -> np.ndarray:
     """Start states at measurements z, one (4,) row or (n, 4) rows, with zero velocity and height-scaled spread."""
     coords = np.asarray(z, dtype=float).T
@@ -83,7 +78,8 @@ def initiate(z) -> np.ndarray:
 def predict(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Advance one frame: position += velocity, covariance FPF' + Q.
 
-    Returns the new states and their `innovation_variance`, taken in the same pass.
+    Returns the new states and their innovation variances, the (4,) or (4, n)
+    diagonal of the innovation covariance HPH' + R, taken in the same pass.
     """
     new = block.copy()
     pos, vel, var_pos, cov, var_vel = new
@@ -93,19 +89,13 @@ def predict(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     var_pos += cov
     with np.errstate(over="ignore"):  # an inf variance marks the state `degenerate`
         new[VAR_POS::2] += _variance(block[POS, 3], _PROCESS)  # from the height before the step
-        return new, _innovation_variance(new)
-
-
-def innovation_variance(block: np.ndarray) -> np.ndarray:
-    """Diagonal (4,) or (4, n) of the innovation covariance HPH' + R."""
-    with np.errstate(over="ignore"):  # an inf variance marks the state `degenerate`
-        return _innovation_variance(block)
+        return new, var_pos + _variance(pos[3], _MEASUREMENT)[0]
 
 
 def update(block: np.ndarray, z, s: np.ndarray) -> np.ndarray:
     """Standard Kalman correction with measurements z of (cx, cy, a, h), one (4,) row or (n, 4) rows.
 
-    `s` is the block's `innovation_variance`.
+    `s` is the block's innovation variances, as `predict` returns them.
     """
     if not s.min() > 0:
         raise ValueError("singular innovation covariance")
@@ -127,7 +117,7 @@ def degenerate(block: np.ndarray, s: np.ndarray) -> np.ndarray:
 
     That is, the mean's aspect or height is not positive, or an innovation
     variance is not positive and finite (a tiny height underflows it to 0,
-    a huge one overflows it). `s` is the block's `innovation_variance`.
+    a huge one overflows it). `s` is the block's innovation variances.
     """
     corrects = np.logical_and.reduce((s > 0) & (s < np.inf), axis=0)
     return np.logical_or.reduce(block[POS, 2:] <= 0, axis=0) | ~corrects

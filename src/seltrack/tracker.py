@@ -17,7 +17,8 @@ builds no boxes and no IoU. A frame copies a track column only when it
 writes it, and builds a stage's cost matrix only when that stage runs. A
 frame that writes every row of a column (every track matched or blended,
 every high detection priced) builds that column new from its own arrays,
-with no gather or scatter.
+with no gather or scatter. Each stage is one method over the frame's
+`_FrameRecord`, and only the commit after them writes to the tracker.
 """
 
 from __future__ import annotations
@@ -214,7 +215,7 @@ class TrackTable:
 
     def keep(self, mask: np.ndarray) -> TrackTable:
         """The rows where `mask` is True; the table itself when that is every row."""
-        if mask.all():
+        if np.count_nonzero(mask) == len(mask):
             return self
         rows = mask.nonzero()[0]
         return TrackTable(kalman_block=self.kalman_block[..., rows],
@@ -272,6 +273,36 @@ class RunStats:
     frames: int = 0
 
 
+class _FrameRecord:
+    """One frame's arrays, as the stages of `SelectiveTracker._step_inner` build them; `t` is the frame's own table.
+
+    `xywh` holds the frame's boxes, the high rows first, each half in frame
+    order; `order` maps its rows to the detections' indices (None when none
+    moves). Each `js` array indexes those rows, each `rows` array `t`'s.
+    """
+
+    __slots__ = ("frame", "detections", "t", "s", "confirmed", "all_confirmed", "n_high", "n_iou", "order", "xywh",
+                 "_box_ious", "cand", "risky", "risky_js", "fetched", "feats", "copies", "rows", "js", "born_js",
+                 "late_js", "z", "det_of", "seen", "emitted")
+
+    def __init__(self, frame: int, detections: Frame):
+        self.frame, self.detections, self._box_ious = frame, detections, None
+
+    def box_ious(self) -> tuple[np.ndarray | None, np.ndarray]:
+        """`t`'s predicted boxes and their IoU matrix with the first `n_iou` rows of `xywh`, built on the first call.
+
+        Every call must come before the Kalman update (stage 6) writes `t`'s
+        block. With no `n_iou` rows there are no boxes (None) and no columns.
+        """
+        if self._box_ious is None:
+            if self.n_iou:
+                boxes = motion.state_to_xywh(self.t.kalman_block)
+                self._box_ious = boxes, iou_matrix(boxes, self.xywh[:self.n_iou])
+            else:
+                self._box_ious = None, np.zeros((len(self.t), 0))
+        return self._box_ious
+
+
 class SelectiveTracker:
     """Stateful per-sequence tracker; frames must arrive in increasing order.
 
@@ -323,177 +354,209 @@ class SelectiveTracker:
         return emitted
 
     def _step_inner(self, frame, detections):
-        """One frame on a local table; only its last lines write to `self`."""
-        m = self.match
+        """One frame: the stages in order on the frame's record, then the commit, the only lines writing to `self`."""
+        r = _FrameRecord(frame, detections)
+        for stage in self._STAGES:
+            stage(self, r)
 
-        # 1. motion prediction; a track whose predicted aspect or height is
-        #    no longer positive has no box, so it ends here. The innovation
-        #    variances that tell so are kept for the update. Frames left out
-        #    since the last step were frames without detections (`_missed`).
-        #    `t` is the frame's own table from here on; it shares each column
-        #    with the committed table until it writes it (see `TrackTable`)
-        t = self.table
-        if frame - self.last_frame > 1 and len(t):
-            t = self._missed(t, frame - self.last_frame - 1)
-        t, s = _predicted(t)
-        confirmed = t.hits >= m.min_hits  # the rows the gate and the cascade's first stage see
-        all_confirmed = m.min_hits == 1 or confirmed.all()  # every held row has a hit
+        # commit, with deletions after max_age consecutive misses
+        self.table = r.t.keep(r.t.time_since_update <= self.match.max_age)
+        self._next_id += len(r.born_js)
+        self.last_frame = frame
+        self.stats.high_detections += r.n_high
+        self.stats.batches += (len(r.risky_js) > 0) + (len(r.late_js) > 0)
+        self.stats.late_fetches += len(r.late_js)
+        return r.emitted
 
-        # 2. confidence split; the selective mechanism sees only the high
-        #    half. The frame's boxes are one array, the high rows first, each
-        #    half in frame order; `order` maps its rows to the detections'
-        #    indices (None when every detection is high, so none moves)
+    def _prediction(self, r: _FrameRecord) -> None:
+        """1. Motion prediction; a track whose predicted aspect or height is no longer positive has no box and ends.
+
+        The innovation variances that tell so are kept for the update. Frames
+        left out since the last step were frames without detections (`_missed`).
+        """
+        t, gap, min_hits = self.table, r.frame - self.last_frame - 1, self.match.min_hits
+        if gap and len(t):
+            t = self._missed(t, gap)
+        t, r.s = _predicted(t)
+        r.t, r.confirmed = t, t.hits >= min_hits  # the rows the gate and the cascade's first stage see
+        r.all_confirmed = min_hits == 1 or np.count_nonzero(r.confirmed) == len(t)  # every held row has a hit
+
+    def _confidence_split(self, r: _FrameRecord) -> None:
+        """2. Confidence split; the selective mechanism sees only the high half, the first `n_high` rows of `xywh`."""
+        detections, m = r.detections, self.match
         high = detections.confidence >= m.conf_high
-        n_dets, n_high = len(high), int(np.count_nonzero(high))
-        if n_high == n_dets:
-            order, xywh = None, detections.xywh
+        n_high = int(np.count_nonzero(high))
+        if n_high == len(high):
+            r.order, r.xywh = None, detections.xywh
         else:
-            order = np.argsort(~high, kind="stable")
-            xywh = detections.xywh[order]
+            r.order = order = np.argsort(~high, kind="stable")
+            r.xywh = detections.xywh[order]
+        r.n_high, r.n_iou = n_high, len(high) if m.byte_low else n_high  # `box_ious` covers low rows for the byte stage
 
-        # 3. one IoU matrix of the predicted boxes with the high detections,
-        #    and with the low ones when the byte stage may run, built by the
-        #    first stage that reads it (`ious` is None until then): the gate,
-        #    the fused stage, the cascade's IoU stage or the byte stage. Risk
-        #    classification is against confirmed tracks' boxes (a tentative
-        #    track's row is 0 for the gate); a frame with no high detection
-        #    has no gate to run, and always_extract's gate reads no IoU
-        n_iou = n_dets if m.byte_low else n_high
-        ious = None
-        if n_high and self.gate.reads_iou:
-            boxes = motion.state_to_xywh(t.kalman_block)
-            ious = iou_matrix(boxes, xywh[:n_iou])
+    def _gating(self, r: _FrameRecord) -> None:
+        """3. Gate: each high detection's sole candidate among the confirmed tracks, -1 when it is risky.
+
+        A tentative row's IoUs are 0 for the gate. A frame with no high
+        detection has no gate to run, and always_extract's gate reads no IoU.
+        """
+        n_high, gate = r.n_high, self.gate
+        if n_high and gate.reads_iou:
+            boxes, ious = r.box_ious()
             high_iou = ious[:, :n_high]
-            gate_iou = high_iou if all_confirmed else np.where(confirmed[:, None], high_iou, 0.0)
-            cand = gating.candidates(gate_iou, xywh[:n_high], boxes, self.gate)
+            gate_iou = high_iou if r.all_confirmed else np.where(r.confirmed[:, None], high_iou, 0.0)
+            cand = gating.candidates(gate_iou, r.xywh[:n_high], boxes, gate)
         else:
-            cand = np.full(n_high, -1)
-        risky = cand < 0
+            cand = _filled(n_high, -1)
+        r.cand, r.risky = cand, cand < 0
 
-        # 4. features: fetched for risky detections; a non-risky one copies
-        #    its candidate's embedding, if it has one, or is saturated (priced
-        #    out of appearance matching) under the base-gate ablation
-        risky_js = risky.nonzero()[0]
-        fetched, feats = self._fetch(frame, order, risky_js)
-        base_gate = self.gate.mode == gating.MODE_BASE_GATE
-        if base_gate or len(risky_js) == n_high:
-            copies = risky_js[:0]
+    def _features(self, r: _FrameRecord) -> None:
+        """4. Features: fetched for risky detections; a non-risky one copies its candidate's embedding, if it has one.
+
+        Under the base-gate ablation it copies nothing: it is saturated, priced out of appearance matching.
+        """
+        risky = r.risky
+        r.risky_js = risky_js = risky.nonzero()[0]
+        r.fetched, r.feats = self._fetch(r.frame, r.order, risky_js)
+        if self.gate.mode == gating.MODE_BASE_GATE or len(risky_js) == r.n_high:
+            r.copies = risky_js[:0]
         else:
             copies = (~risky).nonzero()[0]
-            copies = copies[t.has_embedding[cand[copies]]]
+            r.copies = copies[r.t.has_embedding[r.cand[copies]]]
 
-        # 5. association: each stage is one solve over every live row and its
-        #    detection group's columns, with INFEASIBLE outside the stage.
-        #    Appearance costs are INFEASIBLE where a track has no embedding or
-        #    a detection no feature (a saturated one included); only the fused
-        #    stage prices saturated columns, at SATURATED_COST. The matches
-        #    are (track row, detection row) index arrays, stage after stage; a
-        #    later stage runs only while rows and columns are left unmatched.
-        #    When every high detection is priced, the appearance costs are
-        #    `cosine_costs`' own matrix
+    def _association(self, r: _FrameRecord) -> None:
+        """5. Association: each stage is one solve over every live row and its detection group's columns.
+
+        Costs are INFEASIBLE outside the stage. Appearance costs are also
+        INFEASIBLE where a track has no embedding or a detection no feature
+        (a saturated one included); only the fused stage prices saturated
+        columns, at SATURATED_COST. The matches are (track row, detection
+        row) index arrays, stage after stage; a later stage runs only while
+        rows and columns are left unmatched. When every high detection is
+        priced, the appearance costs are `cosine_costs`' own matrix.
+        """
+        m, t, cand, copies, fetched, n_high = self.match, r.t, r.cand, r.copies, r.fetched, r.n_high
         if len(copies):  # a copy's candidate has an embedding, so the costs below are built
             app_js = np.sort(np.concatenate([fetched, copies])) if len(fetched) else copies
             vectors = t.embedding[cand[app_js]]  # a fetched column's row (cand -1) is overwritten next
             if len(fetched):
-                vectors[np.searchsorted(app_js, fetched)] = feats
+                vectors[np.searchsorted(app_js, fetched)] = r.feats
         else:
-            app_js, vectors = fetched, feats  # the fetched rows increase, as the columns do
-        if len(app_js) and t.has_embedding.any():
+            app_js, vectors = fetched, r.feats  # the fetched rows increase, as the columns do
+        n_embedded = np.count_nonzero(t.has_embedding)
+        if len(app_js) and n_embedded:
             costs = appearance.cosine_costs(t.embedding, vectors)
             if len(app_js) == n_high:
                 app = costs
             else:
-                app = np.full((len(t), n_high), INFEASIBLE)
+                app = _filled((len(t), n_high), INFEASIBLE)
                 app[:, app_js] = costs
-            if not t.has_embedding.all():
+            if n_embedded < len(t):
                 app[~t.has_embedding] = INFEASIBLE
             app[cand[copies], copies] = 0.0  # a copy is its candidate's own embedding
         else:
-            app = np.full((len(t), n_high), INFEASIBLE)
+            app = _filled((len(t), n_high), INFEASIBLE)
         if m.strategy == STRATEGY_CASCADE:
-            rows, js = assignment.solve(app if all_confirmed else np.where(confirmed[:, None], app, INFEASIBLE),
+            rows, js = assignment.solve(app if r.all_confirmed else np.where(r.confirmed[:, None], app, INFEASIBLE),
                                         m.appearance_gate)
             if len(rows) < len(t) and len(js) < n_high:
-                if ious is None:
-                    ious = _frame_ious(t.kalman_block, xywh, n_iou)
-                iou_rows, iou_js = assignment.solve(
-                    _iou_cost(ious[:, :n_high], m.iou_gate, _left(len(t), rows)[:, None] & _left(n_high, js)),
-                    1.0 - m.iou_gate)
+                within = _left(len(t), rows)[:, None] & _left(n_high, js)
+                iou_rows, iou_js = assignment.solve(_iou_cost(r.box_ious()[1][:, :n_high], m.iou_gate, within),
+                                                    1.0 - m.iou_gate)
                 if len(iou_rows):
                     rows, js = np.concatenate([rows, iou_rows]), np.concatenate([js, iou_js])
         else:
-            if ious is None:
-                ious = _frame_ious(t.kalman_block, xywh, n_iou)
-            high_cost = _iou_cost(ious[:, :n_high], m.iou_gate)
-            extra = np.where(~risky, SATURATED_COST, app) if base_gate else app
+            high_cost = _iou_cost(r.box_ious()[1][:, :n_high], m.iou_gate)
+            extra = np.where(~r.risky, SATURATED_COST, app) if self.gate.mode == gating.MODE_BASE_GATE else app
             priced = np.isfinite(high_cost) & np.isfinite(extra)
             high_cost[priced] += m.fused_weight * extra[priced]
             rows, js = assignment.solve(high_cost, m.fused_weight * SATURATED_COST + (1.0 - m.iou_gate))
-        born_js = _left(n_high, js).nonzero()[0] if len(js) < n_high else js[:0]
-        if m.byte_low and n_high < n_dets and len(rows) < len(t):
-            if ious is None:
-                ious = _frame_ious(t.kalman_block, xywh, n_iou)
-            byte_cost = _iou_cost(ious[:, n_high:], m.iou_gate, _left(len(t), rows)[:, None])
+        r.born_js = _left(n_high, js).nonzero()[0] if len(js) < n_high else js[:0]
+        if m.byte_low and n_high < r.n_iou and len(rows) < len(t):
+            byte_cost = _iou_cost(r.box_ious()[1][:, n_high:], m.iou_gate, _left(len(t), rows)[:, None])
             byte_rows, byte_js = assignment.solve(byte_cost, 1.0 - m.iou_gate)
             rows, js = np.concatenate([rows, byte_rows]), np.concatenate([js, n_high + byte_js])
+        r.rows, r.js = rows, js
 
-        # 6. one Kalman update over the matched rows, from the frame's one
-        #    measurement pass, which the births read too; when every row
-        #    matched, the update's block is the frame's block. `det_of` is
-        #    each row's detection this frame (matched or born), -1 for none
-        z = motion.measurements(xywh)
-        det_of = np.full(len(t), -1)
+    def _kalman_update(self, r: _FrameRecord) -> None:
+        """6. One Kalman update over the matched rows, from the frame's one measurement pass (births read it too)."""
+        t, rows, js = r.t, r.rows, r.js
+        r.z = z = motion.measurements(r.xywh)
+        r.det_of = det_of = _filled(len(t), -1)  # each row's detection this frame (matched, or born in 7), -1 for none
         det_of[rows] = js
         if 0 < len(rows) == len(t):
-            t.kalman_block = motion.update(t.kalman_block, z[det_of], s)
+            t.kalman_block = motion.update(t.kalman_block, z[det_of], r.s)
             t.time_since_update[:] = 0
         elif len(rows):
-            t.kalman_block[..., rows] = motion.update(t.kalman_block[..., rows], z[js], s[:, rows])
+            t.kalman_block[..., rows] = motion.update(t.kalman_block[..., rows], z[js], r.s[:, rows])
             t.time_since_update[rows] = 0
         if len(rows):
             t.hits = t.hits + (det_of >= 0)
 
-        # 7. births for unmatched high-confidence detections (eager feature)
-        late_js = born_js
+    def _births(self, r: _FrameRecord) -> None:
+        """7. Births for unmatched high-confidence detections (eager feature: a non-risky one is fetched late)."""
+        born_js = r.late_js = r.born_js
+        det_of = r.det_of
         if len(born_js):
-            late_js = born_js[~risky[born_js]]
-            late, late_feats = self._fetch(frame, order, late_js)
+            r.late_js = late_js = born_js[~r.risky[born_js]]
+            late, late_feats = self._fetch(r.frame, r.order, late_js)
             if len(late):
-                fetched = np.concatenate([fetched, late])
-                feats = late_feats if feats is None else np.concatenate([feats, late_feats])
-            ids = np.arange(self._next_id, self._next_id + len(born_js))
-            block = motion.initiate(z[born_js])
-            t = t.concat(TrackTable.born(ids, block, t.embedding.shape[1]))
-            det_of = np.concatenate([det_of, born_js])
-        seen = (det_of >= 0).nonzero()[0]
+                feats = r.feats
+                r.fetched = np.concatenate([r.fetched, late])
+                r.feats = late_feats if feats is None else np.concatenate([feats, late_feats])
+            t, ids = r.t, np.arange(self._next_id, self._next_id + len(born_js))
+            r.t = t.concat(TrackTable.born(ids, motion.initiate(r.z[born_js]), t.embedding.shape[1]))
+            r.det_of = det_of = np.concatenate([det_of, born_js])
+        r.seen = (det_of >= 0).nonzero()[0]
 
-        # 8. appearance: only a fetched vector refreshes the EMA (or seeds a
-        #    newborn's); byte/copied/feature-less matches and unmatched tracks decay it
-        blended = ks = seen[:0]
+    def _appearance(self, r: _FrameRecord) -> None:
+        """8. Appearance: only a fetched vector refreshes the EMA (or seeds a newborn's); other rows decay it.
+
+        Byte, copied and feature-less matches and unmatched tracks decay. A
+        column the frame's table still shares with the committed table is
+        copied before it is written; when every row blends, the blend's
+        result is the new `embedding` whole.
+        """
+        t, seen, fetched, feats, alpha = r.t, r.seen, r.fetched, r.feats, self.match.ema_alpha
+        rows = ks = seen[:0]
         if len(fetched):
-            feat_of = np.full(n_dets, -1)  # detection row -> its row of `feats`, -1 when not fetched
+            feat_of = _filled(len(r.xywh), -1)  # detection row -> its row of `feats`, -1 when not fetched
             feat_of[fetched] = np.arange(len(fetched))
-            ks = feat_of[det_of[seen]]
-            blended, ks = seen[ks >= 0], ks[ks >= 0]
-        self._refresh_appearance(t, blended, ks, feats)
+            ks = feat_of[r.det_of[seen]]
+            rows, ks = seen[ks >= 0], ks[ks >= 0]
+        if 0 < len(rows) == len(t) == np.count_nonzero(t.has_embedding):
+            t.embedding = appearance.ema_update(t.embedding, t.effective_alpha, feats[ks])
+            t.effective_alpha = _filled(len(t), alpha)
+            return
+        weight = t.effective_alpha[rows]  # what this frame's blends put on the old embedding
+        t.effective_alpha = t.effective_alpha * alpha
+        if not len(rows):
+            return
+        vectors = feats[ks]
+        blend = t.has_embedding[rows]
+        if np.count_nonzero(blend):
+            vectors[blend] = appearance.ema_update(t.embedding[rows[blend]], weight[blend], vectors[blend])
+        if not t.embedding.shape[1]:
+            t.embedding = np.zeros((len(t), vectors.shape[1]))
+        elif t.embedding is self.table.embedding:
+            t.embedding = t.embedding.copy()
+        if t.has_embedding is self.table.has_embedding:
+            t.has_embedding = t.has_embedding.copy()
+        t.embedding[rows] = vectors
+        t.has_embedding[rows] = True
+        t.effective_alpha[rows] = alpha
 
-        # the confirmed matched and newborn tracks emit; rows are in birth
-        # order, so in increasing id order
+    def _emit(self, r: _FrameRecord) -> None:
+        """9. Emit: the confirmed matched and newborn tracks; rows are in birth order, so in increasing id order."""
+        t, seen, m = r.t, r.seen, self.match
         shown = seen if m.min_hits == 1 else seen[t.hits[seen] >= m.min_hits]
         if m.emit == EMIT_DETECTION:
-            shown_xywh = xywh[det_of[shown]]
+            shown_xywh = r.xywh[r.det_of[shown]]
         else:
             shown_xywh = motion.state_to_xywh(t.kalman_block)[shown]
-        emitted = list(zip(t.ids[shown].tolist(), shown_xywh.tolist()))
+        r.emitted = list(zip(t.ids[shown].tolist(), shown_xywh.tolist()))
 
-        # commit, with deletions after max_age consecutive misses
-        self.table = t.keep(t.time_since_update <= m.max_age)
-        self._next_id += len(born_js)
-        self.last_frame = frame
-        self.stats.high_detections += n_high
-        self.stats.batches += (len(risky_js) > 0) + (len(late_js) > 0)
-        self.stats.late_fetches += len(late_js)
-        return emitted
+    _STAGES = (_prediction, _confidence_split, _gating, _features, _association, _kalman_update, _births, _appearance,
+               _emit)
 
     def _missed(self, t: TrackTable, frames: int) -> TrackTable:
         """`t` after `frames` frames without detections, as steps of empty frames leave it.
@@ -534,36 +597,6 @@ class SelectiveTracker:
             raise ValueError(f"feature dimension {vectors.shape[-1]} does not match the embedding dimension {dim}")
         return js[found], vectors
 
-    def _refresh_appearance(self, t: TrackTable, rows: np.ndarray, ks: np.ndarray, feats) -> None:
-        """Decay every row's blend weight, then blend row `ks[n]` of `feats` into row `rows[n]`; a row without an embedding is seeded.
-
-        `t` is the frame's own table; a column it still shares with the
-        committed table is replaced by a copy before it is written. When
-        every row blends, the blend's result is the new `embedding` whole.
-        """
-        alpha = self.match.ema_alpha
-        if 0 < len(rows) == len(t) and t.has_embedding.all():
-            t.embedding = appearance.ema_update(t.embedding, t.effective_alpha, feats[ks])
-            t.effective_alpha = np.full(len(t), alpha)
-            return
-        weight = t.effective_alpha[rows]  # what this frame's blends put on the old embedding
-        t.effective_alpha = t.effective_alpha * alpha
-        if not len(rows):
-            return
-        vectors = feats[ks]
-        blend = t.has_embedding[rows]
-        if blend.any():
-            vectors[blend] = appearance.ema_update(t.embedding[rows[blend]], weight[blend], vectors[blend])
-        if not t.embedding.shape[1]:
-            t.embedding = np.zeros((len(t), vectors.shape[1]))
-        elif t.embedding is self.table.embedding:
-            t.embedding = t.embedding.copy()
-        if t.has_embedding is self.table.has_embedding:
-            t.has_embedding = t.has_embedding.copy()
-        t.embedding[rows] = vectors
-        t.has_embedding[rows] = True
-        t.effective_alpha[rows] = alpha
-
 
 def _predicted(t: TrackTable) -> tuple[TrackTable, np.ndarray]:
     """`t` one frame on, and the innovation variances of the rows it keeps.
@@ -575,14 +608,9 @@ def _predicted(t: TrackTable) -> tuple[TrackTable, np.ndarray]:
     block, s = motion.predict(t.kalman_block)
     kept = ~motion.degenerate(block, s)
     t = TrackTable(t.ids, block, t.embedding, t.has_embedding, t.effective_alpha, t.hits, t.time_since_update + 1)
-    if kept.all():
+    if np.count_nonzero(kept) == len(kept):
         return t, s
     return t.keep(kept), s[:, kept]
-
-
-def _frame_ious(kalman_block: np.ndarray, xywh: np.ndarray, n: int) -> np.ndarray:
-    """The IoU matrix of the block's predicted boxes with the first `n` rows of `xywh`; no columns when `n` is 0."""
-    return iou_matrix(motion.state_to_xywh(kalman_block), xywh[:n]) if n else np.zeros((kalman_block.shape[-1], 0))
 
 
 def _iou_cost(ious: np.ndarray, iou_gate: float, within=True) -> np.ndarray:
@@ -592,9 +620,16 @@ def _iou_cost(ious: np.ndarray, iou_gate: float, within=True) -> np.ndarray:
 
 def _left(n: int, taken: np.ndarray) -> np.ndarray:
     """Mask of the indices below n that are not in `taken`."""
-    left = np.ones(n, dtype=bool)
+    left = _filled(n, True)
     left[taken] = False
     return left
+
+
+def _filled(shape, value) -> np.ndarray:
+    """`np.full(shape, value)`, at half its cost on a frame's small arrays; the dtype is that of `value`'s type."""
+    filled = np.empty(shape, type(value))
+    filled.fill(value)
+    return filled
 
 
 def run_sequence(

@@ -1,9 +1,12 @@
+import os
 import subprocess
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
+import seltrack
 from seltrack.cli import DEFAULTS, SETTINGS, SWEEP_SETS, _stats_lines, build_parser, main
 from seltrack.gating import GateConfig
 from seltrack.io import read_trajectories
@@ -334,10 +337,14 @@ class TestUnknownFlags:
 
 class TestConsoleEntry:
     def test_module_invocation(self, tmp_path):
+        # the subprocess imports the package this suite imported, from wherever it came
+        src = str(Path(seltrack.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         result = subprocess.run(
             [sys.executable, "-m", "seltrack.cli", "synth", "--preset", "grid",
              "--out", str(tmp_path / "g")],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert result.returncode == 0, result.stderr

@@ -11,7 +11,6 @@ from seltrack.motion import (
     VAR_VEL,
     degenerate,
     initiate,
-    innovation_variance,
     measurements,
     predict,
     state_to_xywh,
@@ -41,6 +40,12 @@ def block_of(mean, var_pos, cov, var_vel) -> np.ndarray:
     block[POS:VAR_POS] = mean.T.reshape((2, 4) + mean.shape[:-1])
     block[VAR_POS], block[COV], block[VAR_VEL] = np.asarray(var_pos).T, np.asarray(cov).T, np.asarray(var_vel).T
     return block
+
+
+def innovation_variance(block: np.ndarray) -> np.ndarray:
+    """The block's innovation variances, (4,) or (4, n), from the four-array formula; an overflow is inf."""
+    with np.errstate(over="ignore"):
+        return FourArrays.innovation_variance(mean_of(block), block[VAR_POS].T).T
 
 
 def correct(block: np.ndarray, z) -> np.ndarray:
@@ -387,14 +392,12 @@ class TestBlockAgainstFourArrays:
 
     @settings(max_examples=200, deadline=None)
     @given(stacks(20))
-    def test_innovation_variance_and_degenerate(self, rows):
+    def test_degenerate(self, rows):
         for fields in stacked_and_alone(np.split(rows, [8, 12, 16], axis=1)):
             block = block_of(*fields)
             with np.errstate(all="ignore"):
-                s = innovation_variance(block)
-                assert s.T.tobytes() == FourArrays.innovation_variance(fields[0], fields[1]).tobytes()
                 want = FourArrays.degenerate(fields[0], fields[1])
-                assert degenerate(block, s).tolist() == want.tolist()
+            assert degenerate(block, innovation_variance(block)).tolist() == want.tolist()
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 6).flatmap(lambda n: st.tuples(

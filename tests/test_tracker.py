@@ -897,6 +897,34 @@ class TestBatchedFetch:
         assert tracker.stats.batches == 3 and tracker.provider.fetches == 3
         assert tracker.table.has_embedding.tolist() == [True, True, True]
 
+    def test_failed_late_batch_leaves_no_trace(self):
+        # the frame 2 above, with its second provider call, the births' late
+        # batch, failing: by then the frame has matched and updated track 1
+        # on its own table, and nothing of that may reach the tracker
+        class FailingLate(ConstantProvider):
+            armed = True
+
+            def fetch_batch(self, frame, indices):
+                if self.armed and frame == 2 and 1 in indices:
+                    raise RuntimeError("extractor offline")
+                return super().fetch_batch(frame, indices)
+
+        provider = FailingLate()
+        tracker = SelectiveTracker(provider)
+        calls = count_batches(tracker)
+        tracker.step(1, frame(1, [BBox(100, 100, 20, 40)]))
+        dets = frame(2, [BBox(100, 100, 20, 40), BBox(104, 100, 20, 40), BBox(400, 0, 20, 40)])
+        before, next_id, stats = table_fields(tracker), tracker._next_id, replace(tracker.stats)
+        fetches = tracker.provider.fetches
+        with pytest.raises(RuntimeError, match="extractor offline"):
+            tracker.step(2, dets)
+        assert calls == [(1, [0]), (2, [2]), (2, [1])]
+        assert table_fields(tracker) == before
+        assert tracker._next_id == next_id and tracker.last_frame == 1
+        assert tracker.provider.fetches == fetches and tracker.stats == stats
+        provider.armed = False
+        assert [tid for tid, _ in tracker.step(2, dets)] == [1, 2, 3]
+
 
 class TestBaseGateMode:
     def test_non_risky_not_fetched_and_matched_by_iou(self):
