@@ -5,7 +5,8 @@ defaults; the effective configuration is echoed into the stats file so any
 run can be reproduced from its outputs alone. Each setting is one field of
 `GateConfig` or `MatchConfig`, which gives its default and its value type;
 `SETTINGS` maps its config key (its flag is `--` plus the key, `-` for `_`)
-to that field.
+to that field. `mode` takes exactly the names in `gating.MODES`, and
+`ars_th` = 0 turns the aspect-ratio check off.
 """
 
 from __future__ import annotations
@@ -17,23 +18,14 @@ from pathlib import Path
 
 from seltrack import io as mot_io
 from seltrack import metrics, synth
-from seltrack.gating import MODE_ALWAYS_EXTRACT, MODE_BASE_GATE, MODE_SELECTIVE, GateConfig
+from seltrack.gating import MODE_ALWAYS_EXTRACT, MODE_SELECTIVE, MODES, GateConfig
 from seltrack.tracker import EMITS, STRATEGIES, MatchConfig, NullFeatureProvider, RunStats, run_sequence
-
-MODE_ALIASES = {
-    "selective": MODE_SELECTIVE,
-    "base": MODE_BASE_GATE,
-    "base_gate": MODE_BASE_GATE,
-    "always": MODE_ALWAYS_EXTRACT,
-    "always_extract": MODE_ALWAYS_EXTRACT,
-}
 
 # config key -> (config class, field name, flag help)
 SETTINGS = {
     "mode": (GateConfig, "mode", "gating mode"),
     "iou_th": (GateConfig, "theta_iou", "candidacy IoU threshold"),
-    "ars_th": (GateConfig, "theta_alpha", "blended aspect-ratio threshold"),
-    "ars": (GateConfig, "ars_enabled", "disable the aspect-ratio gate"),
+    "ars_th": (GateConfig, "theta_alpha", "blended aspect-ratio threshold, 0 for no aspect check"),
     "match": (MatchConfig, "strategy", "association strategy"),
     "appearance_gate": (MatchConfig, "appearance_gate", "max cosine distance in the appearance stage"),
     "iou_gate": (MatchConfig, "iou_gate", "min IoU for a feasible IoU match"),
@@ -49,7 +41,7 @@ DEFAULTS = {
     key: next(f.default for f in fields(cls) if f.name == name)
     for key, (cls, name, _) in SETTINGS.items()
 }
-CHOICES = {"mode": sorted(MODE_ALIASES), "match": STRATEGIES, "emit": EMITS}
+CHOICES = {"mode": MODES, "match": STRATEGIES, "emit": EMITS}
 
 # the settings that `sweep` sets itself for each row of its table
 SWEEP_SETS = ("mode", "iou_th")
@@ -58,8 +50,8 @@ _BOOL_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False,
 
 
 def _is_switch(key: str) -> bool:
-    """A yes/no setting: a boolean field, or `byte`, whose None default defers to the strategy."""
-    return DEFAULTS[key] is None or isinstance(DEFAULTS[key], bool)
+    """A yes/no setting: `byte`, whose None default defers to the strategy."""
+    return DEFAULTS[key] is None
 
 
 def _parse_value(key: str, text: str):
@@ -100,13 +92,9 @@ def _given_settings(args) -> dict:
 
 
 def _build_configs(cfg: dict) -> tuple[GateConfig, MatchConfig]:
-    mode = MODE_ALIASES.get(cfg["mode"])
-    if mode is None:
-        raise ValueError(f"unknown mode {cfg['mode']!r}; choose from {sorted(MODE_ALIASES)}")
     kwargs = {GateConfig: {}, MatchConfig: {}}
     for key, (cls, name, _) in SETTINGS.items():
         kwargs[cls][name] = cfg[key]
-    kwargs[GateConfig]["mode"] = mode
     return GateConfig(**kwargs[GateConfig]), MatchConfig(**kwargs[MatchConfig])
 
 
@@ -135,11 +123,8 @@ def _add_tracking_options(p: argparse.ArgumentParser, omit=()):
             p.add_argument(flag, dest=key, type=type(default), choices=CHOICES.get(key),
                            help=f"{text} (default {default})")
             continue
-        # a switch has --key unless it is on by default, and always --no-key
-        if default is not True:
-            p.add_argument(flag, dest=key, action="store_true", default=None, help=text)
-            text = None
-        p.add_argument("--no-" + flag[2:], dest=key, action="store_false", default=None, help=text)
+        p.add_argument(flag, dest=key, action="store_true", default=None, help=text)
+        p.add_argument("--no-" + flag[2:], dest=key, action="store_false", default=None)
 
 
 def _stats_lines(stats, cfg, match) -> list[str]:
@@ -164,13 +149,18 @@ def cmd_track(args) -> int:
     return 0
 
 
-def _read_stats_file(path) -> dict:
-    out = {}
-    for line in Path(path).read_text().splitlines():
-        if "=" in line:
-            key, value = line.split("=", 1)
-            out[key] = value
-    return out
+def _read_run_counts(path) -> RunStats:
+    """A stats file's `fetches` and `high_detections` (0 where absent): integers >= 0, fetches the fewer."""
+    kv = dict(line.split("=", 1) for line in Path(path).read_text().splitlines() if "=" in line)
+    counts = {}
+    for key in ("fetches", "high_detections"):
+        text = kv.get(key, "0")
+        if not (text.isascii() and text.isdigit()):
+            raise ValueError(f"{path}: {key} must be an integer >= 0, got {text!r}")
+        counts[key] = int(text)
+    if counts["fetches"] > counts["high_detections"]:
+        raise ValueError(f"{path}: fetches={counts['fetches']} exceeds high_detections={counts['high_detections']}")
+    return RunStats(**counts)
 
 
 def cmd_eval(args) -> int:
@@ -185,10 +175,7 @@ def cmd_eval(args) -> int:
             )
     elif len(pred_frames):
         raise ValueError("ground truth is empty but predictions are not")
-    stats = None
-    if args.stats:
-        kv = _read_stats_file(args.stats)
-        stats = RunStats(fetches=int(kv.get("fetches", 0)), high_detections=int(kv.get("high_detections", 0)))
+    stats = _read_run_counts(args.stats) if args.stats else None
     report = metrics.evaluate(gt, pred, iou_match=args.iou_match, stats=stats)
     text = "\n".join(report.kv_lines()) if args.format == "kv" else report.table()
     print(text)
@@ -221,9 +208,9 @@ def cmd_sweep(args) -> int:
         output, stats = run_sequence(frames, provider, gate, match)
         return metrics.evaluate(gt, output.trajectories(), stats=stats)
 
-    rows = [("baseline", run_point("always", 0.0))]
+    rows = [("baseline", run_point(MODE_ALWAYS_EXTRACT, 0.0))]
     for theta in grid:
-        rows.append((f"{theta:.2f}", run_point("selective", theta)))
+        rows.append((f"{theta:.2f}", run_point(MODE_SELECTIVE, theta)))
 
     lines = [f"{'theta_iou':>10} {'pde':>8} {'idf1':>10} {'id_switches':>12}"]
     for label, report in rows:

@@ -1,9 +1,10 @@
 """Risk classification of detections against confirmed track boxes.
 
 A detection is safe to match without appearance features only when exactly
-one confirmed track overlaps it above the IoU threshold and, optionally,
-the IoU-blended aspect-ratio similarity of that sole candidate clears its
-own threshold. Everything else is risky and pays for a feature extraction.
+one confirmed track overlaps it above `theta_iou` and the IoU-blended
+aspect-ratio similarity (alpha) of that sole candidate clears `theta_alpha`.
+Everything else is risky and pays for a feature extraction. Alpha is never
+below 0, so `theta_alpha` = 0 turns the aspect check off.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ SATURATED_COST = 2.0
 class GateConfig:
     theta_iou: float = 0.2
     theta_alpha: float = 0.6
-    ars_enabled: bool = True
     mode: str = MODE_SELECTIVE
 
     def __post_init__(self):
@@ -36,8 +36,6 @@ class GateConfig:
             raise ValueError(f"theta_iou out of range: {self.theta_iou!r}")
         if not 0.0 <= self.theta_alpha <= 1.0:
             raise ValueError(f"theta_alpha out of range: {self.theta_alpha!r}")
-        if not isinstance(self.ars_enabled, (bool, np.bool_)):
-            raise ValueError(f"ars_enabled must be a bool, got {self.ars_enabled!r}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
 
@@ -62,7 +60,7 @@ def candidates(ious: np.ndarray, det_xywh: np.ndarray, track_xywh: np.ndarray, c
     if not len(dets):  # every detection is risky: the aspect check has no pair
         return np.full(n_dets, -1)
     cand = np.where(sole, above.argmax(axis=0), -1)
-    if cfg.ars_enabled:
+    if cfg.theta_alpha:  # alpha >= 0 clears a threshold of 0: no aspect check
         # the sole pairs' IoUs and aspect similarities are in [0, 1], so `blend` needs no range check
         tracks = cand[dets]
         alpha = blend(ious[tracks, dets], ars(det_xywh[dets], track_xywh[tracks]))

@@ -94,8 +94,8 @@ def ars(a, b):
 
     Either two `BBox`, which give a float, or two (n, 4) arrays of (x, y, w, h)
     rows compared row by row. Equals 1 iff the aspect ratios match; invariant
-    under uniform scaling of either box. Range (0, 1] since atan differences
-    stay below pi/2.
+    under uniform scaling of either box. Range [0, 1]: the atan difference is
+    at most pi/2, and rounds to it (`ars` 0) for ratios such as 1e16 against 1e-16.
     """
     if isinstance(a, BBox):
         return float(ars(np.array([[a.x, a.y, a.w, a.h]], float), np.array([[b.x, b.y, b.w, b.h]], float))[0])

@@ -44,12 +44,8 @@ def gate_oracle(ious, det_xywh, track_xywh, cfg) -> np.ndarray:
             out.append(-1)
             continue
         c = found[0]
-        if cfg.ars_enabled:
-            v = ars(BBox(*det_xywh[j].tolist()), BBox(*track_xywh[c].tolist()))
-            if blended_alpha(float(ious[c, j]), v) < cfg.theta_alpha:
-                out.append(-1)
-                continue
-        out.append(c)
+        v = ars(BBox(*det_xywh[j].tolist()), BBox(*track_xywh[c].tolist()))
+        out.append(-1 if blended_alpha(float(ious[c, j]), v) < cfg.theta_alpha else c)
     return np.array(out, dtype=int)
 
 

@@ -1,4 +1,6 @@
 import os
+import re
+import shlex
 import subprocess
 import sys
 from dataclasses import fields
@@ -54,11 +56,19 @@ class TestTrack:
         assert len(read_trajectories(out))
 
     def test_always_mode_reports_full_pde(self, tmp_path, crossing_dir):
-        _, stats = run_track(tmp_path, crossing_dir, "--mode", "always")
+        _, stats = run_track(tmp_path, crossing_dir, "--mode", "always_extract")
         kv = dict(line.split("=", 1) for line in stats.read_text().splitlines())
+        assert kv["config.mode"] == "always_extract"
         assert float(kv["pde"]) == 100.0
         # every high detection is fetched in its frame's one gate batch, none late
         assert 0 < int(kv["batches"]) <= int(kv["frames"]) and kv["late_fetches"] == "0"
+
+    @pytest.mark.parametrize("flags", [["--mode", "always"], ["--mode", "base"], ["--no-ars"]])
+    def test_removed_spellings_are_usage_errors(self, crossing_dir, capsys, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["track", "--det", str(crossing_dir / "det.txt"), "--out", "r.txt", *flags])
+        assert exc.value.code == 2
+        assert flags[-1] in capsys.readouterr().err
 
     def test_missing_det_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
@@ -110,7 +120,8 @@ class TestTrack:
         assert "unknown config key" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "line", ["ema_alpha=abc", "min_hits=2.0", "ars=maybe", "iou_th=1.5", "match=fuse", "mode=sometimes"]
+        "line", ["ema_alpha=abc", "min_hits=2.0", "byte=maybe", "iou_th=1.5", "match=fuse", "mode=sometimes",
+                 "mode=always", "ars=no"]
     )
     def test_bad_config_value_names_file_and_line(self, tmp_path, crossing_dir, capsys, line):
         cfg = tmp_path / "run.cfg"
@@ -151,7 +162,7 @@ class TestSettingsTable:
                 default = DEFAULTS[key]
                 action = actions[key]
                 assert action.option_strings[0].endswith(key.replace("_", "-"))
-                if isinstance(default, bool) or default is None:
+                if default is None:
                     assert "(default" not in (action.help or "")
                 else:
                     assert action.help.endswith(f" (default {default})")
@@ -215,6 +226,21 @@ class TestEval:
         assert code == 1
         assert "iou_match must be in [0, 1]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, key", [
+        ("fetches=1\nhigh_detections=-5", "high_detections"),  # read as PDE -20
+        ("fetches=10\nhigh_detections=5", "fetches"),  # read as PDE 200
+        ("fetches=abc\nhigh_detections=5", "fetches"),
+        ("fetches=1.0\nhigh_detections=5", "fetches"),
+    ])
+    def test_stats_counts_that_give_no_pde_in_0_100_fail(self, tmp_path, crossing_dir, capsys, text, key):
+        stats = tmp_path / "r.stats"
+        stats.write_text(text + "\n")
+        gt = str(crossing_dir / "gt.txt")
+        assert main(["eval", "--gt", gt, "--pred", gt, "--stats", str(stats)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {stats}: {key}")
+
     def test_mismatched_frame_domain_fails(self, tmp_path, crossing_dir, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("999,1,10,10,5,5,1,-1,-1,-1\n")
@@ -245,7 +271,7 @@ class TestSweep:
         assert header == ["theta_iou", "pde", "idf1", "id_switches"]
 
     @pytest.mark.parametrize("flags, key", [
-        (["--mode", "base"], "mode"),
+        (["--mode", "base_gate"], "mode"),
         (["--iou-th", "0.3"], "iou_th"),
         (["--mode", "selective", "--iou-th", "0.3"], "mode"),
     ])
@@ -258,7 +284,7 @@ class TestSweep:
         assert captured.out == ""
         assert "unrecognized arguments: --" + key.replace("_", "-") in captured.err
 
-    @pytest.mark.parametrize("line, key", [("mode=base", "mode"), ("iou_th=0.3", "iou_th")])
+    @pytest.mark.parametrize("line, key", [("mode=base_gate", "mode"), ("iou_th=0.3", "iou_th")])
     def test_refuses_a_config_key_it_sets_itself(self, tmp_path, crossing_dir, capsys, line, key):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(f"ema_alpha=0.8\n{line}\n")
@@ -333,6 +359,23 @@ class TestUnknownFlags:
         assert captured.out == ""
         assert captured.err.startswith(f"usage: seltrack {argv[0]} ")
         assert captured.err.rstrip().endswith(f"seltrack {argv[0]}: error: unrecognized arguments: {' '.join(argv[-2:])}")
+
+
+def readme_commands() -> list[str]:
+    """Each `seltrack ...` command of README's bash blocks, its `\\` continuation lines joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = (line.strip() for block in re.findall(r"```bash\n(.*?)```", text, re.S)
+             for line in block.replace("\\\n", " ").splitlines())
+    return [line for line in lines if line.startswith("seltrack ")]
+
+
+class TestReadme:
+    def test_finds_the_commands(self):
+        assert len(readme_commands()) >= 10
+
+    @pytest.mark.parametrize("command", readme_commands())
+    def test_command_parses(self, command):
+        build_parser().parse_args(shlex.split(command, comments=True)[1:])
 
 
 class TestConsoleEntry:

@@ -47,7 +47,7 @@ def test_cli_commands_on_the_presets_never_load_scipy(tmp_path):
             run("synth", "--preset", preset, "--out", preset)
             inputs = ["--det", preset + "/det.txt", "--features", preset + "/features.feab"]
             gt = preset + "/gt.txt"
-            for mode in ("selective", "always"):
+            for mode in ("selective", "always_extract"):
                 pred = f"{preset}/{mode}.txt"
                 run("track", *inputs, "--mode", mode, "--out", pred)
                 run("eval", "--gt", gt, "--pred", pred, "--stats", pred + ".stats")

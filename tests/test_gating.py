@@ -1,12 +1,15 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from seltrack.geometry import BBox, blended_alpha, iou_matrix
+from seltrack.geometry import BBox, ars, blended_alpha, iou_matrix
 from seltrack.gating import (
     GateConfig,
     MODE_ALWAYS_EXTRACT,
+    MODE_SELECTIVE,
     MODES,
     candidates,
 )
@@ -32,8 +35,9 @@ def gate_inputs(draw):
                          draw(arrays(float, (n, 2), elements=sides))]).reshape(n, 4)
         for n in (n_dets, n_tracks))
     cfg = GateConfig(theta_iou=draw(st.one_of(st.sampled_from([0.0, 0.2, 0.5]), st.floats(0.0, 1.0))),
-                     theta_alpha=draw(st.one_of(st.sampled_from([0.0, 0.6, 1.0]), st.floats(0.0, 1.0))),
-                     ars_enabled=draw(st.booleans()), mode=draw(st.sampled_from(MODES)))
+                     # 0.0, the threshold with no aspect check, in over a third of the draws
+                     theta_alpha=draw(st.one_of(st.just(0.0), st.sampled_from([0.0, 0.6, 1.0]), st.floats(0.0, 1.0))),
+                     mode=draw(st.sampled_from(MODES)))
     return ious, det_xywh, track_xywh, cfg
 
 
@@ -52,13 +56,12 @@ def extreme_aspect_boxes(rng, n):
 class TestConfig:
     def test_defaults(self):
         cfg = GateConfig()
-        assert (cfg.theta_iou, cfg.theta_alpha, cfg.ars_enabled) == (0.2, 0.6, True)
+        assert [f.name for f in fields(GateConfig)] == ["theta_iou", "theta_alpha", "mode"]
+        assert (cfg.theta_iou, cfg.theta_alpha, cfg.mode) == (0.2, 0.6, MODE_SELECTIVE)
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"theta_iou": -0.1}, {"theta_iou": 1.1}, {"theta_alpha": 2.0}, {"mode": "x"},
-         # a truthy string or number kept the aspect check on
-         {"ars_enabled": "no"}, {"ars_enabled": 1}],
+        [{"theta_iou": -0.1}, {"theta_iou": 1.1}, {"theta_alpha": -0.1}, {"theta_alpha": 2.0}, {"mode": "x"}],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
@@ -89,7 +92,7 @@ class TestClassify:
         d = BBox(0, 0, 10, 10)
         t1 = BBox(2, 0, 10, 10)  # iou 0.4 per pixel counting: 80/120 -> 2/3? see oracle
         t2 = BBox(0, 3, 10, 10)
-        cfg = GateConfig(theta_iou=0.3, ars_enabled=False)
+        cfg = GateConfig(theta_iou=0.3, theta_alpha=0.0)
         assert iou_matrix(xywh([d]), xywh([t1, t2])).min() > 0.3
         assert candidates_of([d], [t1, t2], cfg).tolist() == [-1]
 
@@ -107,16 +110,26 @@ class TestClassify:
         tracks = [BBox(0, 0, 10, 10)]
         assert candidates_of(dets, tracks, GateConfig(mode=MODE_ALWAYS_EXTRACT)).tolist() == [-1]
 
-    def test_ars_disabled_skips_shape_check(self):
+    def test_zero_theta_alpha_skips_shape_check(self):
         d = BBox(0, 0, 10, 10)
         wide = BBox(0, 0, 40, 4)
-        cfg = GateConfig(theta_iou=0.05, ars_enabled=False)
+        cfg = GateConfig(theta_iou=0.05, theta_alpha=0.0)
         assert candidates_of([d], [wide], cfg).tolist() == [0]
+
+    def test_sole_candidate_with_zero_ars(self):
+        # alpha = 0 / (1 - IoU): the lowest alpha, which only theta_alpha = 0
+        # keeps, as it keeps every sole candidate without computing alpha
+        t, d = BBox(0, 0, 1e16, 1), BBox(0, 0, 1, 1e16)
+        assert iou_matrix(xywh([t]), xywh([d]))[0, 0] == pytest.approx(5e-17, rel=1e-12)
+        assert ars(d, t) == 0.0
+        for theta_alpha, want in ((0.6, [-1]), (0.0, [0])):
+            cfg = GateConfig(theta_iou=0.0, theta_alpha=theta_alpha)
+            assert candidates_of([d], [t], cfg).tolist() == candidates_oracle([d], [t], cfg).tolist() == want
 
     def test_tie_at_threshold_is_excluded(self):
         d = BBox(0, 0, 10, 10)
         t = BBox(5, 0, 10, 10)  # iou exactly 1/3
-        cfg = GateConfig(theta_iou=1 / 3, ars_enabled=False)
+        cfg = GateConfig(theta_iou=1 / 3, theta_alpha=0.0)
         assert candidates_of([d], [t], cfg).tolist() == [-1]
 
 
@@ -126,10 +139,10 @@ class TestOracleEquivalence:
         for _ in range(1000):
             dets = random_boxes(rng, rng.integers(0, 31))
             tracks = random_boxes(rng, rng.integers(0, 31))
+            # theta_alpha 0, no aspect check, in about half the frames
             cfg = GateConfig(
                 theta_iou=float(rng.uniform(0, 0.9)),
-                theta_alpha=float(rng.uniform(0, 1)),
-                ars_enabled=bool(rng.integers(0, 2)),
+                theta_alpha=float(rng.uniform(0, 1) * rng.integers(0, 2)),
             )
             assert np.array_equal(candidates_of(dets, tracks, cfg), candidates_oracle(dets, tracks, cfg))
         # no tracks, no detections, and aspect ratios from 1e-6 to 1e6, each

@@ -186,6 +186,11 @@ class TestArs:
         # a ratio beyond float64 is inf, and atan(inf) is pi/2
         assert ars(BBox(0, 0, 10, 10), BBox(0, 0, 1e300, 1e-10)) == pytest.approx(0.75, abs=1e-12)
 
+    def test_opposite_extreme_ratios_reach_zero(self):
+        # inf against about 1e-310: the atan difference rounds to pi/2, so the range is [0, 1]
+        got = ars(np.array([[0, 0, 1e300, 1e-10]]), np.array([[0, 0, 1e-300, 1e10]]))
+        assert got.tolist() == [0.0]
+
     @given(boxes, boxes, st.floats(0.01, 100))
     def test_uniform_scale_invariance(self, a, b, s):
         sa = BBox(a.x, a.y, a.w * s, a.h * s)
