@@ -47,7 +47,7 @@ change shows where its calls went:
 
     python scripts/bench_frame.py --calls --against ../parent
 
-`--stages` times the stage functions of `SelectiveTracker._step_inner`
+`--stages` times the stage functions that `SelectiveTracker.step` runs
 instead (its `_STAGES`: prediction, confidence split, gating, features,
 association, Kalman update, births, appearance and emit), on this
 checkout only, in the mode `--mode` names: it steps fresh trackers over
@@ -56,8 +56,9 @@ each stage's µs per frame, the fastest over the passes for each frame,
 then the mean over frames. The rows below them give the stages' sum and
 the whole step's mean and median (`frame p50`, the estimator of the
 default table), timed around `step()` in the same passes; the step's
-share outside the stages is its checks, the frame record and the commit,
-plus the timers' own cost:
+share outside the stages is its argument checks, the frame record and
+the commit (the table, the next id, the last frame and every count), plus
+the timers' own cost:
 
     python scripts/bench_frame.py --stages --mode always_extract --passes 12
 
@@ -303,7 +304,7 @@ def main(argv=None) -> int:
                        help="count the calls per frame under cProfile, not the time; numpy indexing, ufuncs and "
                             "operators make no counted call, so a count is not a time")
     timed.add_argument("--stages", action="store_true",
-                       help="time each stage of SelectiveTracker._step_inner in --mode, not the frames")
+                       help="time each stage that SelectiveTracker.step runs, in --mode, not the frames")
     ap.add_argument("--mode", default=gating.MODE_SELECTIVE, choices=MODES, help="the mode --stages times")
     args = ap.parse_args(argv)
     if args.stages and args.against is not None:

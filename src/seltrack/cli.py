@@ -150,11 +150,13 @@ def cmd_track(args) -> int:
 
 
 def _read_run_counts(path) -> RunStats:
-    """A stats file's `fetches` and `high_detections` (0 where absent): integers >= 0, fetches the fewer."""
+    """A stats file's `fetches` and `high_detections`: both present, integers >= 0, fetches the fewer."""
     kv = dict(line.split("=", 1) for line in Path(path).read_text().splitlines() if "=" in line)
     counts = {}
     for key in ("fetches", "high_detections"):
-        text = kv.get(key, "0")
+        if key not in kv:
+            raise ValueError(f"{path}: {key} is missing")
+        text = kv[key]
         if not (text.isascii() and text.isdigit()):
             raise ValueError(f"{path}: {key} must be an integer >= 0, got {text!r}")
         counts[key] = int(text)

@@ -8,7 +8,9 @@ detection's order of appearance within its frame in the detection file.
 
 from __future__ import annotations
 
+import os
 import struct
+import warnings
 from decimal import Decimal
 
 import numpy as np
@@ -86,26 +88,26 @@ def _numbered_rows(path, detections: bool):
 def _table(path, detections: bool) -> np.ndarray | None:
     """Fields frame..conf of each non-blank line as one `_ROW` record array, or None.
 
-    One `np.loadtxt` parses the file, frame and id as int64 and the rest as
-    float64, then boolean passes run the checks of `_numbered_rows` (the
+    One `np.loadtxt` of the file parses frame and id as int64 and the rest
+    as float64, then boolean passes run the checks of `_numbered_rows` (the
     reader's rule included). loadtxt skips only empty lines, so an accepted
     table holds the non-blank lines in file order. None leaves the file to
-    the line parser: it holds a bad value, a frame or id of 2**52 or more,
-    a frame or id not spelled as a plain integer (`2.0`, `1e0`), or a line
-    that loadtxt refuses but `float` may read (whitespace-only, `1_0`,
-    non-ASCII digits).
+    the line parser: it has no rows, a bad value, a frame or id of 2**52 or
+    more or not spelled as a plain integer (`2.0`, `1e0`), or a line that
+    loadtxt refuses but `float` may read (whitespace-only, `1_0`, non-ASCII
+    digits); or numpy's path opener would read it as something else.
     """
+    name = os.path.abspath(path)  # numpy's opener reads a relative path of URL shape as a URL
+    if name.endswith((".gz", ".bz2", ".xz", ".lzma")) or not os.path.isfile(name):  # it decompresses, or opens name.gz
+        return None
     try:
         # the line parser reads (and decodes) line by line, so it may meet a
         # bad line before a bad byte: a UnicodeDecodeError is left to it too
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        if not text.strip():  # loadtxt warns on a file without rows
-            return None
-        table = np.loadtxt(
-            text.split("\n"), dtype=_ROW, delimiter=",", usecols=range(7), ndmin=1, comments=None
-        )
-    except ValueError:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # loadtxt warns on a file without rows
+            table = np.loadtxt(name, dtype=_ROW, delimiter=",", usecols=range(7), ndmin=1, comments=None,
+                               encoding="utf-8")
+    except (ValueError, UserWarning):
         return None
     frame, track_id, conf = table["frame"], table["id"], table["conf"]
     ok = (1 <= frame) & (frame < _INT_BOUND) & (-_INT_BOUND < track_id) & (track_id < _INT_BOUND)

@@ -18,7 +18,9 @@ writes it, and builds a stage's cost matrix only when that stage runs. A
 frame that writes every row of a column (every track matched or blended,
 every high detection priced) builds that column new from its own arrays,
 with no gather or scatter. Each stage is one method over the frame's
-`_FrameRecord`, and only the commit after them writes to the tracker.
+`_FrameRecord`, and only the commit after them writes to the tracker:
+its table, next id, last frame and every `RunStats` count, so a step
+that raises leaves the tracker as it was.
 """
 
 from __future__ import annotations
@@ -166,15 +168,17 @@ class NullFeatureProvider:
 
 
 class CountingProvider:
-    """Wraps a provider and counts every crop asked for — the PDE numerator."""
+    """Wraps a provider; `fetches` reads `RunStats.fetches`, the crops asked for in committed frames (the PDE numerator)."""
 
-    def __init__(self, inner: FeatureProvider):
-        self.inner = inner
-        self.fetches = 0
+    def __init__(self, inner: FeatureProvider, stats: RunStats):
+        self.inner, self._stats = inner, stats
+
+    @property
+    def fetches(self) -> int:
+        return self._stats.fetches
 
     def fetch(self, frame: int, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """One batch of the inner provider's `fetch_batch`; the tracker calls it by this name, so a wrapper bound here sees every batch."""
-        self.fetches += len(indices)
         return self.inner.fetch_batch(frame, indices)
 
 
@@ -274,7 +278,7 @@ class RunStats:
 
 
 class _FrameRecord:
-    """One frame's arrays, as the stages of `SelectiveTracker._step_inner` build them; `t` is the frame's own table.
+    """One frame's arrays, as the stages of `SelectiveTracker.step` build them; `t` is the frame's own table.
 
     `xywh` holds the frame's boxes, the high rows first, each half in frame
     order; `order` maps its rows to the detections' indices (None when none
@@ -316,13 +320,13 @@ class SelectiveTracker:
         gate: GateConfig | None = None,
         match: MatchConfig | None = None,
     ):
-        self.provider = CountingProvider(provider)
+        self.stats = RunStats()
+        self.provider = CountingProvider(provider, self.stats)
         self.gate = gate or GateConfig()
         self.match = match or MatchConfig()
         self.table = TrackTable.born(np.zeros(0, dtype=int), motion.initiate(np.zeros((0, motion.NDIM))), 0)
         self.last_frame = 0
         self._next_id = 1
-        self.stats = RunStats()
 
     @property
     def tracks(self) -> list[TrackView]:
@@ -333,28 +337,15 @@ class SelectiveTracker:
     # -- the frame step ----------------------------------------------------
 
     def step(self, frame: int, detections: Frame) -> list[tuple[int, list[float]]]:
-        """Process one frame and return (track id, [x, y, w, h]) for tracks matched now, by id."""
+        """Process one frame and return (track id, [x, y, w, h]) for tracks matched now, by id.
+
+        The stages run in order on the frame's record. The commit after them
+        is the only write to the tracker, so a step that raises leaves none.
+        """
         if frame <= self.last_frame:
-            raise ValueError(
-                f"frames must be strictly increasing: got {frame} after {self.last_frame}"
-            )
+            raise ValueError(f"frames must be strictly increasing: got {frame} after {self.last_frame}")
         if detections.frame != frame or isinstance(frame, bool):  # a `Frame` refuses a bool
             raise ValueError(f"detection frame {detections.frame} does not match step frame {frame}")
-
-        fetches = self.provider.fetches
-        try:
-            emitted = self._step_inner(frame, detections)
-        except Exception:
-            # the frame never happened: `_step_inner` commits nothing before it returns
-            self.provider.fetches = fetches
-            raise
-        self.stats.frames += 1
-        self.stats.detections += len(detections)
-        self.stats.fetches = self.provider.fetches
-        return emitted
-
-    def _step_inner(self, frame, detections):
-        """One frame: the stages in order on the frame's record, then the commit, the only lines writing to `self`."""
         r = _FrameRecord(frame, detections)
         for stage in self._STAGES:
             stage(self, r)
@@ -363,9 +354,13 @@ class SelectiveTracker:
         self.table = r.t.keep(r.t.time_since_update <= self.match.max_age)
         self._next_id += len(r.born_js)
         self.last_frame = frame
-        self.stats.high_detections += r.n_high
-        self.stats.batches += (len(r.risky_js) > 0) + (len(r.late_js) > 0)
-        self.stats.late_fetches += len(r.late_js)
+        stats, n_risky, n_late = self.stats, len(r.risky_js), len(r.late_js)
+        stats.frames += 1
+        stats.detections += len(detections)
+        stats.high_detections += r.n_high
+        stats.fetches += n_risky + n_late  # the crops of the frame's two provider calls
+        stats.batches += (n_risky > 0) + (n_late > 0)
+        stats.late_fetches += n_late
         return r.emitted
 
     def _prediction(self, r: _FrameRecord) -> None:

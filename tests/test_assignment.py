@@ -152,6 +152,10 @@ class TestExamples:
 class TestAgainstBruteForce:
     @settings(max_examples=300, deadline=None)
     @given(matrices(), st.one_of(dyadic, st.just(4.0)))
+    # row 0's incumbent is column 2, and columns 0 and 1 both tie it: the
+    # tie-break must try column 0 first
+    @example(np.array([[0.5, 0.5, 0.25], [INFEASIBLE, 0.25, 0.0]]), 0.5)
+    @example(np.array([[0.25, 0.25], [0.25, INFEASIBLE], [0.0, 0.0]]), 0.5)
     def test_matches_exhaustive_optimum(self, costs, gate):
         got = pairs(costs, gate)
         card, cost, lex = assignment_oracle(costs, gate)
@@ -226,6 +230,9 @@ class TestAgainstFullScan:
     # rows 0 and 1 have no challenger; the incumbent puts row 2 on column 3, so column 2 challenges it, and wins
     @example(np.array([[0, INFEASIBLE, INFEASIBLE, INFEASIBLE], [INFEASIBLE, 0, INFEASIBLE, INFEASIBLE],
                        [INFEASIBLE, INFEASIBLE, 0.5, 0.25], [INFEASIBLE, INFEASIBLE, 0.25, 0]]), 0.5)
+    # row 0 has two challengers to its incumbent, column 2, that tie it; the first one is taken
+    @example(np.array([[0.5, 0.5, 0.25, INFEASIBLE], [INFEASIBLE, 0.25, 0, INFEASIBLE],
+                       [INFEASIBLE, INFEASIBLE, INFEASIBLE, 0]]), 0.5)
     def test_equals_full_scan_solve(self, costs, gate):
         assert pairs(costs, gate) == full_scan_solve(costs, gate)
 

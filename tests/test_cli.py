@@ -231,6 +231,8 @@ class TestEval:
         ("fetches=10\nhigh_detections=5", "fetches"),  # read as PDE 200
         ("fetches=abc\nhigh_detections=5", "fetches"),
         ("fetches=1.0\nhigh_detections=5", "fetches"),
+        ("high_detections=50", "fetches"),  # read as PDE 0
+        ("fetches=0", "high_detections"),
     ])
     def test_stats_counts_that_give_no_pde_in_0_100_fail(self, tmp_path, crossing_dir, capsys, text, key):
         stats = tmp_path / "r.stats"

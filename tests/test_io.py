@@ -1,6 +1,9 @@
 import contextlib
+import gzip
 import struct
 import tracemalloc
+import urllib.request
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -345,6 +348,42 @@ class TestArrayPass:
         accepted = mot_io._table(p, reader is read_detections) is not None
         event("array pass accepted" if accepted else "left to the line parser")
         assert read_outcome_text(reader, p) == read_outcome_text(reader, p, line_parser_only=True)
+
+    @pytest.mark.parametrize("content, accepted", [
+        (b"1,1,1,1,5,5,0.9\r\n2,1,1,1,5,5,0.9\r\n", True),
+        (b"1,1,1,1,5,5,0.9\r2,1,1,1,5,5,0.9\r", True),  # lone CRs
+        (b"", False),  # loadtxt warns on a file without rows
+        (b"\n\r\n", False),
+        (b" \n\t\n", False),  # whitespace-only
+        ("\ufeff1,1,1,1,5,5,0.9\n".encode("utf-8"), False),
+        (b"1,1,1,1,5,5,0.9\n\xff\n", False),  # undecodable
+    ], ids=["crlf", "cr", "empty", "blank", "whitespace", "bom", "bad byte"])
+    @pytest.mark.parametrize("reader", [read_detections, read_trajectories])
+    def test_file_forms_read_as_the_line_parser_reads_them(self, reader, content, accepted, tmp_path):
+        p = tmp_path / "rows.txt"
+        p.write_bytes(content)
+        with warnings.catch_warnings(record=True) as shown:
+            warnings.simplefilter("always")
+            assert (mot_io._table(p, reader is read_detections) is not None) == accepted
+            assert read_outcome_text(reader, p) == read_outcome_text(reader, p, line_parser_only=True)
+        assert [str(w.message) for w in shown] == []
+
+    @pytest.mark.parametrize("name", ["rows.txt.gz", "rows.bz2", "rows.xz", "rows.lzma", "http://host/rows.txt"])
+    def test_names_that_numpy_opens_otherwise_are_read_as_named(self, name, tmp_path, monkeypatch):
+        # numpy's path opener decompresses by suffix and reads a relative
+        # name of URL shape as a URL; either reader reads these files as text
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(urllib.request, "urlopen", mock.Mock(side_effect=AssertionError("network")))
+        p = tmp_path / name
+        p.parent.mkdir(parents=True, exist_ok=True)
+        p.write_text("1,-1,1,1,5,5,0.9\n")
+        assert read_outcome_text(read_detections, name) == read_outcome_text(read_detections, name, True)
+        assert list(read_detections(name)) == [1]
+
+    def test_missing_file_is_not_read_from_its_compressed_sibling(self, tmp_path):
+        (tmp_path / "rows.txt.gz").write_bytes(gzip.compress(b"1,-1,1,1,5,5,0.9\n"))
+        with pytest.raises(FileNotFoundError):
+            read_detections(tmp_path / "rows.txt")
 
 
 class TestWriteResults:

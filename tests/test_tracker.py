@@ -1,6 +1,6 @@
 import collections
 import hashlib
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -1051,6 +1051,25 @@ configs = st.builds(
 )
 
 
+class FailingOnce(DictProvider):
+    """A `DictProvider` whose call number `fail_at`, counted from 0, raises; it answers every other call."""
+
+    def __init__(self, features, fail_at):
+        super().__init__(features)
+        self.calls, self.fail_at = 0, fail_at
+
+    def fetch_batch(self, frame, indices):
+        self.calls += 1
+        if self.calls - 1 == self.fail_at:
+            raise RuntimeError("extractor offline")
+        return super().fetch_batch(frame, indices)
+
+
+def committed_state(tracker):
+    """Everything a step may write: the table, the next id, the last frame and the counts."""
+    return table_fields(tracker), tracker._next_id, tracker.last_frame, asdict(tracker.stats), tracker.provider.fetches
+
+
 class TestStreamProperties:
     @settings(max_examples=150, deadline=None)
     @given(streams(), configs)
@@ -1124,6 +1143,36 @@ class TestStreamProperties:
         )
         assert gated.rows == always.rows
         assert gated_stats == always_stats
+
+    @settings(max_examples=150, deadline=None)
+    @given(streams(), configs, st.integers(0, 63))
+    # frame 2's third provider call is the births' late batch: detection 1
+    # copies track 1's embedding, is left unmatched and is fetched for its
+    # birth after the frame has matched and updated track 1 on its own table
+    @example(({1: frame(1, [BBox(100, 100, 20, 40)]),
+               2: frame(2, [BBox(100, 100, 20, 40), BBox(104, 100, 20, 40), BBox(400, 0, 20, 40)])},
+              {(1, 0): PALETTE[0]} | {(2, j): PALETTE[j] for j in range(3)}), (GateConfig(), MatchConfig()), 2)
+    def test_a_failed_step_leaves_no_trace(self, stream, config, draw):
+        # one provider call raises; its step must leave the tracker as it was,
+        # and stepping that frame again must give the uninterrupted run
+        frames, features = stream
+        counted = FailingOnce(features, fail_at=-1)
+        want, want_stats = run_sequence(frames, counted, *config)
+        provider = FailingOnce(features, fail_at=draw % counted.calls if counted.calls else -1)
+        tracker = SelectiveTracker(provider, *config)
+        rows, failed = [], 0
+        for f in sorted(frames):
+            before = committed_state(tracker)
+            try:
+                emitted = tracker.step(f, frames[f])
+            except RuntimeError:
+                failed += 1
+                assert committed_state(tracker) == before
+                emitted = tracker.step(f, frames[f])
+            rows += [(f, tid, box) for tid, box in emitted]
+        assert failed == (counted.calls > 0)
+        assert rows == want.rows
+        assert tracker.stats == want_stats
 
 
 class TestFrameGap:
