@@ -50,17 +50,18 @@ change shows where its calls went:
 `--stages` times the stage functions that `SelectiveTracker.step` runs
 instead (its `_STAGES`: prediction, confidence split, gating, features,
 association, Kalman update, births, appearance and emit), on this
-checkout only, in the mode `--mode` names: it steps fresh trackers over
-every frame, each with its stages behind a `perf_counter` timer, and gives
-each stage's µs per frame, the fastest over the passes for each frame,
-then the mean over frames. The rows below them give the stages' sum and
-the whole step's mean and median (`frame p50`, the estimator of the
+checkout only, in selective and always_extract mode, alternating pass by
+pass: it steps fresh trackers over every frame, each with its stages
+behind a `perf_counter` timer, and gives each stage's µs per frame, the
+fastest over the passes for each frame, then the mean over frames, in one
+column per workload and mode. The rows below them give the stages' sum
+and the whole step's mean and median (`frame p50`, the estimator of the
 default table), timed around `step()` in the same passes; the step's
 share outside the stages is its argument checks, the frame record and
 the commit (the table, the next id, the last frame and every count), plus
 the timers' own cost:
 
-    python scripts/bench_frame.py --stages --mode always_extract --passes 12
+    python scripts/bench_frame.py --stages --passes 12
 
 A call count is not a time. cProfile counts calls of Python functions and
 of builtins and methods, such as `ndarray.all`, but not numpy's indexing,
@@ -182,11 +183,16 @@ class Side:
         return float(np.median(list(self.best[mode].values())))
 
 
-def stage_times(side: Side, mode: str, passes: int) -> tuple[list[str], np.ndarray]:
-    """The stages' names, and each frame's fastest time over the passes in µs: one column per stage, the last the step's."""
+def stage_times(side: Side, passes: int) -> tuple[list[str], np.ndarray]:
+    """The stages' names, and for each mode of MODES each frame's fastest time over the passes in µs.
+
+    The times are one (modes, frames, stages + 1) array: one column per
+    stage, the last the step's. The modes alternate pass by pass, which
+    one goes first alternating too.
+    """
     stages = side.modules.tracker.SelectiveTracker._STAGES
     frames = sorted(side.frames)
-    best = np.full((len(frames), len(stages) + 1), np.inf)
+    best = np.full((len(MODES), len(frames), len(stages) + 1), np.inf)
     spent = np.empty(len(stages) + 1)
 
     def timed(k, stage):
@@ -197,29 +203,40 @@ def stage_times(side: Side, mode: str, passes: int) -> tuple[list[str], np.ndarr
         return run
 
     staged = tuple(timed(k, stage) for k, stage in enumerate(stages))
-    for _ in range(passes):
-        tracker = side.modules.tracker.SelectiveTracker(side.provider, side.modules.gating.GateConfig(mode=mode),
-                                                         side.match)
-        tracker._STAGES = staged  # the instance's stages shadow the class's
-        gc.collect()
-        for n, frame in enumerate(frames):
-            if n % measure.PROBE_EVERY_FRAMES == 0:
-                measure.pin_fastest_cpu()
-            started = perf_counter()
-            tracker.step(frame, side.frames[frame])
-            spent[-1] = perf_counter() - started
-            np.minimum(best[n], spent, out=best[n])
+    for p in range(passes):
+        for m in range(len(MODES))[:: 1 if p % 2 == 0 else -1]:
+            gate = side.modules.gating.GateConfig(mode=MODES[m])
+            tracker = side.modules.tracker.SelectiveTracker(side.provider, gate, side.match)
+            tracker._STAGES = staged  # the instance's stages shadow the class's
+            gc.collect()
+            for n, frame in enumerate(frames):
+                if n % measure.PROBE_EVERY_FRAMES == 0:
+                    measure.pin_fastest_cpu()
+                started = perf_counter()
+                tracker.step(frame, side.frames[frame])
+                spent[-1] = perf_counter() - started
+                np.minimum(best[m, n], spent, out=best[m, n])
     return [f"{k}. {stage.__name__.strip('_').replace('_', ' ')}" for k, stage in enumerate(stages, 1)], 1e6 * best
 
 
-def print_stages(stages: list[str], us: list[np.ndarray], names) -> None:
-    """One row per stage with its mean µs per frame, then the stages' sum and the step's mean and median, one column per workload."""
-    print(f"{'stage':20}" + "".join(f" {name + ' µs':>11}" for name in names))
+def print_stages(stages: list[str], us: list[np.ndarray], columns: list[tuple[str, str]]) -> None:
+    """One row per stage with its mean µs per frame, then the stages' sum and the step's mean and median.
+
+    Column k holds the times `us[k]` of the (workload, mode) `columns[k]`,
+    headed by the workload over the mode.
+    """
+    widths = [max(len(name), len(mode) + 3) for name, mode in columns]
+
+    def row(label, values, spec=".1f"):
+        print(f"{label:20}" + "".join(f" {v:>{w}{spec}}" for v, w in zip(values, widths)))
+
+    row("", [name for name, _ in columns], "")
+    row("stage", [mode + " µs" for _, mode in columns], "")
     for k, stage in enumerate(stages):
-        print(f"{stage:20}" + "".join(f" {u[:, k].mean():>11.1f}" for u in us))
-    print(f"{'stage sum':20}" + "".join(f" {u[:, :-1].mean(axis=0).sum():>11.1f}" for u in us))
-    print(f"{'frame mean':20}" + "".join(f" {u[:, -1].mean():>11.1f}" for u in us))
-    print(f"{'frame p50':20}" + "".join(f" {np.median(u[:, -1]):>11.1f}" for u in us))
+        row(stage, [u[:, k].mean() for u in us])
+    row("stage sum", [u[:, :-1].mean(axis=0).sum() for u in us])
+    row("frame mean", [u[:, -1].mean() for u in us])
+    row("frame p50", [np.median(u[:, -1]) for u in us])
 
 
 MOVED_FUNCTIONS = 15  # the functions listed under each `--calls --against` line
@@ -304,8 +321,7 @@ def main(argv=None) -> int:
                        help="count the calls per frame under cProfile, not the time; numpy indexing, ufuncs and "
                             "operators make no counted call, so a count is not a time")
     timed.add_argument("--stages", action="store_true",
-                       help="time each stage that SelectiveTracker.step runs, in --mode, not the frames")
-    ap.add_argument("--mode", default=gating.MODE_SELECTIVE, choices=MODES, help="the mode --stages times")
+                       help="time each stage that SelectiveTracker.step runs, in both modes, not the frames")
     args = ap.parse_args(argv)
     if args.stages and args.against is not None:
         ap.error("--stages times this checkout only")
@@ -320,10 +336,11 @@ def main(argv=None) -> int:
         try:
             with tempfile.TemporaryDirectory() as tmp:
                 sides = [Side(sides["this"], workloads.generate(name, args.seed, Path(tmp) / name)) for name in names]
-                times = [stage_times(side, args.mode, args.passes) for side in sides]
+                times = [stage_times(side, args.passes) for side in sides]
         finally:
             os.sched_setaffinity(0, cpus)
-        print_stages(times[0][0], [us for _, us in times], names)
+        print_stages(times[0][0], [us for _, per_mode in times for us in per_mode],
+                     [(name, mode) for name in names for mode in MODES])
         return 0
     unit = " calls" if args.calls else " ms"
     header = f"{'workload':8} {'mode':15}" + "".join(f" {name + unit:>13}" for name in sides)

@@ -12,6 +12,7 @@ to that field. `mode` takes exactly the names in `gating.MODES`, and
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -234,6 +235,11 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _presets_taking(param: str) -> str:
+    """The presets whose scene function takes `param`, for the help of the flag that sets it."""
+    return ", ".join(name for name, scene in synth.PRESETS.items() if param in inspect.signature(scene).parameters)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="seltrack",
@@ -274,8 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--preset", required=True)
     p_synth.add_argument("--out", required=True, help="output directory")
     p_synth.add_argument("--seed", type=int)
-    p_synth.add_argument("--targets", type=int, help="target count (parade)")
-    p_synth.add_argument("--frames", type=int, help="frame count (parade/grid)")
+    p_synth.add_argument("--targets", type=int, help=f"target count ({_presets_taking('n_targets')})")
+    p_synth.add_argument("--frames", type=int, help=f"frame count ({_presets_taking('frames')})")
     p_synth.set_defaults(func=cmd_synth, parser=p_synth)
     return parser
 

@@ -74,6 +74,8 @@ class Scenario:
     confidence: float = 0.9
 
     def __post_init__(self):
+        if not (isinstance(self.seed, (int, np.integer)) and not isinstance(self.seed, bool) and self.seed >= 0):
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
         if self.frames < 1:
             raise ValueError("scenario needs at least one frame")
         dirs = self._directions()
@@ -165,6 +167,11 @@ def _basis(dim: int, index: int) -> np.ndarray:
     return v
 
 
+def _path(first: BBox, last: BBox, frames: int) -> list[tuple[int, BBox]]:
+    """Keyframes from `first` at frame 1 to `last` at frame `frames`; a one-frame path has `first` alone."""
+    return [(1, first), (frames, last)] if frames > 1 else [(1, first)]
+
+
 def crossing_scene(seed: int = 1) -> Scenario:
     """Two targets cross; the smaller one is hidden for the five overlap frames.
 
@@ -199,10 +206,7 @@ def parade_scene(seed: int = 2, n_targets: int = 10, frames: int = 200) -> Scena
         targets.append(
             Target(
                 feature_dir=_basis(dim, i),
-                keyframes=[
-                    (1, center_box(50, cy, 30, 40)),
-                    (frames, center_box(50 + 3.0 * (frames - 1), cy, 30, 40)),
-                ],
+                keyframes=_path(center_box(50, cy, 30, 40), center_box(50 + 3.0 * (frames - 1), cy, 30, 40), frames),
             )
         )
     return Scenario(seed=seed, frames=frames, targets=targets, box_noise=0.3, feature_noise=0.03)
@@ -239,10 +243,9 @@ def grid_scene(seed: int = 4, side: int = 3, frames: int = 60) -> Scenario:
             targets.append(
                 Target(
                     feature_dir=_basis(dim, i),
-                    keyframes=[
-                        (1, center_box(cx, cy, 40, 50)),
-                        (frames, center_box(cx + 2.0 * (frames - 1), cy, 40, 50)),
-                    ],
+                    keyframes=_path(
+                        center_box(cx, cy, 40, 50), center_box(cx + 2.0 * (frames - 1), cy, 40, 50), frames
+                    ),
                 )
             )
     return Scenario(seed=seed, frames=frames, targets=targets, box_noise=0.2, feature_noise=0.03)

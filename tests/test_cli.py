@@ -96,13 +96,14 @@ class TestTrack:
 
     def test_config_file_precedence(self, tmp_path, crossing_dir):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("iou_th=0.5\nmax_age=7\n")
+        cfg.write_text("iou_th=0.5\nmax_age=7\nbyte=yes\n")
         _, stats = run_track(
             tmp_path, crossing_dir, "--config", str(cfg), "--iou-th", "0.3"
         )
         kv = dict(line.split("=", 1) for line in stats.read_text().splitlines())
         assert kv["config.iou_th"] == "0.3"  # flag wins
         assert kv["config.max_age"] == "7"  # file beats default
+        assert kv["config.byte"] == "True"  # a switch, read as a word
 
     def test_bad_config_key_fails(self, tmp_path, crossing_dir, capsys):
         cfg = tmp_path / "run.cfg"
@@ -119,11 +120,12 @@ class TestTrack:
         assert code == 1
         assert "unknown config key" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "line", ["ema_alpha=abc", "min_hits=2.0", "byte=maybe", "iou_th=1.5", "match=fuse", "mode=sometimes",
-                 "mode=always", "ars=no"]
-    )
-    def test_bad_config_value_names_file_and_line(self, tmp_path, crossing_dir, capsys, line):
+    @pytest.mark.parametrize("line, message", [
+        *((line, "") for line in ["ema_alpha=abc", "min_hits=2.0", "byte=maybe", "iou_th=1.5", "match=fuse",
+                                  "mode=sometimes", "mode=always", "ars=no"]),
+        ("byte", "expected key=value, got 'byte'"),
+    ])
+    def test_bad_config_value_names_file_and_line(self, tmp_path, crossing_dir, capsys, line, message):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"# a comment\n{line}\n")
         code = main(
@@ -131,7 +133,7 @@ class TestTrack:
              "--out", str(tmp_path / "r.txt")]
         )
         assert code == 1
-        assert capsys.readouterr().err.startswith(f"error: {cfg}:2: ")
+        assert capsys.readouterr().err.startswith(f"error: {cfg}:2: {message}")
 
 
 class TestSettingsTable:
@@ -215,9 +217,12 @@ class TestEval:
 
     def test_table_format(self, tmp_path, crossing_dir, capsys):
         out, _ = run_track(tmp_path, crossing_dir)
-        code = main(["eval", "--gt", str(crossing_dir / "gt.txt"), "--pred", str(out)])
+        capsys.readouterr()
+        report = tmp_path / "report.txt"
+        code = main(["eval", "--gt", str(crossing_dir / "gt.txt"), "--pred", str(out), "--out", str(report)])
         assert code == 0
-        assert "IDF1" in capsys.readouterr().out
+        printed = capsys.readouterr().out
+        assert "IDF1" in printed and report.read_text() == printed  # --out writes what it prints
 
     @pytest.mark.parametrize("iou_match", ["1.5", "nan", "-0.5"])
     def test_iou_match_outside_zero_one_fails(self, crossing_dir, capsys, iou_match):
@@ -243,12 +248,20 @@ class TestEval:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {stats}: {key}")
 
-    def test_mismatched_frame_domain_fails(self, tmp_path, crossing_dir, capsys):
+    @pytest.mark.parametrize("gt_text, message", [
+        (None, "error: prediction frames fall outside the ground-truth frame span"),
+        ("", "error: ground truth is empty but predictions are not"),
+    ])
+    def test_mismatched_frame_domain_fails(self, tmp_path, crossing_dir, capsys, gt_text, message):
         bad = tmp_path / "bad.txt"
         bad.write_text("999,1,10,10,5,5,1,-1,-1,-1\n")
-        code = main(["eval", "--gt", str(crossing_dir / "gt.txt"), "--pred", str(bad)])
+        gt = crossing_dir / "gt.txt"
+        if gt_text is not None:
+            gt = tmp_path / "gt.txt"
+            gt.write_text(gt_text)
+        code = main(["eval", "--gt", str(gt), "--pred", str(bad)])
         assert code == 1
-        assert "frame" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(message)
 
 
 class TestSweep:
@@ -295,16 +308,18 @@ class TestSweep:
         assert code == 1
         assert f"the {key} setting" in capsys.readouterr().err
 
-    def test_bad_grid_fails(self, tmp_path, crossing_dir, capsys):
+    @pytest.mark.parametrize("grid, message", [("a,b", "bad --iou-th-grid 'a,b'"), (",", "empty --iou-th-grid")])
+    def test_bad_grid_fails(self, tmp_path, crossing_dir, capsys, grid, message):
         code = main(
             [
                 "sweep",
                 "--det", str(crossing_dir / "det.txt"),
                 "--gt", str(crossing_dir / "gt.txt"),
-                "--iou-th-grid", "a,b",
+                "--iou-th-grid", grid,
             ]
         )
         assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestSynth:
@@ -328,6 +343,13 @@ class TestSynth:
         main(["synth", "--preset", "parade", "--seed", "7", "--out", str(b)])
         for name in ("det.txt", "features.feab", "gt.txt"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_size_flags_name_the_presets_that_take_them(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["synth", "--help"])
+        lines = [" ".join(line.split()) for line in capsys.readouterr().out.splitlines()]
+        assert "--targets TARGETS target count (parade, receding)" in lines
+        assert "--frames FRAMES frame count (parade, grid, receding)" in lines
 
     def test_flag_the_preset_does_not_take_fails(self, tmp_path, capsys):
         code = main(

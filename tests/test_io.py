@@ -452,19 +452,26 @@ class TestFeatureFile:
         with pytest.raises(ValueError, match="version"):
             FeatureFileProvider(p)
 
-    def test_truncated_file(self, tmp_path):
+    # one 4-d record is 13 header bytes and 8 + 16 record bytes
+    @pytest.mark.parametrize("size, message", [
+        (34, r"^truncated feature file: expected 37 bytes, got 34$"),
+        (12, r"^truncated feature file header$"),
+    ])
+    def test_truncated_file(self, tmp_path, size, message):
         p = tmp_path / "f.feab"
         write_features(p, [(1, 0, np.eye(4, dtype=np.float32)[0])])
         data = p.read_bytes()
-        p.write_bytes(data[:-3])
-        with pytest.raises(ValueError, match="truncated"):
+        p.write_bytes(data[:size])
+        with pytest.raises(ValueError, match=message):
             FeatureFileProvider(p)
 
-    def test_duplicate_key_on_write(self, tmp_path):
-        p = tmp_path / "f.feab"
-        v = np.eye(2, dtype=np.float32)[0]
-        with pytest.raises(ValueError, match="duplicate"):
-            write_features(p, [(1, 0, v), (1, 0, v)])
+    @pytest.mark.parametrize("second, message", [
+        ((1, 0, np.eye(2)[0]), "duplicate"),
+        ((1, 1, np.eye(3)[0]), r"^inconsistent feature dimension: 3 vs 2$"),
+    ], ids=["duplicate key", "two widths"])
+    def test_refused_records_on_write(self, tmp_path, second, message):
+        with pytest.raises(ValueError, match=message):
+            write_features(tmp_path / "f.feab", [(1, 0, np.eye(2)[0]), second])
 
     @pytest.mark.parametrize("key", [(2**32, 0), (0, 2**32), (-1, 0), (0, -1)])
     def test_key_out_of_range_on_write(self, tmp_path, key):

@@ -111,6 +111,24 @@ class TestGenerate:
         with pytest.raises(ValueError):
             Target(np.array([1.0, 0]), [(1, BBox(0, 0, 0, 5))])
 
+    @pytest.mark.parametrize("frames", [[], [2, 1], [1, 1]])
+    def test_keyframes_empty_or_not_increasing_rejected(self, frames):
+        with pytest.raises(ValueError, match=r"^keyframes must be non-empty with increasing frames$"):
+            Target(np.array([1.0, 0]), [(f, BBox(0, 0, 5, 5)) for f in frames])
+
+    @pytest.mark.parametrize("overrides, message", [
+        # `seltrack synth --seed -1` printed numpy's "expected non-negative integer"
+        ({"seed": -1}, r"^seed must be an integer >= 0, got -1$"),
+        ({"seed": 1.0}, r"^seed must be an integer >= 0, got 1\.0$"),
+        ({"seed": True}, r"^seed must be an integer >= 0, got True$"),
+        ({"frames": 0}, r"^scenario needs at least one frame$"),
+        ({"occlusions": [(2, 1, 3)]}, r"^bad occlusion window \(2, 1, 3\)$"),
+        ({"occlusions": [(0, 3, 2)]}, r"^bad occlusion window \(0, 3, 2\)$"),
+    ])
+    def test_refused_scenario(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            tiny_scenario(**overrides)
+
 
 def reference_box_at(target, frame):
     """The keyframe path at one frame, as a loop over its segments: the first that holds it, u = 1 at its end."""
@@ -205,6 +223,12 @@ class TestPresets:
     def test_kwargs_reach_the_scene_function(self):
         sc = preset("parade", seed=7, n_targets=3, frames=20)
         assert (sc.seed, len(sc.targets), sc.frames) == (7, 3, 20)
+
+    @pytest.mark.parametrize("name", ["grid", "parade", "receding"])  # the presets that take `frames`
+    def test_one_frame_scene_generates(self, name, tmp_path):
+        # each target of a one-frame parade or grid had two keyframes at frame 1
+        det, _, gt = generate_to_dir(preset(name, frames=1), tmp_path)
+        assert list(read_detections(det)) == [1] and set(read_trajectories(gt)["frame"].tolist()) == {1}
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_presets_generate_and_parse(self, name, tmp_path):
